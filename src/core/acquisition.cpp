@@ -1,8 +1,8 @@
 #include "core/acquisition.h"
 
-#include <utility>
-
+#include <algorithm>
 #include <array>
+#include <utility>
 
 #include "core/ordered_dispatch.h"
 #include "sim/ooo/ooo_core.h"
@@ -11,9 +11,70 @@
 
 namespace usca::core {
 
-acquisition_campaign::acquisition_campaign(sim::program_image image,
-                                           acquisition_config config)
+namespace {
+
+/// The two private streams of one trial: its inputs and its measurement
+/// noise (OS noise and second-core phase included).
+struct trial_seeds {
+  std::uint64_t setup;
+  std::uint64_t synthesis;
+};
+
+trial_seeds seeds_of(std::uint64_t campaign_seed, std::size_t index) {
+  std::uint64_t stream = trace_seed(campaign_seed, index);
+  // Braced initialization evaluates left to right: setup draws first.
+  return {util::splitmix64(stream), util::splitmix64(stream)};
+}
+
+/// Applies the config's recording mode to a per-trace or batched core:
+/// timing-only runs record no activity, and activity past a marker
+/// window's end mark can never land inside it (for the AES round-1 window
+/// that skips the nine later rounds).
+template <typename Core>
+std::unique_ptr<Core> with_recording(std::unique_ptr<Core> core,
+                                     const acquisition_config& config) {
+  if (!config.synthesize) {
+    core->set_record_activity(false);
+  } else if (!config.full_run_window) {
+    core->set_activity_cutoff_mark(config.window.end_mark);
+  }
+  return core;
+}
+
+} // namespace
+
+bool find_campaign_window(const std::vector<sim::mark_stamp>& marks,
+                          const campaign_window& window, std::uint64_t& begin,
+                          std::uint64_t& end) noexcept {
+  bool begin_seen = false;
+  bool end_seen = false;
+  for (const auto& m : marks) {
+    if (!begin_seen && m.id == window.begin_mark) {
+      begin = m.cycle;
+      begin_seen = true;
+    } else if (!end_seen && m.id == window.end_mark) {
+      end = m.cycle;
+      end_seen = true;
+    }
+  }
+  return begin_seen && end_seen && end > begin;
+}
+
+std::uint64_t trace_seed(std::uint64_t campaign_seed,
+                         std::size_t index) noexcept {
+  // One splitmix64 step over a golden-ratio-strided state decorrelates
+  // neighbouring indices and neighbouring campaign seeds alike.
+  std::uint64_t state = campaign_seed +
+                        0x9e3779b97f4a7c15ULL *
+                            (static_cast<std::uint64_t>(index) + 1);
+  return util::splitmix64(state);
+}
+
+acquisition_campaign::acquisition_campaign(
+    sim::program_image image, acquisition_config config,
+    std::shared_ptr<const power::second_core_noise> second_core)
     : image_(std::move(image)), config_(config),
+      second_core_(std::move(second_core)),
       setup_([](std::size_t, util::xoshiro256&, sim::backend&,
                 std::vector<double>&) {}) {}
 
@@ -26,70 +87,16 @@ unsigned acquisition_campaign::resolved_threads() const noexcept {
 }
 
 std::unique_ptr<sim::backend> acquisition_campaign::make_backend() const {
-  std::unique_ptr<sim::backend> core =
-      sim::make_backend(config_.backend, image_, config_.uarch);
-  if (!config_.synthesize) {
-    core->set_record_activity(false);
-  } else if (!config_.full_run_window) {
-    core->set_activity_cutoff_mark(config_.window.end_mark);
-  }
-  return core;
+  return with_recording(
+      sim::make_backend(config_.backend, image_, config_.uarch), config_);
 }
 
-void acquisition_campaign::produce_into(sim::backend& core,
-                                        power::trace_synthesizer& synth,
-                                        std::size_t index,
-                                        acquisition_record& rec) const {
-  TELEM_SPAN("campaign.trace");
-  // Same derivation as trace_campaign: one private stream for the trial's
-  // inputs, one for its measurement noise.
-  std::uint64_t stream = trace_campaign::trace_seed(config_.seed, index);
-  const std::uint64_t setup_seed = util::splitmix64(stream);
-  const std::uint64_t synthesis_seed = util::splitmix64(stream);
-
-  rec.index = index;
-  util::xoshiro256 setup_rng(setup_seed);
-  setup_(index, setup_rng, core, rec.labels);
-
-  core.warm_caches();
-  core.run();
-  rec.cycles = core.cycles();
-  rec.instructions = core.instructions_issued();
-  rec.marks = core.marks();
-
-  static const telem::counter traces{"campaign.traces", "traces", "campaign"};
-  static const telem::counter cycles{"campaign.cycles", "cycles", "campaign"};
-  traces.add();
-  cycles.add(rec.cycles);
-
-  if (config_.full_run_window) {
-    rec.window_begin = 0;
-    rec.window_end = core.cycles() + config_.full_run_tail_pad;
-  } else if (!find_campaign_window(rec.marks, config_.window,
-                                   rec.window_begin, rec.window_end)) {
-    throw util::analysis_error(
-        "acquisition window marks not found (or empty window) in the "
-        "simulated program");
+power::trace_synthesizer acquisition_campaign::make_synthesizer() const {
+  power::trace_synthesizer synth(config_.power, 0);
+  if (second_core_) {
+    synth.attach_second_core(second_core_);
   }
-
-  if (!config_.synthesize) {
-    return;
-  }
-  const auto begin = static_cast<std::uint32_t>(rec.window_begin);
-  const auto end = static_cast<std::uint32_t>(rec.window_end);
-  if (index < config_.keep_activity_first) {
-    rec.window_activity.clear();
-    for (const sim::activity_event& ev : core.activity()) {
-      if (ev.cycle >= begin && ev.cycle < end) {
-        rec.window_activity.push_back(ev);
-      }
-    }
-  }
-  synth.reseed(synthesis_seed);
-  rec.samples = config_.averaging > 1
-                    ? synth.synthesize_averaged(core.activity(), begin, end,
-                                                config_.averaging)
-                    : synth.synthesize(core.activity(), begin, end);
+  return synth;
 }
 
 std::size_t acquisition_campaign::batch_lanes() const {
@@ -97,8 +104,9 @@ std::size_t acquisition_campaign::batch_lanes() const {
       (config_.uarch.ooo.scheduler != sim::ooo_scheduler::fast ||
        sim::ooo_reference_forced() ||
        sim::speculation_active(config_.uarch))) {
-    // Neither the reference scheduler nor a speculating core (per-lane
-    // wrong paths) has a batched counterpart.
+    // The reference scheduler exists as the differential oracle and has
+    // no batched counterpart; a speculating core's per-lane wrong paths
+    // have none either.  Run both on the per-trace path.
     return 0;
   }
   std::size_t lanes = sim::resolve_sim_batch_lanes(config_.sim_batch_lanes);
@@ -108,16 +116,61 @@ std::size_t acquisition_campaign::batch_lanes() const {
   return lanes;
 }
 
-std::unique_ptr<sim::batch_backend> acquisition_campaign::make_batch_backend(
-    std::size_t lanes) const {
-  std::unique_ptr<sim::batch_backend> batch =
-      sim::make_batch_backend(config_.backend, image_, config_.uarch, lanes);
-  if (!config_.synthesize) {
-    batch->set_record_activity(false);
-  } else if (!config_.full_run_window) {
-    batch->set_activity_cutoff_mark(config_.window.end_mark);
+void acquisition_campaign::finish_record(const sim::activity_trace& activity,
+                                         power::trace_synthesizer& synth,
+                                         std::uint64_t synthesis_seed,
+                                         acquisition_record& rec) const {
+  static const telem::counter traces{"campaign.traces", "traces", "campaign"};
+  static const telem::counter cycles{"campaign.cycles", "cycles", "campaign"};
+  traces.add();
+  cycles.add(rec.cycles);
+
+  if (config_.full_run_window) {
+    rec.window_begin = 0;
+    rec.window_end = rec.cycles + config_.full_run_tail_pad;
+  } else if (!find_campaign_window(rec.marks, config_.window,
+                                   rec.window_begin, rec.window_end)) {
+    throw util::analysis_error(
+        "campaign window marks not found (or empty window) in the "
+        "simulated program");
   }
-  return batch;
+
+  if (!config_.synthesize) {
+    return;
+  }
+  const auto begin = static_cast<std::uint32_t>(rec.window_begin);
+  const auto end = static_cast<std::uint32_t>(rec.window_end);
+  if (rec.index < config_.keep_activity_first) {
+    rec.window_activity.clear();
+    for (const sim::activity_event& ev : activity) {
+      if (ev.cycle >= begin && ev.cycle < end) {
+        rec.window_activity.push_back(ev);
+      }
+    }
+  }
+  synth.reseed(synthesis_seed);
+  rec.samples = config_.averaging > 1
+                    ? synth.synthesize_averaged(activity, begin, end,
+                                                config_.averaging)
+                    : synth.synthesize(activity, begin, end);
+}
+
+void acquisition_campaign::produce_into(sim::backend& core,
+                                        power::trace_synthesizer& synth,
+                                        std::size_t index,
+                                        acquisition_record& rec) const {
+  TELEM_SPAN("campaign.trace");
+  const trial_seeds seeds = seeds_of(config_.seed, index);
+  rec.index = index;
+  util::xoshiro256 setup_rng(seeds.setup);
+  setup_(index, setup_rng, core, rec.labels);
+
+  core.warm_caches();
+  core.run();
+  rec.cycles = core.cycles();
+  rec.instructions = core.instructions_issued();
+  rec.marks = core.marks();
+  finish_record(core.activity(), synth, seeds.synthesis, rec);
 }
 
 void acquisition_campaign::produce_batch_into(
@@ -129,17 +182,13 @@ void acquisition_campaign::produce_batch_into(
   batch.limit_active_lanes(count);
   batch.reset();
 
-  // Same per-index derivation as produce_into; the setup callback writes
-  // each trial's registers/memory through a lane view of the batch.
   std::array<std::uint64_t, sim::max_batch_lanes> synthesis_seeds{};
   for (std::size_t l = 0; l < count; ++l) {
     const std::size_t index = first_index + l;
-    std::uint64_t stream = trace_campaign::trace_seed(config_.seed, index);
-    const std::uint64_t setup_seed = util::splitmix64(stream);
-    synthesis_seeds[l] = util::splitmix64(stream);
-
+    const trial_seeds seeds = seeds_of(config_.seed, index);
+    synthesis_seeds[l] = seeds.synthesis;
     recs[l].index = index;
-    util::xoshiro256 setup_rng(setup_seed);
+    util::xoshiro256 setup_rng(seeds.setup);
     sim::batch_lane_view lane(batch, l);
     setup_(index, setup_rng, lane, recs[l].labels);
   }
@@ -147,20 +196,8 @@ void acquisition_campaign::produce_batch_into(
   batch.warm_caches();
   batch.run();
 
-  std::uint64_t window_begin = 0;
-  std::uint64_t window_end = 0;
-  bool window_found = true;
-  if (config_.full_run_window) {
-    window_end = batch.cycles() + config_.full_run_tail_pad;
-  } else {
-    window_found = find_campaign_window(batch.marks(), config_.window,
-                                        window_begin, window_end);
-  }
-
-  static const telem::counter traces{"campaign.traces", "traces", "campaign"};
-  static const telem::counter cycles{"campaign.cycles", "cycles", "campaign"};
-
   for (std::size_t l = 0; l < count; ++l) {
+    acquisition_record& rec = recs[l];
     if (batch.lane_diverged(l)) {
       // Data-dependent timing left the shared schedule; redo this trial
       // on the per-trace reference core (labels included: the record is
@@ -170,48 +207,20 @@ void acquisition_campaign::produce_batch_into(
       } else {
         fallback->reset();
       }
-      recs[l] = acquisition_record{};
-      produce_into(*fallback, synth, first_index + l, recs[l]);
+      rec = acquisition_record{};
+      produce_into(*fallback, synth, first_index + l, rec);
       continue;
     }
-    if (!window_found) {
-      throw util::analysis_error(
-          "acquisition window marks not found (or empty window) in the "
-          "simulated program");
-    }
-    acquisition_record& rec = recs[l];
     rec.cycles = batch.cycles();
     rec.instructions = batch.instructions_issued();
     rec.marks = batch.marks();
-    rec.window_begin = window_begin;
-    rec.window_end = window_end;
-    traces.add();
-    cycles.add(rec.cycles);
-
-    if (!config_.synthesize) {
-      continue;
-    }
-    const auto begin = static_cast<std::uint32_t>(window_begin);
-    const auto end = static_cast<std::uint32_t>(window_end);
-    if (rec.index < config_.keep_activity_first) {
-      rec.window_activity.clear();
-      for (const sim::activity_event& ev : batch.activity(l)) {
-        if (ev.cycle >= begin && ev.cycle < end) {
-          rec.window_activity.push_back(ev);
-        }
-      }
-    }
-    synth.reseed(synthesis_seeds[l]);
-    rec.samples = config_.averaging > 1
-                      ? synth.synthesize_averaged(batch.activity(l), begin,
-                                                  end, config_.averaging)
-                      : synth.synthesize(batch.activity(l), begin, end);
+    finish_record(batch.activity(l), synth, synthesis_seeds[l], rec);
   }
 }
 
 acquisition_record acquisition_campaign::produce(std::size_t index) const {
   std::unique_ptr<sim::backend> core = make_backend();
-  power::trace_synthesizer synth(config_.power, 0);
+  power::trace_synthesizer synth = make_synthesizer();
   acquisition_record rec;
   produce_into(*core, synth, index, rec);
   return rec;
@@ -235,54 +244,53 @@ void acquisition_source::for_each_batch(std::size_t max_batch,
 }
 
 void acquisition_campaign::run(const sink_fn& sink) {
+  // One work item is a group of `lanes` consecutive trials simulated in a
+  // single batch run, or one trial on the per-trace path.  Items are
+  // claimed by the workers, reordered, and unrolled in index order on
+  // this thread, so the sink sees the same records in the same order
+  // either way.
   const std::size_t first = config_.first_index;
   const std::size_t lanes = batch_lanes();
+  const std::size_t group = lanes == 0 ? 1 : lanes;
+  const std::size_t items = (config_.traces + group - 1) / group;
 
-  if (lanes == 0) {
-    struct worker_context {
-      std::unique_ptr<sim::backend> core;
-      power::trace_synthesizer synth;
-    };
-
-    ordered_parallel_produce(
-        config_.traces, resolved_threads(),
-        [this](unsigned) {
-          return worker_context{make_backend(),
-                                power::trace_synthesizer(config_.power, 0)};
-        },
-        [this, first](worker_context& ctx, std::size_t i) {
-          ctx.core->reset();
-          acquisition_record rec;
-          produce_into(*ctx.core, ctx.synth, first + i, rec);
-          return rec;
-        },
-        sink);
-    return;
-  }
-
-  // Batched path: groups of `lanes` consecutive trials per batch run,
-  // unrolled in index order — same records, same order as per-trace.
-  const std::size_t groups = (config_.traces + lanes - 1) / lanes;
-  struct batch_worker_context {
-    std::unique_ptr<sim::batch_backend> batch;
-    std::unique_ptr<sim::backend> fallback; // lazy: built on first ejection
+  // Each worker owns its cores and synthesizer for its whole shard; per
+  // trial only reset() (cheap page zeroing, no reallocation) and
+  // reseed() separate them from a freshly constructed pair, which the
+  // reset-equivalence tests pin as bit-identical.
+  struct worker_context {
+    std::unique_ptr<sim::batch_backend> batch; // null on the per-trace path
+    std::unique_ptr<sim::backend> core;        // lazy: per-trace or fallback
     power::trace_synthesizer synth;
   };
 
   ordered_parallel_produce(
-      groups, resolved_worker_count(config_.threads, groups),
+      items, resolved_worker_count(config_.threads, items),
       [this, lanes](unsigned) {
-        return batch_worker_context{make_batch_backend(lanes), nullptr,
-                                    power::trace_synthesizer(config_.power,
-                                                             0)};
+        return worker_context{
+            lanes == 0 ? nullptr
+                       : with_recording(sim::make_batch_backend(
+                                            config_.backend, image_,
+                                            config_.uarch, lanes),
+                                        config_),
+            nullptr, make_synthesizer()};
       },
-      [this, first, lanes](batch_worker_context& ctx, std::size_t g) {
-        const std::size_t begin = g * lanes;
-        const std::size_t count =
-            begin + lanes <= config_.traces ? lanes : config_.traces - begin;
+      [this, first, group](worker_context& ctx, std::size_t item) {
+        const std::size_t begin = item * group;
+        const std::size_t count = std::min(group, config_.traces - begin);
         std::vector<acquisition_record> recs;
-        produce_batch_into(*ctx.batch, ctx.fallback, ctx.synth, first + begin,
-                           count, recs);
+        if (ctx.batch) {
+          produce_batch_into(*ctx.batch, ctx.core, ctx.synth, first + begin,
+                             count, recs);
+          return recs;
+        }
+        if (!ctx.core) {
+          ctx.core = make_backend();
+        } else {
+          ctx.core->reset();
+        }
+        recs.resize(1);
+        produce_into(*ctx.core, ctx.synth, first + begin, recs[0]);
         return recs;
       },
       [&sink](std::vector<acquisition_record>&& recs) {

@@ -1,15 +1,32 @@
-// Generic parallel acquisition engine.
+// The acquisition engine: the one loop behind every campaign.
 //
-// trace_campaign is specialized for the generated AES program; every other
-// experiment in the repository (the Table-2 leakage characterization, the
-// micro-architectural ablations, the portability study) used to hand-roll
-// the same loop: build a program, randomize inputs per trial, simulate,
-// synthesize a power trace, accumulate.  This engine is that loop as a
-// service: caller supplies the shared program image and a per-index setup
-// callback; the engine owns one resettable pipeline + synthesizer per
-// worker, shards the trials, and delivers records to the sink in strict
-// index order — inheriting the campaign determinism contract (per-index
-// seeding, bit-identical results at any thread count, prefix property).
+// Every experiment in the repository has the same inner loop: randomize
+// one trial's inputs, simulate the program, render a power trace of a
+// marker-delimited window, and stream the trace into a statistical
+// accumulator (CPA, TVLA, attribution, ...).  The paper's campaigns run
+// to 100k traces, so this loop is the wall-clock bottleneck of the whole
+// reproduction.  The caller supplies the shared program image and a
+// per-index setup callback; the engine owns one resettable core and
+// synthesizer per worker, shards the trials (one per core, or one batch
+// of lanes per batched core), and delivers records to the sink in strict
+// index order.  The AES campaign (core/campaign.h) is one such setup.
+//
+// Determinism guarantee:
+//
+//  * Every trial is seeded independently from (campaign seed, index) via
+//    splitmix64 (trace_seed below), so trial i is bit-identical no matter
+//    which worker produces it, how many workers exist, how many lanes a
+//    batch has, or how the scheduler interleaves them.
+//  * Completed records are re-ordered and delivered to the sink in strict
+//    index order on the calling thread.  Floating-point accumulation
+//    order is therefore fixed, so downstream statistics (CPA correlation
+//    matrices, t statistics) are also bit-identical across thread counts.
+//
+// The per-index seeding additionally gives campaigns the prefix property:
+// the first N records of a longer campaign equal the N records of a
+// shorter one with the same seed, and disjoint [first_index,
+// first_index+traces) ranges extend a campaign without re-simulating its
+// prefix.
 #ifndef USCA_CORE_ACQUISITION_H
 #define USCA_CORE_ACQUISITION_H
 
@@ -18,8 +35,9 @@
 #include <memory>
 #include <vector>
 
-#include "core/campaign.h"
 #include "core/trace_stream.h"
+#include "crypto/aes_codegen.h"
+#include "power/second_core.h"
 #include "power/synthesizer.h"
 #include "sim/backend.h"
 #include "sim/batch_sim.h"
@@ -28,6 +46,28 @@
 #include "util/rng.h"
 
 namespace usca::core {
+
+/// Marker-delimited acquisition window: the synthesized trace covers the
+/// cycles from `begin_mark` (inclusive) to `end_mark` (exclusive).
+struct campaign_window {
+  std::uint16_t begin_mark = crypto::mark_encrypt_begin;
+  std::uint16_t end_mark = crypto::mark_round1_end;
+};
+
+/// Window lookup over a run's marks.  Binds to the FIRST occurrence of
+/// each mark id — the same occurrence at which the backend's activity
+/// cutoff disarms recording — so a program that issues its end-mark id
+/// repeatedly cannot end up with a silently unrecorded window tail.
+/// Returns false when either mark is missing or the window is empty.
+bool find_campaign_window(const std::vector<sim::mark_stamp>& marks,
+                          const campaign_window& window, std::uint64_t& begin,
+                          std::uint64_t& end) noexcept;
+
+/// Per-index seed of trial `index`: the root of its private setup and
+/// synthesis streams.  The scheme is load-bearing for the reproducibility
+/// of archived results.
+std::uint64_t trace_seed(std::uint64_t campaign_seed,
+                         std::size_t index) noexcept;
 
 struct acquisition_config {
   std::size_t traces = 0;      ///< number of acquisitions
@@ -51,11 +91,13 @@ struct acquisition_config {
   sim::micro_arch_config uarch = sim::cortex_a7();
   /// Core model the trials run on (in-order pipeline or OoO backend).
   sim::backend_kind backend = sim::backend_kind::inorder;
-  /// Batched-simulation width, same semantics as
-  /// campaign_config::sim_batch_lanes: -1 = default, 0 = per-trace,
-  /// 1..64 = lanes; USCA_SIM_BATCH overrides.  Trials whose data-dependent
-  /// timing diverges from their batch are ejected and transparently
-  /// re-simulated per-trace, so results are bit-identical either way.
+  /// Batched-simulation width (sim/batch_sim.h): -1 selects the default
+  /// lane count, 0 forces the per-trace path, 1..64 batches that many
+  /// trials per run.  USCA_SIM_BATCH, when set, overrides this field
+  /// (USCA_SIM_BATCH=0 reverts every campaign to the per-trace reference
+  /// path).  Trials whose data-dependent timing diverges from their batch
+  /// are ejected and transparently re-simulated per-trace, so results are
+  /// bit-identical at every lane count.
   int sim_batch_lanes = -1;
 };
 
@@ -90,7 +132,12 @@ public:
   /// called run().
   using sink_fn = std::function<void(acquisition_record&&)>;
 
-  acquisition_campaign(sim::program_image image, acquisition_config config);
+  /// `second_core` (optional) is the simulated interfering core every
+  /// synthesizer attaches — the Figure-4 dual-core environment; it is
+  /// shared read-only by all workers.
+  acquisition_campaign(
+      sim::program_image image, acquisition_config config,
+      std::shared_ptr<const power::second_core_noise> second_core = nullptr);
 
   void set_setup(setup_fn setup);
 
@@ -114,26 +161,37 @@ public:
 
 private:
   std::unique_ptr<sim::backend> make_backend() const;
+  power::trace_synthesizer make_synthesizer() const;
+  /// Lane count run() batches with: 0 selects the per-trace path (batching
+  /// disabled via config/env, the OoO reference scheduler, or a
+  /// speculating OoO core — neither has a batched counterpart), otherwise
+  /// the resolved width clamped to the trace count.
+  std::size_t batch_lanes() const;
+
+  /// The per-trace body shared by produce() (fresh core) and run() (reset
+  /// core): set up, simulate, finish.
   void produce_into(sim::backend& core, power::trace_synthesizer& synth,
                     std::size_t index, acquisition_record& rec) const;
-
-  /// Lane count run() batches with (0 = per-trace path); see
-  /// trace_campaign::batch_lanes for the resolution rules.
-  std::size_t batch_lanes() const;
-  std::unique_ptr<sim::batch_backend> make_batch_backend(
-      std::size_t lanes) const;
-  /// Batched counterpart of produce_into: the setup callback runs against
-  /// each lane through a sim::batch_lane_view, the whole group simulates
-  /// in one batch run, and ejected lanes fall back to the lazily-built
-  /// per-trace core.  recs[i] is bit-identical to produce(first_index+i).
+  /// Batched counterpart: the setup callback runs against each lane
+  /// through a sim::batch_lane_view and the whole group simulates in one
+  /// batch run.  Lanes the batch ejects (data-dependent timing divergence)
+  /// are re-produced on `fallback`, a per-trace core built lazily on first
+  /// use; either way recs[i] is bit-identical to produce(first_index + i).
   void produce_batch_into(sim::batch_backend& batch,
                           std::unique_ptr<sim::backend>& fallback,
                           power::trace_synthesizer& synth,
                           std::size_t first_index, std::size_t count,
                           std::vector<acquisition_record>& recs) const;
+  /// Window lookup, activity retention and synthesis of a simulated
+  /// record (rec.cycles and rec.marks already set).
+  void finish_record(const sim::activity_trace& activity,
+                     power::trace_synthesizer& synth,
+                     std::uint64_t synthesis_seed,
+                     acquisition_record& rec) const;
 
   sim::program_image image_;
   acquisition_config config_;
+  std::shared_ptr<const power::second_core_noise> second_core_;
   setup_fn setup_;
 };
 
@@ -143,7 +201,7 @@ private:
 /// deliveries are packed into a reused SoA tile per batch; the campaign
 /// must outlive the source, and each for_each_batch() call runs the
 /// campaign once.
-class acquisition_source final : public trace_source {
+class acquisition_source : public trace_source {
 public:
   explicit acquisition_source(acquisition_campaign& campaign)
       : campaign_(campaign) {}

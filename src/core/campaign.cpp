@@ -1,325 +1,95 @@
 #include "core/campaign.h"
 
-#include <array>
 #include <utility>
-
-#include "core/ordered_dispatch.h"
-#include "sim/ooo/ooo_core.h"
-#include "util/error.h"
-#include "util/telemetry.h"
 
 namespace usca::core {
 
+namespace {
+
+acquisition_config engine_config(const campaign_config& config) {
+  acquisition_config acq;
+  acq.traces = config.traces;
+  acq.first_index = config.first_index;
+  acq.threads = config.threads;
+  acq.seed = config.seed;
+  acq.averaging = config.averaging;
+  acq.window = config.window;
+  acq.power = config.power;
+  acq.uarch = config.uarch;
+  acq.backend = config.backend;
+  acq.sim_batch_lanes = config.sim_batch_lanes;
+  return acq;
+}
+
+std::shared_ptr<const power::second_core_noise>
+second_core_of(const campaign_config& config) {
+  if (!config.simulated_second_core) {
+    return nullptr;
+  }
+  // One read-only instance shared by every worker; only the window phase
+  // is drawn per acquisition, from the trace's private stream.
+  return std::make_shared<power::second_core_noise>(
+      config.uarch, config.power.weights, config.seed ^ 0xc0de,
+      config.second_core_cycles);
+}
+
+/// The AES view of an engine record: its labels are the plaintext bytes.
+trace_record to_trace_record(acquisition_record&& rec) {
+  trace_record out;
+  out.index = rec.index;
+  for (std::size_t b = 0; b < out.plaintext.size(); ++b) {
+    out.plaintext[b] = static_cast<std::uint8_t>(rec.labels[b]);
+  }
+  out.samples = std::move(rec.samples);
+  out.window_begin = rec.window_begin;
+  out.window_end = rec.window_end;
+  out.cycles = rec.cycles;
+  out.marks = std::move(rec.marks);
+  return out;
+}
+
+} // namespace
+
 trace_campaign::trace_campaign(campaign_config config, crypto::aes_key key)
     : config_(config), key_(key),
-      layout_(crypto::generate_aes128_program()),
-      round_keys_(crypto::expand_key(key_)),
-      image_(sim::program_image(layout_.prog)) {
-  if (config_.simulated_second_core) {
-    // One read-only instance shared by every worker; only the window
-    // phase is drawn per acquisition, from the trace's private stream.
-    second_core_ = std::make_shared<power::second_core_noise>(
-        config_.uarch, config_.power.weights, config_.seed ^ 0xc0de,
-        config_.second_core_cycles);
-  }
-  plaintext_ = [](std::size_t, util::xoshiro256& rng) {
+      layout_(std::make_shared<const crypto::aes_program_layout>(
+          crypto::generate_aes128_program())),
+      engine_(sim::program_image(layout_->prog), engine_config(config_),
+              second_core_of(config_)) {
+  set_plaintext_policy([](std::size_t, util::xoshiro256& rng) {
     crypto::aes_block pt;
     for (auto& b : pt) {
       b = rng.next_u8();
     }
     return pt;
-  };
+  });
 }
 
 void trace_campaign::set_plaintext_policy(plaintext_fn policy) {
-  plaintext_ = std::move(policy);
-}
-
-std::uint64_t trace_campaign::trace_seed(std::uint64_t campaign_seed,
-                                         std::size_t index) noexcept {
-  // One splitmix64 step over a golden-ratio-strided state decorrelates
-  // neighbouring indices and neighbouring campaign seeds alike.
-  std::uint64_t state = campaign_seed +
-                        0x9e3779b97f4a7c15ULL *
-                            (static_cast<std::uint64_t>(index) + 1);
-  return util::splitmix64(state);
-}
-
-bool find_campaign_window(const std::vector<sim::mark_stamp>& marks,
-                          const campaign_window& window, std::uint64_t& begin,
-                          std::uint64_t& end) noexcept {
-  bool begin_seen = false;
-  bool end_seen = false;
-  for (const auto& m : marks) {
-    if (!begin_seen && m.id == window.begin_mark) {
-      begin = m.cycle;
-      begin_seen = true;
-    } else if (!end_seen && m.id == window.end_mark) {
-      end = m.cycle;
-      end_seen = true;
-    }
-  }
-  return begin_seen && end_seen && end > begin;
+  engine_.set_setup([layout = layout_, round_keys = crypto::expand_key(key_),
+                     policy = std::move(policy)](
+                        std::size_t index, util::xoshiro256& rng,
+                        sim::backend& core, std::vector<double>& labels) {
+    const crypto::aes_block pt = policy(index, rng);
+    crypto::install_aes_inputs(core.memory(), *layout, round_keys, pt);
+    labels.assign(pt.begin(), pt.end());
+  });
 }
 
 unsigned trace_campaign::resolved_threads() const noexcept {
-  return resolved_worker_count(config_.threads, config_.traces);
-}
-
-std::unique_ptr<sim::backend> trace_campaign::make_backend() const {
-  std::unique_ptr<sim::backend> core =
-      sim::make_backend(config_.backend, image_, config_.uarch);
-  // Activity past the window's end mark can never land inside the window,
-  // so recording it would only burn time and memory on (for the default
-  // round-1 window) the nine later AES rounds.
-  core->set_activity_cutoff_mark(config_.window.end_mark);
-  return core;
-}
-
-power::trace_synthesizer trace_campaign::make_synthesizer() const {
-  power::trace_synthesizer synth(config_.power, 0);
-  if (second_core_) {
-    synth.attach_second_core(second_core_);
-  }
-  return synth;
-}
-
-void trace_campaign::produce_into(sim::backend& core,
-                                  power::trace_synthesizer& synth,
-                                  std::size_t index,
-                                  trace_record& rec) const {
-  TELEM_SPAN("campaign.trace");
-  // Everything random about trace `index` — plaintext, measurement noise,
-  // OS noise, second-core phase — derives from this per-index seed, so
-  // the record is independent of which thread produces it.
-  std::uint64_t stream = trace_seed(config_.seed, index);
-  const std::uint64_t plaintext_seed = util::splitmix64(stream);
-  const std::uint64_t synthesis_seed = util::splitmix64(stream);
-
-  util::xoshiro256 plaintext_rng(plaintext_seed);
-  rec.index = index;
-  rec.plaintext = plaintext_(index, plaintext_rng);
-
-  crypto::install_aes_inputs(core.memory(), layout_, round_keys_,
-                             rec.plaintext);
-  core.warm_caches();
-  core.run();
-  rec.cycles = core.cycles();
-
-  static const telem::counter traces{"campaign.traces", "traces", "campaign"};
-  static const telem::counter cycles{"campaign.cycles", "cycles", "campaign"};
-  traces.add();
-  cycles.add(rec.cycles);
-
-  if (!find_campaign_window(core.marks(), config_.window, rec.window_begin,
-                            rec.window_end)) {
-    throw util::analysis_error(
-        "campaign window marks not found (or empty window) in the "
-        "simulated program");
-  }
-  rec.marks = core.marks();
-
-  synth.reseed(synthesis_seed);
-  const auto begin = static_cast<std::uint32_t>(rec.window_begin);
-  const auto end = static_cast<std::uint32_t>(rec.window_end);
-  rec.samples = config_.averaging > 1
-                    ? synth.synthesize_averaged(core.activity(), begin, end,
-                                                config_.averaging)
-                    : synth.synthesize(core.activity(), begin, end);
-}
-
-std::size_t trace_campaign::batch_lanes() const {
-  if (config_.backend == sim::backend_kind::ooo &&
-      (config_.uarch.ooo.scheduler != sim::ooo_scheduler::fast ||
-       sim::ooo_reference_forced() ||
-       sim::speculation_active(config_.uarch))) {
-    // The reference scheduler exists as the differential oracle and has
-    // no batched counterpart; a speculating core's per-lane wrong paths
-    // have none either.  Run both on the per-trace path.
-    return 0;
-  }
-  std::size_t lanes = sim::resolve_sim_batch_lanes(config_.sim_batch_lanes);
-  if (lanes > config_.traces) {
-    lanes = config_.traces;
-  }
-  return lanes;
-}
-
-std::unique_ptr<sim::batch_backend> trace_campaign::make_batch_backend(
-    std::size_t lanes) const {
-  std::unique_ptr<sim::batch_backend> batch =
-      sim::make_batch_backend(config_.backend, image_, config_.uarch, lanes);
-  batch->set_activity_cutoff_mark(config_.window.end_mark);
-  return batch;
-}
-
-void trace_campaign::produce_batch_into(sim::batch_backend& batch,
-                                        std::unique_ptr<sim::backend>& fallback,
-                                        power::trace_synthesizer& synth,
-                                        std::size_t first_index,
-                                        std::size_t count,
-                                        std::vector<trace_record>& recs) const {
-  TELEM_SPAN("campaign.batch");
-  recs.resize(count);
-  batch.limit_active_lanes(count);
-  batch.reset();
-
-  // Identical per-index derivation to produce_into: each lane's plaintext
-  // and synthesis stream come from trace_seed(seed, index), so a record
-  // is bit-identical whether it is produced per-trace or as lane l of any
-  // batch (the campaign_sim_batch tests pin this).
-  std::array<std::uint64_t, sim::max_batch_lanes> synthesis_seeds{};
-  for (std::size_t l = 0; l < count; ++l) {
-    const std::size_t index = first_index + l;
-    std::uint64_t stream = trace_seed(config_.seed, index);
-    const std::uint64_t plaintext_seed = util::splitmix64(stream);
-    synthesis_seeds[l] = util::splitmix64(stream);
-
-    util::xoshiro256 plaintext_rng(plaintext_seed);
-    recs[l].index = index;
-    recs[l].plaintext = plaintext_(index, plaintext_rng);
-    crypto::install_aes_inputs(batch.memory(l), layout_, round_keys_,
-                               recs[l].plaintext);
-  }
-
-  batch.warm_caches();
-  batch.run();
-
-  std::uint64_t window_begin = 0;
-  std::uint64_t window_end = 0;
-  const bool window_found = find_campaign_window(
-      batch.marks(), config_.window, window_begin, window_end);
-
-  static const telem::counter traces{"campaign.traces", "traces", "campaign"};
-  static const telem::counter cycles{"campaign.cycles", "cycles", "campaign"};
-
-  for (std::size_t l = 0; l < count; ++l) {
-    if (batch.lane_diverged(l)) {
-      // The lane's data-dependent timing left the batch's shared schedule;
-      // its state is garbage.  Re-produce it on the per-trace reference
-      // core — same record, one lane at a time.
-      if (!fallback) {
-        fallback = make_backend();
-      } else {
-        fallback->reset();
-      }
-      produce_into(*fallback, synth, recs[l].index, recs[l]);
-      continue;
-    }
-    if (!window_found) {
-      throw util::analysis_error(
-          "campaign window marks not found (or empty window) in the "
-          "simulated program");
-    }
-    trace_record& rec = recs[l];
-    rec.cycles = batch.cycles();
-    rec.window_begin = window_begin;
-    rec.window_end = window_end;
-    rec.marks = batch.marks();
-    traces.add();
-    cycles.add(rec.cycles);
-
-    synth.reseed(synthesis_seeds[l]);
-    const auto begin = static_cast<std::uint32_t>(window_begin);
-    const auto end = static_cast<std::uint32_t>(window_end);
-    rec.samples = config_.averaging > 1
-                      ? synth.synthesize_averaged(batch.activity(l), begin,
-                                                  end, config_.averaging)
-                      : synth.synthesize(batch.activity(l), begin, end);
-  }
+  return engine_.resolved_threads();
 }
 
 trace_record trace_campaign::produce(std::size_t index) const {
-  std::unique_ptr<sim::backend> core = make_backend();
-  power::trace_synthesizer synth = make_synthesizer();
-  trace_record rec;
-  produce_into(*core, synth, index, rec);
-  return rec;
-}
-
-void trace_campaign::run(analysis_pass& pass) {
-  aes_campaign_source source(*this);
-  pump(source, pass);
-}
-
-void aes_campaign_source::for_each_batch(std::size_t max_batch,
-                                         const batch_fn& fn) {
-  if (max_batch == 0) {
-    max_batch = default_batch_traces;
-  }
-  batch_builder builder(max_batch);
-  std::array<double, std::tuple_size_v<crypto::aes_block>> labels;
-  campaign_.run([&](trace_record&& rec) {
-    for (std::size_t b = 0; b < labels.size(); ++b) {
-      labels[b] = static_cast<double>(rec.plaintext[b]);
-    }
-    builder.push(rec.index, labels, rec.samples, fn);
-  });
-  builder.flush(fn);
+  return to_trace_record(engine_.produce(index));
 }
 
 void trace_campaign::run(const sink_fn& sink) {
-  const std::size_t first = config_.first_index;
-  const std::size_t lanes = batch_lanes();
-
-  if (lanes == 0) {
-    // Per-trace reference path (sim_batch_lanes = 0 / USCA_SIM_BATCH=0 /
-    // the OoO reference scheduler).  Each worker owns one backend and one
-    // synthesizer for its whole shard; per trace only reset() (cheap page
-    // zeroing, no reallocation) and reseed() separate it from a freshly
-    // constructed pair, which the reset-equivalence tests pin as
-    // bit-identical.
-    struct worker_context {
-      std::unique_ptr<sim::backend> core;
-      power::trace_synthesizer synth;
-    };
-
-    ordered_parallel_produce(
-        config_.traces, resolved_threads(),
-        [this](unsigned) {
-          return worker_context{make_backend(), make_synthesizer()};
-        },
-        [this, first](worker_context& ctx, std::size_t i) {
-          ctx.core->reset();
-          trace_record rec;
-          produce_into(*ctx.core, ctx.synth, first + i, rec);
-          return rec;
-        },
-        sink);
-    return;
-  }
-
-  // Batched path: one work item is a group of `lanes` consecutive trace
-  // indices simulated in a single batch run.  Groups are claimed by the
-  // workers, reordered, and unrolled in index order on this thread, so
-  // the sink sees exactly the records and order of the per-trace path.
-  const std::size_t groups = (config_.traces + lanes - 1) / lanes;
-  struct batch_worker_context {
-    std::unique_ptr<sim::batch_backend> batch;
-    std::unique_ptr<sim::backend> fallback; // lazy: built on first ejection
-    power::trace_synthesizer synth;
-  };
-
-  ordered_parallel_produce(
-      groups, resolved_worker_count(config_.threads, groups),
-      [this, lanes](unsigned) {
-        return batch_worker_context{make_batch_backend(lanes), nullptr,
-                                    make_synthesizer()};
-      },
-      [this, first, lanes](batch_worker_context& ctx, std::size_t g) {
-        const std::size_t begin = g * lanes;
-        const std::size_t count =
-            begin + lanes <= config_.traces ? lanes : config_.traces - begin;
-        std::vector<trace_record> recs;
-        produce_batch_into(*ctx.batch, ctx.fallback, ctx.synth, first + begin,
-                           count, recs);
-        return recs;
-      },
-      [&sink](std::vector<trace_record>&& recs) {
-        for (trace_record& rec : recs) {
-          sink(std::move(rec));
-        }
-      });
+  engine_.run([&sink](acquisition_record&& rec) {
+    sink(to_trace_record(std::move(rec)));
+  });
 }
+
+void trace_campaign::run(analysis_pass& pass) { engine_.run(pass); }
 
 } // namespace usca::core

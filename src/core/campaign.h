@@ -1,29 +1,18 @@
-// Parallel trace-campaign engine.
+// The AES trace campaign: the paper's Figure-3/4, MTD and TVLA
+// acquisitions.
 //
-// Every large experiment in this repository has the same inner loop: draw
-// a plaintext, run the generated AES on the pipeline model, render a power
-// trace of a marker-delimited window, and stream the trace into a
-// statistical accumulator (CPA, TVLA, ...).  The paper's campaigns run to
-// 100k traces, so this loop is the wall-clock bottleneck of the whole
-// reproduction.  The campaign engine shards it across worker threads
-// while keeping the result exactly reproducible.
-//
-// Determinism guarantee:
-//
-//  * Every trace is seeded independently from (campaign seed, trace
-//    index) via splitmix64, so trace i is bit-identical no matter which
-//    worker produces it, how many workers exist, or how the scheduler
-//    interleaves them.  Same seed + same config => bit-identical traces,
-//    at ANY thread count.
-//  * Completed traces are re-ordered and delivered to the sink in strict
-//    index order on the calling thread.  Floating-point accumulation
-//    order is therefore fixed, so downstream statistics (CPA correlation
-//    matrices, t statistics) are also bit-identical across thread counts.
-//
-// The per-index seeding additionally gives campaigns the prefix property:
-// the first N traces of a longer campaign equal the N traces of a shorter
-// one with the same seed, and disjoint [first_index, first_index+traces)
-// ranges extend a campaign without re-simulating its prefix.
+// A trace campaign is an acquisition_campaign (core/acquisition.h) over
+// the generated AES-128 program plus three things: a setup that draws
+// each trace's plaintext through a plaintext policy, installs it with the
+// expanded key, and records the 16 plaintext bytes as the record's
+// labels; the policy itself (uniform random by default, e.g. the TVLA
+// fixed-vs-random split on request); and the optional simulated second
+// core of the Figure-4 dual-core environment.  Everything else — worker
+// sharding, batched simulation with per-trace fallback, synthesis, the
+// determinism guarantee and the prefix property — is the engine's, so
+// an AES trace is bit-identical to the acquisition record of the same
+// (seed, index) with that setup.  trace_record is the AES view of that
+// record, built when it is delivered.
 #ifndef USCA_CORE_CAMPAIGN_H
 #define USCA_CORE_CAMPAIGN_H
 
@@ -32,34 +21,15 @@
 #include <memory>
 #include <vector>
 
+#include "core/acquisition.h"
 #include "core/trace_stream.h"
 #include "crypto/aes_codegen.h"
-#include "power/second_core.h"
 #include "power/synthesizer.h"
 #include "sim/backend.h"
-#include "sim/batch_sim.h"
 #include "sim/micro_arch_config.h"
-#include "sim/program_image.h"
 #include "util/rng.h"
 
 namespace usca::core {
-
-/// Marker-delimited acquisition window: the synthesized trace covers the
-/// cycles from `begin_mark` (inclusive) to `end_mark` (exclusive).
-struct campaign_window {
-  std::uint16_t begin_mark = crypto::mark_encrypt_begin;
-  std::uint16_t end_mark = crypto::mark_round1_end;
-};
-
-/// Window lookup over a run's marks, shared by the AES and the generic
-/// campaign.  Binds to the FIRST occurrence of each mark id — the same
-/// occurrence at which the backend's activity cutoff disarms recording —
-/// so a program that issues its end-mark id repeatedly cannot end up with
-/// a silently unrecorded window tail.  Returns false when either mark is
-/// missing or the window is empty.
-bool find_campaign_window(const std::vector<sim::mark_stamp>& marks,
-                          const campaign_window& window, std::uint64_t& begin,
-                          std::uint64_t& end) noexcept;
 
 struct campaign_config {
   std::size_t traces = 0;       ///< number of traces to acquire
@@ -73,13 +43,11 @@ struct campaign_config {
   /// Core model the campaign simulates on (in-order pipeline or the OoO
   /// backend); every worker owns one resettable instance of this kind.
   sim::backend_kind backend = sim::backend_kind::inorder;
-  /// Batched-simulation width (sim/batch_sim.h): -1 selects the default
-  /// lane count, 0 forces the per-trace path, 1..64 batches that many
-  /// traces per run.  USCA_SIM_BATCH, when set, overrides this field —
-  /// the no-rebuild escape hatch (USCA_SIM_BATCH=0 reverts every campaign
-  /// to the per-trace reference path).  Batching never changes results:
-  /// traces, marks and downstream statistics are bit-identical at every
-  /// lane count, pinned by tests/core/campaign_sim_batch_test.cpp.
+  /// Batched-simulation width; see acquisition_config::sim_batch_lanes.
+  /// Batching never changes results: traces, marks and downstream
+  /// statistics are bit-identical at every lane count, pinned by
+  /// tests/core/campaign_sim_batch_test.cpp and the golden digests of
+  /// tests/core/campaign_sim_batch_golden_test.cpp.
   int sim_batch_lanes = -1;
   /// Attach the simulated interfering core (the Figure-4 dual-core
   /// environment); it is built once and shared read-only by all workers.
@@ -138,69 +106,38 @@ public:
   const campaign_config& config() const noexcept { return config_; }
   const crypto::aes_key& key() const noexcept { return key_; }
   const crypto::aes_program_layout& layout() const noexcept {
-    return layout_;
+    return *layout_;
   }
 
-  /// Per-trace seed derivation (exposed so tests can pin the scheme; the
-  /// scheme is load-bearing for reproducibility of archived results).
+  /// The engine the campaign runs on; its records carry the 16
+  /// plaintext bytes as labels (the archive writes them verbatim).
+  acquisition_campaign& engine() noexcept { return engine_; }
+
+  /// Per-trace seed derivation, core::trace_seed (exposed so tests can
+  /// pin the scheme; it is load-bearing for reproducibility of archived
+  /// results).
   static std::uint64_t trace_seed(std::uint64_t campaign_seed,
-                                  std::size_t index) noexcept;
+                                  std::size_t index) noexcept {
+    return core::trace_seed(campaign_seed, index);
+  }
 
 private:
-  std::unique_ptr<sim::backend> make_backend() const;
-  power::trace_synthesizer make_synthesizer() const;
-  /// The acquisition body shared by produce() (fresh backend) and the
-  /// run() workers (long-lived, reset backend): install inputs, simulate,
-  /// synthesize.  `core` must be in the freshly-constructed/reset state.
-  void produce_into(sim::backend& core, power::trace_synthesizer& synth,
-                    std::size_t index, trace_record& rec) const;
-
-  /// Lane count run() batches with: 0 selects the per-trace path (batching
-  /// disabled via config/env, or the OoO reference scheduler, which has no
-  /// batched counterpart), otherwise the resolved width clamped to the
-  /// campaign's trace count.
-  std::size_t batch_lanes() const;
-  std::unique_ptr<sim::batch_backend> make_batch_backend(
-      std::size_t lanes) const;
-  /// Batched counterpart of produce_into: simulates `count` consecutive
-  /// traces from `first_index` in one batch run.  Lanes the batch ejects
-  /// (data-dependent timing divergence) are re-produced on `fallback` — a
-  /// per-trace core constructed lazily on first use and kept by the worker
-  /// thereafter; either way recs[i] is bit-identical to
-  /// produce(first_index + i).
-  void produce_batch_into(sim::batch_backend& batch,
-                          std::unique_ptr<sim::backend>& fallback,
-                          power::trace_synthesizer& synth,
-                          std::size_t first_index, std::size_t count,
-                          std::vector<trace_record>& recs) const;
-
   campaign_config config_;
   crypto::aes_key key_;
-  crypto::aes_program_layout layout_;
-  crypto::aes_round_keys round_keys_;
-  /// Shared read-only image of layout_.prog: every pipeline of the
-  /// campaign (workers and produce() alike) aliases this one copy.
-  sim::program_image image_;
-  std::shared_ptr<const power::second_core_noise> second_core_;
-  plaintext_fn plaintext_;
+  /// Shared with the engine's setup, which must not point into *this
+  /// (a moved-from campaign would leave it dangling).
+  std::shared_ptr<const crypto::aes_program_layout> layout_;
+  acquisition_campaign engine_;
 };
 
 /// Presents an AES trace campaign as a batched trace_source (labels =
-/// the 16 plaintext bytes).  The campaign must outlive the source; each
-/// for_each_batch() call runs the campaign once.
-class aes_campaign_source final : public trace_source {
+/// the 16 plaintext bytes): the acquisition_source of its engine.  The
+/// campaign must outlive the source; each for_each_batch() call runs the
+/// campaign once.
+class aes_campaign_source final : public acquisition_source {
 public:
   explicit aes_campaign_source(trace_campaign& campaign)
-      : campaign_(campaign) {}
-
-  std::size_t traces() const override {
-    return campaign_.config().traces;
-  }
-
-  void for_each_batch(std::size_t max_batch, const batch_fn& fn) override;
-
-private:
-  trace_campaign& campaign_;
+      : acquisition_source(campaign.engine()) {}
 };
 
 } // namespace usca::core

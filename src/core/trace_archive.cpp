@@ -1,6 +1,5 @@
 #include "core/trace_archive.h"
 
-#include <array>
 #include <bit>
 
 #include "util/failpoint.h"
@@ -222,13 +221,9 @@ archive_aes_campaign(const campaign_config& config, const crypto::aes_key& key,
     }
     static const telem::counter records{"archive.records", "records",
                                         "archive"};
-    std::array<double, std::tuple_size_v<crypto::aes_block>> labels;
-    campaign.run([&writer, &labels](trace_record&& rec) {
+    campaign.engine().run([&writer](acquisition_record&& rec) {
       util::failpoint("archive_record");
-      for (std::size_t b = 0; b < labels.size(); ++b) {
-        labels[b] = static_cast<double>(rec.plaintext[b]);
-      }
-      writer.append(labels, rec.samples);
+      writer.append(rec.labels, rec.samples);
       records.add();
     });
     result.simulated = end - next;

@@ -6,9 +6,10 @@
 // micro-architecture, not the ISA — demands comparisons across *design
 // points*.  A backend is any cycle-level core model that executes an AL32
 // program image, records trigger marks, and emits a sim::activity_event
-// stream for the power model.  The campaign engines (core::trace_campaign,
-// core::acquisition_campaign) keep their zero-reallocation worker loops by
-// relying only on this interface's reset()/rebind() contract:
+// stream for the power model.  The acquisition engine
+// (core::acquisition_campaign, which core::trace_campaign runs on) keeps
+// its zero-reallocation worker loops by relying only on this interface's
+// reset()/rebind() contract:
 //
 //   * reset()  — restores the freshly-constructed state without
 //                reallocating or re-copying the program; a reset backend
@@ -99,7 +100,7 @@ public:
 
   // Activity recording is shared state, not backend-specific behaviour:
   // one implementation keeps the cutoff/recording semantics — which the
-  // campaign engines' bit-identity contract depends on — from diverging
+  // acquisition engine's bit-identity contract depends on — from diverging
   // between core models.
 
   const std::vector<mark_stamp>& marks() const noexcept { return marks_; }

@@ -1,6 +1,6 @@
 // Unit tests for the out-of-order issue backend: structural behaviour
 // (rename/ROB/RS/retire), the reset()/rebind() zero-reallocation contract
-// the campaign engines rely on, the new leakage components, mark/cutoff
+// the acquisition engine relies on, the new leakage components, mark/cutoff
 // semantics, and the backend factory.
 #include <gtest/gtest.h>
 
