@@ -66,20 +66,6 @@ trace trace_synthesizer::synthesize_clean(const sim::activity_trace& activity,
   return out;
 }
 
-trace trace_synthesizer::synthesize_clean(
-    const sim::activity_cycle_index& index, std::uint32_t first_cycle,
-    std::uint32_t last_cycle) const {
-  trace out;
-  out.assign(last_cycle - first_cycle, config_.baseline);
-  const sim::activity_event* end = index.window_end(last_cycle);
-  for (const sim::activity_event* ev = index.window_begin(first_cycle);
-       ev != end; ++ev) {
-    out[ev->cycle - first_cycle] +=
-        config_.weights[ev->comp] * static_cast<double>(ev->toggles);
-  }
-  return out;
-}
-
 void trace_synthesizer::apply_noise(trace& out) {
   os_noise_process os(config_.os_noise, rng_);
   for (double& sample : out) {
@@ -94,14 +80,6 @@ trace trace_synthesizer::synthesize(const sim::activity_trace& activity,
                                     std::uint32_t first_cycle,
                                     std::uint32_t last_cycle) {
   trace out = synthesize_clean(activity, first_cycle, last_cycle);
-  apply_noise(out);
-  return out;
-}
-
-trace trace_synthesizer::synthesize(const sim::activity_cycle_index& index,
-                                    std::uint32_t first_cycle,
-                                    std::uint32_t last_cycle) {
-  trace out = synthesize_clean(index, first_cycle, last_cycle);
   apply_noise(out);
   return out;
 }

@@ -79,20 +79,6 @@ public:
                          std::uint32_t first_cycle,
                          std::uint32_t last_cycle) const;
 
-  /// Window extraction from a cycle-sorted index: O(window events) per
-  /// call instead of O(all events).  Multi-window analyses build the
-  /// index once per activity record (O(events) counting sort) and then
-  /// render any number of sub-windows cheaply.  Bit-identical to the
-  /// linear-scan overloads for the same window (the sort is stable, so
-  /// per-cycle accumulation order is preserved).
-  trace synthesize_clean(const sim::activity_cycle_index& index,
-                         std::uint32_t first_cycle,
-                         std::uint32_t last_cycle) const;
-
-  /// Noisy single-acquisition rendering over an index-backed window.
-  trace synthesize(const sim::activity_cycle_index& index,
-                   std::uint32_t first_cycle, std::uint32_t last_cycle);
-
   util::xoshiro256& rng() noexcept { return rng_; }
   const synthesis_config& config() const noexcept { return config_; }
 

@@ -1,56 +1,18 @@
-// Power trace containers.
+// Power trace type.
 //
 // A trace is one power sample per clock cycle (the paper samples at
 // 500 MS/s with the core at 120 MHz and averages; one sample per cycle is
-// the information-preserving equivalent for a simulated target).  The
-// trace_matrix stores a campaign of aligned traces row-major, which the
-// statistics kernels iterate over sample-wise.
+// the information-preserving equivalent for a simulated target).
+// Campaigns of aligned traces live in the trace store (power/trace_io.h)
+// or in SoA analysis batches (core/trace_batch.h).
 #ifndef USCA_POWER_TRACE_H
 #define USCA_POWER_TRACE_H
 
-#include <cstddef>
-#include <span>
 #include <vector>
 
 namespace usca::power {
 
 using trace = std::vector<double>;
-
-class trace_matrix {
-public:
-  trace_matrix() = default;
-  trace_matrix(std::size_t traces, std::size_t samples);
-
-  std::size_t traces() const noexcept { return traces_; }
-  std::size_t samples() const noexcept { return samples_; }
-
-  std::span<double> row(std::size_t i) noexcept;
-  std::span<const double> row(std::size_t i) const noexcept;
-
-  double at(std::size_t i, std::size_t j) const noexcept {
-    return data_[i * samples_ + j];
-  }
-  double& at(std::size_t i, std::size_t j) noexcept {
-    return data_[i * samples_ + j];
-  }
-
-  /// Copies `samples` values into row `i` (size must match).
-  void set_row(std::size_t i, std::span<const double> values);
-
-  /// Appends a row (must match the sample count; sets it if first).
-  void push_row(std::span<const double> values);
-
-  bool empty() const noexcept { return traces_ == 0; }
-
-private:
-  std::size_t traces_ = 0;
-  std::size_t samples_ = 0;
-  std::vector<double> data_;
-};
-
-/// Element-wise mean of several traces of equal length — the "average of
-/// 16 executions with the same input" used throughout the paper.
-trace average_traces(std::span<const trace> group);
 
 } // namespace usca::power
 

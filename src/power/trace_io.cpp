@@ -6,10 +6,7 @@
 
 #include <bit>
 #include <cerrno>
-#include <charconv>
 #include <cstring>
-#include <fstream>
-#include <ostream>
 #include <utility>
 
 #include "util/crc32.h"
@@ -464,111 +461,6 @@ void trace_store_writer::close() {
   if (rc != 0) {
     throw util::analysis_error("closing trace store '" + path_ +
                                "' failed");
-  }
-}
-
-// ------------------------------------------------- legacy v1 + CSV
-
-namespace {
-
-constexpr char v1_magic[4] = {'U', 'S', 'C', 'A'};
-constexpr std::uint32_t v1_version = 1;
-
-template <typename T> void write_pod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof value);
-}
-
-template <typename T> T read_pod(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof value);
-  if (!in) {
-    throw util::analysis_error("trace file truncated");
-  }
-  return value;
-}
-
-} // namespace
-
-void save_traces(const trace_matrix& traces, std::ostream& out) {
-  out.write(v1_magic, sizeof v1_magic);
-  write_pod(out, v1_version);
-  write_pod(out, static_cast<std::uint64_t>(traces.traces()));
-  write_pod(out, static_cast<std::uint64_t>(traces.samples()));
-  for (std::size_t i = 0; i < traces.traces(); ++i) {
-    const auto row = traces.row(i);
-    out.write(reinterpret_cast<const char*>(row.data()),
-              static_cast<std::streamsize>(row.size() * sizeof(double)));
-  }
-  if (!out) {
-    throw util::analysis_error("trace write failed");
-  }
-}
-
-void save_traces(const trace_matrix& traces, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    throw util::analysis_error("cannot open '" + path + "' for writing");
-  }
-  save_traces(traces, out);
-}
-
-trace_matrix load_traces(std::istream& in) {
-  char header[4] = {};
-  in.read(header, sizeof header);
-  if (!in || std::memcmp(header, v1_magic, sizeof header) != 0) {
-    throw util::analysis_error("not a usca trace file");
-  }
-  const auto version = read_pod<std::uint32_t>(in);
-  if (version != v1_version) {
-    throw util::analysis_error("unsupported trace file version");
-  }
-  const auto n_traces = read_pod<std::uint64_t>(in);
-  const auto n_samples = read_pod<std::uint64_t>(in);
-  if (n_traces > (1ULL << 32) || n_samples > (1ULL << 32)) {
-    throw util::analysis_error("trace file dimensions implausible");
-  }
-  trace_matrix out(static_cast<std::size_t>(n_traces),
-                   static_cast<std::size_t>(n_samples));
-  for (std::size_t i = 0; i < out.traces(); ++i) {
-    auto row = out.row(i);
-    in.read(reinterpret_cast<char*>(row.data()),
-            static_cast<std::streamsize>(row.size() * sizeof(double)));
-    if (!in) {
-      throw util::analysis_error("trace file truncated");
-    }
-  }
-  return out;
-}
-
-trace_matrix load_traces(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw util::analysis_error("cannot open '" + path + "'");
-  }
-  return load_traces(in);
-}
-
-void export_csv_row(std::span<const double> samples, std::string& line,
-                    std::ostream& out) {
-  line.clear();
-  char buf[32];
-  for (std::size_t s = 0; s < samples.size(); ++s) {
-    if (s != 0) {
-      line.push_back(',');
-    }
-    const auto [end, ec] =
-        std::to_chars(buf, buf + sizeof buf, samples[s]);
-    line.append(buf, ec == std::errc() ? end : buf);
-  }
-  line.push_back('\n');
-  out.write(line.data(), static_cast<std::streamsize>(line.size()));
-}
-
-void export_csv(const trace_matrix& traces, std::ostream& out) {
-  std::string line;
-  line.reserve(traces.samples() * 12);
-  for (std::size_t i = 0; i < traces.traces(); ++i) {
-    export_csv_row(traces.row(i), line, out);
   }
 }
 

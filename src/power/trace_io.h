@@ -1,5 +1,4 @@
-// Trace persistence: the chunked binary trace store plus legacy matrix
-// and CSV export helpers.
+// Trace persistence: the chunked binary trace store.
 //
 // The paper's methodology is simulate-once, analyse-many: the Figure-3/4
 // CPA sweeps, the Table-2 attribution and the TVLA assessment all consume
@@ -41,14 +40,10 @@
 // killed campaign leaves a prefix of whole chunks; resume() drops a
 // trailing short chunk and any torn bytes, and appending the re-simulated
 // records reproduces the uninterrupted file byte for byte.
-//
-// The version-1 whole-matrix format (save_traces/load_traces) and the
-// CSV export are kept for small one-shot dumps and external plotting.
 #ifndef USCA_POWER_TRACE_IO_H
 #define USCA_POWER_TRACE_IO_H
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <string>
 #include <vector>
@@ -174,28 +169,6 @@ private:
   std::uint32_t buffered_ = 0; ///< records in the pending chunk
   std::vector<unsigned char> chunk_buf_;
 };
-
-// --------------------------------------------------- legacy v1 + CSV
-
-/// Writes a trace matrix (v1 whole-matrix format); throws
-/// util::analysis_error on I/O failure.
-void save_traces(const trace_matrix& traces, std::ostream& out);
-void save_traces(const trace_matrix& traces, const std::string& path);
-
-/// Reads a v1 trace matrix; throws util::analysis_error on a malformed
-/// file.
-trace_matrix load_traces(std::istream& in);
-trace_matrix load_traces(const std::string& path);
-
-/// Formats one trace as a CSV row (comma-separated samples + newline)
-/// into a caller-reused line buffer and writes it — the streaming unit
-/// of every CSV export here, so a 100k-trace archive never needs a full
-/// matrix (or a full matrix string) in memory.
-void export_csv_row(std::span<const double> samples, std::string& line,
-                    std::ostream& out);
-
-/// CSV export of an in-memory matrix, streamed row by row.
-void export_csv(const trace_matrix& traces, std::ostream& out);
 
 } // namespace usca::power
 

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <ostream>
 #include <utility>
 
 #include "util/crc32.h"
@@ -431,15 +430,6 @@ void trace_store_reader::stream(const record_fn& fn) const {
          {row_samples, n_samples});
     }
   }
-}
-
-void export_csv(const trace_store_reader& reader, std::ostream& out) {
-  std::string line;
-  line.reserve(reader.samples() * 12);
-  reader.stream([&line, &out](std::size_t, std::span<const double>,
-                              std::span<const double> samples) {
-    export_csv_row(samples, line, out);
-  });
 }
 
 } // namespace usca::power

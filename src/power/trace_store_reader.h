@@ -38,7 +38,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <span>
 #include <string>
 #include <vector>
@@ -192,11 +191,6 @@ private:
   std::vector<chunk_damage> damage_;
   mutable std::vector<double> scratch_; ///< f32 whole-chunk decode tile
 };
-
-/// Streams an archive's samples as CSV, one row per trace, through a
-/// reused line buffer — a 100k-trace store exports without a matrix (or
-/// a full matrix string) ever being materialized.
-void export_csv(const trace_store_reader& reader, std::ostream& out);
 
 } // namespace usca::power
 

@@ -42,23 +42,6 @@ std::string_view component_name(component c) noexcept {
   return "?";
 }
 
-void activity_cycle_index::build(const activity_trace& events) {
-  sorted_.assign(events.begin(), events.end());
-  std::stable_sort(sorted_.begin(), sorted_.end(),
-                   [](const activity_event& a, const activity_event& b) {
-                     return a.cycle < b.cycle;
-                   });
-}
-
-const activity_event*
-activity_cycle_index::window_begin(std::uint32_t first) const noexcept {
-  return std::lower_bound(sorted_.data(), sorted_.data() + sorted_.size(),
-                          first,
-                          [](const activity_event& ev, std::uint32_t cycle) {
-                            return ev.cycle < cycle;
-                          });
-}
-
 std::uint64_t activity_window_digest(const activity_trace& events,
                                      std::uint32_t first,
                                      std::uint32_t last) {

@@ -97,52 +97,6 @@ struct activity_event {
 
 using activity_trace = std::vector<activity_event>;
 
-/// Cycle-sorted view of an activity trace.
-///
-/// Simulators emit events in issue order with *future* cycle stamps
-/// (write-backs land cycles after issue), so the raw activity vector is
-/// not sorted by cycle and every window extraction scans all of it.  This
-/// index pays one O(events log events) stable sort and then serves any
-/// window [first, last) as a contiguous range found by binary search —
-/// the building block for multi-window analyses (per-phase synthesis,
-/// sub-window CPA sweeps) that would otherwise rescan the full trace per
-/// window.  Memory is O(events), independent of the cycle span (a sparse
-/// full-run trace over millions of cycles costs only its events); the
-/// sorted buffer is reused across build() calls.
-class activity_cycle_index {
-public:
-  activity_cycle_index() = default;
-  explicit activity_cycle_index(const activity_trace& events) {
-    build(events);
-  }
-
-  /// Rebuilds the index over `events`; the previously owned buffer is
-  /// reused.  Events keep their relative order within a cycle (the sort
-  /// is stable), so per-cycle power sums accumulate in the same
-  /// floating-point order as a linear scan.
-  void build(const activity_trace& events);
-
-  bool empty() const noexcept { return sorted_.empty(); }
-  std::size_t size() const noexcept { return sorted_.size(); }
-  /// Smallest / one-past-largest cycle stamp present (0/0 when empty).
-  std::uint32_t first_cycle() const noexcept {
-    return sorted_.empty() ? 0 : sorted_.front().cycle;
-  }
-  std::uint32_t last_cycle() const noexcept {
-    return sorted_.empty() ? 0 : sorted_.back().cycle + 1;
-  }
-
-  /// Contiguous range of events whose cycle lies in [first, last);
-  /// O(log events) per lookup.
-  const activity_event* window_begin(std::uint32_t first) const noexcept;
-  const activity_event* window_end(std::uint32_t last) const noexcept {
-    return window_begin(last);
-  }
-
-private:
-  std::vector<activity_event> sorted_;
-};
-
 /// Order-insensitive FNV-1a digest of a trace window: the per-(cycle,
 /// component) toggle sums of every event with cycle in [first, last),
 /// folded in ascending (cycle, component) order.
