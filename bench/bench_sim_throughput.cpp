@@ -13,13 +13,16 @@
 //    ns/sample, trace-store write/replay MB/s,
 //    and the fabric merge / salvage scan MB/s of the robustness layer)
 //    so speedups can be pinned in-repo (BENCH_hotpath.json) and tracked
-//    by CI.
+//    by CI.  Exits 2 when USCA_SIM_BATCH, USCA_OOO_REFERENCE or
+//    USCA_SPEC_PREDICTOR is set: they would swap another path in under
+//    the report's per-trace/batched/fast/reference labels.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -593,6 +596,21 @@ void write_json(std::FILE* out, const hot_path_report& r) {
 }
 
 int run_json_mode(const std::string& json_arg, int argc, char** argv) {
+  // Each report field pins its path by config (per-trace, batched, fast
+  // or reference scheduler, perfect predictor); these process-wide
+  // overrides would silently time another path under the same label.
+  for (const char* knob :
+       {"USCA_SIM_BATCH", "USCA_OOO_REFERENCE", "USCA_SPEC_PREDICTOR"}) {
+    if (const char* value = std::getenv(knob);
+        value != nullptr && value[0] != '\0') {
+      std::fprintf(stderr,
+                   "bench_sim_throughput --json: %s is set; it overrides "
+                   "the path each field measures, so the report would be "
+                   "mislabelled.  Unset it and rerun.\n",
+                   knob);
+      return 2;
+    }
+  }
   // Strip the --json flag; the rest is the usual key=value syntax.
   std::vector<char*> rest;
   rest.reserve(static_cast<std::size_t>(argc));

@@ -7,9 +7,9 @@
 // to 100k traces, so this loop is the wall-clock bottleneck of the whole
 // reproduction.  The caller supplies the shared program image and a
 // per-index setup callback; the engine owns one resettable core and
-// synthesizer per worker, shards the trials (one per core, or one batch
-// of lanes per batched core), and delivers records to the sink in strict
-// index order.  The AES campaign (core/campaign.h) is one such setup.
+// synthesizer per worker, shards the trials (one at a time per core, or
+// a batch of lanes per batched run), and delivers records to the sink in
+// strict index order.  The AES campaign (core/campaign.h) is one such setup.
 //
 // Determinism guarantee:
 //
