@@ -172,6 +172,10 @@ void trace_store_reader::parse(const std::string& path) {
   std::size_t expected_next = 0; ///< store-relative index after last chunk
   bool prev_short = false;
   bool stop = false;
+  // While every slot walked so far spanned exactly the nominal stride,
+  // the byte offset pins the position: slot `ordinal` is where the
+  // writer put records [ordinal * chunk_traces, ...).
+  bool on_grid = true;
 
   // Damage handler: strict throws, salvage records and resyncs.  A
   // trusted-extent fault (the chunk header's CRC checked out) skips the
@@ -187,6 +191,7 @@ void trace_store_reader::parse(const std::string& path) {
       stop = true;
     }
     damage_.push_back(chunk_damage{ordinal, offset, fault, skip});
+    on_grid = on_grid && skip == nominal_stride;
     offset += skip;
     ++ordinal;
   };
@@ -233,8 +238,13 @@ void trace_store_reader::parse(const std::string& path) {
         (mode_ == store_open_mode::strict
              ? first_field - desc_.first_index != expected_next
              // Salvage trusts the chunk's own (CRC-covered) position as
-             // long as the chain stays monotonic.
-             : first_field - desc_.first_index < expected_next)) {
+             // long as the chain stays monotonic and, on the grid, the
+             // position matches the chunk's slot — a header forged with
+             // a recomputed CRC must not move records to other indices.
+             : first_field - desc_.first_index < expected_next ||
+                   (on_grid && first_field - desc_.first_index !=
+                                   std::uint64_t{ordinal} *
+                                       desc_.chunk_traces))) {
       damaged(store_fault::chunk_index, extent,
               "chunk index discontinuity");
       continue;
@@ -266,6 +276,7 @@ void trace_store_reader::parse(const std::string& path) {
     traces_ += count;
     expected_next = rec_first + count;
     prev_short = count < desc_.chunk_traces;
+    on_grid = on_grid && extent == nominal_stride;
     offset += extent;
     ++ordinal;
   }

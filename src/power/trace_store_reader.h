@@ -19,6 +19,9 @@
 //    Surviving records keep their original store-relative indices (the
 //    stream has holes where chunks were lost); the CPA/TVLA sinks
 //    accumulate whatever arrives, and index-keyed labels stay correct.
+//    While the walk is still on the writer's fixed chunk grid, a chunk
+//    must claim exactly its grid slot's first index, so a header forged
+//    with a recomputed CRC cannot move records to other indices.
 //
 // Float64 stores hand out std::span<const double> views straight into
 // the mapping — replaying a 100k-trace campaign into the CPA/TVLA
