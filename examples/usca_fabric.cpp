@@ -469,10 +469,13 @@ struct manifest_view {
   bool malformed_lines = false;
 };
 
+constexpr std::string_view manifest_header = "usca-fabric-manifest 1";
+
 bool parse_manifest(FILE* in, manifest_view& mv) {
   char line[4096];
   if (!std::fgets(line, sizeof(line), in) ||
-      std::strncmp(line, "usca-fabric-manifest 1", 22) != 0) {
+      std::strncmp(line, manifest_header.data(), manifest_header.size()) !=
+          0) {
     return false;
   }
   while (std::fgets(line, sizeof(line), in)) {
@@ -633,8 +636,22 @@ int run_verify(int argc, char** argv) {
 
 // -------------------------------------------------------------- status
 
+/// True when `path` starts with the manifest header line.
+bool is_manifest_file(const std::string& path) {
+  FILE* in = std::fopen(path.c_str(), "rb");
+  if (in == nullptr) {
+    return false;
+  }
+  char head[manifest_header.size()] = {};
+  const std::size_t got = std::fread(head, 1, sizeof(head), in);
+  std::fclose(in);
+  return std::string_view(head, got) == manifest_header;
+}
+
 /// PATH resolution for `status`: a manifest file as-is, an --out path
-/// (".manifest" appended), or a directory holding exactly one
+/// (".manifest" appended — also when the path itself exists but is not
+/// a manifest, e.g. the merged store a finished --keep-shards campaign
+/// leaves next to its manifest), or a directory holding exactly one
 /// "*.manifest".  Empty return = nothing resolvable.
 std::string resolve_manifest(const std::string& path) {
   struct stat st = {};
@@ -660,14 +677,17 @@ std::string resolve_manifest(const std::string& path) {
                  path.c_str(), found.size());
     return {};
   }
-  if (::stat(path.c_str(), &st) == 0) {
+  const bool exists = ::stat(path.c_str(), &st) == 0;
+  if (exists && is_manifest_file(path)) {
     return path;
   }
   const std::string with_suffix = path + ".manifest";
   if (::stat(with_suffix.c_str(), &st) == 0) {
     return with_suffix;
   }
-  return {};
+  // Not a manifest and no sibling one: hand it back so the parse error
+  // names the file the user gave.
+  return exists ? path : std::string{};
 }
 
 int run_status(int argc, char** argv) {
