@@ -10,8 +10,9 @@
 //    experiment of the paper runs on — reported as machine-readable JSON
 //    (traces/sec and simulated cycles/sec for BOTH backends — in-order and
 //    OoO, including the speculating OoO front end — plus accumulator
-//    ns/sample, trace-store write/replay MB/s,
-//    and the fabric merge / salvage scan MB/s of the robustness layer)
+//    ns/sample and the batch and CRC kernels picked, trace-store
+//    write/replay MB/s, and the fabric merge / salvage scan MB/s of the
+//    robustness layer)
 //    so speedups can be pinned in-repo (BENCH_hotpath.json) and tracked
 //    by CI.  Exits 2 when USCA_SIM_BATCH, USCA_OOO_REFERENCE or
 //    USCA_SPEC_PREDICTOR is set: they would swap another path in under
@@ -42,6 +43,7 @@
 #include "stats/cpa.h"
 #include "stats/ttest.h"
 #include "util/bitops.h"
+#include "util/crc32.h"
 #include "util/json_writer.h"
 #include "util/rng.h"
 
@@ -221,6 +223,8 @@ struct hot_path_report {
   double tvla_accumulate_ns_per_sample = 0.0;
   // Batched accumulator throughput (stats/batch_kernels.h dispatch).
   const char* batch_kernel = "generic";
+  // Store CRC kernel (util/crc32.h dispatch): "clmul" or "portable".
+  const char* crc_kernel = "portable";
   double cpa_batch_accumulate_gb_per_sec = 0.0;
   double tvla_batch_accumulate_gb_per_sec = 0.0;
   // Trace-store throughput (pure I/O, no simulation in the loop).
@@ -408,6 +412,7 @@ hot_path_report measure_hot_path(const bench::arg_map& args) {
   // the dispatched batch kernels, reported as accumulator GB/s (bytes of
   // trace data consumed per second).
   report.batch_kernel = stats::active_kernels().name;
+  report.crc_kernel = util::crc32_kernel();
   {
     const std::size_t rows = 256;
     util::xoshiro256 rng(0xba7c);
@@ -578,6 +583,7 @@ void write_json(std::FILE* out, const hot_path_report& r) {
   w.member_fixed("tvla_accumulate_ns_per_sample",
                  r.tvla_accumulate_ns_per_sample, 3);
   w.member("batch_kernel", r.batch_kernel);
+  w.member("crc_kernel", r.crc_kernel);
   w.member_fixed("cpa_batch_accumulate_gb_per_sec",
                  r.cpa_batch_accumulate_gb_per_sec, 2);
   w.member_fixed("tvla_batch_accumulate_gb_per_sec",
