@@ -28,15 +28,19 @@ trial_seeds seeds_of(std::uint64_t campaign_seed, std::size_t index) {
 
 /// Applies the config's recording mode to a per-trace or batched core:
 /// timing-only runs record no activity, and activity past a marker
-/// window's end mark can never land inside it (for the AES round-1 window
-/// that skips the nine later rounds).
+/// window's end mark can never land inside it, so recording stops there.
+/// When the consumer reads only labels and samples (`whole_records`
+/// false) the run ends there too: for the AES round-1 window that skips
+/// simulating the nine later rounds.  Records read whole keep simulating
+/// to halt, since their cycles and marks cover the entire run.
 template <typename Core>
 std::unique_ptr<Core> with_recording(std::unique_ptr<Core> core,
-                                     const acquisition_config& config) {
+                                     const acquisition_config& config,
+                                     bool whole_records) {
   if (!config.synthesize) {
     core->set_record_activity(false);
   } else if (!config.full_run_window) {
-    core->set_activity_cutoff_mark(config.window.end_mark);
+    core->set_activity_cutoff_mark(config.window.end_mark, !whole_records);
   }
   return core;
 }
@@ -86,9 +90,11 @@ unsigned acquisition_campaign::resolved_threads() const noexcept {
   return resolved_worker_count(config_.threads, config_.traces);
 }
 
-std::unique_ptr<sim::backend> acquisition_campaign::make_backend() const {
+std::unique_ptr<sim::backend>
+acquisition_campaign::make_backend(bool whole_records) const {
   return with_recording(
-      sim::make_backend(config_.backend, image_, config_.uarch), config_);
+      sim::make_backend(config_.backend, image_, config_.uarch), config_,
+      whole_records);
 }
 
 power::trace_synthesizer acquisition_campaign::make_synthesizer() const {
@@ -121,6 +127,7 @@ void acquisition_campaign::finish_record(const sim::activity_trace& activity,
                                          std::uint64_t synthesis_seed,
                                          acquisition_record& rec) const {
   static const telem::counter traces{"campaign.traces", "traces", "campaign"};
+  // Simulated cycles: a window-bounded run counts only up to its end mark.
   static const telem::counter cycles{"campaign.cycles", "cycles", "campaign"};
   traces.add();
   cycles.add(rec.cycles);
@@ -175,8 +182,9 @@ void acquisition_campaign::produce_into(sim::backend& core,
 
 void acquisition_campaign::produce_batch_into(
     sim::batch_backend& batch, std::unique_ptr<sim::backend>& fallback,
-    power::trace_synthesizer& synth, std::size_t first_index,
-    std::size_t count, std::vector<acquisition_record>& recs) const {
+    bool whole_records, power::trace_synthesizer& synth,
+    std::size_t first_index, std::size_t count,
+    std::vector<acquisition_record>& recs) const {
   TELEM_SPAN("campaign.batch");
   recs.resize(count);
   batch.limit_active_lanes(count);
@@ -203,7 +211,7 @@ void acquisition_campaign::produce_batch_into(
       // on the per-trace reference core (labels included: the record is
       // rebuilt from scratch so the setup callback runs exactly once).
       if (!fallback) {
-        fallback = make_backend();
+        fallback = make_backend(whole_records);
       } else {
         fallback->reset();
       }
@@ -219,7 +227,7 @@ void acquisition_campaign::produce_batch_into(
 }
 
 acquisition_record acquisition_campaign::produce(std::size_t index) const {
-  std::unique_ptr<sim::backend> core = make_backend();
+  std::unique_ptr<sim::backend> core = make_backend(true);
   power::trace_synthesizer synth = make_synthesizer();
   acquisition_record rec;
   produce_into(*core, synth, index, rec);
@@ -237,13 +245,22 @@ void acquisition_source::for_each_batch(std::size_t max_batch,
     max_batch = default_batch_traces;
   }
   batch_builder builder(max_batch);
-  campaign_.run([&](acquisition_record&& rec) {
-    builder.push(rec.index, rec.labels, rec.samples, fn);
-  });
+  // The tiles carry only labels and samples, so no run needs to go past
+  // the window's end mark.
+  campaign_.run_records(
+      [&](acquisition_record&& rec) {
+        builder.push(rec.index, rec.labels, rec.samples, fn);
+      },
+      false);
   builder.flush(fn);
 }
 
 void acquisition_campaign::run(const sink_fn& sink) {
+  run_records(sink, true);
+}
+
+void acquisition_campaign::run_records(const sink_fn& sink,
+                                       bool whole_records) {
   // One work item is a group of `lanes` consecutive trials simulated in a
   // single batch run, or one trial on the per-trace path.  Items are
   // claimed by the workers, reordered, and unrolled in index order on
@@ -266,26 +283,27 @@ void acquisition_campaign::run(const sink_fn& sink) {
 
   ordered_parallel_produce(
       items, resolved_worker_count(config_.threads, items),
-      [this, lanes](unsigned) {
+      [this, lanes, whole_records](unsigned) {
         return worker_context{
             lanes == 0 ? nullptr
                        : with_recording(sim::make_batch_backend(
                                             config_.backend, image_,
                                             config_.uarch, lanes),
-                                        config_),
+                                        config_, whole_records),
             nullptr, make_synthesizer()};
       },
-      [this, first, group](worker_context& ctx, std::size_t item) {
+      [this, first, group, whole_records](worker_context& ctx,
+                                          std::size_t item) {
         const std::size_t begin = item * group;
         const std::size_t count = std::min(group, config_.traces - begin);
         std::vector<acquisition_record> recs;
         if (ctx.batch) {
-          produce_batch_into(*ctx.batch, ctx.core, ctx.synth, first + begin,
-                             count, recs);
+          produce_batch_into(*ctx.batch, ctx.core, whole_records, ctx.synth,
+                             first + begin, count, recs);
           return recs;
         }
         if (!ctx.core) {
-          ctx.core = make_backend();
+          ctx.core = make_backend(whole_records);
         } else {
           ctx.core->reset();
         }

@@ -107,8 +107,11 @@ struct acquisition_record {
   power::trace samples;           ///< empty when config.synthesize is false
   std::uint64_t window_begin = 0; ///< absolute cycle of samples[0]
   std::uint64_t window_end = 0;
-  std::uint64_t cycles = 0;       ///< total simulated cycles
-  std::uint64_t instructions = 0; ///< instructions issued over the run
+  /// Simulated cycles, instructions and marks.  run(sink) and produce()
+  /// simulate to halt, so these cover the whole run; the records behind
+  /// an acquisition_source end at the window's end mark.
+  std::uint64_t cycles = 0;
+  std::uint64_t instructions = 0;
   std::vector<sim::mark_stamp> marks;
   /// Values the setup callback recorded for this trial (hypothesis-model
   /// inputs, secrets, ...), untouched by the engine.
@@ -141,18 +144,23 @@ public:
 
   void set_setup(setup_fn setup);
 
-  /// Acquires all records and streams them into `sink`.  Worker and sink
-  /// exceptions abort the campaign and rethrow here.
+  /// Acquires all records and streams them into `sink`.  Every run
+  /// simulates to halt, so each record is whole (cycles, instructions and
+  /// marks of the entire program).  Worker and sink exceptions abort the
+  /// campaign and rethrow here.
   void run(const sink_fn& sink);
 
   /// Streams the campaign through the batched analysis architecture:
   /// records are packed into SoA tiles (labels and samples of the
   /// acquisition_record) and pumped through the pass — begin() at the
-  /// first tile, consume_batch() per tile, finish() at the end.
+  /// first tile, consume_batch() per tile, finish() at the end.  Runs
+  /// through acquisition_source, so with a marker window each simulation
+  /// ends at the window's end mark.
   void run(analysis_pass& pass);
 
-  /// Produces record `index` synchronously on a fresh pipeline; run()
-  /// yields exactly this record for every index.
+  /// Produces record `index` synchronously on a fresh pipeline, simulated
+  /// to halt; run() yields exactly this record for every index, and
+  /// acquisition_source the same labels and samples.
   acquisition_record produce(std::size_t index) const;
 
   unsigned resolved_threads() const noexcept;
@@ -160,7 +168,18 @@ public:
   const acquisition_config& config() const noexcept { return config_; }
 
 private:
-  std::unique_ptr<sim::backend> make_backend() const;
+  friend class acquisition_source;
+
+  /// The one run body behind run(sink) and acquisition_source.
+  /// `whole_records` says whether the consumer reads whole records: when
+  /// false, and the window is a marker window with synthesis on, every
+  /// simulation (ejected-lane fallbacks included) ends when the window's
+  /// end mark commits instead of running to halt.
+  void run_records(const sink_fn& sink, bool whole_records);
+
+  /// A per-trace core with the config's recording mode (see run_records
+  /// for `whole_records`).
+  std::unique_ptr<sim::backend> make_backend(bool whole_records) const;
   power::trace_synthesizer make_synthesizer() const;
   /// Lane count run() batches with: 0 selects the per-trace path (batching
   /// disabled via config/env, the OoO reference scheduler, or a
@@ -176,10 +195,12 @@ private:
   /// through a sim::batch_lane_view and the whole group simulates in one
   /// batch run.  Lanes the batch ejects (data-dependent timing divergence)
   /// are re-produced on `fallback`, a per-trace core built lazily on first
-  /// use; either way recs[i] is bit-identical to produce(first_index + i).
+  /// use with the batch's `whole_records`; either way recs[i] is
+  /// bit-identical to produce(first_index + i) — in labels and samples
+  /// only, when the runs end at the window's end mark.
   void produce_batch_into(sim::batch_backend& batch,
                           std::unique_ptr<sim::backend>& fallback,
-                          power::trace_synthesizer& synth,
+                          bool whole_records, power::trace_synthesizer& synth,
                           std::size_t first_index, std::size_t count,
                           std::vector<acquisition_record>& recs) const;
   /// Window lookup, activity retention and synthesis of a simulated
@@ -201,6 +222,15 @@ private:
 /// deliveries are packed into a reused SoA tile per batch; the campaign
 /// must outlive the source, and each for_each_batch() call runs the
 /// campaign once.
+///
+/// A tile carries only labels and samples, so with a marker window every
+/// simulation ends when the window's end mark commits: nothing past the
+/// window is simulated, and nothing past it is checked either (a program
+/// that would fault or exhaust the cycle budget only after the end mark
+/// yields its samples here, while run(sink) and produce() still simulate
+/// and validate every run to halt).  The samples are
+/// bit-identical to produce()'s.  Full-run windows and timing-only
+/// campaigns (synthesize = false) always run to halt.
 class acquisition_source : public trace_source {
 public:
   explicit acquisition_source(acquisition_campaign& campaign)

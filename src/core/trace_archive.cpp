@@ -98,6 +98,28 @@ power::trace_store_writer open_archive(const std::string& path,
   return writer;
 }
 
+/// Appends every record of `campaign` to `writer`.  A store row holds
+/// only labels and samples, so the records come from the campaign's
+/// trace source, whose runs end at the window's end mark.  The
+/// `archive_record` failpoint still fires once per record, just before
+/// its append.  One-row tiles: the writer buffers its own chunks, so
+/// each record is appended as it is delivered (heartbeats and crash
+/// points keep per-record granularity) while its copy is cache-hot.
+void append_records(acquisition_campaign& campaign,
+                    power::trace_store_writer& writer) {
+  static const telem::counter records{"archive.records", "records",
+                                      "archive"};
+  acquisition_source source(campaign);
+  source.for_each_batch(
+      1, [&writer](const trace_batch_view& batch) {
+        for (std::size_t r = 0; r < batch.count; ++r) {
+          util::failpoint("archive_record");
+          writer.append(batch.labels_row(r), batch.samples_row(r));
+          records.add();
+        }
+      });
+}
+
 } // namespace
 
 std::uint64_t salted_config_hash(std::uint64_t config_hash,
@@ -174,13 +196,7 @@ archive_acquisition(const sim::program_image& image,
     sub.keep_activity_first = 0;
     acquisition_campaign campaign(image, sub);
     campaign.set_setup(setup);
-    static const telem::counter records{"archive.records", "records",
-                                        "archive"};
-    campaign.run([&writer](acquisition_record&& rec) {
-      util::failpoint("archive_record");
-      writer.append(rec.labels, rec.samples);
-      records.add();
-    });
+    append_records(campaign, writer);
     result.simulated = end - next;
   }
   writer.close();
@@ -219,13 +235,7 @@ archive_aes_campaign(const campaign_config& config, const crypto::aes_key& key,
     if (plaintext) {
       campaign.set_plaintext_policy(plaintext);
     }
-    static const telem::counter records{"archive.records", "records",
-                                        "archive"};
-    campaign.engine().run([&writer](acquisition_record&& rec) {
-      util::failpoint("archive_record");
-      writer.append(rec.labels, rec.samples);
-      records.add();
-    });
+    append_records(campaign.engine(), writer);
     result.simulated = end - next;
   }
   writer.close();

@@ -96,7 +96,8 @@ std::uint64_t salted_config_hash(std::uint64_t config_hash,
 /// Creates or resumes the archive at `path` and simulates exactly the
 /// records in [config.first_index, config.first_index + config.traces)
 /// that the archive does not already hold.  Record labels/samples are the
-/// acquisition_record's.  Throws util::analysis_error when `path` holds a
+/// acquisition_record's; as a store row holds nothing else, each trial is
+/// simulated only up to its window's end mark (acquisition_source).  Throws util::analysis_error when `path` holds a
 /// store written by a different configuration.  An unrecoverable tail
 /// (torn or corrupted chunks after the last intact one) is quarantined
 /// to `path + ".quarantine"` and only the lost range is re-simulated —

@@ -112,17 +112,37 @@ public:
     record_activity_ = record;
   }
 
-  /// Stops recording activity once the mark with this id commits
+  /// Stops recording activity once the mark with this id first commits
   /// (recording resumes on reset()).  Every event whose cycle lies before
   /// the mark's cycle is already recorded when the mark commits, so a
   /// synthesis window ending at that mark sees a bit-identical trace.
-  void set_activity_cutoff_mark(std::uint16_t id) noexcept {
+  /// With `end_run` the run also halts there: cycles() stops one past
+  /// the mark's cycle, marks() ends with it, and the registers and
+  /// memory hold the state of that point — for consumers that read only
+  /// the window's activity.
+  void set_activity_cutoff_mark(std::uint16_t id,
+                                bool end_run = false) noexcept {
     cutoff_mark_ = id;
     has_cutoff_mark_ = true;
+    end_run_at_cutoff_ = end_run;
   }
-  void clear_activity_cutoff_mark() noexcept { has_cutoff_mark_ = false; }
+  void clear_activity_cutoff_mark() noexcept {
+    has_cutoff_mark_ = false;
+    end_run_at_cutoff_ = false;
+  }
 
 protected:
+  /// Records a committed mark and applies the cutoff; true when the run
+  /// must end here (the core halts).
+  bool commit_mark(const mark_stamp& stamp) {
+    marks_.push_back(stamp);
+    if (!has_cutoff_mark_ || stamp.id != cutoff_mark_) {
+      return false;
+    }
+    record_activity_ = false;
+    return end_run_at_cutoff_;
+  }
+
   // emit/emit_weight are defined here (not backend.cpp) so the core models'
   // hot loops — tens of thousands of calls per simulated run — inline them.
 
@@ -159,6 +179,7 @@ protected:
   activity_trace activity_;
   std::uint16_t cutoff_mark_ = 0;
   bool has_cutoff_mark_ = false;
+  bool end_run_at_cutoff_ = false;
   bool record_activity_ = true;
   bool record_default_ = true; ///< restored by reset()
 };

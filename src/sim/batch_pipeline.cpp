@@ -262,9 +262,9 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
 
   // Simulator pseudo-ops: control never consults the condition here.
   if (ins.op == opcode::mark) {
-    marks_.push_back(mark_stamp{ins.imm16, cycle_, dual_pairs_});
-    if (has_cutoff_mark_ && ins.imm16 == cutoff_mark_) {
-      record_activity_ = false;
+    // Same safe cut as pipeline::issue, for every lane at once.
+    if (commit_mark(mark_stamp{ins.imm16, cycle_, dual_pairs_})) {
+      halted_ = true;
     }
     outcome.serialize = true;
     pc_ = next_pc;

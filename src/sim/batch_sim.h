@@ -140,11 +140,21 @@ public:
     record_default_ = record;
     record_activity_ = record;
   }
-  void set_activity_cutoff_mark(std::uint16_t id) noexcept {
+  /// Batched counterpart of backend::set_activity_cutoff_mark: recording
+  /// stops for every lane when the mark first commits, and with `end_run`
+  /// the whole batch halts there.  A lane whose timing would diverge only
+  /// after the mark then completes instead of being ejected — its window
+  /// activity is already recorded and identical to its per-trace run's.
+  void set_activity_cutoff_mark(std::uint16_t id,
+                                bool end_run = false) noexcept {
     cutoff_mark_ = id;
     has_cutoff_mark_ = true;
+    end_run_at_cutoff_ = end_run;
   }
-  void clear_activity_cutoff_mark() noexcept { has_cutoff_mark_ = false; }
+  void clear_activity_cutoff_mark() noexcept {
+    has_cutoff_mark_ = false;
+    end_run_at_cutoff_ = false;
+  }
 
 protected:
   explicit batch_backend(std::size_t lanes)
@@ -192,6 +202,17 @@ protected:
     }
   }
 
+  /// Records a committed mark and applies the cutoff; true when the
+  /// batch run must end here (see backend::commit_mark).
+  bool commit_mark(const mark_stamp& stamp) {
+    marks_.push_back(stamp);
+    if (!has_cutoff_mark_ || stamp.id != cutoff_mark_) {
+      return false;
+    }
+    record_activity_ = false;
+    return end_run_at_cutoff_;
+  }
+
   // Per-lane counterparts of backend::emit/emit_weight — same skip rules
   // (recording off, zero Hamming distance / weight), same event layout.
 
@@ -230,6 +251,7 @@ protected:
   std::vector<mark_stamp> marks_;
   std::uint16_t cutoff_mark_ = 0;
   bool has_cutoff_mark_ = false;
+  bool end_run_at_cutoff_ = false;
   bool record_activity_ = true;
   bool record_default_ = true;
 };

@@ -318,9 +318,10 @@ void batch_ooo_core::retire_stage() {
       ++sb_count_;
     }
     if (head.is_mark) {
-      marks_.push_back(mark_stamp{head.mark_id, cycle_, multi_rename_cycles_});
-      if (has_cutoff_mark_ && head.mark_id == cutoff_mark_) {
-        record_activity_ = false;
+      // Same safe cut as ooo_core::retire_stage, for every lane at once.
+      if (commit_mark(
+              mark_stamp{head.mark_id, cycle_, multi_rename_cycles_})) {
+        halted_ = true;
       }
     }
     if (head.is_halt) {

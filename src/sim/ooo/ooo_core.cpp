@@ -301,12 +301,13 @@ void ooo_core::retire_stage() {
       store_buffer_.push_back(head.store_addr);
     }
     if (head.is_mark) {
-      marks_.push_back(mark_stamp{head.mark_id, cycle_, multi_rename_cycles_});
-      if (has_cutoff_mark_ && head.mark_id == cutoff_mark_) {
-        // Safe cut: marks rename only once the ROB is empty, so every
-        // event of an older instruction is already recorded (with a
-        // cycle stamp below this one) when the mark commits.
-        record_activity_ = false;
+      // Safe cut: marks rename only once the ROB is empty, so every
+      // event of an older instruction is already recorded (with a cycle
+      // stamp below this one) when the mark commits — and the run may
+      // end here.
+      if (commit_mark(
+              mark_stamp{head.mark_id, cycle_, multi_rename_cycles_})) {
+        state_.halted = true;
       }
     }
     if (head.is_halt) {

@@ -256,13 +256,12 @@ pipeline::issue_outcome pipeline::issue(const instruction& ins, int slot) {
 
   // Simulator pseudo-ops: transparent to the leakage model.
   if (ins.op == opcode::mark) {
-    marks_.push_back(mark_stamp{ins.imm16, cycle_, dual_pairs_});
-    if (has_cutoff_mark_ && ins.imm16 == cutoff_mark_) {
-      // Safe cut: every event of a window ending at this mark's cycle was
-      // emitted by an instruction issued strictly before it (marks
-      // serialize, and emission cycles never precede issue cycles), so it
-      // is already recorded.
-      record_activity_ = false;
+    // Safe cut: every event of a window ending at this mark's cycle was
+    // emitted by an instruction issued strictly before it (marks
+    // serialize, and emission cycles never precede issue cycles), so it
+    // is already recorded — and the run may end here.
+    if (commit_mark(mark_stamp{ins.imm16, cycle_, dual_pairs_})) {
+      state_.halted = true;
     }
     outcome.serialize = true;
     state_.pc = next_pc;

@@ -141,7 +141,10 @@ public:
     // %.17g round-trips any double but litters short values with
     // digits; to_chars shortest form is exact AND minimal.
     const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
-    out_.append(buf, ec == std::errc() ? end : buf);
+    // Pointer-and-length append: the iterator-pair overload trips GCC 12's
+    // -Wrestrict false positive.
+    out_.append(buf, ec == std::errc() ? static_cast<std::size_t>(end - buf)
+                                       : std::size_t{0});
     return *this;
   }
   /// Fixed-precision double for human-tuned reports (%.1f style).
@@ -188,7 +191,10 @@ private:
     separate();
     char buf[24];
     const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
-    out_.append(buf, ec == std::errc() ? end : buf);
+    // Pointer-and-length append: the iterator-pair overload trips GCC 12's
+    // -Wrestrict false positive.
+    out_.append(buf, ec == std::errc() ? static_cast<std::size_t>(end - buf)
+                                       : std::size_t{0});
     return *this;
   }
 
