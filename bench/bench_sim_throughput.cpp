@@ -10,7 +10,8 @@
 //    experiment of the paper runs on — reported as machine-readable JSON
 //    (traces/sec and simulated cycles/sec for BOTH backends — in-order and
 //    OoO, including the speculating OoO front end — the batched in-order
-//    campaign pumped through its window-bounded trace source, accumulator
+//    campaign pumped through its window-bounded trace source and the share
+//    of its traces synthesized from the fused batch tile, accumulator
 //    ns/sample and the batch and CRC kernels picked, trace-store
 //    write/replay MB/s, and the fabric merge / salvage scan MB/s of the
 //    robustness layer)
@@ -47,6 +48,7 @@
 #include "util/crc32.h"
 #include "util/json_writer.h"
 #include "util/rng.h"
+#include "util/telemetry.h"
 
 using namespace usca;
 
@@ -202,6 +204,10 @@ struct hot_path_report {
   // halt, which makes their ratio a same-run measure of the early stop.
   double source_seconds = 0.0;
   double source_traces_per_sec = 0.0;
+  // Share of the source campaign's traces whose clean power the batch
+  // summed in its fused tile (synth.fused_traces) rather than through the
+  // event walk (synth.event_traces); 1.0 unless the live path fell back.
+  double fused_trace_share = 0.0;
   // Same campaign on the out-of-order backend (sim::ooo_core).
   std::size_t ooo_samples_per_trace = 0;
   double ooo_seconds = 0.0;
@@ -339,9 +345,18 @@ hot_path_report measure_hot_path(const bench::arg_map& args) {
 
     core::aes_campaign_source source(batched);
     core::cpa_sink cpa(0);
+    const telem::counter fused{"synth.fused_traces", "traces", "synth"};
+    const telem::counter events{"synth.event_traces", "traces", "synth"};
+    const std::uint64_t fused_before = fused.value();
+    const std::uint64_t events_before = events.value();
     const auto source_start = std::chrono::steady_clock::now();
     core::pump(source, cpa);
     report.source_seconds = seconds_since(source_start);
+    const auto fused_traces =
+        static_cast<double>(fused.value() - fused_before);
+    report.fused_trace_share =
+        fused_traces /
+        (fused_traces + static_cast<double>(events.value() - events_before));
     report.source_traces_per_sec =
         static_cast<double>(report.traces) / report.source_seconds;
   }
@@ -582,6 +597,7 @@ void write_json(std::FILE* out, const hot_path_report& r) {
                  r.sim_batched_traces_per_sec, 1);
   w.member_fixed("source_seconds", r.source_seconds, 6);
   w.member_fixed("source_traces_per_sec", r.source_traces_per_sec, 1);
+  w.member_fixed("fused_trace_share", r.fused_trace_share, 3);
   w.member("ooo_samples_per_trace",
            static_cast<std::uint64_t>(r.ooo_samples_per_trace));
   w.member_fixed("ooo_seconds", r.ooo_seconds, 6);

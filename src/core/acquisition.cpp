@@ -123,6 +123,8 @@ std::size_t acquisition_campaign::batch_lanes() const {
 }
 
 void acquisition_campaign::finish_record(const sim::activity_trace& activity,
+                                         sim::batch_backend* fused,
+                                         std::size_t lane,
                                          power::trace_synthesizer& synth,
                                          std::uint64_t synthesis_seed,
                                          acquisition_record& rec) const {
@@ -156,6 +158,21 @@ void acquisition_campaign::finish_record(const sim::activity_trace& activity,
     }
   }
   synth.reseed(synthesis_seed);
+  // Which synthesis produced the samples: a silent return of the source
+  // path to the event walk shows up here.
+  static const telem::counter fused_traces{"synth.fused_traces", "traces",
+                                           "synth"};
+  static const telem::counter event_traces{"synth.event_traces", "traces",
+                                           "synth"};
+  if (fused != nullptr) {
+    fused_traces.add();
+    const std::size_t stride = fused->lanes();
+    rec.samples = synth.synthesize_column(
+        fused->clean_tile(end) + begin * stride + lane, stride, end - begin,
+        config_.averaging);
+    return;
+  }
+  event_traces.add();
   rec.samples = config_.averaging > 1
                     ? synth.synthesize_averaged(activity, begin, end,
                                                 config_.averaging)
@@ -177,7 +194,7 @@ void acquisition_campaign::produce_into(sim::backend& core,
   rec.cycles = core.cycles();
   rec.instructions = core.instructions_issued();
   rec.marks = core.marks();
-  finish_record(core.activity(), synth, seeds.synthesis, rec);
+  finish_record(core.activity(), nullptr, 0, synth, seeds.synthesis, rec);
 }
 
 void acquisition_campaign::produce_batch_into(
@@ -187,6 +204,16 @@ void acquisition_campaign::produce_batch_into(
     std::vector<acquisition_record>& recs) const {
   TELEM_SPAN("campaign.batch");
   recs.resize(count);
+  // A batch whose records are read for their samples alone, none of them
+  // keeping window activity, sums its clean power in the batch's fused
+  // tile instead of recording events for the synthesizer to walk.
+  const bool fused = !whole_records && config_.synthesize &&
+                     first_index >= config_.keep_activity_first;
+  if (fused) {
+    batch.fuse_synthesis(config_.power.weights.weight, config_.power.baseline);
+  } else {
+    batch.unfuse_synthesis();
+  }
   batch.limit_active_lanes(count);
   batch.reset();
 
@@ -222,7 +249,8 @@ void acquisition_campaign::produce_batch_into(
     rec.cycles = batch.cycles();
     rec.instructions = batch.instructions_issued();
     rec.marks = batch.marks();
-    finish_record(batch.activity(l), synth, synthesis_seeds[l], rec);
+    finish_record(batch.activity(l), fused ? &batch : nullptr, l, synth,
+                  synthesis_seeds[l], rec);
   }
 }
 

@@ -197,15 +197,20 @@ private:
   /// are re-produced on `fallback`, a per-trace core built lazily on first
   /// use with the batch's `whole_records`; either way recs[i] is
   /// bit-identical to produce(first_index + i) — in labels and samples
-  /// only, when the runs end at the window's end mark.
+  /// only, when the runs end at the window's end mark.  Such a batch
+  /// fuses synthesis (sim::batch_backend::fuse_synthesis) unless one of
+  /// its records keeps window activity.
   void produce_batch_into(sim::batch_backend& batch,
                           std::unique_ptr<sim::backend>& fallback,
                           bool whole_records, power::trace_synthesizer& synth,
                           std::size_t first_index, std::size_t count,
                           std::vector<acquisition_record>& recs) const;
   /// Window lookup, activity retention and synthesis of a simulated
-  /// record (rec.cycles and rec.marks already set).
+  /// record (rec.cycles and rec.marks already set).  Synthesis walks
+  /// `activity`, or, when `fused` is set, renders column `lane` of that
+  /// batch's clean tile.
   void finish_record(const sim::activity_trace& activity,
+                     sim::batch_backend* fused, std::size_t lane,
                      power::trace_synthesizer& synth,
                      std::uint64_t synthesis_seed,
                      acquisition_record& rec) const;

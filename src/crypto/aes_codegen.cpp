@@ -215,14 +215,8 @@ aes_program_layout generate_aes128_branchy_program() {
 void install_aes_inputs(mem::memory& memory, const aes_program_layout& layout,
                         const aes_round_keys& round_keys,
                         const aes_block& plaintext) {
-  for (std::size_t i = 0; i < round_keys.size(); ++i) {
-    memory.write8(layout.rk_addr + static_cast<std::uint32_t>(i),
-                  round_keys[i]);
-  }
-  for (std::size_t i = 0; i < plaintext.size(); ++i) {
-    memory.write8(layout.state_addr + static_cast<std::uint32_t>(i),
-                  plaintext[i]);
-  }
+  memory.load(layout.rk_addr, round_keys.data(), round_keys.size());
+  memory.load(layout.state_addr, plaintext.data(), plaintext.size());
 }
 
 aes_block read_aes_state(const mem::memory& memory,

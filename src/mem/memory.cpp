@@ -51,22 +51,42 @@ std::uint8_t memory::read8(std::uint32_t address) const noexcept {
   return p ? (*p)[page_offset(address)] : 0;
 }
 
+// Aligned halfwords and words never straddle a page: one lookup, then
+// the bytes assembled little-endian (a single load on little-endian
+// hosts).
+
+std::uint32_t memory::read_le(std::uint32_t address, int width) const noexcept {
+  const page* p = find_page(address);
+  if (p == nullptr) {
+    return 0;
+  }
+  const std::uint8_t* b = p->data() + page_offset(address);
+  std::uint32_t value = 0;
+  for (int i = 0; i < width; ++i) {
+    value |= static_cast<std::uint32_t>(b[i]) << (8 * i);
+  }
+  return value;
+}
+
+void memory::write_le(std::uint32_t address, std::uint32_t value, int width) {
+  std::uint8_t* b = touch_page(address).data() + page_offset(address);
+  for (int i = 0; i < width; ++i) {
+    b[i] = static_cast<std::uint8_t>(value >> (8 * i));
+  }
+}
+
 std::uint16_t memory::read16(std::uint32_t address) const {
   if (address % 2 != 0) {
     throw util::simulation_error("unaligned halfword read");
   }
-  return static_cast<std::uint16_t>(read8(address) |
-                                    (read8(address + 1) << 8));
+  return static_cast<std::uint16_t>(read_le(address, 2));
 }
 
 std::uint32_t memory::read32(std::uint32_t address) const {
   if (address % 4 != 0) {
     throw util::simulation_error("unaligned word read");
   }
-  return static_cast<std::uint32_t>(read8(address)) |
-         (static_cast<std::uint32_t>(read8(address + 1)) << 8) |
-         (static_cast<std::uint32_t>(read8(address + 2)) << 16) |
-         (static_cast<std::uint32_t>(read8(address + 3)) << 24);
+  return read_le(address, 4);
 }
 
 void memory::write8(std::uint32_t address, std::uint8_t value) {
@@ -77,23 +97,30 @@ void memory::write16(std::uint32_t address, std::uint16_t value) {
   if (address % 2 != 0) {
     throw util::simulation_error("unaligned halfword write");
   }
-  write8(address, static_cast<std::uint8_t>(value));
-  write8(address + 1, static_cast<std::uint8_t>(value >> 8));
+  write_le(address, value, 2);
 }
 
 void memory::write32(std::uint32_t address, std::uint32_t value) {
   if (address % 4 != 0) {
     throw util::simulation_error("unaligned word write");
   }
-  for (int i = 0; i < 4; ++i) {
-    write8(address + static_cast<std::uint32_t>(i),
-           static_cast<std::uint8_t>(value >> (8 * i)));
-  }
+  write_le(address, value, 4);
 }
 
 void memory::load(std::uint32_t base, const std::vector<std::uint8_t>& bytes) {
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    write8(base + static_cast<std::uint32_t>(i), bytes[i]);
+  load(base, bytes.data(), bytes.size());
+}
+
+void memory::load(std::uint32_t base, const std::uint8_t* bytes,
+                  std::size_t size) {
+  // Page-sized chunks; the address wraps at 4 GiB like byte-wise writes.
+  for (std::size_t done = 0; done < size;) {
+    const std::uint32_t address = base + static_cast<std::uint32_t>(done);
+    const std::size_t chunk =
+        std::min(size - done, page_size - page_offset(address));
+    std::copy_n(bytes + done, chunk,
+                touch_page(address).data() + page_offset(address));
+    done += chunk;
   }
 }
 

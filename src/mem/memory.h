@@ -5,7 +5,8 @@
 // 0x10000) do not cost memory for the unused gap.  Sub-word accesses are
 // supported directly; word accesses must be 4-byte aligned (the pipeline
 // model does not split unaligned accesses, matching the deterministic
-// micro-benchmarks of the paper).
+// micro-benchmarks of the paper), so every access lies in one page and
+// costs one page lookup.
 #ifndef USCA_MEM_MEMORY_H
 #define USCA_MEM_MEMORY_H
 
@@ -41,8 +42,10 @@ public:
   void write16(std::uint32_t address, std::uint16_t value);
   void write32(std::uint32_t address, std::uint32_t value);
 
-  /// Bulk load (used to install a program's data image).
+  /// Bulk load (used to install a program's data image), copied a page
+  /// at a time; equivalent to write8 of every byte in order.
   void load(std::uint32_t base, const std::vector<std::uint8_t>& bytes);
+  void load(std::uint32_t base, const std::uint8_t* bytes, std::size_t size);
 
   /// Reads the aligned 32-bit word containing `address` — the value the
   /// memory data register (MDR) observes on any access, including
@@ -64,6 +67,9 @@ private:
 
   const page* find_page(std::uint32_t address) const noexcept;
   page& touch_page(std::uint32_t address);
+  /// Little-endian value of `width` bytes within one page.
+  std::uint32_t read_le(std::uint32_t address, int width) const noexcept;
+  void write_le(std::uint32_t address, std::uint32_t value, int width);
 
   std::unordered_map<std::uint32_t, page> pages_;
   // One-entry lookup memo for the hot sequential-access pattern (AES state

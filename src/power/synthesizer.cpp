@@ -87,6 +87,27 @@ trace trace_synthesizer::synthesize(const sim::activity_trace& activity,
 trace trace_synthesizer::synthesize_averaged(
     const sim::activity_trace& activity, std::uint32_t first_cycle,
     std::uint32_t last_cycle, int executions) {
+  synthesize_clean_into(scratch_, activity, first_cycle, last_cycle);
+  return average_executions(executions);
+}
+
+trace trace_synthesizer::synthesize_column(const double* clean,
+                                           std::size_t stride,
+                                           std::size_t samples,
+                                           int executions) {
+  scratch_.resize(samples);
+  for (std::size_t i = 0; i < samples; ++i) {
+    scratch_[i] = clean[i * stride];
+  }
+  if (executions > 1) {
+    return average_executions(executions);
+  }
+  trace out = scratch_;
+  apply_noise(out);
+  return out;
+}
+
+trace trace_synthesizer::average_executions(int executions) {
   if (!config_.os_noise.enabled && !second_core_ && executions > 1) {
     // Hot path for the bare-metal environment: the noiseless leakage is
     // identical across the averaged executions, so the mean of
@@ -94,7 +115,7 @@ trace trace_synthesizer::synthesize_averaged(
     // N(0, sigma^2/executions) — draw that noise directly instead of
     // simulating each execution.  Statistically exact, and it turns the
     // dominant 16x per-sample noise loop of a default campaign into 1x.
-    trace out = synthesize_clean(activity, first_cycle, last_cycle);
+    trace out = scratch_;
     const double sigma =
         config_.gaussian_sigma / std::sqrt(static_cast<double>(executions));
     for (double& sample : out) {
@@ -102,7 +123,6 @@ trace trace_synthesizer::synthesize_averaged(
     }
     return out;
   }
-  synthesize_clean_into(scratch_, activity, first_cycle, last_cycle);
   trace accum(scratch_.size(), 0.0);
   for (int e = 0; e < executions; ++e) {
     os_noise_process os(config_.os_noise, rng_);

@@ -13,6 +13,13 @@
 // RF read ports do not leak (weight 0, short load), the barrel-shifter
 // buffer leaks at ~1/10 of the other sources, memory-path structures leak
 // strongest ("store leakage was the highest among the detected ones").
+//
+// The noiseless sum has two producers: the event walk over an activity
+// record (synthesize*), and the batched cores' fused tile, where each
+// emission adds its weighted toggle count as it happens
+// (sim::batch_backend::fuse_synthesis).  synthesize_column renders a
+// window of that tile; both producers add the same terms in the same
+// order, so both yield the same bits, and the noise is drawn the same way.
 #ifndef USCA_POWER_SYNTHESIZER_H
 #define USCA_POWER_SYNTHESIZER_H
 
@@ -74,6 +81,14 @@ public:
                             std::uint32_t first_cycle,
                             std::uint32_t last_cycle, int executions);
 
+  /// Renders a window whose noiseless samples are already summed: sample
+  /// i's clean value is clean[i * stride] (a column of a fused batch
+  /// tile).  `executions` > 1 renders like synthesize_averaged, otherwise
+  /// like synthesize — bit-identical to that call on the activity the
+  /// column was summed from.
+  trace synthesize_column(const double* clean, std::size_t stride,
+                          std::size_t samples, int executions);
+
   /// Deterministic noiseless rendering (ground-truth tests).
   trace synthesize_clean(const sim::activity_trace& activity,
                          std::uint32_t first_cycle,
@@ -96,6 +111,9 @@ private:
   /// One noisy acquisition's worth of noise (Gaussian + OS + second core)
   /// on top of a clean trace, shared by the synthesize() overloads.
   void apply_noise(trace& out);
+  /// The mean of `executions` noisy acquisitions of the clean trace in
+  /// scratch_, shared by synthesize_averaged and synthesize_column.
+  trace average_executions(int executions);
 
   synthesis_config config_;
   util::xoshiro256 rng_;

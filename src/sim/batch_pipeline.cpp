@@ -28,24 +28,15 @@ using isa::writes_flags;
 
 batch_pipeline::batch_pipeline(program_image image, micro_arch_config config,
                                std::size_t lanes)
-    : batch_backend(lanes),
-      image_(std::move(image)),
-      prog_(&image_.prog()),
+    : batch_backend(std::move(image), config.icache, config.dcache, lanes),
       config_(config),
-      memory_(lanes_),
-      dcache_(lanes_, mem::cache(config.dcache)),
-      state_(lanes_),
       rf_port_state_(3 * lanes_, 0),
       is_ex_bus_state_(3 * lanes_, 0),
       alu_latch_state_(4 * lanes_, 0),
       ex_wb_latch_state_(2 * lanes_, 0),
       wb_bus_state_(2 * lanes_, 0),
       mdr_state_(lanes_, 0),
-      align_buffer_state_(lanes_, 0),
-      icache_(config.icache) {
-  for (mem::memory& m : memory_) {
-    m.load(prog_->data_base, prog_->data);
-  }
+      align_buffer_state_(lanes_, 0) {
   derive_pairability();
 }
 
@@ -60,14 +51,7 @@ void batch_pipeline::derive_pairability() {
 }
 
 void batch_pipeline::reset() {
-  for (std::size_t l = 0; l < lanes_; ++l) {
-    memory_[l].reset();
-    memory_[l].load(prog_->data_base, prog_->data);
-    dcache_[l].reset();
-    state_[l] = cpu_state{};
-    activity_[l].clear();
-  }
-  icache_.reset();
+  reset_lanes();
   std::fill(rf_port_state_.begin(), rf_port_state_.end(), 0U);
   std::fill(is_ex_bus_state_.begin(), is_ex_bus_state_.end(), 0U);
   std::fill(alu_latch_state_.begin(), alu_latch_state_.end(), 0U);
@@ -87,37 +71,12 @@ void batch_pipeline::reset() {
   dual_pairs_ = 0;
   active_lane_cycles_ = 0;
   rf_ports_used_this_cycle_ = 0;
-  record_activity_ = record_default_;
-  marks_.clear();
-  active_mask_ = mask_for_limit();
-  diverged_mask_ = 0;
-}
-
-void batch_pipeline::warm_caches() {
-  icache_.warm(prog_->code_base, prog_->code.size() * 4 + 4);
-  if (!prog_->data.empty()) {
-    for (mem::cache& d : dcache_) {
-      d.warm(prog_->data_base, prog_->data.size());
-    }
-  }
 }
 
 void batch_pipeline::run(std::uint64_t max_cycles) {
-  // Entry agreement: per-lane setup code may have steered a lane's pc or
-  // halted flag away from the batch; such lanes cannot share the control
-  // stream and are ejected before the first cycle.
-  {
-    std::array<std::uint64_t, max_batch_lanes> entry;
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-      const auto l = static_cast<std::size_t>(std::countr_zero(m));
-      entry[l] = (static_cast<std::uint64_t>(state_[l].pc) << 1) |
-                 (state_[l].halted ? 1U : 0U);
-    }
-    agree(entry.data());
-  }
-  const std::size_t lead = leader();
-  pc_ = state_[lead].pc;
-  halted_ = state_[lead].halted;
+  const cpu_state& lead = enter_run();
+  pc_ = lead.pc;
+  halted_ = lead.halted;
 
   const std::uint64_t start_cycle = cycle_;
   const std::uint64_t limit = cycle_ + max_cycles;
@@ -128,11 +87,7 @@ void batch_pipeline::run(std::uint64_t max_cycles) {
     }
     step_cycle();
   }
-  for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-    const auto l = static_cast<std::size_t>(std::countr_zero(m));
-    state_[l].pc = pc_;
-    state_[l].halted = halted_;
-  }
+  leave_run(pc_, halted_);
   static const telem::counter cycles{"sim.inorder.cycles", "cycles", "sim"};
   cycles.add(cycle_ - start_cycle);
   note_batch_run(active_limit_, active_lane_cycles_);
@@ -148,59 +103,31 @@ void batch_pipeline::drive_rf_port(const lane_values& values) {
   if (port >= 3) {
     return; // defensive: pairing rules keep this within 3 ports
   }
-  const std::size_t base = static_cast<std::size_t>(port) * lanes_;
-  const auto port_lane = static_cast<std::uint8_t>(port);
-  for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-    const auto l = static_cast<std::size_t>(std::countr_zero(m));
-    emit_lane(l, component::rf_read_port, port_lane, rf_port_state_[base + l],
-              values[l], cycle_);
-    rf_port_state_[base + l] = values[l];
-  }
+  drive_lanes(component::rf_read_port, static_cast<std::uint8_t>(port),
+              &rf_port_state_[static_cast<std::size_t>(port) * lanes_],
+              values.data(), cycle_, active_mask_);
 }
 
 void batch_pipeline::drive_is_ex_bus(std::uint8_t bus,
                                      const lane_values& values) {
-  const std::size_t base = static_cast<std::size_t>(bus) * lanes_;
-  for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-    const auto l = static_cast<std::size_t>(std::countr_zero(m));
-    emit_lane(l, component::is_ex_bus, bus, is_ex_bus_state_[base + l],
-              values[l], cycle_ + 1);
-    is_ex_bus_state_[base + l] = values[l];
-  }
-}
-
-void batch_pipeline::drive_is_ex_bus_uniform(std::uint8_t bus,
-                                             std::uint32_t value) {
-  const std::size_t base = static_cast<std::size_t>(bus) * lanes_;
-  for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-    const auto l = static_cast<std::size_t>(std::countr_zero(m));
-    emit_lane(l, component::is_ex_bus, bus, is_ex_bus_state_[base + l],
-              value, cycle_ + 1);
-    is_ex_bus_state_[base + l] = value;
-  }
+  drive_lanes(component::is_ex_bus, bus,
+              &is_ex_bus_state_[static_cast<std::size_t>(bus) * lanes_],
+              values.data(), cycle_ + 1, active_mask_);
 }
 
 void batch_pipeline::write_back(int slot, const lane_values& values,
-                                std::uint64_t at_cycle) {
+                                std::uint64_t at_cycle, std::uint64_t mask) {
   const auto bus = static_cast<std::uint8_t>(slot);
   const std::size_t base = static_cast<std::size_t>(slot) * lanes_;
-  for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-    const auto l = static_cast<std::size_t>(std::countr_zero(m));
-    emit_lane(l, component::wb_bus, bus, wb_bus_state_[base + l], values[l],
-              at_cycle);
-    wb_bus_state_[base + l] = values[l];
-    emit_lane(l, component::ex_wb_latch, bus, ex_wb_latch_state_[base + l],
-              values[l], at_cycle);
-    ex_wb_latch_state_[base + l] = values[l];
-  }
+  drive_lanes(component::wb_bus, bus, &wb_bus_state_[base], values.data(),
+              at_cycle, mask);
+  drive_lanes(component::ex_wb_latch, bus, &ex_wb_latch_state_[base],
+              values.data(), at_cycle, mask);
 }
 
 void batch_pipeline::retire_write(reg r, const lane_values& values,
                                   std::uint64_t ready_at) noexcept {
-  for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-    const auto l = static_cast<std::size_t>(std::countr_zero(m));
-    state_[l].set_reg(r, values[l]);
-  }
+  write_reg(r, values.data(), active_mask_);
   reg_ready_[isa::index_of(r)] = ready_at;
 }
 
@@ -235,19 +162,6 @@ bool batch_pipeline::unit_available(std::size_t index) const noexcept {
   return true;
 }
 
-bool batch_pipeline::agreed_exec(const instruction& ins) noexcept {
-  if (ins.cond == isa::condition::al) {
-    return true;
-  }
-  std::array<std::uint8_t, max_batch_lanes> outcome;
-  for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-    const auto l = static_cast<std::size_t>(std::countr_zero(m));
-    outcome[l] = isa::condition_passes(ins.cond, state_[l].f) ? 1 : 0;
-  }
-  agree(outcome.data());
-  return outcome[leader()] != 0;
-}
-
 // ---------------------------------------------------------------------------
 // Issue + execute (pipeline::issue, lane-batched)
 // ---------------------------------------------------------------------------
@@ -277,31 +191,23 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
   }
 
   if (isa::is_nop(ins)) {
+    static constexpr lane_values zeros{};
     if (config_.nop_drives_zero_operands) {
-      drive_is_ex_bus_uniform(0, 0);
-      drive_is_ex_bus_uniform(1, 0);
+      drive_is_ex_bus(0, zeros);
+      drive_is_ex_bus(1, zeros);
     }
     if (config_.nop_zeroes_wb_bus) {
-      const std::uint64_t wb_at = cycle_ + 3;
       for (std::uint8_t bus = 0; bus < 2; ++bus) {
-        const std::size_t base = static_cast<std::size_t>(bus) * lanes_;
-        for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-          const auto l = static_cast<std::size_t>(std::countr_zero(m));
-          emit_lane(l, component::wb_bus, bus, wb_bus_state_[base + l], 0,
-                    wb_at);
-          wb_bus_state_[base + l] = 0;
-        }
+        drive_lanes(component::wb_bus, bus,
+                    &wb_bus_state_[static_cast<std::size_t>(bus) * lanes_],
+                    zeros.data(), cycle_ + 3, active_mask_);
       }
     }
     if (!config_.alu_latch_holds_on_idle) {
       for (std::uint8_t latch = 0; latch < 4; ++latch) {
-        const std::size_t base = static_cast<std::size_t>(latch) * lanes_;
-        for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-          const auto l = static_cast<std::size_t>(std::countr_zero(m));
-          emit_lane(l, component::alu_in_latch, latch,
-                    alu_latch_state_[base + l], 0, cycle_ + 1);
-          alu_latch_state_[base + l] = 0;
-        }
+        drive_lanes(component::alu_in_latch, latch,
+                    &alu_latch_state_[static_cast<std::size_t>(latch) * lanes_],
+                    zeros.data(), cycle_ + 1, active_mask_);
       }
     }
     pc_ = next_pc;
@@ -319,7 +225,7 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
     const bool exec = agreed_exec(ins);
     if (ins.op == opcode::bx) {
       lane_values target;
-      read_reg(ins.op2.rm, target);
+      read_reg(ins.op2.rm, target.data());
       drive_rf_port(target);
       if (exec) {
         // Second checkpoint: the indirect target IS the control stream.
@@ -361,26 +267,15 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
   if (isa::is_memory(ins)) {
     const bool exec = agreed_exec(ins);
     lane_values base_v;
-    read_reg(ins.mem.base, base_v);
+    read_reg(ins.mem.base, base_v.data());
     drive_rf_port(base_v);
-    lane_values address;
     if (ins.mem.reg_offset) {
       lane_values offset_reg;
-      read_reg(ins.mem.offset_reg, offset_reg);
+      read_reg(ins.mem.offset_reg, offset_reg.data());
       drive_rf_port(offset_reg);
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        const std::uint32_t offset = offset_reg[l] << ins.mem.offset_shift;
-        address[l] = ins.mem.subtract ? base_v[l] - offset
-                                      : base_v[l] + offset;
-      }
-    } else {
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        address[l] = ins.mem.subtract ? base_v[l] - ins.mem.offset_imm
-                                      : base_v[l] + ins.mem.offset_imm;
-      }
     }
+    lane_values address;
+    effective_addresses(ins, address.data());
 
     if (!exec) {
       pc_ = next_pc;
@@ -390,8 +285,7 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
     // Third checkpoint: each lane probes its own D-cache at its own
     // address; the penalty — a shared scoreboard input — must agree.
     std::array<int, max_batch_lanes> pen;
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-      const auto l = static_cast<std::size_t>(std::countr_zero(m));
+    for (const std::size_t l : lanes_in(active_mask_)) {
       pen[l] = dcache_[l].access(address[l]);
     }
     agree(pen.data());
@@ -408,8 +302,7 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
     if (isa::is_load(ins)) {
       lane_values word;
       lane_values value;
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
+      for (const std::size_t l : lanes_in(active_mask_)) {
         word[l] = memory_[l].containing_word(address[l]);
         switch (ins.op) {
         case opcode::ldr:
@@ -427,28 +320,20 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
         }
       }
       retire_write(ins.rd, value, result_ready);
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        emit_lane(l, component::mdr, 0, mdr_state_[l], word[l], mem_cycle);
-        mdr_state_[l] = word[l];
-      }
+      drive_lanes(component::mdr, 0, mdr_state_.data(), word.data(),
+                  mem_cycle, active_mask_);
       if (isa::is_subword(ins) && config_.has_align_buffer) {
-        for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-          const auto l = static_cast<std::size_t>(std::countr_zero(m));
-          emit_lane(l, component::align_buffer, 0, align_buffer_state_[l],
-                    value[l], mem_cycle + 1);
-          align_buffer_state_[l] = value[l];
-        }
+        drive_lanes(component::align_buffer, 0, align_buffer_state_.data(),
+                    value.data(), mem_cycle + 1, active_mask_);
       }
-      write_back(slot, value, result_ready);
+      write_back(slot, value, result_ready, active_mask_);
     } else {
       lane_values data;
-      read_reg(ins.rd, data);
+      read_reg(ins.rd, data.data());
       drive_rf_port(data);
       drive_is_ex_bus(slot == 0 ? std::uint8_t{1} : std::uint8_t{2}, data);
       lane_values word;
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
+      for (const std::size_t l : lanes_in(active_mask_)) {
         switch (ins.op) {
         case opcode::str:
           memory_[l].write32(address[l], data[l]);
@@ -464,23 +349,21 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
           break;
         }
         word[l] = memory_[l].containing_word(address[l]);
-        emit_lane(l, component::mdr, 0, mdr_state_[l], word[l], mem_cycle);
-        mdr_state_[l] = word[l];
       }
+      drive_lanes(component::mdr, 0, mdr_state_.data(), word.data(),
+                  mem_cycle, active_mask_);
       if (isa::is_subword(ins) && config_.has_align_buffer) {
-        for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-          const auto l = static_cast<std::size_t>(std::countr_zero(m));
-          const std::uint32_t sub = ins.op == opcode::strb
-                                        ? (data[l] & 0xffU)
-                                        : (data[l] & 0xffffU);
-          emit_lane(l, component::align_buffer, 0, align_buffer_state_[l],
-                    sub, mem_cycle + 1);
-          align_buffer_state_[l] = sub;
+        lane_values sub;
+        const std::uint32_t keep = ins.op == opcode::strb ? 0xffU : 0xffffU;
+        for (const std::size_t l : lanes_in(active_mask_)) {
+          sub[l] = data[l] & keep;
         }
+        drive_lanes(component::align_buffer, 0, align_buffer_state_.data(),
+                    sub.data(), mem_cycle + 1, active_mask_);
       }
       // Store data traverses the EX->WB path on its way to the store
       // buffer even though no register is written.
-      write_back(slot, data, cycle_ + 3);
+      write_back(slot, data, cycle_ + 3, active_mask_);
     }
     pc_ = next_pc;
     return outcome;
@@ -491,21 +374,20 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
     const bool exec = agreed_exec(ins);
     lane_values a;
     lane_values b;
-    read_reg(ins.rn, a);
-    read_reg(ins.op2.rm, b);
+    read_reg(ins.rn, a.data());
+    read_reg(ins.op2.rm, b.data());
     drive_rf_port(a);
     drive_rf_port(b);
     lane_values acc{};
     if (ins.op == opcode::mla) {
-      read_reg(ins.ra, acc);
+      read_reg(ins.ra, acc.data());
       drive_rf_port(acc);
     }
     drive_is_ex_bus(0, a);
     drive_is_ex_bus(1, b);
     if (exec) {
       lane_values result;
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
+      for (const std::size_t l : lanes_in(active_mask_)) {
         result[l] = a[l] * b[l] + (ins.op == opcode::mla ? acc[l] : 0);
       }
       const std::uint64_t ready =
@@ -514,27 +396,16 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
         mul_free_ = ready;
       }
       // The multiplier lives on ALU0.
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        emit_lane(l, component::alu_in_latch, 0, alu_latch_state_[l], a[l],
-                  cycle_ + 1);
-        alu_latch_state_[l] = a[l];
-      }
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        emit_lane(l, component::alu_in_latch, 1, alu_latch_state_[lanes_ + l],
-                  b[l], cycle_ + 1);
-        alu_latch_state_[lanes_ + l] = b[l];
-      }
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        emit_weight_lane(l, component::alu_out, 0, result[l], ready - 1);
-      }
+      drive_lanes(component::alu_in_latch, 0, alu_latch_state_.data(),
+                  a.data(), cycle_ + 1, active_mask_);
+      drive_lanes(component::alu_in_latch, 1, &alu_latch_state_[lanes_],
+                  b.data(), cycle_ + 1, active_mask_);
+      weigh_lanes(component::alu_out, 0, result.data(), ready - 1,
+                  active_mask_);
       retire_write(ins.rd, result, ready);
-      write_back(slot, result, ready);
+      write_back(slot, result, ready, active_mask_);
       if (ins.set_flags) {
-        for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-          const auto l = static_cast<std::size_t>(std::countr_zero(m));
+        for (const std::size_t l : lanes_in(active_mask_)) {
           state_[l].f.n = (result[l] >> 31) != 0;
           state_[l].f.z = result[l] == 0;
         }
@@ -555,7 +426,7 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
   int reg_operands = 0;
 
   if (has_rn && !(ins.op == opcode::movw || ins.op == opcode::movt)) {
-    read_reg(ins.rn, rn_value);
+    read_reg(ins.rn, rn_value.data());
     drive_rf_port(rn_value);
     drive_is_ex_bus(first_lane, rn_value);
     ++reg_operands;
@@ -569,22 +440,17 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
   std::array<std::uint8_t, max_batch_lanes> op2_carry{};
   bool used_shifter = false;
   if (ins.op == opcode::movw) {
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-      const auto l = static_cast<std::size_t>(std::countr_zero(m));
-      op2_value[l] = ins.imm16;
-    }
+    op2_value.fill(ins.imm16);
   } else if (ins.op == opcode::movt) {
     lane_values old;
-    read_reg(ins.rd, old);
+    read_reg(ins.rd, old.data());
     drive_rf_port(old);
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-      const auto l = static_cast<std::size_t>(std::countr_zero(m));
+    for (const std::size_t l : lanes_in(active_mask_)) {
       op2_value[l] = (old[l] & 0xffffU) |
                      (static_cast<std::uint32_t>(ins.imm16) << 16);
     }
   } else {
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-      const auto l = static_cast<std::size_t>(std::countr_zero(m));
+    for (const std::size_t l : lanes_in(active_mask_)) {
       const operand2_value op2 = eval_operand2(
           ins, [this, l](reg r) { return state_[l].reg(r); },
           state_[l].f.c);
@@ -600,7 +466,7 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
       ++reg_operands;
       if (ins.op2.shift.by_register) {
         lane_values amount;
-        read_reg(ins.op2.shift.amount_reg, amount);
+        read_reg(ins.op2.shift.amount_reg, amount.data());
         drive_rf_port(amount);
       }
     }
@@ -621,13 +487,7 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
     const bool relaxed = !used_shifter && !writes_flags(ins) &&
                          ins.op != opcode::movw && ins.op != opcode::movt;
     if (relaxed) {
-      exec_mask = 0;
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        if (isa::condition_passes(ins.cond, state_[l].f)) {
-          exec_mask |= std::uint64_t{1} << l;
-        }
-      }
+      exec_mask = passing_lanes(ins.cond);
     } else if (!agreed_exec(ins)) {
       pc_ = next_pc;
       return outcome;
@@ -650,31 +510,21 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
   std::uint64_t result_latency = 1;
   if (used_shifter) {
     result_latency += static_cast<std::uint64_t>(config_.shift_extra_latency);
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-      const auto l = static_cast<std::size_t>(std::countr_zero(m));
-      emit_weight_lane(l, component::shift_buffer, 0, op2_value[l],
-                       cycle_ + 2);
-    }
+    weigh_lanes(component::shift_buffer, 0, op2_value.data(), cycle_ + 2,
+                active_mask_);
   }
 
+  const auto latch = static_cast<std::uint8_t>(alu_index * 2);
+  std::uint32_t* latch_state =
+      &alu_latch_state_[static_cast<std::size_t>(latch) * lanes_];
   if (ins.op == opcode::movw || ins.op == opcode::movt) {
-    const std::size_t latch1 =
-        static_cast<std::size_t>(alu_index * 2 + 1) * lanes_;
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-      const auto l = static_cast<std::size_t>(std::countr_zero(m));
-      emit_lane(l, component::alu_in_latch,
-                static_cast<std::uint8_t>(alu_index * 2 + 1),
-                alu_latch_state_[latch1 + l], op2_value[l], cycle_ + 1);
-      alu_latch_state_[latch1 + l] = op2_value[l];
-    }
+    drive_lanes(component::alu_in_latch,
+                static_cast<std::uint8_t>(latch + 1), latch_state + lanes_,
+                op2_value.data(), cycle_ + 1, active_mask_);
     retire_write(ins.rd, op2_value, cycle_ + result_latency);
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-      const auto l = static_cast<std::size_t>(std::countr_zero(m));
-      emit_weight_lane(l, component::alu_out,
-                       static_cast<std::uint8_t>(alu_index), op2_value[l],
-                       cycle_ + 2);
-    }
-    write_back(slot, op2_value, cycle_ + 3);
+    weigh_lanes(component::alu_out, static_cast<std::uint8_t>(alu_index),
+                op2_value.data(), cycle_ + 2, active_mask_);
+    write_back(slot, op2_value, cycle_ + 3, active_mask_);
     pc_ = next_pc;
     return outcome;
   }
@@ -682,8 +532,7 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
   lane_values result;
   std::array<isa::flags, max_batch_lanes> result_flags;
   bool writes_result = true; // static per opcode: take any active lane's
-  for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-    const auto l = static_cast<std::size_t>(std::countr_zero(m));
+  for (const std::size_t l : lanes_in(active_mask_)) {
     const alu_result r = execute_dp(ins.op, rn_value[l], op2_value[l],
                                     op2_carry[l] != 0, state_[l].f);
     result[l] = r.value;
@@ -695,52 +544,24 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
   // Every datapath effect below is gated per lane by exec_mask — a
   // predicated-false lane's per-trace twin returned before this point.
   const std::uint64_t emit_mask = active_mask_ & exec_mask;
-  const std::size_t latch_base = static_cast<std::size_t>(alu_index * 2) * lanes_;
   if (has_rn) {
-    for (std::uint64_t m = emit_mask; m != 0; m &= m - 1) {
-      const auto l = static_cast<std::size_t>(std::countr_zero(m));
-      emit_lane(l, component::alu_in_latch,
-                static_cast<std::uint8_t>(alu_index * 2),
-                alu_latch_state_[latch_base + l], rn_value[l], cycle_ + 1);
-      alu_latch_state_[latch_base + l] = rn_value[l];
-    }
+    drive_lanes(component::alu_in_latch, latch, latch_state, rn_value.data(),
+                cycle_ + 1, emit_mask);
   }
-  for (std::uint64_t m = emit_mask; m != 0; m &= m - 1) {
-    const auto l = static_cast<std::size_t>(std::countr_zero(m));
-    emit_lane(l, component::alu_in_latch,
-              static_cast<std::uint8_t>(alu_index * 2 + 1),
-              alu_latch_state_[latch_base + lanes_ + l], op2_value[l],
-              cycle_ + 1);
-    alu_latch_state_[latch_base + lanes_ + l] = op2_value[l];
-  }
-
-  for (std::uint64_t m = emit_mask; m != 0; m &= m - 1) {
-    const auto l = static_cast<std::size_t>(std::countr_zero(m));
-    emit_weight_lane(l, component::alu_out,
-                     static_cast<std::uint8_t>(alu_index), result[l],
-                     cycle_ + 2);
-  }
+  drive_lanes(component::alu_in_latch, static_cast<std::uint8_t>(latch + 1),
+              latch_state + lanes_, op2_value.data(), cycle_ + 1, emit_mask);
+  weigh_lanes(component::alu_out, static_cast<std::uint8_t>(alu_index),
+              result.data(), cycle_ + 2, emit_mask);
 
   if (writes_result) {
     // The scoreboard write is shared (unobservable when lanes disagree —
     // see above); the register value and WB-path events are per lane.
     reg_ready_[isa::index_of(ins.rd)] = cycle_ + result_latency;
-    const auto wb_bus = static_cast<std::uint8_t>(slot);
-    const std::size_t wb_base = static_cast<std::size_t>(slot) * lanes_;
-    for (std::uint64_t m = emit_mask; m != 0; m &= m - 1) {
-      const auto l = static_cast<std::size_t>(std::countr_zero(m));
-      state_[l].set_reg(ins.rd, result[l]);
-      emit_lane(l, component::wb_bus, wb_bus, wb_bus_state_[wb_base + l],
-                result[l], cycle_ + 3);
-      wb_bus_state_[wb_base + l] = result[l];
-      emit_lane(l, component::ex_wb_latch, wb_bus,
-                ex_wb_latch_state_[wb_base + l], result[l], cycle_ + 3);
-      ex_wb_latch_state_[wb_base + l] = result[l];
-    }
+    write_reg(ins.rd, result.data(), emit_mask);
+    write_back(slot, result, cycle_ + 3, emit_mask);
   }
   if (writes_flags(ins)) {
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-      const auto l = static_cast<std::size_t>(std::countr_zero(m));
+    for (const std::size_t l : lanes_in(active_mask_)) {
       state_[l].f = result_flags[l];
     }
     flags_ready_ = cycle_ + result_latency;

@@ -10,7 +10,7 @@
 //   * per-lane data, laid out lane-major — architectural registers and
 //     flags, data memory and D-cache, every leakage-relevant state
 //     register (RF ports, operand buses, ALU latches, WB buses, MDR,
-//     align buffer) and the activity stream.
+//     align buffer) and the activity stream or fused clean-power column.
 //
 // Divergence checkpoints (lanes ejected on disagreement with the leader):
 // condition outcomes of predicated instructions, indirect-branch (bx)
@@ -46,22 +46,8 @@ public:
   }
 
   void reset() override;
-  void warm_caches() override;
   void run(std::uint64_t max_cycles = 50'000'000) override;
 
-  cpu_state& state(std::size_t lane) noexcept override {
-    return state_[lane];
-  }
-  const cpu_state& state(std::size_t lane) const noexcept override {
-    return state_[lane];
-  }
-  mem::memory& memory(std::size_t lane) noexcept override {
-    return memory_[lane];
-  }
-  const mem::memory& memory(std::size_t lane) const noexcept override {
-    return memory_[lane];
-  }
-  const asmx::program& program() const noexcept override { return *prog_; }
   const micro_arch_config& config() const noexcept { return config_; }
 
   std::uint64_t cycles() const noexcept override { return cycle_; }
@@ -77,8 +63,6 @@ private:
     bool serialize = false;
   };
 
-  using lane_values = std::array<std::uint32_t, max_batch_lanes>;
-
   bool operands_ready(std::size_t index) const noexcept;
   bool unit_available(std::size_t index) const noexcept;
   issue_outcome issue(const isa::instruction& ins, int slot);
@@ -87,35 +71,25 @@ private:
 
   /// condition_passes per active lane, agreed (ejects disagreeing lanes);
   /// returns the leader's outcome.
-  bool agreed_exec(const isa::instruction& ins) noexcept;
-
-  void read_reg(isa::reg r, lane_values& out) const noexcept {
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-      const auto l = static_cast<std::size_t>(std::countr_zero(m));
-      out[l] = state_[l].reg(r);
-    }
+  bool agreed_exec(const isa::instruction& ins) noexcept {
+    return ins.cond == isa::condition::al ||
+           agree_bit(passing_lanes(ins.cond));
   }
 
-  // Lane-batched counterparts of the pipeline's event helpers: one call
-  // per per-trace emission point, looping the active lanes in lane order.
+  // Lane-batched counterparts of the pipeline's event helpers: one lane
+  // kernel call per per-trace emission point (the active lanes, or the
+  // executing ones for write_back).
   void drive_rf_port(const lane_values& values);
   void drive_is_ex_bus(std::uint8_t bus, const lane_values& values);
-  void drive_is_ex_bus_uniform(std::uint8_t bus, std::uint32_t value);
-  void write_back(int slot, const lane_values& values,
-                  std::uint64_t at_cycle);
+  void write_back(int slot, const lane_values& values, std::uint64_t at_cycle,
+                  std::uint64_t mask);
   void retire_write(isa::reg r, const lane_values& values,
                     std::uint64_t ready_at) noexcept;
 
-  program_image image_;
-  const asmx::program* prog_ = nullptr;
   std::vector<std::uint8_t> pairable_next_;
   micro_arch_config config_;
 
-  // Per-lane architectural + leakage state.
-  std::vector<mem::memory> memory_;
-  std::vector<mem::cache> dcache_;
-  std::vector<cpu_state> state_;
-  // Lane-major state registers: element [port * lanes_ + lane].
+  // Per-lane leakage state.  Lane-major state registers: element [port * lanes_ + lane].
   std::vector<std::uint32_t> rf_port_state_;    // 3 ports
   std::vector<std::uint32_t> is_ex_bus_state_;  // 3 buses
   std::vector<std::uint32_t> alu_latch_state_;  // 4 latches
@@ -126,7 +100,6 @@ private:
 
   // Shared front end + scoreboard (lane-invariant by the agreement
   // protocol: every update below happens under agreed control inputs).
-  mem::cache icache_;
   std::size_t pc_ = 0;
   bool halted_ = false;
   std::array<std::uint64_t, isa::num_registers> reg_ready_{};

@@ -28,20 +28,30 @@
 //     on; callers check lane_diverged() and redo those traces on the
 //     per-trace sim::backend, which remains the reference implementation.
 //
+// Emission runs through two lane kernels of the base class, one call per
+// per-trace emission point.  By default they append each lane's activity
+// events (activity()); with fuse_synthesis() they instead add each
+// weighted toggle count straight into a cycle-major clean-power tile,
+// the noiseless half of power::trace_synthesizer's model, so a consumer
+// that reads only samples skips the event stream entirely.
+//
 // Implementations: sim::batch_pipeline (in-order; batch_pipeline.h) and
 // sim::batch_ooo_core (OoO fast scheduler; ooo/batch_ooo_core.h).  The
-// campaign/acquisition engines produce through this interface behind a
-// `sim_batch` knob (default on, USCA_SIM_BATCH=0 escape hatch) — see
-// core/campaign.h.
+// acquisition engine produces through this interface behind the
+// `sim_batch_lanes` field of core::acquisition_config (default on,
+// USCA_SIM_BATCH=0 escape hatch).
 #ifndef USCA_SIM_BATCH_SIM_H
 #define USCA_SIM_BATCH_SIM_H
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "asmx/program.h"
+#include "isa/instruction.h"
+#include "mem/cache.h"
 #include "mem/memory.h"
 #include "sim/backend.h"
 #include "sim/cpu_state.h"
@@ -75,15 +85,45 @@ std::size_t parse_sim_batch_env(const char* value);
 /// setenv-based tests see the live value.
 std::size_t resolve_sim_batch_lanes(int config_lanes);
 
+/// The set lanes of a lane mask, lowest first:
+///   for (const std::size_t l : lanes_in(mask)) { ... }
+/// The mask is copied at the start, so ejecting lanes in the body does not
+/// change the walk.
+class lanes_in {
+public:
+  explicit constexpr lanes_in(std::uint64_t mask) noexcept : mask_(mask) {}
+
+  struct iterator {
+    std::uint64_t rest;
+    std::size_t operator*() const noexcept {
+      return static_cast<std::size_t>(std::countr_zero(rest));
+    }
+    iterator& operator++() noexcept {
+      rest &= rest - 1;
+      return *this;
+    }
+    bool operator!=(const iterator& other) const noexcept {
+      return rest != other.rest;
+    }
+  };
+  iterator begin() const noexcept { return {mask_}; }
+  iterator end() const noexcept { return {0}; }
+
+private:
+  std::uint64_t mask_;
+};
+
 /// Flushes one batch run's occupancy to telemetry: the `sim.batch.lanes`
 /// histogram and the `sim.batch.active_lane_cycles` counter.  Called once
 /// per run() by the batch engines — never from the cycle loop.
 void note_batch_run(std::size_t lanes_active,
                     std::uint64_t active_lane_cycles);
 
-/// N-lane counterpart of sim::backend.  Shared control (cycle count,
-/// marks, activity recording flags) lives here; per-lane data (state,
-/// memory, activity stream) is exposed by lane index.
+/// N-lane counterpart of sim::backend.  This base holds what every batch
+/// engine shares: the program, the per-lane architectural state (registers,
+/// memory, D-cache) and the shared I-cache, the lane masks, the marks and
+/// the emission state (activity streams or fused tile).  Per-lane data is
+/// exposed by lane index.
 class batch_backend {
 public:
   virtual ~batch_backend() = default;
@@ -95,18 +135,24 @@ public:
   virtual void reset() = 0;
 
   /// Warms the shared I-cache and every lane's D-cache.
-  virtual void warm_caches() = 0;
+  void warm_caches();
 
-  /// Runs every active lane to the halt (or throws past the cycle
-  /// budget).  Lanes whose data-dependent timing diverges are ejected and
-  /// flagged (lane_diverged()); the leader lane always completes.
+  /// Runs every active lane to the halt, or to the cutoff mark when it
+  /// was armed with `end_run` (see set_activity_cutoff_mark); throws past
+  /// the cycle budget.  Lanes whose data-dependent timing diverges are
+  /// ejected and flagged (lane_diverged()); the leader lane always
+  /// completes.
   virtual void run(std::uint64_t max_cycles = 50'000'000) = 0;
 
-  virtual cpu_state& state(std::size_t lane) noexcept = 0;
-  virtual const cpu_state& state(std::size_t lane) const noexcept = 0;
-  virtual mem::memory& memory(std::size_t lane) noexcept = 0;
-  virtual const mem::memory& memory(std::size_t lane) const noexcept = 0;
-  virtual const asmx::program& program() const noexcept = 0;
+  cpu_state& state(std::size_t lane) noexcept { return state_[lane]; }
+  const cpu_state& state(std::size_t lane) const noexcept {
+    return state_[lane];
+  }
+  mem::memory& memory(std::size_t lane) noexcept { return memory_[lane]; }
+  const mem::memory& memory(std::size_t lane) const noexcept {
+    return memory_[lane];
+  }
+  const asmx::program& program() const noexcept { return *prog_; }
 
   /// Shared batch cycle count (identical across surviving lanes).
   virtual std::uint64_t cycles() const noexcept = 0;
@@ -156,17 +202,27 @@ public:
     end_run_at_cutoff_ = false;
   }
 
+  /// Fused synthesis for the runs that follow: recorded emissions add
+  /// `weights[comp] * toggles` into the clean-power tile (initialised to
+  /// `baseline`) instead of appending activity events, which then stay
+  /// empty.  Every sample receives the additions the event walk of
+  /// trace_synthesizer::synthesize_clean would make, in the same order,
+  /// so a surviving lane's tile column equals that rendering bitwise.
+  void fuse_synthesis(const std::array<double, component_count>& weights,
+                      double baseline);
+  /// Back to event recording (the default) for the runs that follow.
+  void unfuse_synthesis() noexcept { fused_ = false; }
+
+  /// The clean-power tile, cycle-major: the clean sample of `lane` at
+  /// cycle c is element [c * lanes() + lane].  Grown with baseline rows
+  /// to at least `rows` cycles; valid until the next run() or reset().
+  const double* clean_tile(std::size_t rows);
+
 protected:
-  explicit batch_backend(std::size_t lanes)
-      : lanes_(lanes == 0 ? 1 : (lanes > max_batch_lanes ? max_batch_lanes
-                                                         : lanes)),
-        active_limit_(lanes_),
-        active_mask_(mask_for_limit()),
-        activity_(lanes_) {
-    for (activity_trace& t : activity_) {
-      t.reserve(4096);
-    }
-  }
+  batch_backend(program_image image, const mem::cache_config& icache,
+                const mem::cache_config& dcache, std::size_t lanes);
+
+  using lane_values = std::array<std::uint32_t, max_batch_lanes>;
 
   std::uint64_t mask_for_limit() const noexcept {
     return active_limit_ >= 64 ? ~std::uint64_t{0}
@@ -190,17 +246,69 @@ protected:
   /// surviving lanes' schedule.
   template <typename T>
   void agree(const T* values) noexcept {
-    std::uint64_t m = active_mask_;
-    const T expect = values[std::countr_zero(m)];
-    m &= m - 1; // the leader agrees with itself
-    while (m != 0) {
-      const auto lane = static_cast<std::size_t>(std::countr_zero(m));
-      if (values[lane] != expect) {
-        eject_lane(lane);
+    const T expect = values[leader()];
+    for (const std::size_t l : lanes_in(active_mask_)) {
+      if (values[l] != expect) {
+        eject_lane(l);
       }
-      m &= m - 1;
     }
   }
+
+  /// agree() on one bit per lane: ejects the active lanes whose bit in
+  /// `bits` differs from the leader's; returns the leader's bit.
+  bool agree_bit(std::uint64_t bits) noexcept {
+    const bool lead = ((bits >> leader()) & 1U) != 0;
+    const std::uint64_t disagree = active_mask_ & (lead ? ~bits : bits);
+    active_mask_ &= ~disagree;
+    diverged_mask_ |= disagree;
+    return lead;
+  }
+
+  /// The active lanes whose flags pass condition `cond`.
+  std::uint64_t passing_lanes(isa::condition cond) const noexcept {
+    std::uint64_t passing = 0;
+    for (const std::size_t l : lanes_in(active_mask_)) {
+      passing |= std::uint64_t{isa::condition_passes(cond, state_[l].f)}
+                 << l;
+    }
+    return passing;
+  }
+
+  /// Register `r` of every active lane into values[lane].
+  void read_reg(isa::reg r, std::uint32_t* values) const noexcept {
+    for (const std::size_t l : lanes_in(active_mask_)) {
+      values[l] = state_[l].reg(r);
+    }
+  }
+  /// values[lane] into register `r` of every lane in `mask`.
+  void write_reg(isa::reg r, const std::uint32_t* values,
+                 std::uint64_t mask) noexcept {
+    for (const std::size_t l : lanes_in(mask)) {
+      state_[l].set_reg(r, values[l]);
+    }
+  }
+  /// Effective address of memory instruction `ins` in every active lane:
+  /// the base register plus or minus the immediate or the shifted offset
+  /// register.
+  void effective_addresses(const isa::instruction& ins,
+                           std::uint32_t* address) const noexcept {
+    for (const std::size_t l : lanes_in(active_mask_)) {
+      const std::uint32_t base = state_[l].reg(ins.mem.base);
+      const std::uint32_t offset =
+          ins.mem.reg_offset
+              ? state_[l].reg(ins.mem.offset_reg) << ins.mem.offset_shift
+              : ins.mem.offset_imm;
+      address[l] = ins.mem.subtract ? base - offset : base + offset;
+    }
+  }
+
+  /// Entry agreement of run(): per-lane setup code may have steered a
+  /// lane's pc or halted flag away from the batch; such lanes cannot share
+  /// the control stream and are ejected before the first cycle.  Returns
+  /// the leader's state, which the shared control starts from.
+  const cpu_state& enter_run() noexcept;
+  /// Hands the shared pc and halted flag back to every surviving lane.
+  void leave_run(std::size_t pc, bool halted) noexcept;
 
   /// Records a committed mark and applies the cutoff; true when the
   /// batch run must end here (see backend::commit_mark).
@@ -213,35 +321,26 @@ protected:
     return end_run_at_cutoff_;
   }
 
-  // Per-lane counterparts of backend::emit/emit_weight — same skip rules
-  // (recording off, zero Hamming distance / weight), same event layout.
+  /// The part of reset() this base holds: every lane's registers, memory
+  /// (reloaded with the data image) and D-cache, the I-cache, and the
+  /// per-run emission state — activity streams, touched tile rows, marks,
+  /// the recording flag and the lane masks.
+  void reset_lanes();
 
-  void emit_lane(std::size_t lane, component comp, std::uint8_t port,
-                 std::uint32_t before, std::uint32_t after,
-                 std::uint64_t at_cycle) {
-    if (!record_activity_ || before == after) {
-      return;
-    }
-    activity_event ev;
-    ev.cycle = static_cast<std::uint32_t>(at_cycle);
-    ev.comp = comp;
-    ev.lane = port;
-    ev.toggles = static_cast<std::uint8_t>(std::popcount(before ^ after));
-    activity_[lane].push_back(ev);
-  }
+  // Lane kernels: one call per emission point of the per-trace core,
+  // covering the lanes in `mask` (the active lanes or a subset of them).
+  // Same skip rules as backend::emit/emit_weight — recording off, zero
+  // toggles — and, in event mode, the same event layout.
 
-  void emit_weight_lane(std::size_t lane, component comp, std::uint8_t port,
-                        std::uint32_t value, std::uint64_t at_cycle) {
-    if (!record_activity_ || value == 0) {
-      return;
-    }
-    activity_event ev;
-    ev.cycle = static_cast<std::uint32_t>(at_cycle);
-    ev.comp = comp;
-    ev.lane = port;
-    ev.toggles = static_cast<std::uint8_t>(std::popcount(value));
-    activity_[lane].push_back(ev);
-  }
+  /// Hamming-distance emission: lane l toggles HD(state[l], values[l]),
+  /// then state[l] takes values[l] (also while recording is off).
+  void drive_lanes(component comp, std::uint8_t port, std::uint32_t* state,
+                   const std::uint32_t* values, std::uint64_t at_cycle,
+                   std::uint64_t mask);
+  /// Hamming-weight emission: lane l toggles HW(values[l]).
+  void weigh_lanes(component comp, std::uint8_t port,
+                   const std::uint32_t* values, std::uint64_t at_cycle,
+                   std::uint64_t mask);
 
   std::size_t lanes_;
   std::size_t active_limit_;
@@ -254,6 +353,28 @@ protected:
   bool end_run_at_cutoff_ = false;
   bool record_activity_ = true;
   bool record_default_ = true;
+
+  program_image image_;
+  const asmx::program* prog_ = nullptr;
+  std::vector<mem::memory> memory_;
+  std::vector<mem::cache> dcache_;
+  std::vector<cpu_state> state_;
+  mem::cache icache_; ///< shared: the fetch stream is lane-invariant
+
+private:
+  /// The one body behind drive_lanes (Distance) and weigh_lanes.
+  template <bool Distance>
+  void emit_lanes(component comp, std::uint8_t port, std::uint32_t* state,
+                  const std::uint32_t* values, std::uint64_t at_cycle,
+                  std::uint64_t mask);
+  /// Tile row of `at_cycle`, grown on demand and marked touched.
+  double* fused_row(std::uint64_t at_cycle);
+
+  bool fused_ = false;
+  std::array<double, component_count> weights_{};
+  double baseline_ = 0.0;
+  std::vector<double> tile_;     ///< [cycle * lanes_ + lane], see clean_tile
+  std::size_t touched_rows_ = 0; ///< rows at or past this hold baseline
 };
 
 /// Constructs a batch backend of the requested kind (batch_pipeline /

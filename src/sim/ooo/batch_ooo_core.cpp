@@ -27,18 +27,9 @@ using isa::reg;
 
 batch_ooo_core::batch_ooo_core(program_image image, micro_arch_config config,
                                std::size_t lanes)
-    : batch_backend(lanes),
-      image_(std::move(image)),
-      prog_(&image_.prog()),
-      config_(config),
-      memory_(lanes_),
-      dcache_(lanes_, mem::cache(config.dcache)),
-      state_(lanes_),
-      icache_(config.icache) {
+    : batch_backend(std::move(image), config.icache, config.dcache, lanes),
+      config_(config) {
   validate_config();
-  for (mem::memory& m : memory_) {
-    m.load(prog_->data_base, prog_->data);
-  }
 
   const ooo_config& ooo = config_.ooo;
   rob_.resize(static_cast<std::size_t>(ooo.rob_entries));
@@ -184,50 +175,17 @@ void batch_ooo_core::reset_structures() {
   retired_ = 0;
   multi_rename_cycles_ = 0;
   active_lane_cycles_ = 0;
-  record_activity_ = record_default_;
-  marks_.clear();
-  for (activity_trace& t : activity_) {
-    t.clear();
-  }
-  active_mask_ = mask_for_limit();
-  diverged_mask_ = 0;
 }
 
 void batch_ooo_core::reset() {
-  for (std::size_t l = 0; l < lanes_; ++l) {
-    memory_[l].reset();
-    memory_[l].load(prog_->data_base, prog_->data);
-    dcache_[l].reset();
-    state_[l] = cpu_state{};
-  }
-  icache_.reset();
+  reset_lanes();
   reset_structures();
 }
 
-void batch_ooo_core::warm_caches() {
-  icache_.warm(prog_->code_base, prog_->code.size() * 4 + 4);
-  if (!prog_->data.empty()) {
-    for (mem::cache& d : dcache_) {
-      d.warm(prog_->data_base, prog_->data.size());
-    }
-  }
-}
-
 void batch_ooo_core::run(std::uint64_t max_cycles) {
-  // Entry agreement: per-lane setup may have steered a lane's pc or
-  // halted flag away from the batch (see batch_pipeline::run).
-  {
-    std::array<std::uint64_t, max_batch_lanes> entry;
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-      const auto l = static_cast<std::size_t>(std::countr_zero(m));
-      entry[l] = (static_cast<std::uint64_t>(state_[l].pc) << 1) |
-                 (state_[l].halted ? 1U : 0U);
-    }
-    agree(entry.data());
-  }
-  const std::size_t lead = leader();
-  pc_ = state_[lead].pc;
-  halted_ = state_[lead].halted;
+  const cpu_state& lead = enter_run();
+  pc_ = lead.pc;
+  halted_ = lead.halted;
 
   const std::uint64_t start_cycle = cycle_;
   const std::uint64_t start_skipped = idle_skipped_;
@@ -239,11 +197,7 @@ void batch_ooo_core::run(std::uint64_t max_cycles) {
     }
     step_cycle();
   }
-  for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-    const auto l = static_cast<std::size_t>(std::countr_zero(m));
-    state_[l].pc = pc_;
-    state_[l].halted = halted_;
-  }
+  leave_run(pc_, halted_);
   static const telem::counter cycles{"sim.ooo.cycles", "cycles", "sim"};
   static const telem::counter skipped{"sim.ooo.idle_skipped", "cycles",
                                       "sim"};
@@ -262,31 +216,9 @@ void batch_ooo_core::drive_prf_port(const std::uint32_t* values) {
   if (port >= 8) {
     return; // the schedule stage bounds issue by the port budget
   }
-  const std::size_t base = static_cast<std::size_t>(port) * lanes_;
-  const auto port_lane = static_cast<std::uint8_t>(port);
-  for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-    const auto l = static_cast<std::size_t>(std::countr_zero(m));
-    emit_lane(l, component::prf_read_port, port_lane,
-              prf_port_state_[base + l], values[l], cycle_);
-    prf_port_state_[base + l] = values[l];
-  }
-}
-
-void batch_ooo_core::emit_all_lanes(component comp, std::uint8_t port,
-                                    std::uint32_t before, std::uint32_t after,
-                                    std::uint64_t at_cycle) {
-  if (!record_activity_ || before == after) {
-    return;
-  }
-  activity_event ev;
-  ev.cycle = static_cast<std::uint32_t>(at_cycle);
-  ev.comp = comp;
-  ev.lane = port;
-  ev.toggles = static_cast<std::uint8_t>(std::popcount(before ^ after));
-  for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-    const auto l = static_cast<std::size_t>(std::countr_zero(m));
-    activity_[l].push_back(ev);
-  }
+  drive_lanes(component::prf_read_port, static_cast<std::uint8_t>(port),
+              &prf_port_state_[static_cast<std::size_t>(port) * lanes_],
+              values, cycle_, active_mask_);
 }
 
 // ---------------------------------------------------------------------------
@@ -311,10 +243,7 @@ void batch_ooo_core::retire_stage() {
       const std::size_t tail = (sb_head_ + sb_count_) % sb_capacity;
       const std::size_t src = rob_head_ * lanes_;
       const std::size_t dst = tail * lanes_;
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        sb_addr_[dst + l] = rob_store_addr_[src + l];
-      }
+      std::copy_n(&rob_store_addr_[src], lanes_, &sb_addr_[dst]);
       ++sb_count_;
     }
     if (head.is_mark) {
@@ -329,15 +258,9 @@ void batch_ooo_core::retire_stage() {
     }
     if (head.has_value) {
       const auto lane = static_cast<std::uint8_t>(retired_now % 4);
-      const std::size_t base = static_cast<std::size_t>(lane) * lanes_;
-      const std::size_t vrow = rob_head_ * lanes_;
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        emit_lane(l, component::rob_retire_port, lane,
-                  retire_port_state_[base + l], rob_value_[vrow + l],
-                  cycle_);
-        retire_port_state_[base + l] = rob_value_[vrow + l];
-      }
+      drive_lanes(component::rob_retire_port, lane,
+                  &retire_port_state_[static_cast<std::size_t>(lane) * lanes_],
+                  &rob_value_[rob_head_ * lanes_], cycle_, active_mask_);
     }
     if (head.dest_arch != no_reg && head.old_preg != no_reg) {
       free_pregs_.push_back(head.old_preg);
@@ -364,8 +287,7 @@ void batch_ooo_core::drain_store_buffer() {
   // agreement is needed here — a diverging cache state surfaces (and
   // ejects) at the next load-penalty checkpoint.
   const std::size_t row = sb_head_ * lanes_;
-  for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-    const auto l = static_cast<std::size_t>(std::countr_zero(m));
+  for (const std::size_t l : lanes_in(active_mask_)) {
     dcache_[l].access(sb_addr_[row + l]);
   }
   sb_head_ = (sb_head_ + 1) %
@@ -443,21 +365,18 @@ void batch_ooo_core::broadcast_stage() {
     cycle_dirty_ = true;
 
     const auto bus = static_cast<std::uint8_t>(lane % 4);
-    const std::size_t base = static_cast<std::size_t>(bus) * lanes_;
     // The ROB slot stays allocated until retirement (which runs before
     // this stage each cycle), so its value row is the µop's result — the
     // per-trace path's exec_entry::result — read per lane here.
-    const std::size_t vrow =
-        static_cast<std::size_t>(done.rob_slot) * lanes_;
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-      const auto l = static_cast<std::size_t>(std::countr_zero(m));
-      emit_lane(l, component::cdb, bus, cdb_state_[base + l],
-                rob_value_[vrow + l], cycle_);
-      cdb_state_[base + l] = rob_value_[vrow + l];
-    }
-    // The destination tag is lane-invariant: one event for every lane.
-    emit_all_lanes(component::rs_tag_bus, bus, tag_bus_state_[bus],
-                   done.dest_preg, cycle_);
+    drive_lanes(component::cdb, bus,
+                &cdb_state_[static_cast<std::size_t>(bus) * lanes_],
+                &rob_value_[static_cast<std::size_t>(done.rob_slot) * lanes_],
+                cycle_, active_mask_);
+    // The destination tag is lane-invariant: every lane toggles
+    // HD(old, new) = HW(old ^ new).
+    lane_values flips;
+    flips.fill(tag_bus_state_[bus] ^ done.dest_preg);
+    weigh_lanes(component::rs_tag_bus, bus, flips.data(), cycle_, active_mask_);
     tag_bus_state_[bus] = done.dest_preg;
 
     preg_ready_[done.dest_preg] = 1;
@@ -494,6 +413,29 @@ bool batch_ooo_core::rs_fits_units(const rs_entry& rs, int prf_ports,
   return !(rs.needs_alu0 && alu0_used);
 }
 
+void batch_ooo_core::drive_memory_path(const rs_entry& rs, std::size_t row,
+                                       std::uint64_t executing) {
+  drive_lanes(component::mdr, 0, mdr_state_.data(), &rs_mem_word_[row],
+              cycle_ + 2, executing);
+  if (rs.is_subword && config_.has_align_buffer) {
+    drive_lanes(component::align_buffer, 0, align_buffer_state_.data(),
+                &rs_sub_value_[row], cycle_ + 3, executing);
+  }
+}
+
+void batch_ooo_core::drive_alu_latches(std::size_t slot, std::size_t n_src,
+                                       int alu_index,
+                                       std::uint64_t executing) {
+  // Operand position p of ALU a drives latch a * 2 + p.
+  for (std::size_t p = 0; p < n_src && p < 2; ++p) {
+    const std::size_t latch = static_cast<std::size_t>(alu_index) * 2 + p;
+    drive_lanes(component::alu_in_latch, static_cast<std::uint8_t>(latch),
+                &alu_latch_state_[latch * lanes_],
+                &rs_src_value_[(slot * max_sources + p) * lanes_],
+                cycle_ + 1, executing);
+  }
+}
+
 void batch_ooo_core::issue_entry(rs_entry& rs, int alu_index) {
   const auto slot = static_cast<std::size_t>(&rs - rs_.data());
   for (std::size_t s = 0; s < rs.n_src; ++s) {
@@ -503,7 +445,7 @@ void batch_ooo_core::issue_entry(rs_entry& rs, int alu_index) {
   // Per-lane squash mask: a lane whose condition failed takes the same
   // trip (unit occupancy, latency, D-cache probe, CDB slot) but touches
   // no datapath structure beyond the PRF reads above.
-  const std::uint64_t squash = rs_squash_[slot];
+  const std::uint64_t executing = active_mask_ & ~rs_squash_[slot];
   const std::size_t row = slot * lanes_;
 
   std::uint64_t complete_at;
@@ -511,8 +453,7 @@ void batch_ooo_core::issue_entry(rs_entry& rs, int alu_index) {
     // Divergence checkpoint: each lane probes its own D-cache at its own
     // address, but the penalty is a shared scheduling input.
     std::array<int, max_batch_lanes> pen;
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-      const auto l = static_cast<std::size_t>(std::countr_zero(m));
+    for (const std::size_t l : lanes_in(active_mask_)) {
       pen[l] = dcache_[l].access(rs_address_[row + l]);
     }
     agree(pen.data());
@@ -524,107 +465,31 @@ void batch_ooo_core::issue_entry(rs_entry& rs, int alu_index) {
     } else if (penalty > 0) {
       lsu_busy_until_ = cycle_ + static_cast<std::uint64_t>(penalty);
     }
-    for (std::uint64_t m = active_mask_ & ~squash; m != 0; m &= m - 1) {
-      const auto l = static_cast<std::size_t>(std::countr_zero(m));
-      emit_lane(l, component::mdr, 0, mdr_state_[l], rs_mem_word_[row + l],
-                cycle_ + 2);
-      mdr_state_[l] = rs_mem_word_[row + l];
-    }
-    if (rs.is_subword && config_.has_align_buffer) {
-      for (std::uint64_t m = active_mask_ & ~squash; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        emit_lane(l, component::align_buffer, 0, align_buffer_state_[l],
-                  rs_sub_value_[row + l], cycle_ + 3);
-        align_buffer_state_[l] = rs_sub_value_[row + l];
-      }
-    }
+    drive_memory_path(rs, row, executing);
   } else if (rs.is_store) {
     complete_at = cycle_ + 1;
-    for (std::uint64_t m = active_mask_ & ~squash; m != 0; m &= m - 1) {
-      const auto l = static_cast<std::size_t>(std::countr_zero(m));
-      emit_lane(l, component::mdr, 0, mdr_state_[l], rs_mem_word_[row + l],
-                cycle_ + 2);
-      mdr_state_[l] = rs_mem_word_[row + l];
-    }
-    if (rs.is_subword && config_.has_align_buffer) {
-      for (std::uint64_t m = active_mask_ & ~squash; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        emit_lane(l, component::align_buffer, 0, align_buffer_state_[l],
-                  rs_sub_value_[row + l], cycle_ + 3);
-        align_buffer_state_[l] = rs_sub_value_[row + l];
-      }
-    }
+    drive_memory_path(rs, row, executing);
   } else if (rs.is_mul) {
     complete_at = cycle_ + static_cast<std::uint64_t>(config_.mul_latency);
     if (!config_.mul_pipelined) {
       mul_busy_until_ = complete_at;
     }
-    const std::uint32_t* src0 = &rs_src_value_[slot * max_sources * lanes_];
-    const std::uint32_t* src1 =
-        &rs_src_value_[(slot * max_sources + 1) * lanes_];
-    const std::size_t vrow =
-        static_cast<std::size_t>(rs.rob_slot) * lanes_;
-    for (std::uint64_t m = active_mask_ & ~squash; m != 0; m &= m - 1) {
-      const auto l = static_cast<std::size_t>(std::countr_zero(m));
-      emit_lane(l, component::alu_in_latch, 0, alu_latch_state_[l], src0[l],
-                cycle_ + 1);
-      alu_latch_state_[l] = src0[l];
-    }
-    if (rs.n_src > 1) {
-      for (std::uint64_t m = active_mask_ & ~squash; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        emit_lane(l, component::alu_in_latch, 1, alu_latch_state_[lanes_ + l],
-                  src1[l], cycle_ + 1);
-        alu_latch_state_[lanes_ + l] = src1[l];
-      }
-    }
-    for (std::uint64_t m = active_mask_ & ~squash; m != 0; m &= m - 1) {
-      const auto l = static_cast<std::size_t>(std::countr_zero(m));
-      emit_weight_lane(l, component::alu_out, 0, rob_value_[vrow + l],
-                       complete_at - 1);
-    }
+    drive_alu_latches(slot, rs.n_src, 0, executing);
+    weigh_lanes(component::alu_out, 0,
+                &rob_value_[static_cast<std::size_t>(rs.rob_slot) * lanes_],
+                complete_at - 1, executing);
   } else {
     std::uint64_t latency = 1;
     if (rs.used_shifter) {
       latency += static_cast<std::uint64_t>(config_.shift_extra_latency);
-      for (std::uint64_t m = active_mask_ & ~squash; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        emit_weight_lane(l, component::shift_buffer, 0,
-                         rs_shift_value_[row + l], cycle_ + 1);
-      }
+      weigh_lanes(component::shift_buffer, 0, &rs_shift_value_[row],
+                  cycle_ + 1, executing);
     }
     complete_at = cycle_ + latency;
-    const std::size_t base =
-        static_cast<std::size_t>(alu_index * 2) * lanes_;
-    const std::uint32_t* src0 = &rs_src_value_[slot * max_sources * lanes_];
-    const std::uint32_t* src1 =
-        &rs_src_value_[(slot * max_sources + 1) * lanes_];
-    const std::size_t vrow =
-        static_cast<std::size_t>(rs.rob_slot) * lanes_;
-    if (rs.n_src > 0) {
-      for (std::uint64_t m = active_mask_ & ~squash; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        emit_lane(l, component::alu_in_latch,
-                  static_cast<std::uint8_t>(alu_index * 2),
-                  alu_latch_state_[base + l], src0[l], cycle_ + 1);
-        alu_latch_state_[base + l] = src0[l];
-      }
-    }
-    if (rs.n_src > 1) {
-      for (std::uint64_t m = active_mask_ & ~squash; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        emit_lane(l, component::alu_in_latch,
-                  static_cast<std::uint8_t>(alu_index * 2 + 1),
-                  alu_latch_state_[base + lanes_ + l], src1[l], cycle_ + 1);
-        alu_latch_state_[base + lanes_ + l] = src1[l];
-      }
-    }
-    for (std::uint64_t m = active_mask_ & ~squash; m != 0; m &= m - 1) {
-      const auto l = static_cast<std::size_t>(std::countr_zero(m));
-      emit_weight_lane(l, component::alu_out,
-                       static_cast<std::uint8_t>(alu_index),
-                       rob_value_[vrow + l], complete_at);
-    }
+    drive_alu_latches(slot, rs.n_src, alu_index, executing);
+    weigh_lanes(component::alu_out, static_cast<std::uint8_t>(alu_index),
+                &rob_value_[static_cast<std::size_t>(rs.rob_slot) * lanes_],
+                complete_at, executing);
   }
 
   exec_entry ex;
@@ -757,10 +622,7 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
   // The value row must be zero for entries that never write it: alu_out's
   // Hamming-weight emission for a dest-less µop (cmp/tst) reads this row
   // where the per-trace path reads a zero-initialized rs_entry::result.
-  for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-    const auto l = static_cast<std::size_t>(std::countr_zero(m));
-    rob_value_[vrow + l] = 0;
-  }
+  std::fill_n(&rob_value_[vrow], lanes_, 0U);
 
   // Prospective RS slot: countr_zero over the inverted busy mask — the
   // same expression dispatch_to_rs allocates from, and the mask cannot
@@ -773,21 +635,9 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
   // Per-lane condition outcome.  Only branches promote it to a shared
   // control input (agreement below); everywhere else it stays lane-local
   // data, gating lane-local effects via the squash mask.
-  std::array<std::uint8_t, max_batch_lanes> cond_ok;
-  std::uint64_t exec_mask;
-  if (ins.cond == isa::condition::al) {
-    exec_mask = ~std::uint64_t{0};
-  } else {
-    exec_mask = 0;
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-      const auto l = static_cast<std::size_t>(std::countr_zero(m));
-      const bool ok = isa::condition_passes(ins.cond, state_[l].f);
-      cond_ok[l] = ok ? 1 : 0;
-      if (ok) {
-        exec_mask |= std::uint64_t{1} << l;
-      }
-    }
-  }
+  const std::uint64_t exec_mask = ins.cond == isa::condition::al
+                                     ? ~std::uint64_t{0}
+                                     : passing_lanes(ins.cond);
 
   std::size_t next_pc = pc_ + 1;
 
@@ -798,12 +648,7 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
   const auto add_src = [&](reg r) {
     const std::uint8_t preg = rat_[isa::index_of(r)];
     rs.src_preg[rs.n_src] = preg_ready_[preg] ? no_reg : preg;
-    std::uint32_t* dst =
-        &rs_src_value_[(rs_slot * max_sources + rs.n_src) * lanes_];
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-      const auto l = static_cast<std::size_t>(std::countr_zero(m));
-      dst[l] = state_[l].reg(r);
-    }
+    read_reg(r, &rs_src_value_[(rs_slot * max_sources + rs.n_src) * lanes_]);
     ++rs.n_src;
   };
   const auto rename_dest = [&](reg rd, const std::uint32_t* values) {
@@ -811,15 +656,15 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
     entry.old_preg = rat_[entry.dest_arch];
     entry.dest_preg = alloc_preg();
     rat_[entry.dest_arch] = entry.dest_preg;
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-      const auto l = static_cast<std::size_t>(std::countr_zero(m));
+    for (const std::size_t l : lanes_in(active_mask_)) {
       rob_value_[vrow + l] = values[l];
     }
     entry.has_value = true;
-    // RAT write port: the tag is lane-invariant, one event per lane.
+    // RAT write port: the tag is lane-invariant (see broadcast_stage).
     const auto lane = static_cast<std::uint8_t>(slot % 4);
-    emit_all_lanes(component::rat_port, lane, rat_port_state_[lane],
-                   entry.dest_preg, cycle_);
+    lane_values flips;
+    flips.fill(rat_port_state_[lane] ^ entry.dest_preg);
+    weigh_lanes(component::rat_port, lane, flips.data(), cycle_, active_mask_);
     rat_port_state_[lane] = entry.dest_preg;
   };
   const auto wait_flags = [&] {
@@ -844,19 +689,12 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
     pc_ = next_pc;
   } else if (isa::is_branch(ins)) {
     // Divergence checkpoint: the condition outcome steers the front end.
-    bool exec = true;
-    if (ins.cond != isa::condition::al) {
-      agree(cond_ok.data());
-      exec = ((exec_mask >> leader()) & 1U) != 0;
-    }
+    const bool exec = agree_bit(exec_mask);
     if (ins.op == opcode::bx) {
       if (exec) {
         // Second checkpoint: the indirect target IS the fetch stream.
         lane_values target;
-        for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-          const auto l = static_cast<std::size_t>(std::countr_zero(m));
-          target[l] = state_[l].reg(ins.op2.rm);
-        }
+        read_reg(ins.op2.rm, target.data());
         agree(target.data());
         const auto target_index =
             prog_->index_of_address(target[leader()]);
@@ -881,10 +719,7 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
         link_row.fill(link);
         rename_dest(reg::lr, link_row.data());
         preg_ready_[entry.dest_preg] = 1; // value known at rename
-        for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-          const auto l = static_cast<std::size_t>(std::countr_zero(m));
-          state_[l].set_reg(reg::lr, link);
-        }
+        write_reg(reg::lr, link_row.data(), active_mask_);
       }
       next_pc = target;
     }
@@ -898,24 +733,11 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
     pc_ = next_pc;
   } else if (isa::is_memory(ins)) {
     add_src(ins.mem.base);
-    std::uint32_t* addr = &rs_address_[rs_row];
     if (ins.mem.reg_offset) {
       add_src(ins.mem.offset_reg);
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        const std::uint32_t offset = state_[l].reg(ins.mem.offset_reg)
-                                     << ins.mem.offset_shift;
-        const std::uint32_t base = state_[l].reg(ins.mem.base);
-        addr[l] = ins.mem.subtract ? base - offset : base + offset;
-      }
-    } else {
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        const std::uint32_t base = state_[l].reg(ins.mem.base);
-        addr[l] = ins.mem.subtract ? base - ins.mem.offset_imm
-                                   : base + ins.mem.offset_imm;
-      }
     }
+    std::uint32_t* addr = &rs_address_[rs_row];
+    effective_addresses(ins, addr);
     rs.uses_lsu = true;
     rs.is_subword = isa::is_subword(ins);
     if (isa::reads_flags(ins)) {
@@ -928,8 +750,7 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
         add_src(ins.rd); // select µop reads the old destination
       }
       lane_values value;
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
+      for (const std::size_t l : lanes_in(active_mask_)) {
         value[l] = state_[l].reg(ins.rd); // kept on a failed condition
         if ((exec_mask >> l) & 1U) {
           switch (ins.op) {
@@ -949,21 +770,16 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
         }
       }
       rename_dest(ins.rd, value.data());
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
+      for (const std::size_t l : lanes_in(active_mask_)) {
         state_[l].set_reg(ins.rd, value[l]);
         rs_sub_value_[rs_row + l] = value[l];
       }
       rs.is_load = true;
     } else {
       lane_values data;
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        data[l] = state_[l].reg(ins.rd);
-      }
+      read_reg(ins.rd, data.data());
       add_src(ins.rd); // store data is a register source
-      for (std::uint64_t m = active_mask_ & exec_mask; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
+      for (const std::size_t l : lanes_in(active_mask_ & exec_mask)) {
         switch (ins.op) {
         case opcode::str:
           memory_[l].write32(addr[l], data[l]);
@@ -987,8 +803,7 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
       // (the drain probes the computed address; memory is untouched).
       entry.is_store = true;
       entry.has_value = true;
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
+      for (const std::size_t l : lanes_in(active_mask_)) {
         rob_store_addr_[vrow + l] = addr[l];
         rob_value_[vrow + l] = data[l];
       }
@@ -1001,10 +816,7 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
     lane_values acc{};
     if (ins.op == opcode::mla) {
       add_src(ins.ra);
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        acc[l] = state_[l].reg(ins.ra);
-      }
+      read_reg(ins.ra, acc.data());
     }
     if (isa::reads_flags(ins)) {
       wait_flags();
@@ -1016,21 +828,16 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
     rs.needs_alu0 = true;
     rs_squash_[rs_slot] = active_mask_ & ~exec_mask;
     lane_values result;
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-      const auto l = static_cast<std::size_t>(std::countr_zero(m));
+    for (const std::size_t l : lanes_in(active_mask_)) {
       result[l] = ((exec_mask >> l) & 1U) != 0
                       ? state_[l].reg(ins.rn) * state_[l].reg(ins.op2.rm) +
                             acc[l]
                       : state_[l].reg(ins.rd);
     }
     rename_dest(ins.rd, result.data());
-    for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-      const auto l = static_cast<std::size_t>(std::countr_zero(m));
-      state_[l].set_reg(ins.rd, result[l]);
-    }
+    write_reg(ins.rd, result.data(), active_mask_);
     if (ins.set_flags) {
-      for (std::uint64_t m = active_mask_ & exec_mask; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
+      for (const std::size_t l : lanes_in(active_mask_ & exec_mask)) {
         state_[l].f.n = (result[l] >> 31) != 0;
         state_[l].f.z = result[l] == 0;
       }
@@ -1047,10 +854,7 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
     lane_values rn_value{};
     if (has_rn) {
       add_src(ins.rn);
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        rn_value[l] = state_[l].reg(ins.rn);
-      }
+      read_reg(ins.rn, rn_value.data());
     }
 
     lane_values result{};
@@ -1058,14 +862,10 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
     bool writes_result = true;
     bool flags_op = false;
     if (ins.op == opcode::movw) {
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        result[l] = ins.imm16;
-      }
+      result.fill(ins.imm16);
     } else if (ins.op == opcode::movt) {
       add_src(ins.rd);
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
+      for (const std::size_t l : lanes_in(active_mask_)) {
         result[l] = (state_[l].reg(ins.rd) & 0xffffU) |
                     (static_cast<std::uint32_t>(ins.imm16) << 16);
       }
@@ -1073,8 +873,7 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
       // The operand-2 *structure* (used_shifter, the source registers it
       // adds) is static per instruction; only the values are per lane.
       bool used_shifter = false;
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
+      for (const std::size_t l : lanes_in(active_mask_)) {
         const operand2_value op2 = eval_operand2(
             ins, [this, l](reg r) { return state_[l].reg(r); },
             state_[l].f.c);
@@ -1106,20 +905,15 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
         add_src(ins.rd);
       }
       lane_values committed;
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
+      for (const std::size_t l : lanes_in(active_mask_)) {
         committed[l] = ((exec_mask >> l) & 1U) != 0 ? result[l]
                                                     : state_[l].reg(ins.rd);
       }
       rename_dest(ins.rd, committed.data());
-      for (std::uint64_t m = active_mask_; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        state_[l].set_reg(ins.rd, committed[l]);
-      }
+      write_reg(ins.rd, committed.data(), active_mask_);
     }
     if (flags_op) {
-      for (std::uint64_t m = active_mask_ & exec_mask; m != 0; m &= m - 1) {
-        const auto l = static_cast<std::size_t>(std::countr_zero(m));
+      for (const std::size_t l : lanes_in(active_mask_ & exec_mask)) {
         state_[l].f = dp_flags[l];
       }
       flags_producer_slot_ = rob_slot;

@@ -52,22 +52,8 @@ public:
   backend_kind kind() const noexcept override { return backend_kind::ooo; }
 
   void reset() override;
-  void warm_caches() override;
   void run(std::uint64_t max_cycles = 50'000'000) override;
 
-  cpu_state& state(std::size_t lane) noexcept override {
-    return state_[lane];
-  }
-  const cpu_state& state(std::size_t lane) const noexcept override {
-    return state_[lane];
-  }
-  mem::memory& memory(std::size_t lane) noexcept override {
-    return memory_[lane];
-  }
-  const mem::memory& memory(std::size_t lane) const noexcept override {
-    return memory_[lane];
-  }
-  const asmx::program& program() const noexcept override { return *prog_; }
   const micro_arch_config& config() const noexcept { return config_; }
 
   std::uint64_t cycles() const noexcept override { return cycle_; }
@@ -126,8 +112,6 @@ private:
     bool broadcasts = false;
   };
 
-  using lane_values = std::array<std::uint32_t, max_batch_lanes>;
-
   void validate_config() const;
   void reset_structures();
 
@@ -163,22 +147,16 @@ private:
   /// lane-major row).
   void drive_prf_port(const std::uint32_t* values);
 
-  /// Emission point whose value is lane-invariant (RAT tags, RS wakeup
-  /// tags): the event is computed once and appended to every active
-  /// lane's stream.
-  void emit_all_lanes(component comp, std::uint8_t port,
-                      std::uint32_t before, std::uint32_t after,
-                      std::uint64_t at_cycle);
+  /// MDR (and, for sub-word accesses, align buffer) emissions of an
+  /// issuing memory µop in RS row `row`, for the `executing` lanes.
+  void drive_memory_path(const rs_entry& rs, std::size_t row,
+                         std::uint64_t executing);
+  /// ALU input latches of ALU `alu_index` driven with the first two of
+  /// RS slot `slot`'s `n_src` operands, for the `executing` lanes.
+  void drive_alu_latches(std::size_t slot, std::size_t n_src, int alu_index,
+                         std::uint64_t executing);
 
-  program_image image_;
-  const asmx::program* prog_ = nullptr;
   micro_arch_config config_;
-
-  // Per-lane architectural state.
-  std::vector<mem::memory> memory_;
-  std::vector<mem::cache> dcache_;
-  std::vector<cpu_state> state_;
-  mem::cache icache_; // shared: the fetch stream is lane-invariant
 
   // Shared rename state.
   std::array<std::uint8_t, isa::num_registers> rat_{};
