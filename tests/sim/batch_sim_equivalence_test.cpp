@@ -136,11 +136,17 @@ INSTANTIATE_TEST_SUITE_P(
                       batch_case{backend_kind::ooo, 7},
                       batch_case{backend_kind::ooo, 64}));
 
-class BatchSimFuzz : public ::testing::TestWithParam<backend_kind> {};
+struct fuzz_case {
+  const char* name;
+  backend_kind kind;
+  micro_arch_config config;
+};
+
+class BatchSimFuzz : public ::testing::TestWithParam<fuzz_case> {};
 
 TEST_P(BatchSimFuzz, SurvivingLanesMatchPerTraceOnRandomPrograms) {
-  const backend_kind kind = GetParam();
-  const micro_arch_config config = config_for(kind);
+  const backend_kind kind = GetParam().kind;
+  const micro_arch_config& config = GetParam().config;
   constexpr std::size_t lanes = 8;
 
   util::xoshiro256 rng(0xf022ba11);
@@ -191,17 +197,32 @@ TEST_P(BatchSimFuzz, SurvivingLanesMatchPerTraceOnRandomPrograms) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, BatchSimFuzz,
-                         ::testing::Values(backend_kind::inorder,
-                                           backend_kind::ooo));
+// The OoO configs are ooo_equivalence_fuzz_test's: the paper-facing
+// default, a tiny machine (4-entry ROB, scalar rename/retire/CDB, 2 RS
+// entries) that reaches every structural stall and wraps the age ring at
+// minimal occupancy, and a wide one at the 64-entry sizing cap with
+// 4-wide rename/retire/CDB — full-ring occupancy and multi-lane CDB
+// arbitration in the shared control.
+INSTANTIATE_TEST_SUITE_P(
+    Backends, BatchSimFuzz,
+    ::testing::Values(
+        fuzz_case{"inorder", backend_kind::inorder, cortex_a7()},
+        fuzz_case{"ooo", backend_kind::ooo, cortex_a7_ooo()},
+        fuzz_case{"ooo_tiny", backend_kind::ooo,
+                  cortex_a7_ooo(ooo_config{4, 1, 1, 2, 24, 1, 1})},
+        fuzz_case{"ooo_wide", backend_kind::ooo,
+                  cortex_a7_ooo(ooo_config{64, 4, 4, 32, 128, 4, 8})}),
+    [](const ::testing::TestParamInfo<fuzz_case>& info) {
+      return info.param.name;
+    });
 
 // Deterministic ejection coverage: a conditional branch whose outcome is
 // steered by a per-lane register value MUST eject exactly the lanes that
 // disagree with the leader — and the survivors (leader included) must
 // still match per-trace bit-for-bit.
 TEST_P(BatchSimFuzz, ConditionalBranchEjectsDisagreeingLanes) {
-  const backend_kind kind = GetParam();
-  const micro_arch_config config = config_for(kind);
+  const backend_kind kind = GetParam().kind;
+  const micro_arch_config& config = GetParam().config;
   namespace mk = isa::ins;
 
   asmx::program_builder b;
