@@ -41,18 +41,16 @@
 // Two scheduler implementations share this architectural substrate (see
 // ooo_scheduler in micro_arch_config.h):
 //
-//   * `reference` — the original per-cycle linear scans: the RS ready scan
-//     re-walks every slot per issue slot, wakeup re-walks every RS entry
-//     per CDB broadcast, and CDB arbitration re-scans the in-flight list
-//     per lane;
-//   * `fast` — the production path: a 64-bit ready bitmask over an
-//     age-ordered ring (oldest-first select via masked rotate +
-//     countr_zero), per-physical-tag waiter lists so a CDB write touches
-//     only its dependents, a 64-bucket completion calendar wheel plus a
-//     seq-sorted pending list making CDB arbitration O(cdb_width) per
-//     cycle, and an
-//     idle-cycle skip that advances straight to the next scheduled event
-//     when no µop can dispatch, issue, complete, or retire.
+//   * `fast` — the production path: the shared control of
+//     sim::ooo_control (ooo/ooo_control.h), which sim::batch_ooo_core
+//     runs too — a ready bitmask over an age-ordered ring, per-tag waiter
+//     lists, a completion calendar wheel with O(cdb_width) CDB
+//     arbitration, and an idle-cycle skip;
+//   * `reference` — the independent differential oracle, kept here: the
+//     original per-cycle linear scans (the RS ready scan re-walks every
+//     slot per issue slot, wakeup re-walks every RS entry per CDB
+//     broadcast, and CDB arbitration re-scans the in-flight list per
+//     lane).  It shares only the rename, ROB, RS and commit state.
 //
 // The two are bit-identical by contract — same retirement order, same
 // architectural state, same activity stream at every cycle — which the
@@ -72,6 +70,7 @@
 #include "sim/backend.h"
 #include "sim/cpu_state.h"
 #include "sim/micro_arch_config.h"
+#include "sim/ooo/ooo_control.h"
 #include "sim/ooo/speculation.h"
 #include "sim/program_image.h"
 #include "sim/uarch_activity.h"
@@ -113,9 +112,9 @@ public:
   mem::memory& memory() noexcept override { return memory_; }
   const mem::memory& memory() const noexcept override { return memory_; }
   const asmx::program& program() const noexcept override { return *prog_; }
-  const micro_arch_config& config() const noexcept { return config_; }
+  const micro_arch_config& config() const noexcept { return ctl_.config(); }
 
-  std::uint64_t cycles() const noexcept override { return cycle_; }
+  std::uint64_t cycles() const noexcept override { return ctl_.cycle; }
   /// Instructions renamed (accepted by the front end), nops and
   /// condition-failed instructions included — the OoO analogue of the
   /// pipeline's issued count.
@@ -123,7 +122,7 @@ public:
     return renamed_;
   }
   /// Instructions committed at the head of the ROB.
-  std::uint64_t instructions_retired() const noexcept { return retired_; }
+  std::uint64_t instructions_retired() const noexcept { return ctl_.retired; }
   /// Branch mispredictions taken down the wrong path (0 under the
   /// perfect predictor).
   std::uint64_t mispredicts() const noexcept { return mispredicts_; }
@@ -137,7 +136,7 @@ public:
   /// Cycles in which the rename stage accepted more than one instruction
   /// (the OoO analogue of dual-issue pairs).
   std::uint64_t multi_rename_cycles() const noexcept {
-    return multi_rename_cycles_;
+    return ctl_.multi_rename_cycles;
   }
 
   using mark_stamp = sim::mark_stamp;
@@ -146,39 +145,20 @@ public:
   const mem::cache& dcache() const noexcept { return dcache_; }
 
 private:
-  static constexpr std::uint8_t no_reg = 0xff;
-  static constexpr std::uint32_t no_slot = 0xffffffffU;
-  static constexpr std::size_t max_sources = 4;
+  static constexpr std::uint8_t no_reg = ooo_control::no_reg;
+  static constexpr std::uint32_t no_slot = ooo_control::no_slot;
+  using rob_entry = ooo_control::rob_entry;
+  using rs_entry = ooo_control::rs_entry;
+  using exec_entry = ooo_control::exec_entry;
+  using rename_result = ooo_control::rename_result;
 
-  struct rob_entry {
-    std::uint32_t seq = 0;         ///< rename order (age)
-    std::uint8_t dest_arch = no_reg;
-    std::uint8_t dest_preg = no_reg;
-    std::uint8_t old_preg = no_reg; ///< freed when this entry retires
-    bool completed = false;
-    bool has_value = false; ///< drives a retire port when committing
-    bool is_store = false;
-    bool is_mark = false;
-    bool is_halt = false;
-    std::uint16_t mark_id = 0;
-    std::uint32_t value = 0;      ///< result / store data
-    std::uint32_t store_addr = 0; ///< drained through the store buffer
-  };
-
-  struct rs_entry {
-    bool busy = false;
-    std::uint32_t rob_slot = no_slot;
-    std::uint32_t seq = 0;
-    std::uint8_t n_src = 0;
-    std::array<std::uint8_t, max_sources> src_preg{};  ///< no_reg = ready
-    std::array<std::uint32_t, max_sources> src_value{};
-    std::uint32_t flags_wait_slot = no_slot; ///< ROB slot of flag producer
-    bool needs_alu0 = false;
-    bool is_mul = false;
-    bool uses_lsu = false; ///< competes for the LSU pipe (incl. squashed)
-    bool is_load = false;
-    bool is_store = false;
-    bool is_subword = false;
+  /// The per-RS-slot datapath values of a renamed µop.
+  struct rs_values {
+    std::array<std::uint32_t, ooo_control::max_sources> src{};
+    std::uint32_t address = 0;
+    std::uint32_t mem_word = 0;    ///< MDR value (word containing address)
+    std::uint32_t sub_value = 0;   ///< align-buffer value (sub-word ops)
+    std::uint32_t shift_value = 0;
     /// Condition-failed select µop: predication renames the destination
     /// (re-committing the old value), takes the same unit/latency/CDB
     /// trip as the executed variant, and emits no datapath events beyond
@@ -187,55 +167,17 @@ private:
     /// behaviour, and what keeps the schedule (and thus the acquisition
     /// window) independent of condition outcomes.
     bool squashed = false;
-    bool used_shifter = false;
-    /// Outstanding operand count (not-ready sources + a pending flag
-    /// producer); maintained by the fast scheduler only — the entry's
-    /// ready bit is set when it reaches zero.
-    std::uint8_t wait_count = 0;
-    std::uint32_t address = 0;
-    std::uint32_t mem_word = 0;   ///< MDR value (word containing address)
-    std::uint32_t sub_value = 0;  ///< align-buffer value (sub-word ops)
-    std::uint32_t shift_value = 0;
-    std::uint32_t result = 0;
   };
 
-  struct exec_entry {
-    std::uint64_t complete_at = 0;
-    std::uint32_t rob_slot = no_slot;
-    std::uint32_t seq = 0;
-    std::uint8_t dest_preg = no_reg;
-    bool broadcasts = false; ///< consumes a CDB lane (dest-writing ops)
-    std::uint32_t result = 0;
-  };
-
-  void validate_config() const;
   void reset_structures();
 
   // Pipeline stages (called youngest-last each cycle so that an
   // instruction renamed in cycle c issues no earlier than c+1).
   void retire_stage();
-  void drain_store_buffer();
+  /// Reference-scheduler stages (the fast ones are ooo_control's).
   void broadcast_stage();
   void schedule_stage();
   void rename_stage();
-
-  // Fast-scheduler counterparts (bit-identical to the reference stages;
-  // see the header comment).
-  void broadcast_stage_fast();
-  void schedule_stage_fast();
-  void complete_rob_fast(std::uint32_t slot);
-  /// Marks one more of `rs_[slot]`'s outstanding operands delivered;
-  /// sets the entry's ready-ring bit when none remain.
-  void deliver_operand(std::size_t slot);
-  /// Skips directly to the next cycle with a scheduled event when the
-  /// current one did nothing; returns the new current cycle.
-  std::uint64_t next_event_cycle() const noexcept;
-
-  enum class rename_result : std::uint8_t {
-    stall,         ///< nothing accepted; the front end retries next cycle
-    accepted,      ///< renamed; the group may continue this cycle
-    accepted_stop, ///< renamed, but the group closes (serialize / redirect)
-  };
 
   /// Architectural execution + rename bookkeeping of one instruction.
   rename_result rename_one(int slot);
@@ -251,95 +193,57 @@ private:
   /// (ROB/RAT/RS allocation, full activity emission) but reads/writes the
   /// shadow register view and NEVER touches architectural state/memory.
   rename_result rename_one_wrong_path(int slot);
-  /// Recovery flush at branch resolution: walks the ROB tail back to the
-  /// mispredicted branch restoring RAT/free-list/ready state, purges
-  /// younger RS/exec/waiter entries, and resumes correct-path fetch.
+  /// Recovery flush at branch resolution: ooo_control's squash of
+  /// everything younger than the mispredicted branch (plus the reference
+  /// scheduler's in-flight list), then correct-path fetch resumes.
   void resolve_mispredict();
   void emit_bp_table(std::uint8_t lane, std::uint32_t value);
   void emit_btb_port(std::uint8_t lane, std::uint32_t value);
 
   bool rs_ready(const rs_entry& rs) const noexcept;
-  /// Unit/port eligibility shared by both select implementations (the
-  /// readiness check differs: reference re-derives it, fast reads the
-  /// ready ring).
-  bool rs_fits_units(const rs_entry& rs, int prf_ports, int alus_used,
-                     bool alu0_used, bool lsu_used) const noexcept;
-  /// `alu_index` is the ALU the select stage bound this op to (0 or 1;
-  /// meaningless for LSU-bound ops).
-  void issue_entry(rs_entry& rs, int alu_index);
+  /// Datapath of the µop in RS slot `slot` issuing on ALU `alu_index`
+  /// (0 or 1; meaningless for LSU-bound ops); returns its completion
+  /// cycle.
+  std::uint64_t issue_entry(std::size_t slot, int alu_index);
+  /// Reference-scheduler completion of ROB slot `slot`.
   void complete_rob(std::uint32_t slot);
-  /// Inserts the renamed µop into the reservation stations (mode-aware:
-  /// the fast path also registers its waiter-list subscriptions).
-  void dispatch_to_rs(rs_entry& rs, std::uint32_t rob_slot);
-  void add_exec(const exec_entry& ex);
-  bool in_flight_empty() const noexcept {
-    return exec_.empty() && exec_in_flight_ == 0 && pending_bcast_.empty();
-  }
-  std::uint8_t alloc_preg();
+  /// Renames `entry`'s destination `rd` (ROB slot `rob_slot`, committing
+  /// `value`) and drives the RAT write port of rename-group slot
+  /// `group_slot`.
+  void write_rat(rob_entry& entry, std::uint32_t rob_slot, isa::reg rd,
+                 std::uint32_t value, int group_slot);
+  /// Inserts a renamed µop into the reservation stations: the fast
+  /// scheduler's dispatch, or the reference's first-free-slot scan.
+  void dispatch_to_rs(const rs_entry& rs, const rs_values& values,
+                      std::uint32_t rob_slot);
 
   void drive_prf_port(std::uint32_t value);
+  /// CDB result value and wakeup tag of a broadcast on `bus`.
+  void drive_cdb(std::uint8_t bus, const exec_entry& done);
 
   program_image image_;
   const asmx::program* prog_ = nullptr;
-  micro_arch_config config_;
+  ooo_control ctl_;
   mem::memory memory_;
   mem::cache icache_;
   mem::cache dcache_;
   cpu_state state_;
 
-  // Rename state.
-  std::array<std::uint8_t, isa::num_registers> rat_{};
-  std::vector<std::uint8_t> free_pregs_; ///< stack of free physical regs
-  std::vector<std::uint8_t> preg_ready_; ///< value produced (timing only)
-  std::uint32_t next_seq_ = 0;
-  std::uint32_t flags_producer_slot_ = no_slot;
-  bool frontend_done_ = false;
-  std::uint64_t fetch_ready_ = 0;
-
-  // Reorder buffer (circular) + reservation stations + in-flight ops.
-  std::vector<rob_entry> rob_;
-  std::size_t rob_head_ = 0;
-  std::size_t rob_count_ = 0;
-  std::vector<rs_entry> rs_;
-  std::size_t rs_used_ = 0;
+  // Per-slot datapath values next to ctl_'s ROB and RS.
+  std::vector<std::uint32_t> rob_value_;      ///< result / store data
+  std::vector<std::uint32_t> rob_store_addr_; ///< drained via store buffer
+  std::vector<rs_values> rs_values_;
+  std::vector<std::uint32_t> sb_addr_; ///< post-commit store addresses
   std::vector<exec_entry> exec_; ///< in-flight ops (reference scheduler)
-
-  // Fast-scheduler state (unused when fast_ is false).
-  static constexpr std::uint32_t age_ring_size = 64;
   bool fast_ = true;
-  std::uint64_t rs_busy_mask_ = 0; ///< bit per RS slot; allocation bitmap
-  std::uint64_t ready_mask_ = 0;   ///< bit per age-ring position (seq % 64)
-  std::array<std::uint8_t, age_ring_size> age_to_slot_{};
-  /// Per-physical-tag wakeup subscriptions: (rs_slot << 2) | src_index.
-  std::vector<std::vector<std::uint16_t>> preg_waiters_;
-  /// Per-ROB-slot flag-wait subscriptions: rs_slot.
-  std::vector<std::vector<std::uint8_t>> rob_flag_waiters_;
-  /// Completion calendar: a 64-bucket wheel indexed by complete_at mod 64.
-  /// FU latencies (1..lsu_latency + miss penalty) are far below 64 cycles,
-  /// so insert and drain are O(1); anything scheduled >= 64 cycles out
-  /// parks in exec_far_ and migrates into the wheel as cycles advance
-  /// (normally empty — only reachable with pathological sweep latencies).
-  std::array<std::vector<exec_entry>, age_ring_size> exec_wheel_;
-  std::vector<exec_entry> exec_far_;
-  std::size_t exec_in_flight_ = 0;        ///< wheel + far entry count
-  std::vector<exec_entry> pending_bcast_; ///< completed; seq-descending
-  bool cycle_dirty_ = false; ///< any stage did observable work this cycle
-
-  // Post-commit store buffer (addresses only; data already architectural).
-  std::vector<std::uint32_t> store_buffer_;
-
-  // Structural unit state.
-  std::uint64_t lsu_busy_until_ = 0;
-  std::uint64_t mul_busy_until_ = 0;
-  int prf_ports_used_this_cycle_ = 0;
 
   // Micro-architectural bus/latch state (leakage sources).
-  std::array<std::uint32_t, 8> prf_port_state_{};
+  std::array<std::uint32_t, ooo_control::prf_ports> prf_port_state_{};
   std::array<std::uint32_t, 4> alu_latch_state_{};
-  std::array<std::uint32_t, 4> rat_port_state_{};
-  std::array<std::uint32_t, 4> tag_bus_state_{};
-  std::array<std::uint32_t, 4> cdb_state_{};
-  std::array<std::uint32_t, 4> retire_port_state_{};
+  std::array<std::uint32_t, ooo_control::ports> rat_port_state_{};
+  std::array<std::uint32_t, ooo_control::ports> tag_bus_state_{};
+  std::array<std::uint32_t, ooo_control::ports> cdb_state_{};
+  std::array<std::uint32_t, ooo_control::ports> retire_port_state_{};
   std::uint32_t mdr_state_ = 0;
   std::uint32_t align_buffer_state_ = 0;
 
@@ -371,15 +275,9 @@ private:
   std::array<std::uint32_t, 2> bp_table_state_{};
   std::array<std::uint32_t, 2> btb_port_state_{};
 
-  std::uint64_t cycle_ = 0;
   std::uint64_t renamed_ = 0;
-  std::uint64_t retired_ = 0;
-  std::uint64_t multi_rename_cycles_ = 0;
   std::uint64_t mispredicts_ = 0;
   std::uint64_t wrong_path_renamed_ = 0;
-  /// Cycles the fast scheduler jumped over as idle; accumulated here in
-  /// the per-cycle loop and flushed to telemetry once per run().
-  std::uint64_t idle_skipped_ = 0;
 };
 
 } // namespace usca::sim
