@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 
 #include "asmx/program.h"
@@ -209,10 +210,14 @@ struct hot_path_report {
   // event walk (synth.event_traces); 1.0 unless the live path fell back.
   double fused_trace_share = 0.0;
   // Same campaign on the out-of-order backend (sim::ooo_core).
+  // The three OoO campaigns below are timed in alternating reps (see
+  // time_alternating); each *_seconds is that side's median rep.
   std::size_t ooo_samples_per_trace = 0;
+  std::size_t ooo_reps = 0;
   double ooo_seconds = 0.0;
   double ooo_traces_per_sec = 0.0;
   double ooo_sim_cycles_per_sec = 0.0;
+  std::size_t ooo_sim_batched_reps = 0;
   double ooo_sim_batched_seconds = 0.0;
   double ooo_sim_batched_traces_per_sec = 0.0;
   // Same OoO campaign forced onto the reference scan scheduler
@@ -221,6 +226,7 @@ struct hot_path_report {
   // same run on the same hardware — so CI can assert a hard floor on it
   // where an absolute traces/sec threshold would be hostage to runner
   // noise.
+  std::size_t ooo_reference_reps = 0;
   double ooo_reference_seconds = 0.0;
   double ooo_reference_traces_per_sec = 0.0;
   // Same OoO campaign with the speculation front end enabled (bimodal
@@ -257,6 +263,47 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
+}
+
+/// Times whole campaign runs in alternating reps: each round runs once
+/// every side that has not yet spent `min_seconds` in total over at least
+/// `min_reps` reps, so host drift hits all sides alike.  Returns each
+/// side's rep count and median rep time.  Same-run ratios between sides
+/// timed over regions well under a second swung between 1.7x and 2.4x on
+/// a shared 4-vCPU host.
+struct rep_timing {
+  std::size_t reps = 0;
+  double median_seconds = 0.0;
+};
+
+std::vector<rep_timing> time_alternating(
+    const std::vector<std::function<void()>>& sides, double min_seconds,
+    std::size_t min_reps) {
+  std::vector<std::vector<double>> reps(sides.size());
+  std::vector<double> total(sides.size(), 0.0);
+  for (bool more = true; more;) {
+    more = false;
+    for (std::size_t i = 0; i < sides.size(); ++i) {
+      if (total[i] >= min_seconds && reps[i].size() >= min_reps) {
+        continue;
+      }
+      const auto start = std::chrono::steady_clock::now();
+      sides[i]();
+      reps[i].push_back(seconds_since(start));
+      total[i] += reps[i].back();
+      more = true;
+    }
+  }
+  std::vector<rep_timing> timings;
+  for (std::vector<double>& side : reps) {
+    std::sort(side.begin(), side.end());
+    const std::size_t mid = side.size() / 2;
+    timings.push_back(
+        {side.size(), side.size() % 2 == 1
+                          ? side[mid]
+                          : 0.5 * (side[mid - 1] + side[mid])});
+  }
+  return timings;
 }
 
 /// ns/sample of streaming `reps` synthetic traces into `add`.
@@ -363,48 +410,54 @@ hot_path_report measure_hot_path(const bench::arg_map& args) {
   config.sim_batch_lanes = 0;
 
   // The same campaign on the OoO backend, so backend regressions are
-  // visible in the same artifact as the in-order number.
+  // visible in the same artifact as the in-order number: per-trace on the
+  // fast scheduler; batched — the headline number, the OoO core's
+  // per-cycle control (rename, wakeup/select, CDB, retire) amortized
+  // across the lanes; and per-trace on the reference scan scheduler, the
+  // denominator of the fast/reference ratio.  Bit-identical traces are a
+  // tested invariant (ctest -L ooo_equiv, sim_batch), so only the clock
+  // differs.  CI gates two same-run ratios over these three (fast >= 2x
+  // reference, batched >= 1.5x per-trace), so each side is timed in
+  // alternating reps of at least a second in total and reports its
+  // median rep.
   config.backend = sim::backend_kind::ooo;
   config.uarch = sim::cortex_a7_ooo();
   core::trace_campaign ooo_campaign(config, key);
-  (void)ooo_campaign.produce(0);
-  std::uint64_t ooo_cycles = 0;
-  const auto ooo_start = std::chrono::steady_clock::now();
-  ooo_campaign.run([&](core::trace_record&& rec) {
-    report.ooo_samples_per_trace = rec.samples.size();
-    ooo_cycles += rec.cycles;
-  });
-  report.ooo_seconds = seconds_since(ooo_start);
-  report.ooo_traces_per_sec =
-      static_cast<double>(report.traces) / report.ooo_seconds;
-  report.ooo_sim_cycles_per_sec =
-      static_cast<double>(ooo_cycles) / report.ooo_seconds;
-
-  // Batched OoO: the headline number — the OoO core's per-cycle control
-  // (rename, wakeup/select, CDB, retire) amortized across the lanes.
   config.sim_batch_lanes = -1;
-  {
-    core::trace_campaign batched(config, key);
-    (void)batched.produce(0);
-    const auto batched_start = std::chrono::steady_clock::now();
-    batched.run([](core::trace_record&&) {});
-    report.ooo_sim_batched_seconds = seconds_since(batched_start);
-    report.ooo_sim_batched_traces_per_sec =
-        static_cast<double>(report.traces) / report.ooo_sim_batched_seconds;
-  }
+  core::trace_campaign ooo_batched(config, key);
   config.sim_batch_lanes = 0;
-
-  // Reference scan scheduler on the identical campaign: the denominator
-  // of the speedup ratio above.  Bit-identical traces are a tested
-  // invariant (ctest -L ooo_equiv), so only the clock differs.
   config.uarch.ooo.scheduler = sim::ooo_scheduler::reference;
   core::trace_campaign ooo_ref_campaign(config, key);
-  (void)ooo_ref_campaign.produce(0);
-  const auto ooo_ref_start = std::chrono::steady_clock::now();
-  ooo_ref_campaign.run([](core::trace_record&&) {});
-  report.ooo_reference_seconds = seconds_since(ooo_ref_start);
+  for (const core::trace_campaign* c :
+       {&ooo_campaign, &ooo_batched, &ooo_ref_campaign}) {
+    (void)c->produce(0);
+  }
+  std::uint64_t ooo_cycles = 0;
+  const std::vector<rep_timing> ooo_timing = time_alternating(
+      {[&] {
+         ooo_cycles = 0;
+         ooo_campaign.run([&](core::trace_record&& rec) {
+           report.ooo_samples_per_trace = rec.samples.size();
+           ooo_cycles += rec.cycles;
+         });
+       },
+       [&] { ooo_batched.run([](core::trace_record&&) {}); },
+       [&] { ooo_ref_campaign.run([](core::trace_record&&) {}); }},
+      1.0, 3);
+  const auto traces = static_cast<double>(report.traces);
+  report.ooo_reps = ooo_timing[0].reps;
+  report.ooo_seconds = ooo_timing[0].median_seconds;
+  report.ooo_traces_per_sec = traces / report.ooo_seconds;
+  report.ooo_sim_cycles_per_sec =
+      static_cast<double>(ooo_cycles) / report.ooo_seconds;
+  report.ooo_sim_batched_reps = ooo_timing[1].reps;
+  report.ooo_sim_batched_seconds = ooo_timing[1].median_seconds;
+  report.ooo_sim_batched_traces_per_sec =
+      traces / report.ooo_sim_batched_seconds;
+  report.ooo_reference_reps = ooo_timing[2].reps;
+  report.ooo_reference_seconds = ooo_timing[2].median_seconds;
   report.ooo_reference_traces_per_sec =
-      static_cast<double>(report.traces) / report.ooo_reference_seconds;
+      traces / report.ooo_reference_seconds;
 
   // Speculative OoO: fast scheduler again, bimodal front end on.  The
   // campaign detects the speculating config and runs per-trace (the
@@ -600,12 +653,17 @@ void write_json(std::FILE* out, const hot_path_report& r) {
   w.member_fixed("fused_trace_share", r.fused_trace_share, 3);
   w.member("ooo_samples_per_trace",
            static_cast<std::uint64_t>(r.ooo_samples_per_trace));
+  w.member("ooo_reps", static_cast<std::uint64_t>(r.ooo_reps));
   w.member_fixed("ooo_seconds", r.ooo_seconds, 6);
   w.member_fixed("ooo_traces_per_sec", r.ooo_traces_per_sec, 1);
   w.member_fixed("ooo_sim_cycles_per_sec", r.ooo_sim_cycles_per_sec, 0);
+  w.member("ooo_sim_batched_reps",
+           static_cast<std::uint64_t>(r.ooo_sim_batched_reps));
   w.member_fixed("ooo_sim_batched_seconds", r.ooo_sim_batched_seconds, 6);
   w.member_fixed("ooo_sim_batched_traces_per_sec",
                  r.ooo_sim_batched_traces_per_sec, 1);
+  w.member("ooo_reference_reps",
+           static_cast<std::uint64_t>(r.ooo_reference_reps));
   w.member_fixed("ooo_reference_seconds", r.ooo_reference_seconds, 6);
   w.member_fixed("ooo_reference_traces_per_sec",
                  r.ooo_reference_traces_per_sec, 1);
