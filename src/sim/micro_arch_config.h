@@ -55,13 +55,16 @@ enum class issue_policy : std::uint8_t {
 };
 
 /// Scheduler implementation of the OoO backend.  Both produce bit-identical
-/// retirement order, architectural state and activity streams; `fast` is the
-/// production path, `reference` keeps the original per-cycle linear scans
-/// compiled in as the oracle for the differential equivalence suites
-/// (tests/sim/ooo_equivalence_fuzz_test.cpp).  The USCA_OOO_REFERENCE
-/// environment variable (set non-"0") forces `reference` at construction —
-/// a whole-suite toggle that needs no rebuild.  Not part of the archive
-/// config hash: an implementation choice, not a design point.
+/// retirement order, architectural state and activity streams.  `fast` is
+/// the production path: sim::ooo_control (sim/ooo/ooo_control.h), the one
+/// control the per-trace and the batched OoO cores share.  `reference`
+/// keeps the original per-cycle linear scans in sim::ooo_core as the
+/// independent oracle for the differential equivalence suites
+/// (tests/sim/ooo_equivalence_fuzz_test.cpp); it runs per-trace only.
+/// USCA_OOO_REFERENCE=1 in the environment forces `reference` at
+/// construction — a whole-suite toggle that needs no rebuild.  Not part
+/// of the archive config hash: an implementation choice, not a design
+/// point.
 enum class ooo_scheduler : std::uint8_t {
   fast,      ///< ready bitmasks, tag-indexed wakeup, constant-time CDB
   reference, ///< per-cycle linear scans (the original implementation)

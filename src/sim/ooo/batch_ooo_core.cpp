@@ -29,7 +29,7 @@ batch_ooo_core::batch_ooo_core(program_image image, micro_arch_config config,
     : batch_backend(std::move(image), config.icache, config.dcache, lanes),
       ctl_(config) {
   // The reference scheduler is the differential oracle; its whole point
-  // is being an independent implementation, so it has no batched twin.
+  // is being an independent implementation, so it runs per-trace only.
   if (config.ooo.scheduler != ooo_scheduler::fast || ooo_reference_forced()) {
     throw util::simulation_error(
         "batch ooo backend supports only the fast scheduler (use "

@@ -4,7 +4,10 @@
 
 namespace usca::sim {
 
-void ooo_control::validate(const micro_arch_config& config) {
+namespace {
+
+void validate(const micro_arch_config& config) {
+  constexpr int ports = ooo_control::ports;
   const ooo_config& ooo = config.ooo;
   if (ooo.rob_entries < 2 || ooo.rename_width < 1 || ooo.retire_width < 1 ||
       ooo.rs_entries < 1 || ooo.cdb_width < 1 ||
@@ -40,6 +43,8 @@ void ooo_control::validate(const micro_arch_config& config) {
     throw util::simulation_error("ooo backend requires issue_width >= 1");
   }
 }
+
+} // namespace
 
 ooo_control::ooo_control(const micro_arch_config& config) : config_(config) {
   validate(config_);

@@ -102,11 +102,9 @@ public:
     accepted_stop, ///< renamed, but the group closes (serialize / redirect)
   };
 
-  /// Throws util::simulation_error when the ooo_config cannot be modelled
-  /// (widths, port counts, the 64-entry sizing cap, the PRF size).
-  static void validate(const micro_arch_config& config);
-
-  /// Validates `config` and sizes every structure for it.
+  /// Sizes every structure for `config`; throws util::simulation_error
+  /// when its ooo_config cannot be modelled (widths, port counts, the
+  /// 64-entry sizing cap, the PRF size).
   explicit ooo_control(const micro_arch_config& config);
 
   const micro_arch_config& config() const noexcept { return config_; }
@@ -361,15 +359,6 @@ public:
       complete_rob(done.rob_slot);
     }
   }
-  /// Enters an issued µop into the completion calendar.
-  void add_exec(const exec_entry& ex) {
-    ++exec_in_flight_;
-    if (ex.complete_at - cycle < age_ring_size) {
-      exec_wheel_[ex.complete_at & (age_ring_size - 1)].push_back(ex);
-    } else {
-      exec_far_.push_back(ex);
-    }
-  }
 
   // --- commit -------------------------------------------------------------
   /// In-order commit of up to retire_width completed µops; a store also
@@ -439,10 +428,6 @@ public:
                       std::uint32_t ckpt_flags_seq);
 
   // --- cycle --------------------------------------------------------------
-  /// Whether no issued µop is still waiting to complete or broadcast.
-  bool in_flight_empty() const noexcept {
-    return exec_in_flight_ == 0 && pending_bcast_.empty();
-  }
   /// Closes a cycle whose stages ran.  Returns true when the machine has
   /// drained — front end done, ROB, in-flight ops and store buffer empty
   /// — and halts.  Otherwise the clock advances by one, or, with
@@ -490,6 +475,19 @@ public:
   std::uint64_t idle_skipped = 0;
 
 private:
+  /// Whether no issued µop is still waiting to complete or broadcast.
+  bool in_flight_empty() const noexcept {
+    return exec_in_flight_ == 0 && pending_bcast_.empty();
+  }
+  /// Enters an issued µop into the completion calendar.
+  void add_exec(const exec_entry& ex) {
+    ++exec_in_flight_;
+    if (ex.complete_at - cycle < age_ring_size) {
+      exec_wheel_[ex.complete_at & (age_ring_size - 1)].push_back(ex);
+    } else {
+      exec_far_.push_back(ex);
+    }
+  }
   void deliver_operand(std::size_t slot) noexcept {
     rs_entry& entry = rs[slot];
     if (--entry.wait_count == 0) {
