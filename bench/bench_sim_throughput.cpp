@@ -210,8 +210,8 @@ struct hot_path_report {
   // event walk (synth.event_traces); 1.0 unless the live path fell back.
   double fused_trace_share = 0.0;
   // Same campaign on the out-of-order backend (sim::ooo_core).
-  // The three OoO campaigns below are timed in alternating reps (see
-  // time_alternating); each *_seconds is that side's median rep.
+  // The three OoO campaigns below are timed over repeated runs (see
+  // time_in_rounds): *_reps counts the runs, *_seconds is their mean.
   std::size_t ooo_samples_per_trace = 0;
   std::size_t ooo_reps = 0;
   double ooo_seconds = 0.0;
@@ -265,43 +265,35 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Times whole campaign runs in alternating reps: each round runs once
-/// every side that has not yet spent `min_seconds` in total over at least
-/// `min_reps` reps, so host drift hits all sides alike.  Returns each
-/// side's rep count and median rep time.  Same-run ratios between sides
-/// timed over regions well under a second swung between 1.7x and 2.4x on
-/// a shared 4-vCPU host.
+/// Times whole campaign runs in rounds: each round runs every side once,
+/// so host drift hits all sides alike, until each side has spent
+/// `min_seconds` in total over at least `min_reps` rounds.  Returns each
+/// side's run count and mean seconds per run.  Same-run ratios between
+/// sides timed once, over regions well under a second, swung between
+/// 1.7x and 2.4x on a shared 4-vCPU host; single runs within one round
+/// still swing by 2x, so the mean over all rounds is reported.
 struct rep_timing {
   std::size_t reps = 0;
-  double median_seconds = 0.0;
+  double seconds = 0.0;
 };
 
-std::vector<rep_timing> time_alternating(
+std::vector<rep_timing> time_in_rounds(
     const std::vector<std::function<void()>>& sides, double min_seconds,
     std::size_t min_reps) {
-  std::vector<std::vector<double>> reps(sides.size());
   std::vector<double> total(sides.size(), 0.0);
-  for (bool more = true; more;) {
-    more = false;
+  std::size_t rounds = 0;
+  while (rounds < min_reps ||
+         *std::min_element(total.begin(), total.end()) < min_seconds) {
     for (std::size_t i = 0; i < sides.size(); ++i) {
-      if (total[i] >= min_seconds && reps[i].size() >= min_reps) {
-        continue;
-      }
       const auto start = std::chrono::steady_clock::now();
       sides[i]();
-      reps[i].push_back(seconds_since(start));
-      total[i] += reps[i].back();
-      more = true;
+      total[i] += seconds_since(start);
     }
+    ++rounds;
   }
   std::vector<rep_timing> timings;
-  for (std::vector<double>& side : reps) {
-    std::sort(side.begin(), side.end());
-    const std::size_t mid = side.size() / 2;
-    timings.push_back(
-        {side.size(), side.size() % 2 == 1
-                          ? side[mid]
-                          : 0.5 * (side[mid - 1] + side[mid])});
+  for (const double t : total) {
+    timings.push_back({rounds, t / static_cast<double>(rounds)});
   }
   return timings;
 }
@@ -417,9 +409,9 @@ hot_path_report measure_hot_path(const bench::arg_map& args) {
   // denominator of the fast/reference ratio.  Bit-identical traces are a
   // tested invariant (ctest -L ooo_equiv, sim_batch), so only the clock
   // differs.  CI gates two same-run ratios over these three (fast >= 2x
-  // reference, batched >= 1.5x per-trace), so each side is timed in
-  // alternating reps of at least a second in total and reports its
-  // median rep.
+  // reference, batched >= 1.5x per-trace), so each is timed over repeated
+  // runs of at least a second in total, fast and reference alternating
+  // run by run (time_in_rounds).
   config.backend = sim::backend_kind::ooo;
   config.uarch = sim::cortex_a7_ooo();
   core::trace_campaign ooo_campaign(config, key);
@@ -433,7 +425,7 @@ hot_path_report measure_hot_path(const bench::arg_map& args) {
     (void)c->produce(0);
   }
   std::uint64_t ooo_cycles = 0;
-  const std::vector<rep_timing> ooo_timing = time_alternating(
+  const std::vector<rep_timing> ooo_timing = time_in_rounds(
       {[&] {
          ooo_cycles = 0;
          ooo_campaign.run([&](core::trace_record&& rec) {
@@ -441,21 +433,22 @@ hot_path_report measure_hot_path(const bench::arg_map& args) {
            ooo_cycles += rec.cycles;
          });
        },
-       [&] { ooo_batched.run([](core::trace_record&&) {}); },
        [&] { ooo_ref_campaign.run([](core::trace_record&&) {}); }},
       1.0, 3);
+  const rep_timing batched_timing = time_in_rounds(
+      {[&] { ooo_batched.run([](core::trace_record&&) {}); }}, 1.0, 3)[0];
   const auto traces = static_cast<double>(report.traces);
   report.ooo_reps = ooo_timing[0].reps;
-  report.ooo_seconds = ooo_timing[0].median_seconds;
+  report.ooo_seconds = ooo_timing[0].seconds;
   report.ooo_traces_per_sec = traces / report.ooo_seconds;
   report.ooo_sim_cycles_per_sec =
       static_cast<double>(ooo_cycles) / report.ooo_seconds;
-  report.ooo_sim_batched_reps = ooo_timing[1].reps;
-  report.ooo_sim_batched_seconds = ooo_timing[1].median_seconds;
+  report.ooo_sim_batched_reps = batched_timing.reps;
+  report.ooo_sim_batched_seconds = batched_timing.seconds;
   report.ooo_sim_batched_traces_per_sec =
       traces / report.ooo_sim_batched_seconds;
-  report.ooo_reference_reps = ooo_timing[2].reps;
-  report.ooo_reference_seconds = ooo_timing[2].median_seconds;
+  report.ooo_reference_reps = ooo_timing[1].reps;
+  report.ooo_reference_seconds = ooo_timing[1].seconds;
   report.ooo_reference_traces_per_sec =
       traces / report.ooo_reference_seconds;
 
