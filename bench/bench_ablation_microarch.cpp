@@ -52,7 +52,7 @@ void compare_verdicts(const core::benchmark_report& base,
 } // namespace
 
 int main(int argc, char** argv) {
-  const bench::arg_map args(argc, argv);
+  const bench::arg_map args(argc, argv, {"traces", "threads"});
   core::characterizer_options opts;
   opts.traces = args.get_size("traces", 8'000);
   opts.averaging = 16;

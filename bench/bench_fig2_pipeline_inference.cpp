@@ -20,7 +20,7 @@
 using namespace usca;
 
 int main(int argc, char** argv) {
-  const bench::arg_map args(argc, argv);
+  const bench::arg_map args(argc, argv, {});
   (void)args;
 
   std::printf("== Figure 2: pipeline structure deduced via CPI analysis ==\n\n");

@@ -14,10 +14,10 @@
 // byte is loaded, shifted byte-by-byte and stored; more leakage in
 // MixColumns from the shift-reduce xtime and its spills/fills.
 //
-// Acquisition runs through core::trace_campaign: simulation and synthesis
-// are sharded over worker threads, while per-index seeding and in-order
-// delivery keep the output bit-identical for a fixed seed at any thread
-// count.
+// Acquisition runs through core::trace_campaign into a core::cpa_sink:
+// simulation and synthesis are sharded over worker threads and end at the
+// window's end mark, while per-index seeding and in-order delivery keep
+// the output bit-identical for a fixed seed at any thread count.
 //
 // Defaults: traces=5000 (paper: 100k), averaging=16, threads=hardware.
 // Override with traces=N averaging=M seed=S threads=T.  With csv=1, the
@@ -29,6 +29,7 @@
 #include <fstream>
 
 #include "bench_util.h"
+#include "core/analysis_sinks.h"
 #include "core/campaign.h"
 #include "crypto/aes_codegen.h"
 #include "stats/cpa.h"
@@ -37,7 +38,8 @@
 using namespace usca;
 
 int main(int argc, char** argv) {
-  const bench::arg_map args(argc, argv);
+  const bench::arg_map args(
+      argc, argv, {"traces", "averaging", "seed", "threads", "csv"});
   const std::size_t traces = args.get_size("traces", 5'000);
   const int averaging = static_cast<int>(args.get_size("averaging", 16));
   const std::uint64_t seed = args.get_size("seed", 0xf16'3);
@@ -62,37 +64,32 @@ int main(int argc, char** argv) {
   std::printf("   traces=%zu (avg of %d executions each), threads=%u\n\n",
               traces, averaging, campaign.resolved_threads());
 
-  stats::partitioned_cpa cpa(0);
-  bool ready = false;
-  std::uint64_t window_begin = 0;
+  // Phase boundaries from one whole run: every trace shares the window's
+  // schedule, so trace 0's marks annotate the whole campaign.
+  const core::trace_record first = campaign.produce(0);
+  const std::uint64_t window_begin = first.window_begin;
   std::uint64_t ark_end = 0;
   std::uint64_t sb_end = 0;
   std::uint64_t shr_end = 0;
-
-  const bench::stopwatch watch;
-  campaign.run([&](core::trace_record&& rec) {
-    if (!ready) {
-      cpa = stats::partitioned_cpa(rec.samples.size());
-      window_begin = rec.window_begin;
-      for (const auto& m : rec.marks) {
-        switch (m.id) {
-        case crypto::mark_ark0_end:
-          ark_end = m.cycle;
-          break;
-        case crypto::mark_sb1_end:
-          sb_end = m.cycle;
-          break;
-        case crypto::mark_shr1_end:
-          shr_end = m.cycle;
-          break;
-        default:
-          break;
-        }
-      }
-      ready = true;
+  for (const auto& m : first.marks) {
+    switch (m.id) {
+    case crypto::mark_ark0_end:
+      ark_end = m.cycle;
+      break;
+    case crypto::mark_sb1_end:
+      sb_end = m.cycle;
+      break;
+    case crypto::mark_shr1_end:
+      shr_end = m.cycle;
+      break;
+    default:
+      break;
     }
-    cpa.add_trace(rec.plaintext[0], rec.samples);
-  });
+  }
+
+  core::cpa_sink cpa(0);
+  const bench::stopwatch watch;
+  campaign.run(cpa);
   const double elapsed = watch.seconds();
   std::printf("campaign: %zu traces in %.2f s (%.0f traces/s)\n\n", traces,
               elapsed, static_cast<double>(traces) / elapsed);
@@ -102,7 +99,7 @@ int main(int argc, char** argv) {
         crypto::subbytes_hypothesis(static_cast<std::uint8_t>(pt_byte),
                                     static_cast<std::uint8_t>(guess))));
   };
-  const stats::cpa_result result = cpa.solve(model, 256);
+  const stats::cpa_result result = cpa.cpa().solve(model, 256);
 
   const auto phase_of = [&](std::size_t cycle_in_window) {
     const std::uint64_t cycle = window_begin + cycle_in_window;

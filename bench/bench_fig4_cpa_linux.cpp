@@ -13,14 +13,17 @@
 // k0 assuming k1 from the preceding chained attack step (the paper's
 // model likewise combines two consecutive stores).
 //
-// Acquisition runs through core::trace_campaign; the campaign-extension
-// loop exploits its prefix property: extension batches cover disjoint
+// Acquisition runs through core::trace_campaign into a per-record CPA
+// sink (core::per_trace_adapter); the campaign-extension loop exploits
+// its prefix property: extension batches cover disjoint
 // [first_index, first_index+traces) ranges under the same master seed, so
 // growing the campaign never re-simulates (or re-draws) its prefix.
 //
 // Defaults: traces=100, averaging=16 — the paper's exact campaign size.
+#include <array>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <vector>
 
 #include "bench_util.h"
@@ -31,8 +34,48 @@
 
 using namespace usca;
 
+namespace {
+
+/// CPA under the HD(two consecutive SubBytes byte stores) model.  The
+/// hypothesis needs plaintext bytes 0 and 1, so records feed a generic
+/// cpa_engine one at a time; pumping the sink again extends the
+/// accumulated campaign.
+class hd_stores_cpa final : public core::trace_sink {
+public:
+  explicit hd_stores_cpa(std::uint8_t k1) : k1_(k1) {}
+
+  void begin(std::size_t samples, std::size_t) override {
+    if (!cpa_) {
+      cpa_.emplace(samples, hypotheses_.size());
+    }
+  }
+
+  void consume(const core::trace_view& view) override {
+    const auto pt0 = static_cast<std::uint8_t>(view.labels[0]);
+    const std::uint8_t second = crypto::subbytes_hypothesis(
+        static_cast<std::uint8_t>(view.labels[1]), k1_);
+    for (std::size_t g = 0; g < hypotheses_.size(); ++g) {
+      const std::uint8_t first =
+          crypto::subbytes_hypothesis(pt0, static_cast<std::uint8_t>(g));
+      hypotheses_[g] =
+          static_cast<double>(util::hamming_distance(first, second));
+    }
+    cpa_->add_trace(view.samples, hypotheses_);
+  }
+
+  const stats::cpa_engine& cpa() const { return *cpa_; }
+
+private:
+  std::uint8_t k1_;
+  std::array<double, 256> hypotheses_{};
+  std::optional<stats::cpa_engine> cpa_;
+};
+
+} // namespace
+
 int main(int argc, char** argv) {
-  const bench::arg_map args(argc, argv);
+  const bench::arg_map args(
+      argc, argv, {"traces", "averaging", "seed", "threads"});
   const std::size_t traces = args.get_size("traces", 100);
   const int averaging = static_cast<int>(args.get_size("averaging", 16));
   const std::uint64_t seed = args.get_size("seed", 0xf16'4);
@@ -52,24 +95,8 @@ int main(int argc, char** argv) {
   config.window = {crypto::mark_ark0_end, crypto::mark_sb1_end};
   config.power.os_noise.enabled = true; // the loaded-Linux environment
 
-  stats::cpa_engine cpa(0, 0);
-  bool ready = false;
-  const auto sink = [&](core::trace_record&& rec) {
-    if (!ready) {
-      cpa = stats::cpa_engine(rec.samples.size(), 256);
-      ready = true;
-    }
-    std::vector<double> hypotheses(256);
-    const std::uint8_t second =
-        crypto::subbytes_hypothesis(rec.plaintext[1], key[1]);
-    for (std::size_t g = 0; g < 256; ++g) {
-      const std::uint8_t first = crypto::subbytes_hypothesis(
-          rec.plaintext[0], static_cast<std::uint8_t>(g));
-      hypotheses[g] =
-          static_cast<double>(util::hamming_distance(first, second));
-    }
-    cpa.add_trace(rec.samples, hypotheses);
-  };
+  hd_stores_cpa cpa(key[1]);
+  core::per_trace_adapter cpa_pass(cpa);
 
   // Extends the accumulated campaign with traces [first, first+count).
   const auto add_traces = [&](std::size_t first, std::size_t count) {
@@ -77,7 +104,7 @@ int main(int argc, char** argv) {
     batch.first_index = first;
     batch.traces = count;
     core::trace_campaign campaign(batch, key);
-    campaign.run(sink);
+    campaign.run(cpa_pass);
     return campaign.resolved_threads();
   };
 
@@ -91,7 +118,7 @@ int main(int argc, char** argv) {
               "enabled, threads=%u (%.2f s)\n\n",
               traces, averaging, used_threads, elapsed);
 
-  const stats::cpa_result result = cpa.solve();
+  const stats::cpa_result result = cpa.cpa().solve();
   const std::vector<double>& correct = result.corr[key[0]];
 
   std::printf("correlation vs time (correct key), SubBytes window:\n");
@@ -134,11 +161,11 @@ int main(int argc, char** argv) {
   while (z_now <= 2.326 && total < 6400) {
     add_traces(total, total); // double the campaign
     total *= 2;
-    z_now = cpa.solve().distinguishing_z(key[0]);
+    z_now = cpa.cpa().solve().distinguishing_z(key[0]);
     std::printf("  extended to %4zu traces: distinguishing z = %.2f\n",
                 total, z_now);
   }
-  const stats::cpa_result final_result = cpa.solve();
+  const stats::cpa_result final_result = cpa.cpa().solve();
   std::printf("\nfinal: best guess 0x%02zx after %zu traces, z = %.2f\n",
               final_result.best().guess, total, z_now);
   const bool success =

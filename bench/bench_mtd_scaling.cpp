@@ -17,9 +17,9 @@
 // with the *simulated* second core.
 //
 // Acquisition runs through core::trace_campaign (parallel, per-index
-// seeded); the max_traces acquisitions are collected once per cell and
-// sub-campaign z-scores evaluated on prefixes, so the MTD search costs no
-// extra simulation.
+// seeded, window-bounded) into a bench::collecting_pass; the max_traces
+// acquisitions are collected once per cell and sub-campaign z-scores
+// evaluated on prefixes, so the MTD search costs no extra simulation.
 //
 // Defaults: max_traces=3200, averaging=16, threads=hardware.
 #include <cmath>
@@ -76,32 +76,26 @@ public:
     config.power.os_noise.enabled = env != environment::bare;
     config.simulated_second_core = env == environment::linux_simulated;
     core::trace_campaign campaign(config, key_);
-
-    traces_.reserve(max_traces);
-    plaintexts_.reserve(max_traces);
-    campaign.run([&](core::trace_record&& rec) {
-      plaintexts_.push_back(rec.plaintext);
-      traces_.push_back(std::move(rec.samples));
-    });
+    campaign.run(records_);
   }
 
   double z_at(std::size_t n) const {
-    stats::cpa_engine cpa(traces_.front().size(), 256);
+    stats::cpa_engine cpa(records_.samples.front().size(), 256);
     std::vector<double> h(256);
-    for (std::size_t t = 0; t < std::min(n, traces_.size()); ++t) {
-      const crypto::aes_block& pt = plaintexts_[t];
+    for (std::size_t t = 0; t < std::min(n, records_.samples.size()); ++t) {
+      const std::vector<double>& pt = records_.labels[t];
       for (std::size_t g = 0; g < 256; ++g) {
         const std::uint8_t first = crypto::subbytes_hypothesis(
-            pt[0], static_cast<std::uint8_t>(g));
+            static_cast<std::uint8_t>(pt[0]), static_cast<std::uint8_t>(g));
         if (model_ == attack_model::hw_subbytes) {
           h[g] = util::hamming_weight(first);
         } else {
-          const std::uint8_t second =
-              crypto::subbytes_hypothesis(pt[1], key_[1]);
+          const std::uint8_t second = crypto::subbytes_hypothesis(
+              static_cast<std::uint8_t>(pt[1]), key_[1]);
           h[g] = util::hamming_distance(first, second);
         }
       }
-      cpa.add_trace(traces_[t], h);
+      cpa.add_trace(records_.samples[t], h);
     }
     return cpa.solve().distinguishing_z(key_[0]);
   }
@@ -109,14 +103,14 @@ public:
 private:
   attack_model model_;
   crypto::aes_key key_{};
-  std::vector<power::trace> traces_;
-  std::vector<crypto::aes_block> plaintexts_;
+  bench::collecting_pass records_; ///< labels = the plaintext bytes
 };
 
 } // namespace
 
 int main(int argc, char** argv) {
-  const bench::arg_map args(argc, argv);
+  const bench::arg_map args(
+      argc, argv, {"max_traces", "averaging", "seed", "threads"});
   const std::size_t max_traces = args.get_size("max_traces", 3'200);
   const int averaging = static_cast<int>(args.get_size("averaging", 16));
   const std::uint64_t seed = args.get_size("seed", 0x111d);

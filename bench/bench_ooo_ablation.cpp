@@ -14,8 +14,9 @@
 //   * TVLA fixed-vs-random max |t| — model-free leakage magnitude.
 //
 // Every campaign runs through core::trace_campaign (parallel, per-index
-// seeded, bit-identical at any thread count); the MTD search evaluates
-// prefixes of one acquired trace matrix, so it costs no extra simulation.
+// seeded, window-bounded, bit-identical at any thread count) into an
+// analysis pass; the MTD search evaluates prefixes of one acquired trace
+// matrix, so it costs no extra simulation.
 //
 // Defaults: max_traces=1200, tvla_traces=800, averaging=4.
 #include <cmath>
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "core/analysis_sinks.h"
 #include "core/campaign.h"
 #include "crypto/aes_codegen.h"
 #include "stats/attack_metrics.h"
@@ -73,25 +75,24 @@ cell_result run_cell(const ablation_cell& cell, std::size_t max_traces,
   config.uarch = arch_of(cell);
   core::trace_campaign campaign(config, key);
 
-  std::vector<power::trace> traces;
-  std::vector<crypto::aes_block> plaintexts;
-  traces.reserve(max_traces);
-  plaintexts.reserve(max_traces);
-  campaign.run([&](core::trace_record&& rec) {
-    out.window_cycles = rec.window_end - rec.window_begin;
-    plaintexts.push_back(rec.plaintext);
-    traces.push_back(std::move(rec.samples));
-  });
+  // Every trace shares the window's schedule: read its length off one
+  // whole run.
+  const core::trace_record first = campaign.produce(0);
+  out.window_cycles = first.window_end - first.window_begin;
+  bench::collecting_pass records; // labels = the plaintext bytes
+  campaign.run(records);
 
   const auto model_at = [&](std::size_t byte_index, std::size_t n) {
-    stats::cpa_engine cpa(traces.front().size(), 256);
+    stats::cpa_engine cpa(records.samples.front().size(), 256);
     std::vector<double> h(256);
-    for (std::size_t t = 0; t < std::min(n, traces.size()); ++t) {
+    for (std::size_t t = 0; t < std::min(n, records.samples.size()); ++t) {
+      const auto pt =
+          static_cast<std::uint8_t>(records.labels[t][byte_index]);
       for (std::size_t g = 0; g < 256; ++g) {
-        h[g] = util::hamming_weight(crypto::subbytes_hypothesis(
-            plaintexts[t][byte_index], static_cast<std::uint8_t>(g)));
+        h[g] = util::hamming_weight(
+            crypto::subbytes_hypothesis(pt, static_cast<std::uint8_t>(g)));
       }
-      cpa.add_trace(traces[t], h);
+      cpa.add_trace(records.samples[t], h);
     }
     return cpa.solve();
   };
@@ -127,28 +128,19 @@ cell_result run_cell(const ablation_cell& cell, std::size_t max_traces,
         }
         return pt;
       });
-  stats::tvla_accumulator acc(0);
-  bool ready = false;
-  tvla_campaign.run([&](core::trace_record&& rec) {
-    if (!ready) {
-      acc = stats::tvla_accumulator(rec.samples.size());
-      ready = true;
-    }
-    if (rec.index % 2 == 0) {
-      acc.add_fixed(rec.samples);
-    } else {
-      acc.add_random(rec.samples);
-    }
-  });
-  out.tvla_max_t = acc.max_abs_t();
-  out.tvla_leaking = acc.leaking_samples();
+  core::tvla_sink tvla; // even indices are the fixed class
+  tvla_campaign.run(tvla);
+  out.tvla_max_t = tvla.tvla().max_abs_t();
+  out.tvla_leaking = tvla.tvla().leaking_samples();
   return out;
 }
 
 } // namespace
 
 int main(int argc, char** argv) {
-  const bench::arg_map args(argc, argv);
+  const bench::arg_map args(
+      argc, argv,
+      {"max_traces", "tvla_traces", "averaging", "threads", "seed"});
   const std::size_t max_traces = args.get_size("max_traces", 1'200);
   const std::size_t tvla_traces = args.get_size("tvla_traces", 800);
   const int averaging = static_cast<int>(args.get_size("averaging", 4));

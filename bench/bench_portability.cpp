@@ -56,6 +56,8 @@ double hw_secret_correlation(const asmx::program& prog,
     labels.assign(1, static_cast<double>(util::hamming_weight(secret)));
   });
 
+  // Whole records through run(sink), not an analysis pass: a pass reads
+  // fixed-shape tiles, which cannot carry traces of varying length.
   std::vector<stats::pearson_accumulator> acc;
   campaign.run([&](core::acquisition_record&& rec) {
     if (acc.size() < rec.samples.size()) {
@@ -87,7 +89,7 @@ void report_line(const char* program_name, const char* core,
 } // namespace
 
 int main(int argc, char** argv) {
-  const bench::arg_map args(argc, argv);
+  const bench::arg_map args(argc, argv, {});
   (void)args;
   std::printf("== H2: portable side-channel security across ISA-compatible "
               "cores ==\n\n");

@@ -351,14 +351,12 @@ hot_path_report measure_hot_path(const bench::arg_map& args) {
 
   std::uint64_t simulated_cycles = 0;
   const auto start = std::chrono::steady_clock::now();
-  campaign.run([&](core::trace_record&& rec) {
+  campaign.engine().run([&](core::acquisition_record&& rec) {
     report.samples_per_trace = rec.samples.size();
     simulated_cycles += rec.cycles;
     if (archived_samples.size() < store_bench_traces) {
       std::array<double, 16> labels;
-      for (std::size_t b = 0; b < labels.size(); ++b) {
-        labels[b] = static_cast<double>(rec.plaintext[b]);
-      }
+      std::copy_n(rec.labels.begin(), labels.size(), labels.begin());
       archived_labels.push_back(labels);
       archived_samples.push_back(std::move(rec.samples));
     }
@@ -377,7 +375,7 @@ hot_path_report measure_hot_path(const bench::arg_map& args) {
     core::trace_campaign batched(config, key);
     (void)batched.produce(0);
     const auto batched_start = std::chrono::steady_clock::now();
-    batched.run([](core::trace_record&&) {});
+    batched.engine().run([](core::acquisition_record&&) {});
     report.sim_batched_seconds = seconds_since(batched_start);
     report.sim_batched_traces_per_sec =
         static_cast<double>(report.traces) / report.sim_batched_seconds;
@@ -428,15 +426,20 @@ hot_path_report measure_hot_path(const bench::arg_map& args) {
   const std::vector<rep_timing> ooo_timing = time_in_rounds(
       {[&] {
          ooo_cycles = 0;
-         ooo_campaign.run([&](core::trace_record&& rec) {
+         ooo_campaign.engine().run([&](core::acquisition_record&& rec) {
            report.ooo_samples_per_trace = rec.samples.size();
            ooo_cycles += rec.cycles;
          });
        },
-       [&] { ooo_ref_campaign.run([](core::trace_record&&) {}); }},
+       [&] {
+         ooo_ref_campaign.engine().run([](core::acquisition_record&&) {});
+       }},
       1.0, 3);
   const rep_timing batched_timing = time_in_rounds(
-      {[&] { ooo_batched.run([](core::trace_record&&) {}); }}, 1.0, 3)[0];
+      {[&] {
+        ooo_batched.engine().run([](core::acquisition_record&&) {});
+      }},
+      1.0, 3)[0];
   const auto traces = static_cast<double>(report.traces);
   report.ooo_reps = ooo_timing[0].reps;
   report.ooo_seconds = ooo_timing[0].seconds;
@@ -461,7 +464,7 @@ hot_path_report measure_hot_path(const bench::arg_map& args) {
   core::trace_campaign ooo_spec_campaign(config, key);
   (void)ooo_spec_campaign.produce(0);
   const auto ooo_spec_start = std::chrono::steady_clock::now();
-  ooo_spec_campaign.run([](core::trace_record&&) {});
+  ooo_spec_campaign.engine().run([](core::acquisition_record&&) {});
   report.ooo_spec_seconds = seconds_since(ooo_spec_start);
   report.ooo_spec_traces_per_sec =
       static_cast<double>(report.traces) / report.ooo_spec_seconds;
@@ -709,7 +712,9 @@ int run_json_mode(const std::string& json_arg, int argc, char** argv) {
       rest.push_back(argv[i]);
     }
   }
-  const bench::arg_map args(static_cast<int>(rest.size()), rest.data());
+  const bench::arg_map args(
+      static_cast<int>(rest.size()), rest.data(),
+      {"traces", "averaging", "threads", "seed", "accumulate_reps"});
   const hot_path_report report = measure_hot_path(args);
   write_json(stdout, report);
   if (const std::size_t eq = json_arg.find('=');

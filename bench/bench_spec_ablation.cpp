@@ -127,7 +127,9 @@ cell_result run_cell(const crypto::aes_program_layout& layout,
   // --- CPA campaign: acquire once, evaluate MTD on prefixes ------------
   // The branchy victim's timing is data-dependent, so windows differ in
   // length per trace; every trace is truncated to the shortest before
-  // the fixed-width CPA/TVLA accumulators see it.
+  // the fixed-width CPA/TVLA accumulators see it.  Both campaigns
+  // therefore take whole records through run(sink): an analysis pass
+  // reads fixed-shape tiles, which cannot carry them.
   std::vector<power::trace> traces;
   std::vector<std::vector<double>> labels;
   traces.reserve(max_traces);
@@ -207,7 +209,9 @@ sim::speculation_config spec_of(sim::predictor_kind kind) {
 } // namespace
 
 int main(int argc, char** argv) {
-  const bench::arg_map args(argc, argv);
+  const bench::arg_map args(
+      argc, argv,
+      {"max_traces", "tvla_traces", "averaging", "threads", "seed"});
   const std::size_t max_traces = args.get_size("max_traces", 1'200);
   const std::size_t tvla_traces = args.get_size("tvla_traces", 800);
   const int averaging = static_cast<int>(args.get_size("averaging", 4));

@@ -42,7 +42,7 @@ constexpr probe_class paper_row_order[num_probe_classes] = {
 } // namespace
 
 int main(int argc, char** argv) {
-  const bench::arg_map args(argc, argv);
+  const bench::arg_map args(argc, argv, {});
   (void)args;
 
   std::printf("== Table 1: dual-issue pair matrix (measured via CPI) ==\n");

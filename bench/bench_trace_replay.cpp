@@ -48,7 +48,9 @@ double mib(std::uint64_t bytes) {
 } // namespace
 
 int main(int argc, char** argv) {
-  const bench::arg_map args(argc, argv);
+  const bench::arg_map args(
+      argc, argv,
+      {"traces", "f32", "keep", "threads", "seed", "averaging", "reps"});
   const std::size_t traces = args.get_size("traces", 5'000);
   const bool f32 = args.get_size("f32", 0) != 0;
   const bool keep = args.get_size("keep", 0) != 0;

@@ -7,14 +7,16 @@
 // The assessment covers the full first round.
 //
 // Acquisition runs through core::trace_campaign with a fixed-vs-random
-// plaintext policy keyed on the trace index parity; the per-index seeding
-// keeps both populations bit-reproducible at any thread count.
+// plaintext policy keyed on the trace index parity, into a core::tvla_sink
+// that splits the populations the same way; the per-index seeding keeps
+// both populations bit-reproducible at any thread count.
 //
 // Defaults: traces=2000 (1000 fixed + 1000 random), averaging=4,
 // threads=hardware.
 #include <cstdio>
 
 #include "bench_util.h"
+#include "core/analysis_sinks.h"
 #include "core/campaign.h"
 #include "crypto/aes_codegen.h"
 #include "stats/ttest.h"
@@ -59,20 +61,10 @@ tvla_outcome run_tvla(bool os_noise, std::size_t traces, int averaging,
         return pt;
       });
 
-  stats::tvla_accumulator acc(0);
-  bool ready = false;
+  core::tvla_sink tvla; // even indices are the fixed class
   const bench::stopwatch watch;
-  campaign.run([&](core::trace_record&& rec) {
-    if (!ready) {
-      acc = stats::tvla_accumulator(rec.samples.size());
-      ready = true;
-    }
-    if (rec.index % 2 == 0) {
-      acc.add_fixed(rec.samples);
-    } else {
-      acc.add_random(rec.samples);
-    }
-  });
+  campaign.run(tvla);
+  const stats::tvla_accumulator& acc = tvla.tvla();
 
   tvla_outcome out;
   out.elapsed = watch.seconds();
@@ -85,7 +77,8 @@ tvla_outcome run_tvla(bool os_noise, std::size_t traces, int averaging,
 } // namespace
 
 int main(int argc, char** argv) {
-  const bench::arg_map args(argc, argv);
+  const bench::arg_map args(
+      argc, argv, {"traces", "averaging", "seed", "threads"});
   const std::size_t traces = args.get_size("traces", 2'000);
   const int averaging = static_cast<int>(args.get_size("averaging", 4));
   const std::uint64_t seed = args.get_size("seed", 0x7e57);

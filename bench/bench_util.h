@@ -9,25 +9,37 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <map>
+#include <set>
+#include <span>
 #include <string>
+#include <vector>
 
+#include "core/trace_stream.h"
+#include "power/trace.h"
 #include "util/json_writer.h"
 
 namespace usca::bench {
 
-/// Parses "key=value" arguments; unknown keys abort with a usage hint.
+/// Parses "key=value" arguments against the bench's declared keys; a
+/// malformed argument or an unknown (e.g. misspelt) key exits with
+/// status 2 and a usage hint, before the bench starts any work.
 class arg_map {
 public:
-  arg_map(int argc, char** argv) {
+  arg_map(int argc, char** argv, std::initializer_list<const char*> keys)
+      : keys_(keys.begin(), keys.end()) {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       const std::size_t eq = arg.find('=');
       if (eq == std::string::npos) {
-        std::fprintf(stderr, "usage: %s [key=value]...\n", argv[0]);
-        std::exit(2);
+        usage(argv[0], "expected key=value, got '" + arg + "'");
       }
-      values_[arg.substr(0, eq)] = arg.substr(eq + 1);
+      const std::string key = arg.substr(0, eq);
+      if (keys_.count(key) == 0) {
+        usage(argv[0], "unknown key '" + key + "'");
+      }
+      values_[key] = arg.substr(eq + 1);
     }
   }
 
@@ -51,24 +63,17 @@ public:
     }
   }
 
-  double get_double(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) {
-      return fallback;
+private:
+  [[noreturn]] void usage(const char* program,
+                          const std::string& problem) const {
+    std::fprintf(stderr, "%s\nusage: %s", problem.c_str(), program);
+    for (const std::string& key : keys_) {
+      std::fprintf(stderr, " [%s=N]", key.c_str());
     }
-    try {
-      std::size_t consumed = 0;
-      const double value = std::stod(it->second, &consumed);
-      if (consumed != it->second.size()) {
-        die(key, it->second, "a number");
-      }
-      return value;
-    } catch (const std::exception&) {
-      die(key, it->second, "a number");
-    }
+    std::fprintf(stderr, "\n");
+    std::exit(2);
   }
 
-private:
   [[noreturn]] static void die(const std::string& key,
                                const std::string& value,
                                const char* expected) {
@@ -77,7 +82,30 @@ private:
     std::exit(2);
   }
 
+  std::set<std::string> keys_;
   std::map<std::string, std::string> values_;
+};
+
+/// Keeps every record's labels and samples in index order, for analyses
+/// that re-read prefixes of one acquired campaign (the MTD searches).
+class collecting_pass final : public core::analysis_pass {
+public:
+  void begin(const core::stream_shape& shape) override {
+    labels.reserve(shape.traces);
+    samples.reserve(shape.traces);
+  }
+
+  void consume_batch(const core::trace_batch_view& batch) override {
+    for (std::size_t r = 0; r < batch.count; ++r) {
+      const std::span<const double> l = batch.labels_row(r);
+      const std::span<const double> s = batch.samples_row(r);
+      labels.emplace_back(l.begin(), l.end());
+      samples.emplace_back(s.begin(), s.end());
+    }
+  }
+
+  std::vector<std::vector<double>> labels; ///< [record][label]
+  std::vector<power::trace> samples;       ///< [record][sample]
 };
 
 /// Wall-clock stopwatch for reporting campaign acquisition cost.

@@ -25,6 +25,7 @@
 
 #include "asmx/assembler.h"
 #include "core/acquisition.h"
+#include "core/analysis_sinks.h"
 #include "core/leakage_aware_scheduler.h"
 #include "isa/disasm.h"
 #include "stats/pearson.h"
@@ -76,18 +77,12 @@ leak_probe probe(const asmx::program& prog, std::uint64_t seed,
                    static_cast<double>(util::hamming_weight(a ^ b))});
   });
 
-  std::vector<stats::pearson_accumulator> acc_a;
-  std::vector<stats::pearson_accumulator> acc_c;
-  campaign.run([&](core::acquisition_record&& rec) {
-    if (rec.index == 0) {
-      acc_a.resize(rec.samples.size());
-      acc_c.resize(rec.samples.size());
-    }
-    for (std::size_t s = 0; s < rec.samples.size(); ++s) {
-      acc_a[s].add(rec.labels[0], rec.samples[s]);
-      acc_c[s].add(rec.labels[1], rec.samples[s]);
-    }
-  });
+  core::label_correlation_sink probes;
+  campaign.run(probes);
+  const std::vector<stats::pearson_accumulator>& acc_a =
+      probes.correlations()[0];
+  const std::vector<stats::pearson_accumulator>& acc_c =
+      probes.correlations()[1];
 
   leak_probe out;
   for (std::size_t s = 0; s < acc_a.size(); ++s) {

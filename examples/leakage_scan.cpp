@@ -17,6 +17,7 @@
 
 #include "asmx/assembler.h"
 #include "core/acquisition.h"
+#include "core/analysis_sinks.h"
 #include "core/leakage_scanner.h"
 #include "stats/pearson.h"
 #include "util/bitops.h"
@@ -71,17 +72,10 @@ secret_probe probe_secret(const char* source, double threshold) {
     labels.assign({static_cast<double>(util::hamming_weight(a ^ b))});
   });
 
-  std::vector<stats::pearson_accumulator> acc;
-  campaign.run([&](core::acquisition_record&& rec) {
-    if (rec.index == 0) {
-      acc.resize(rec.samples.size());
-    }
-    for (std::size_t s = 0; s < rec.samples.size(); ++s) {
-      acc[s].add(rec.labels[0], rec.samples[s]);
-    }
-  });
+  core::label_correlation_sink secret_power;
+  campaign.run(secret_power);
   secret_probe out;
-  for (const auto& a : acc) {
+  for (const auto& a : secret_power.correlations()[0]) {
     const double corr = std::fabs(a.correlation());
     out.max_corr = std::max(out.max_corr, corr);
     if (corr > threshold) {

@@ -10,6 +10,7 @@
 
 #include "asmx/assembler.h"
 #include "core/acquisition.h"
+#include "core/analysis_sinks.h"
 #include "stats/pearson.h"
 #include "util/bitops.h"
 
@@ -56,15 +57,10 @@ int main() {
     labels.assign(1, static_cast<double>(util::hamming_distance(r2, r5)));
   });
 
-  std::vector<stats::pearson_accumulator> acc;
-  campaign.run([&](core::acquisition_record&& rec) {
-    if (acc.empty()) {
-      acc.resize(rec.samples.size());
-    }
-    for (std::size_t s = 0; s < rec.samples.size(); ++s) {
-      acc[s].add(rec.labels[0], rec.samples[s]);
-    }
-  });
+  core::label_correlation_sink hd_power;
+  campaign.run(hd_power);
+  const std::vector<stats::pearson_accumulator>& acc =
+      hd_power.correlations()[0];
 
   // 3. Correlate the hypothesis "HD(r2, r5)" against every cycle.
   std::printf("cycle | corr(HD(r2,r5), power)\n");

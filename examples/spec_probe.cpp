@@ -31,6 +31,7 @@
 
 #include "asmx/program.h"
 #include "core/acquisition.h"
+#include "core/analysis_sinks.h"
 #include "isa/instruction.h"
 #include "sim/ooo/ooo_core.h"
 #include "stats/ttest.h"
@@ -131,23 +132,12 @@ tvla_outcome run_gadget_tvla(const gadget_layout& layout,
     }
   });
 
-  stats::tvla_accumulator acc(0);
+  core::tvla_sink tvla; // even indices are the fixed class
+  campaign.run(tvla);
   tvla_outcome out;
-  bool ready = false;
-  campaign.run([&](core::acquisition_record&& rec) {
-    if (!ready) {
-      acc = stats::tvla_accumulator(rec.samples.size());
-      out.samples = rec.samples.size();
-      ready = true;
-    }
-    if (rec.index % 2 == 0) {
-      acc.add_fixed(rec.samples);
-    } else {
-      acc.add_random(rec.samples);
-    }
-  });
-  out.max_t = acc.max_abs_t();
-  out.leaking = acc.leaking_samples();
+  out.samples = tvla.tvla().samples();
+  out.max_t = tvla.tvla().max_abs_t();
+  out.leaking = tvla.tvla().leaking_samples();
   return out;
 }
 

@@ -1,9 +1,9 @@
 // Standard analysis passes for the batched trace streaming layer: the
-// blocked CPA/TVLA accumulators and the binary trace store writer, each
-// wrapped as a core::analysis_pass so one pump over a campaign (or an
-// archive replay) can fan its batch stream into any combination of
-// analyses — each over its own sample window — and persistence in one
-// pass over the data.
+// blocked CPA/TVLA accumulators, the label x sample Pearson correlation
+// and the binary trace store writer, each wrapped as a
+// core::analysis_pass so one pump over a campaign (or an archive replay)
+// can fan its batch stream into any combination of analyses — each over
+// its own sample window — and persistence in one pass over the data.
 #ifndef USCA_CORE_ANALYSIS_SINKS_H
 #define USCA_CORE_ANALYSIS_SINKS_H
 
@@ -17,6 +17,7 @@
 #include "core/trace_stream.h"
 #include "power/trace_io.h"
 #include "stats/cpa.h"
+#include "stats/pearson.h"
 #include "stats/ttest.h"
 #include "util/error.h"
 
@@ -146,6 +147,49 @@ private:
   window_spec window_;
   std::vector<unsigned char> classes_; ///< per-batch scratch
   std::optional<stats::tvla_accumulator> tvla_;
+};
+
+/// Correlates every record label with every window sample: one Pearson
+/// accumulator per (label, sample) — the characterizer's model x sample
+/// pass and the examples' per-cycle leakage probes.  Labels loop outer
+/// and batch rows inner, so every accumulator updates in ascending index
+/// order and the result does not depend on the tile size.  Each pump
+/// starts a fresh analysis.
+class label_correlation_sink final : public analysis_pass {
+public:
+  using grid = std::vector<std::vector<stats::pearson_accumulator>>;
+
+  void begin(const stream_shape& shape) override {
+    samples_ = shape.samples;
+    traces_ = 0;
+    acc_.assign(shape.labels,
+                std::vector<stats::pearson_accumulator>(samples_));
+  }
+
+  void consume_batch(const trace_batch_view& batch) override {
+    for (std::size_t l = 0; l < acc_.size(); ++l) {
+      std::vector<stats::pearson_accumulator>& row = acc_[l];
+      for (std::size_t r = 0; r < batch.count; ++r) {
+        const double label = batch.labels_row(r)[l];
+        const std::span<const double> samples = batch.samples_row(r);
+        for (std::size_t s = 0; s < samples_; ++s) {
+          row[s].add(label, samples[s]);
+        }
+      }
+    }
+    traces_ += batch.count;
+  }
+
+  /// [label][sample] accumulators (empty until the pump begins).
+  const grid& correlations() const noexcept { return acc_; }
+  std::size_t samples() const noexcept { return samples_; }
+  /// Records consumed so far.
+  std::size_t traces() const noexcept { return traces_; }
+
+private:
+  std::size_t samples_ = 0;
+  std::size_t traces_ = 0;
+  grid acc_;
 };
 
 /// Archives the stream into a (new) binary trace store at `path`.  The

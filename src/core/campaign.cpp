@@ -33,21 +33,6 @@ second_core_of(const campaign_config& config) {
       config.second_core_cycles);
 }
 
-/// The AES view of an engine record: its labels are the plaintext bytes.
-trace_record to_trace_record(acquisition_record&& rec) {
-  trace_record out;
-  out.index = rec.index;
-  for (std::size_t b = 0; b < out.plaintext.size(); ++b) {
-    out.plaintext[b] = static_cast<std::uint8_t>(rec.labels[b]);
-  }
-  out.samples = std::move(rec.samples);
-  out.window_begin = rec.window_begin;
-  out.window_end = rec.window_end;
-  out.cycles = rec.cycles;
-  out.marks = std::move(rec.marks);
-  return out;
-}
-
 } // namespace
 
 trace_campaign::trace_campaign(campaign_config config, crypto::aes_key key)
@@ -81,13 +66,18 @@ unsigned trace_campaign::resolved_threads() const noexcept {
 }
 
 trace_record trace_campaign::produce(std::size_t index) const {
-  return to_trace_record(engine_.produce(index));
-}
-
-void trace_campaign::run(const sink_fn& sink) {
-  engine_.run([&sink](acquisition_record&& rec) {
-    sink(to_trace_record(std::move(rec)));
-  });
+  acquisition_record rec = engine_.produce(index);
+  trace_record out;
+  out.index = rec.index;
+  for (std::size_t b = 0; b < out.plaintext.size(); ++b) {
+    out.plaintext[b] = static_cast<std::uint8_t>(rec.labels[b]);
+  }
+  out.samples = std::move(rec.samples);
+  out.window_begin = rec.window_begin;
+  out.window_end = rec.window_end;
+  out.cycles = rec.cycles;
+  out.marks = std::move(rec.marks);
+  return out;
 }
 
 void trace_campaign::run(analysis_pass& pass) { engine_.run(pass); }

@@ -11,8 +11,13 @@
 // sharding, batched simulation with per-trace fallback, synthesis, the
 // determinism guarantee and the prefix property — is the engine's, so
 // an AES trace is bit-identical to the acquisition record of the same
-// (seed, index) with that setup.  trace_record is the AES view of that
-// record, built when it is delivered.
+// (seed, index) with that setup.
+//
+// Consumers that read only labels and samples (CPA, TVLA, archives) run
+// the campaign through analysis passes, run(pass), whose simulations end
+// at the window's end mark.  Consumers of whole runs (cycle counts,
+// marks) take acquisition_records from engine().run(sink).
+// trace_record, the AES view of one record, is built only by produce().
 #ifndef USCA_CORE_CAMPAIGN_H
 #define USCA_CORE_CAMPAIGN_H
 
@@ -55,7 +60,7 @@ struct campaign_config {
   std::size_t second_core_cycles = 8 * 1024;
 };
 
-/// One completed acquisition, delivered to the sink in index order.
+/// One acquisition simulated to halt, as produce() returns it.
 struct trace_record {
   std::size_t index = 0;            ///< global trace index
   crypto::aes_block plaintext{};
@@ -75,28 +80,23 @@ public:
   using plaintext_fn =
       std::function<crypto::aes_block(std::size_t index, util::xoshiro256&)>;
 
-  /// Sink: invoked once per trace, in strict index order, on the thread
-  /// that called run().
-  using sink_fn = std::function<void(trace_record&&)>;
-
   trace_campaign(campaign_config config, crypto::aes_key key);
 
   /// Replaces the default uniform-random plaintext policy (e.g. the TVLA
   /// fixed-vs-random split keyed on index parity).
   void set_plaintext_policy(plaintext_fn policy);
 
-  /// Acquires all traces and streams them into `sink`.  Worker exceptions
-  /// and sink exceptions abort the campaign and rethrow here.
-  void run(const sink_fn& sink);
-
-  /// Streams the campaign through the batched analysis architecture.
-  /// Each record's labels are the 16 plaintext bytes (as doubles), so an
-  /// archived AES campaign supports per-byte CPA for every key byte and
-  /// index-parity TVLA on replay.
+  /// Streams the campaign through the batched analysis architecture; each
+  /// simulation ends at the window's end mark.  Each record's labels are
+  /// the 16 plaintext bytes (as doubles), so an archived AES campaign
+  /// supports per-byte CPA for every key byte and index-parity TVLA on
+  /// replay.  Worker and pass exceptions abort the campaign and rethrow
+  /// here.
   void run(analysis_pass& pass);
 
-  /// Produces trace `index` of the campaign synchronously; run() yields
-  /// exactly this record for every index (the determinism contract is
+  /// Produces trace `index` of the campaign synchronously, simulated to
+  /// halt; run() streams the same labels and samples for every index and
+  /// engine().run(sink) the same record (the determinism contract is
   /// checked against it in the tests).
   trace_record produce(std::size_t index) const;
 
@@ -104,13 +104,10 @@ public:
   unsigned resolved_threads() const noexcept;
 
   const campaign_config& config() const noexcept { return config_; }
-  const crypto::aes_key& key() const noexcept { return key_; }
-  const crypto::aes_program_layout& layout() const noexcept {
-    return *layout_;
-  }
 
   /// The engine the campaign runs on; its records carry the 16
-  /// plaintext bytes as labels (the archive writes them verbatim).
+  /// plaintext bytes as labels (the archive writes them verbatim).  Its
+  /// run(sink) delivers whole records, simulated to halt.
   acquisition_campaign& engine() noexcept { return engine_; }
 
   /// Per-trace seed derivation, core::trace_seed (exposed so tests can

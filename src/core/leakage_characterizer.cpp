@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/analysis_sinks.h"
 #include "stats/pearson.h"
 #include "util/error.h"
 
@@ -94,21 +95,9 @@ leakage_characterizer::leakage_characterizer(sim::micro_arch_config arch,
 namespace {
 
 /// [model][sample] total-power correlation accumulators.
-using model_grid = std::vector<std::vector<stats::pearson_accumulator>>;
+using model_grid = label_correlation_sink::grid;
 /// [model][column][sample] attribution accumulators.
-using column_grid =
-    std::vector<std::vector<std::vector<stats::pearson_accumulator>>>;
-
-void size_grids(std::size_t n_models, std::size_t samples,
-                model_grid& power_acc, column_grid& column_acc) {
-  for (std::size_t m = 0; m < n_models; ++m) {
-    power_acc[m].resize(samples);
-    column_acc[m].assign(num_table2_columns, {});
-    for (auto& col : column_acc[m]) {
-      col.resize(samples);
-    }
-  }
-}
+using column_grid = std::vector<model_grid>;
 
 /// Per-trial randomization shared by every characterizer pass: run the
 /// benchmark's setup and evaluate its models into the record labels.
@@ -230,51 +219,6 @@ benchmark_report report_header(const characterization_benchmark& bench) {
   return report;
 }
 
-/// Batched total-power pass of the characterizer: correlates every model
-/// label against every window sample.  Looping models outer and batch
-/// rows inner keeps each (model, sample) accumulator's update order
-/// ascending-index — bit-identical to the per-record formulation.
-class model_power_pass final : public analysis_pass {
-public:
-  model_power_pass(std::size_t n_models, model_grid& power_acc,
-                   column_grid& column_acc)
-      : n_models_(n_models), power_acc_(power_acc),
-        column_acc_(column_acc) {}
-
-  std::size_t samples() const noexcept { return samples_; }
-  std::size_t streamed() const noexcept { return streamed_; }
-
-  void begin(const stream_shape& shape) override {
-    if (shape.labels != n_models_) {
-      throw util::analysis_error(
-          "trace source labels do not match the benchmark's models");
-    }
-    samples_ = shape.samples;
-    size_grids(n_models_, samples_, power_acc_, column_acc_);
-  }
-
-  void consume_batch(const trace_batch_view& batch) override {
-    for (std::size_t m = 0; m < n_models_; ++m) {
-      std::vector<stats::pearson_accumulator>& row = power_acc_[m];
-      for (std::size_t r = 0; r < batch.count; ++r) {
-        const double label = batch.labels_row(r)[m];
-        const std::span<const double> samples = batch.samples_row(r);
-        for (std::size_t s = 0; s < samples_; ++s) {
-          row[s].add(label, samples[s]);
-        }
-      }
-    }
-    streamed_ += batch.count;
-  }
-
-private:
-  std::size_t n_models_;
-  model_grid& power_acc_;
-  column_grid& column_acc_;
-  std::size_t samples_ = 0;
-  std::size_t streamed_ = 0;
-};
-
 } // namespace
 
 acquisition_config
@@ -285,7 +229,6 @@ leakage_characterizer::acquisition_plan(const options& opts) const {
   acq.seed = opts.seed;
   acq.averaging = opts.averaging;
   acq.window = campaign_window{1, 2};
-  acq.keep_activity_first = opts.attribution_trials;
   acq.power = power_;
   acq.uarch = arch_;
   return acq;
@@ -294,53 +237,14 @@ leakage_characterizer::acquisition_plan(const options& opts) const {
 benchmark_report
 leakage_characterizer::characterize(const characterization_benchmark& bench,
                                     const options& opts) const {
+  // The live trial stream is one more trace source, whose runs end at
+  // the window's end mark.
   const bench_program bp = bench.build();
-
-  benchmark_report report = report_header(bench);
-  report.traces = opts.traces;
-
-  const std::size_t n_models = bench.models.size();
-  model_grid power_acc(n_models);
-  column_grid column_acc(n_models);
-  std::size_t samples = 0;
-  std::vector<double> column_contrib; ///< per-sample scratch, one column
-
-  // Trials stream through the generic acquisition engine: simulation and
-  // synthesis run on worker-owned resettable pipelines, records arrive
-  // here in index order, so all accumulation below is deterministic at
-  // any thread count.
   acquisition_campaign campaign(sim::program_image(bp.prog),
                                 acquisition_plan(opts));
   campaign.set_setup(make_bench_setup(bench, bp));
-
-  campaign.run([&](acquisition_record&& rec) {
-    if (rec.index == 0) {
-      samples = static_cast<std::size_t>(rec.window_end - rec.window_begin);
-      report.samples = samples;
-      report.observed_dual_issue = dual_issue_of(rec.marks);
-      size_grids(n_models, samples, power_acc, column_acc);
-    } else if (rec.samples.size() != samples) {
-      throw util::simulation_error(
-          "data-dependent timing in characterization benchmark");
-    }
-
-    for (std::size_t m = 0; m < n_models; ++m) {
-      for (std::size_t s = 0; s < samples; ++s) {
-        power_acc[m][s].add(rec.labels[m], rec.samples[s]);
-      }
-    }
-
-    // Attribution pass on the trial prefix (the engine keeps the window
-    // activity for exactly those indices).
-    if (rec.index < opts.attribution_trials) {
-      accumulate_attribution(rec, power_, samples, column_contrib,
-                             column_acc);
-    }
-  });
-
-  build_verdicts(bench, power_acc, column_acc, samples, opts.traces, opts,
-                 report);
-  return report;
+  acquisition_source source(campaign);
+  return characterize(bench, source, opts);
 }
 
 benchmark_report
@@ -351,26 +255,31 @@ leakage_characterizer::characterize(const characterization_benchmark& bench,
 
   benchmark_report report = report_header(bench);
 
-  const std::size_t n_models = bench.models.size();
-  model_grid power_acc(n_models);
-  column_grid column_acc(n_models);
-
-  // Total-power pass from the (typically archived) source, batched:
-  // archive sources deliver whole mmap'd chunks zero-copy.
-  model_power_pass power_pass(n_models, power_acc, column_acc);
+  // Total-power pass from the source, batched: archive sources deliver
+  // whole mmap'd chunks zero-copy, live ones window-bounded tiles.
+  label_correlation_sink power_pass;
   pump(source, power_pass);
-  const std::size_t streamed = power_pass.streamed();
+  const std::size_t streamed = power_pass.traces();
   if (streamed == 0) {
     throw util::analysis_error("trace source delivered no records");
+  }
+  const std::size_t n_models = bench.models.size();
+  if (power_pass.correlations().size() != n_models) {
+    throw util::analysis_error(
+        "trace source labels do not match the benchmark's models");
   }
   const std::size_t samples = power_pass.samples();
   report.samples = samples;
   report.traces = streamed;
+  column_grid column_acc(
+      n_models,
+      model_grid(num_table2_columns,
+                 std::vector<stats::pearson_accumulator>(samples)));
 
-  // Attribution + dual-issue need pipeline activity, which the source
-  // does not carry: re-simulate the trial prefix live.  Per-index seeding
-  // makes these trials bit-identical to the ones behind the archived
-  // records, so the verdicts equal the single-pass path exactly.
+  // Attribution + dual-issue need pipeline activity and whole-run marks,
+  // which no source carries: re-simulate the trial prefix to halt.
+  // Per-index seeding makes these trials bit-identical to the ones behind
+  // the streamed records, live or archived.
   const std::size_t n_attr = std::min(opts.attribution_trials, streamed);
   acquisition_config acq = acquisition_plan(opts);
   acq.traces = n_attr;
@@ -394,8 +303,8 @@ leakage_characterizer::characterize(const characterization_benchmark& bench,
     report.observed_dual_issue = dual_issue_of(campaign.produce(0).marks);
   }
 
-  build_verdicts(bench, power_acc, column_acc, samples, streamed, opts,
-                 report);
+  build_verdicts(bench, power_pass.correlations(), column_acc, samples,
+                 streamed, opts, report);
   return report;
 }
 
@@ -404,11 +313,10 @@ leakage_characterizer::archive(const characterization_benchmark& bench,
                                const std::string& path, const options& opts,
                                const archive_options& store) const {
   const bench_program bp = bench.build();
-  acquisition_config acq = acquisition_plan(opts);
-  acq.keep_activity_first = 0;
   archive_options salted = store;
   salted.config_salt = bench_salt(bench);
-  return archive_acquisition(sim::program_image(bp.prog), acq,
+  return archive_acquisition(sim::program_image(bp.prog),
+                             acquisition_plan(opts),
                              make_bench_setup(bench, bp), path, salted);
 }
 
@@ -416,8 +324,7 @@ benchmark_report leakage_characterizer::characterize_replayed(
     const characterization_benchmark& bench, const std::string& path,
     const options& opts) const {
   power::trace_store_reader reader(path);
-  acquisition_config acq = acquisition_plan(opts);
-  acq.keep_activity_first = 0;
+  const acquisition_config acq = acquisition_plan(opts);
   const std::uint64_t expected =
       salted_config_hash(acquisition_config_hash(acq), bench_salt(bench));
   if (reader.descriptor().seed != acq.seed ||
@@ -428,15 +335,6 @@ benchmark_report leakage_characterizer::characterize_replayed(
   }
   archive_source source(reader);
   return characterize(bench, source, opts);
-}
-
-std::vector<benchmark_report>
-leakage_characterizer::characterize_all(const options& opts) const {
-  std::vector<benchmark_report> reports;
-  for (const characterization_benchmark& bench : table2_benchmarks()) {
-    reports.push_back(characterize(bench, opts));
-  }
-  return reports;
 }
 
 } // namespace usca::core

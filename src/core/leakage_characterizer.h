@@ -153,17 +153,21 @@ public:
   leakage_characterizer(sim::micro_arch_config arch,
                         power::synthesis_config power);
 
+  /// Characterizes a live trial stream: the benchmark's campaign,
+  /// wrapped in an acquisition_source (runs end at the window's end mark)
+  /// and handed to the trace-source overload below.  A benchmark whose
+  /// window length depends on the data throws util::analysis_error.
   benchmark_report characterize(const characterization_benchmark& bench,
                                 const options& opts = {}) const;
 
   /// Characterizes from a trace source whose records carry the
-  /// benchmark's model values as labels (in model order) — the archived
-  /// half of simulate-once/analyse-many.  The total-power correlation
-  /// pass streams from the source; the cycle-attribution pass and the
-  /// dual-issue observation need pipeline activity, which archives do not
-  /// carry, so the (small) trial prefix is re-simulated live — per-index
-  /// seeding makes those trials bit-identical to the ones behind the
-  /// archived records.
+  /// benchmark's model values as labels (in model order): a live
+  /// campaign or an archive.  The total-power correlation pass streams
+  /// from the source; the cycle-attribution pass and the dual-issue
+  /// observation need pipeline activity and whole-run marks, which no
+  /// source carries, so the (small) trial prefix is re-simulated to halt
+  /// — per-index seeding makes those trials bit-identical to the ones
+  /// behind the streamed records.
   benchmark_report characterize(const characterization_benchmark& bench,
                                 trace_source& source,
                                 const options& opts = {}) const;
@@ -183,12 +187,10 @@ public:
                         const std::string& path,
                         const options& opts = {}) const;
 
-  /// Runs all Table-2 benchmarks.
-  std::vector<benchmark_report> characterize_all(const options& opts = {}) const;
-
 private:
   /// The acquisition configuration every characterizer pass runs on
-  /// (live, archive and attribution share it so their records agree).
+  /// (live, archive and attribution share it so their records agree);
+  /// it keeps no window activity.
   acquisition_config acquisition_plan(const options& opts) const;
 
   sim::micro_arch_config arch_;

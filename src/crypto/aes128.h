@@ -27,11 +27,6 @@ aes_round_keys expand_key(const aes_key& key) noexcept;
 /// One-shot ECB encryption of a single block.
 aes_block encrypt_block(const aes_block& plaintext, const aes_key& key) noexcept;
 
-/// State after the initial AddRoundKey and the SubBytes of round 1 —
-/// the intermediate the paper's attacks model: sbox[pt[i] ^ key[i]].
-aes_block round1_subbytes(const aes_block& plaintext,
-                          const aes_key& key) noexcept;
-
 /// SubBytes output for a single byte position given a key-byte guess:
 /// sbox[pt_byte ^ guess].  The CPA hypothesis function.
 std::uint8_t subbytes_hypothesis(std::uint8_t pt_byte,

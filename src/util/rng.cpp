@@ -87,22 +87,4 @@ double xoshiro256::next_gaussian() noexcept {
   return u * factor;
 }
 
-void xoshiro256::jump() noexcept {
-  static constexpr std::uint64_t jump_table[] = {
-      0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
-      0x39abdc4529b1661cULL};
-  std::array<std::uint64_t, 4> accum{};
-  for (const std::uint64_t word : jump_table) {
-    for (int bit = 0; bit < 64; ++bit) {
-      if (word & (1ULL << bit)) {
-        for (std::size_t i = 0; i < accum.size(); ++i) {
-          accum[i] ^= state_[i];
-        }
-      }
-      operator()();
-    }
-  }
-  state_ = accum;
-}
-
 } // namespace usca::util

@@ -60,10 +60,6 @@ public:
   /// Standard normal deviate (Marsaglia polar method, cached pair).
   double next_gaussian() noexcept;
 
-  /// Jump function: advances the state by 2^128 steps; used to derive
-  /// statistically independent sub-streams for parallel workers.
-  void jump() noexcept;
-
 private:
   std::array<std::uint64_t, 4> state_{};
   double cached_gaussian_ = 0.0;

@@ -54,12 +54,13 @@ struct reference_analyses {
 /// record at a time, straight from the campaign's record stream.
 reference_analyses per_trace_reference(trace_campaign& campaign) {
   reference_analyses ref;
-  campaign.run([&ref](trace_record&& rec) {
+  campaign.engine().run([&ref](acquisition_record&& rec) {
     if (!ref.cpa) {
       ref.cpa.emplace(rec.samples.size());
       ref.tvla.emplace(rec.samples.size());
     }
-    ref.cpa->add_trace(rec.plaintext[0], rec.samples);
+    ref.cpa->add_trace(static_cast<std::uint8_t>(rec.labels[0]),
+                       rec.samples);
     if (rec.index % 2 == 0) {
       ref.tvla->add_fixed(rec.samples);
     } else {

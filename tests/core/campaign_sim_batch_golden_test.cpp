@@ -76,12 +76,12 @@ campaign_config aes_config(sim::backend_kind backend) {
 std::uint64_t aes_digest(trace_campaign& campaign) {
   fnv1a h;
   std::size_t delivered = 0;
-  campaign.run([&](trace_record&& rec) {
+  campaign.engine().run([&](acquisition_record&& rec) {
     EXPECT_EQ(rec.index, campaign.config().first_index + delivered);
     ++delivered;
     h.u64(rec.index);
-    for (const std::uint8_t b : rec.plaintext) {
-      h.byte(b);
+    for (const double b : rec.labels) {
+      h.byte(static_cast<std::uint8_t>(b));
     }
     h.u64(rec.cycles);
     h.u64(rec.window_begin);

@@ -44,19 +44,19 @@ campaign_config base_config(sim::backend_kind backend) {
   return config;
 }
 
-std::vector<trace_record> collect(trace_campaign& campaign) {
-  std::vector<trace_record> records;
-  campaign.run([&records](trace_record&& rec) {
+std::vector<acquisition_record> collect(trace_campaign& campaign) {
+  std::vector<acquisition_record> records;
+  campaign.engine().run([&records](acquisition_record&& rec) {
     records.push_back(std::move(rec));
   });
   return records;
 }
 
-void expect_records_identical(const trace_record& got,
-                              const trace_record& want,
+void expect_records_identical(const acquisition_record& got,
+                              const acquisition_record& want,
                               const std::string& what) {
   EXPECT_EQ(got.index, want.index) << what;
-  EXPECT_EQ(got.plaintext, want.plaintext) << what;
+  EXPECT_EQ(got.labels, want.labels) << what;
   EXPECT_EQ(got.cycles, want.cycles) << what;
   EXPECT_EQ(got.window_begin, want.window_begin) << what;
   EXPECT_EQ(got.window_end, want.window_end) << what;
@@ -102,10 +102,11 @@ TEST_P(CampaignSimBatch, RunMatchesPerTraceProduce) {
   config.first_index = 3; // exercise the index offset in lane derivation
   trace_campaign campaign(config, kKey);
 
-  const std::vector<trace_record> records = collect(campaign);
+  const std::vector<acquisition_record> records = collect(campaign);
   ASSERT_EQ(records.size(), config.traces);
   for (std::size_t i = 0; i < records.size(); ++i) {
-    const trace_record want = campaign.produce(config.first_index + i);
+    const acquisition_record want =
+        campaign.engine().produce(config.first_index + i);
     expect_records_identical(records[i], want,
                              "trace " + std::to_string(i));
   }
@@ -140,16 +141,17 @@ TEST(CampaignSimBatchCpa, RanksAndCorrelationsMatchPerTrace) {
   stats::partitioned_cpa ref_cpa(0);
   stats::partitioned_cpa batch_cpa(0);
   bool sized = false;
-  per_trace.run([&](trace_record&& rec) {
+  per_trace.engine().run([&](acquisition_record&& rec) {
     if (!sized) {
       ref_cpa = stats::partitioned_cpa(rec.samples.size());
       batch_cpa = stats::partitioned_cpa(rec.samples.size());
       sized = true;
     }
-    ref_cpa.add_trace(rec.plaintext[0], rec.samples);
+    ref_cpa.add_trace(static_cast<std::uint8_t>(rec.labels[0]), rec.samples);
   });
-  batched.run([&](trace_record&& rec) {
-    batch_cpa.add_trace(rec.plaintext[0], rec.samples);
+  batched.engine().run([&](acquisition_record&& rec) {
+    batch_cpa.add_trace(static_cast<std::uint8_t>(rec.labels[0]),
+                        rec.samples);
   });
 
   const stats::cpa_result want = ref_cpa.solve(hw_model, 256);
@@ -182,9 +184,9 @@ TEST_F(CampaignSimBatchEnv, EnvZeroSelectsPerTracePathIdentically) {
   config.sim_batch_lanes = 8;
   trace_campaign campaign(config, kKey);
 
-  const std::vector<trace_record> batched = collect(campaign);
+  const std::vector<acquisition_record> batched = collect(campaign);
   setenv("USCA_SIM_BATCH", "0", 1);
-  const std::vector<trace_record> per_trace = collect(campaign);
+  const std::vector<acquisition_record> per_trace = collect(campaign);
   unsetenv("USCA_SIM_BATCH");
 
   ASSERT_EQ(batched.size(), per_trace.size());
@@ -201,12 +203,12 @@ TEST_F(CampaignSimBatchEnv, EnvLaneCountOverridesConfig) {
   trace_campaign campaign(config, kKey);
 
   setenv("USCA_SIM_BATCH", "5", 1);
-  const std::vector<trace_record> records = collect(campaign);
+  const std::vector<acquisition_record> records = collect(campaign);
   unsetenv("USCA_SIM_BATCH");
 
   ASSERT_EQ(records.size(), config.traces);
   for (std::size_t i = 0; i < records.size(); ++i) {
-    expect_records_identical(records[i], campaign.produce(i),
+    expect_records_identical(records[i], campaign.engine().produce(i),
                              "trace " + std::to_string(i));
   }
 }
@@ -238,10 +240,10 @@ TEST(CampaignSimBatchFallback, ReferenceSchedulerRunsPerTrace) {
   config.sim_batch_lanes = 8;
   trace_campaign campaign(config, kKey);
 
-  const std::vector<trace_record> records = collect(campaign);
+  const std::vector<acquisition_record> records = collect(campaign);
   ASSERT_EQ(records.size(), config.traces);
   for (std::size_t i = 0; i < records.size(); ++i) {
-    expect_records_identical(records[i], campaign.produce(i),
+    expect_records_identical(records[i], campaign.engine().produce(i),
                              "trace " + std::to_string(i));
   }
 }

@@ -32,21 +32,22 @@ core::campaign_config small_config(std::size_t traces, unsigned threads,
   return config;
 }
 
-std::vector<core::trace_record> collect(const core::campaign_config& config) {
+std::vector<core::acquisition_record>
+collect(const core::campaign_config& config) {
   core::trace_campaign campaign(config, kKey);
-  std::vector<core::trace_record> records;
-  campaign.run([&](core::trace_record&& rec) {
+  std::vector<core::acquisition_record> records;
+  campaign.engine().run([&](core::acquisition_record&& rec) {
     records.push_back(std::move(rec));
   });
   return records;
 }
 
-void expect_identical(const std::vector<core::trace_record>& a,
-                      const std::vector<core::trace_record>& b) {
+void expect_identical(const std::vector<core::acquisition_record>& a,
+                      const std::vector<core::acquisition_record>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].index, b[i].index);
-    EXPECT_EQ(a[i].plaintext, b[i].plaintext);
+    EXPECT_EQ(a[i].labels, b[i].labels);
     EXPECT_EQ(a[i].window_begin, b[i].window_begin);
     EXPECT_EQ(a[i].window_end, b[i].window_end);
     ASSERT_EQ(a[i].samples.size(), b[i].samples.size());
@@ -76,7 +77,7 @@ TEST(TraceCampaign, DifferentSeedsDifferentNoise) {
   const auto b = collect(small_config(1, 1, 2));
   ASSERT_EQ(a.size(), 1u);
   ASSERT_EQ(b.size(), 1u);
-  bool any_difference = a[0].plaintext != b[0].plaintext;
+  bool any_difference = a[0].labels != b[0].labels;
   for (std::size_t s = 0;
        !any_difference && s < a[0].samples.size(); ++s) {
     any_difference = a[0].samples[s] != b[0].samples[s];
@@ -103,7 +104,7 @@ TEST(TraceCampaign, MoreThreadsThanTraces) {
 TEST(TraceCampaign, EmptyCampaignIsANoOp) {
   std::size_t delivered = 0;
   core::trace_campaign campaign(small_config(0, 4, 0x99), kKey);
-  campaign.run([&](core::trace_record&&) { ++delivered; });
+  campaign.engine().run([&](core::acquisition_record&&) { ++delivered; });
   EXPECT_EQ(delivered, 0u);
 }
 
@@ -119,7 +120,7 @@ TEST(TraceCampaign, PrefixPropertyAndDisjointExtension) {
   tail_config.first_index = 4;
   const auto tail = collect(tail_config);
 
-  std::vector<core::trace_record> stitched = head;
+  std::vector<core::acquisition_record> stitched = head;
   for (const auto& rec : tail) {
     stitched.push_back(rec);
   }
@@ -129,14 +130,16 @@ TEST(TraceCampaign, PrefixPropertyAndDisjointExtension) {
 TEST(TraceCampaign, RunMatchesProduce) {
   auto config = small_config(5, 2, 0x4242);
   core::trace_campaign campaign(config, kKey);
-  std::vector<core::trace_record> from_run;
-  campaign.run([&](core::trace_record&& rec) {
+  std::vector<core::acquisition_record> from_run;
+  campaign.engine().run([&](core::acquisition_record&& rec) {
     from_run.push_back(std::move(rec));
   });
   ASSERT_EQ(from_run.size(), 5u);
   for (std::size_t i = 0; i < from_run.size(); ++i) {
     const core::trace_record direct = campaign.produce(i);
-    EXPECT_EQ(direct.plaintext, from_run[i].plaintext);
+    EXPECT_EQ(std::vector<double>(direct.plaintext.begin(),
+                                  direct.plaintext.end()),
+              from_run[i].labels);
     ASSERT_EQ(direct.samples.size(), from_run[i].samples.size());
     for (std::size_t s = 0; s < direct.samples.size(); ++s) {
       EXPECT_EQ(direct.samples[s], from_run[i].samples[s]);
@@ -159,9 +162,10 @@ TEST(TraceCampaign, PlaintextPolicyControlsPopulations) {
         }
         return pt;
       });
+  const std::vector<double> fixed_labels(fixed_pt.begin(), fixed_pt.end());
   std::size_t fixed_count = 0;
-  campaign.run([&](core::trace_record&& rec) {
-    if (rec.plaintext == fixed_pt) {
+  campaign.engine().run([&](core::acquisition_record&& rec) {
+    if (rec.labels == fixed_labels) {
       ++fixed_count;
     } else {
       EXPECT_EQ(rec.index % 2, 1u);
@@ -173,7 +177,7 @@ TEST(TraceCampaign, PlaintextPolicyControlsPopulations) {
 TEST(TraceCampaign, SinkExceptionAbortsAndRethrows) {
   core::trace_campaign campaign(small_config(20, 4, 0x2222), kKey);
   std::size_t delivered = 0;
-  EXPECT_THROW(campaign.run([&](core::trace_record&&) {
+  EXPECT_THROW(campaign.engine().run([&](core::acquisition_record&&) {
                  if (++delivered == 3) {
                    throw std::runtime_error("stop");
                  }
@@ -186,7 +190,7 @@ TEST(TraceCampaign, MissingWindowMarkThrows) {
   auto config = small_config(2, 2, 0x3333);
   config.window = {9999, crypto::mark_sb1_end}; // no such marker id
   core::trace_campaign campaign(config, kKey);
-  EXPECT_THROW(campaign.run([](core::trace_record&&) {}),
+  EXPECT_THROW(campaign.engine().run([](core::acquisition_record&&) {}),
                util::analysis_error);
 }
 
@@ -220,12 +224,12 @@ TEST(TraceCampaign, CpaRecoversKeyThroughCampaignApi) {
 
   stats::partitioned_cpa cpa(0);
   bool ready = false;
-  campaign.run([&](core::trace_record&& rec) {
+  campaign.engine().run([&](core::acquisition_record&& rec) {
     if (!ready) {
       cpa = stats::partitioned_cpa(rec.samples.size());
       ready = true;
     }
-    cpa.add_trace(rec.plaintext[0], rec.samples);
+    cpa.add_trace(static_cast<std::uint8_t>(rec.labels[0]), rec.samples);
   });
 
   const stats::cpa_result result = cpa.solve(
@@ -249,7 +253,7 @@ TEST(TraceCampaign, StatisticsIdenticalAcrossThreadCounts) {
     core::trace_campaign campaign(config, kKey);
     stats::tvla_accumulator acc(0);
     bool ready = false;
-    campaign.run([&](core::trace_record&& rec) {
+    campaign.engine().run([&](core::acquisition_record&& rec) {
       if (!ready) {
         acc = stats::tvla_accumulator(rec.samples.size());
         ready = true;

@@ -144,8 +144,8 @@ TEST(OooTraceCampaign, AesWindowIsStableAndDeterministic) {
 
   config.threads = 1;
   core::trace_campaign serial(config, key);
-  std::vector<core::trace_record> records;
-  serial.run([&](core::trace_record&& rec) {
+  std::vector<core::acquisition_record> records;
+  serial.engine().run([&](core::acquisition_record&& rec) {
     records.push_back(std::move(rec));
   });
   ASSERT_EQ(records.size(), 6u);
@@ -160,8 +160,8 @@ TEST(OooTraceCampaign, AesWindowIsStableAndDeterministic) {
   config.threads = 3;
   core::trace_campaign parallel(config, key);
   std::size_t index = 0;
-  parallel.run([&](core::trace_record&& rec) {
-    ASSERT_EQ(rec.plaintext, records[index].plaintext);
+  parallel.engine().run([&](core::acquisition_record&& rec) {
+    ASSERT_EQ(rec.labels, records[index].labels);
     ASSERT_EQ(rec.samples, records[index].samples);
     ++index;
   });
@@ -182,12 +182,13 @@ cpa_outcome run_cpa_campaign(const crypto::aes_key& key,
   core::trace_campaign campaign(config, key);
   std::vector<stats::partitioned_cpa> cpa;
   cpa_outcome out;
-  campaign.run([&](core::trace_record&& rec) {
+  campaign.engine().run([&](core::acquisition_record&& rec) {
     if (cpa.empty()) {
       cpa.assign(16, stats::partitioned_cpa(rec.samples.size()));
     }
     for (std::size_t b = 0; b < 16; ++b) {
-      cpa[b].add_trace(rec.plaintext[b], rec.samples);
+      cpa[b].add_trace(static_cast<std::uint8_t>(rec.labels[b]),
+                       rec.samples);
     }
     out.samples.push_back(std::move(rec.samples));
   });

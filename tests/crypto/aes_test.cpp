@@ -79,21 +79,6 @@ TEST(Aes, EncryptFips197AppendixC) {
   EXPECT_EQ(encrypt_block(pt, key), expected);
 }
 
-TEST(Aes, Round1SubbytesMatchesDefinition) {
-  const aes_key key = block_from({0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2,
-                                  0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
-                                  0x4f, 0x3c});
-  const aes_block pt = block_from({0x32, 0x43, 0xf6, 0xa8, 0x88, 0x5a, 0x30,
-                                   0x8d, 0x31, 0x31, 0x98, 0xa2, 0xe0, 0x37,
-                                   0x07, 0x34});
-  const aes_block sb = round1_subbytes(pt, key);
-  for (std::size_t i = 0; i < 16; ++i) {
-    EXPECT_EQ(sb[i], aes_sbox()[pt[i] ^ key[i]]);
-  }
-  // FIPS-197 Appendix B round 1 after SubBytes starts with d4.
-  EXPECT_EQ(sb[0], 0xd4);
-}
-
 TEST(Aes, SubbytesHypothesisConsistent) {
   EXPECT_EQ(subbytes_hypothesis(0x32, 0x2b), aes_sbox()[0x32 ^ 0x2b]);
 }

@@ -33,12 +33,13 @@ TEST(OooEndToEnd, CpaRecoversTheFullAesKey) {
   core::trace_campaign campaign(config, key);
 
   std::vector<stats::partitioned_cpa> cpa;
-  campaign.run([&](core::trace_record&& rec) {
+  campaign.engine().run([&](core::acquisition_record&& rec) {
     if (cpa.empty()) {
       cpa.assign(16, stats::partitioned_cpa(rec.samples.size()));
     }
     for (std::size_t b = 0; b < 16; ++b) {
-      cpa[b].add_trace(rec.plaintext[b], rec.samples);
+      cpa[b].add_trace(static_cast<std::uint8_t>(rec.labels[b]),
+                       rec.samples);
     }
   });
   ASSERT_EQ(cpa.size(), 16u);

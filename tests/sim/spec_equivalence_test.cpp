@@ -489,21 +489,21 @@ TEST(SpecBatching, CampaignFallsBackPerTraceByteIdentical) {
   const crypto::aes_key key = golden_key;
   const auto collect = [&]() {
     core::trace_campaign campaign(config, key);
-    std::vector<core::trace_record> records;
-    campaign.run([&records](core::trace_record&& rec) {
+    std::vector<core::acquisition_record> records;
+    campaign.engine().run([&records](core::acquisition_record&& rec) {
       records.push_back(std::move(rec));
     });
     return records;
   };
 
-  const std::vector<core::trace_record> fallback = collect();
+  const std::vector<core::acquisition_record> fallback = collect();
   ASSERT_EQ(setenv("USCA_SIM_BATCH", "0", 1), 0);
-  const std::vector<core::trace_record> per_trace = collect();
+  const std::vector<core::acquisition_record> per_trace = collect();
   ASSERT_EQ(unsetenv("USCA_SIM_BATCH"), 0);
 
   ASSERT_EQ(fallback.size(), per_trace.size());
   for (std::size_t i = 0; i < fallback.size(); ++i) {
-    EXPECT_EQ(fallback[i].plaintext, per_trace[i].plaintext);
+    EXPECT_EQ(fallback[i].labels, per_trace[i].labels);
     EXPECT_EQ(fallback[i].cycles, per_trace[i].cycles);
     ASSERT_EQ(fallback[i].samples.size(), per_trace[i].samples.size());
     if (!fallback[i].samples.empty()) {

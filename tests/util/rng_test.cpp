@@ -72,18 +72,5 @@ TEST(Rng, UniformBitBalance) {
   EXPECT_NEAR(fraction, 0.5, 0.01);
 }
 
-TEST(Rng, JumpProducesDisjointStream) {
-  xoshiro256 a(42);
-  xoshiro256 b(42);
-  b.jump();
-  int equal = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (a() == b()) {
-      ++equal;
-    }
-  }
-  EXPECT_LT(equal, 2);
-}
-
 } // namespace
 } // namespace usca::util
