@@ -260,6 +260,169 @@ TEST(SpecEquivalence, FastAndReferenceSchedulersAgreeUnderSpeculation) {
   EXPECT_GT(total_mispredicts, 0u);
 }
 
+// ------------------------------------------------------ wrong-path goldens
+
+/// Whole-run pins of the wrong path: a comparison of the fast and the
+/// reference scheduler cannot see a change to the rename body both share,
+/// so each predictor's run is pinned against constants recorded once
+/// before that body was merged into the correct-path rename, and never
+/// edited since.
+struct wrong_path_golden {
+  predictor_kind kind;
+  std::uint64_t digest;
+  std::uint64_t cycles;
+  std::uint64_t mispredicts;
+  std::uint64_t wrong_path;
+};
+
+void expect_wrong_path_golden(const full_snapshot& snap,
+                              const wrong_path_golden& want,
+                              const char* what) {
+  const std::string where = std::string(what) + " " +
+                            std::string(predictor_kind_name(want.kind));
+  EXPECT_EQ(activity_window_digest(snap.activity, 0,
+                                   static_cast<std::uint32_t>(snap.cycles) +
+                                       1),
+            want.digest)
+      << where;
+  EXPECT_EQ(snap.cycles, want.cycles) << where;
+  EXPECT_EQ(snap.mispredicts, want.mispredicts) << where;
+  EXPECT_EQ(snap.wrong_path, want.wrong_path) << where;
+}
+
+/// The fast and the reference scheduler of the design point `spec`.
+std::array<micro_arch_config, 2> both_schedulers(
+    const speculation_config& spec) {
+  micro_arch_config fast = cortex_a7_ooo_spec(spec);
+  micro_arch_config ref = fast;
+  ref.ooo.scheduler = ooo_scheduler::reference;
+  return {fast, ref};
+}
+
+TEST(SpecWrongPathGolden, BranchyAes) {
+  constexpr wrong_path_golden goldens[] = {
+      {predictor_kind::static_btfn, 0x0886f175d3b72aa5ULL, 2699, 76, 358},
+      {predictor_kind::bimodal, 0x5ead7e01ad771dc6ULL, 2703, 80, 374},
+      {predictor_kind::gshare, 0x3a0d9b933787984fULL, 2695, 76, 356},
+  };
+  const crypto::aes_program_layout layout =
+      crypto::generate_aes128_branchy_program();
+  for (const wrong_path_golden& want : goldens) {
+    for (const micro_arch_config& arch : both_schedulers(spec_of(want.kind))) {
+      ooo_core core(layout.prog, arch);
+      crypto::install_aes_inputs(core.memory(), layout,
+                                 crypto::expand_key(golden_key),
+                                 golden_plaintext);
+      core.warm_caches();
+      core.run();
+      full_snapshot snap;
+      snap.cycles = core.cycles();
+      snap.mispredicts = core.mispredicts();
+      snap.wrong_path = core.wrong_path_renamed();
+      snap.activity = core.activity();
+      expect_wrong_path_golden(snap, want, "branchy aes");
+    }
+  }
+}
+
+TEST(SpecWrongPathGolden, SeededRandomProgram) {
+  constexpr wrong_path_golden goldens[] = {
+      {predictor_kind::static_btfn, 0x36af4b62709c2c2aULL, 63, 4, 20},
+      {predictor_kind::bimodal, 0x6f28be86c7f66df9ULL, 63, 4, 20},
+      {predictor_kind::gshare, 0xc7f118f46575a185ULL, 63, 4, 20},
+  };
+  util::xoshiro256 rng(0x5bec9004);
+  const asmx::program prog = random_program(rng, 80);
+  std::array<std::uint32_t, 8> inputs;
+  for (auto& v : inputs) {
+    v = rng.next_u32();
+  }
+  const auto index_r11 =
+      static_cast<std::uint32_t>(rng.bounded(random_program_buffer_words));
+  for (const wrong_path_golden& want : goldens) {
+    for (const micro_arch_config& arch : both_schedulers(spec_of(want.kind))) {
+      expect_wrong_path_golden(run_random(prog, arch, inputs, index_r11),
+                               want, "random program");
+    }
+  }
+}
+
+/// A directed program whose two mispredicted forward branches send the
+/// wrong path through every case of the wrong-path rename: stores, which
+/// write nothing; misaligned ldr/ldrh, which are force-aligned; a
+/// condition-failed load; flag-setting mul and data processing; a nop;
+/// conditional, direct and indirect branches; a bl, whose link (the next
+/// slot's address) the next µop reads; a mark, which parks fetch until
+/// the flush; and a run off the program's end.  The caches start cold, so wrong-path fetch
+/// also stalls on the I-cache.
+TEST(SpecWrongPathGolden, DirectedDrill) {
+  constexpr wrong_path_golden goldens[] = {
+      {predictor_kind::static_btfn, 0x2acf037bb3348aaeULL, 59, 2, 19},
+      {predictor_kind::bimodal, 0x2358e48dbeb17645ULL, 59, 2, 19},
+      {predictor_kind::gshare, 0xc9b4c1f554115479ULL, 59, 2, 19},
+  };
+  asmx::program_builder b;
+  std::array<std::uint8_t, 32> bytes;
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(0x10 + 7 * i);
+  }
+  const std::uint32_t buffer = b.data_bytes(bytes);
+  b.load_constant(reg::r10, buffer);
+  b.load_constant(reg::r1, 0x9e3779b9);
+  b.load_constant(reg::r0, 0);
+  b.load_constant(reg::r7, 0x40);
+  b.emit(mk::cmp_imm(reg::r0, 0));
+  b.emit(mk::b(17, condition::eq)); // taken, predicted not taken
+  b.emit(mk::str(reg::r1, reg::r10, 0));
+  b.emit(mk::strb(reg::r1, reg::r10, 5));
+  b.emit(mk::strh(reg::r1, reg::r10, 6));
+  b.emit(mk::ldr(reg::r2, reg::r10, 1));
+  b.emit(mk::ldrh(reg::r3, reg::r10, 3));
+  isa::instruction failed_load = mk::ldr(reg::r6, reg::r10, 8);
+  failed_load.cond = condition::ne;
+  b.emit(failed_load);
+  isa::instruction muls = mk::mul(reg::r4, reg::r1, reg::r2);
+  muls.set_flags = true;
+  b.emit(muls);
+  b.emit(mk::mla(reg::r5, reg::r4, reg::r1, reg::r3));
+  isa::instruction adds = mk::dp_imm(isa::opcode::add, reg::r6, reg::r5, 7);
+  adds.set_flags = true;
+  b.emit(adds);
+  b.emit(mk::movt(reg::r6, 0xbeef));
+  b.emit(mk::nop());
+  b.emit(mk::b(0, condition::ne));
+  b.emit(mk::b(0));
+  b.emit(mk::bx(reg::r7));
+  b.emit(mk::bl(0));
+  b.emit(mk::dp_imm(isa::opcode::add, reg::r6, reg::lr, 1));
+  b.emit(mk::mark(77));
+  // The first branch's target; the second branch's wrong path runs off
+  // the end of the program, which has no halt.
+  b.emit(mk::dp_imm(isa::opcode::add, reg::r0, reg::r0, 1));
+  b.emit(mk::cmp_imm(reg::r0, 1));
+  b.emit(mk::b(2, condition::eq)); // taken, predicted not taken
+  b.emit(mk::dp_imm(isa::opcode::eor, reg::r2, reg::r1, 3));
+  b.emit(mk::str(reg::r2, reg::r10, 12));
+  b.emit(mk::dp_imm(isa::opcode::add, reg::r3, reg::r0, 5));
+  const asmx::program prog = b.build(false);
+
+  for (const wrong_path_golden& want : goldens) {
+    speculation_config spec = spec_of(want.kind);
+    spec.resolve_latency = 20; // long enough to reach the mark
+    for (const micro_arch_config& arch : both_schedulers(spec)) {
+      ooo_core core(prog, arch);
+      core.run();
+      EXPECT_EQ(core.state().regs[0], 1u);
+      full_snapshot snap;
+      snap.cycles = core.cycles();
+      snap.mispredicts = core.mispredicts();
+      snap.wrong_path = core.wrong_path_renamed();
+      snap.activity = core.activity();
+      expect_wrong_path_golden(snap, want, "directed drill");
+    }
+  }
+}
+
 // ------------------------------------------------- directed flush drills
 
 /// Branches renamed INSIDE a wrong-path episode (the flush must discard
