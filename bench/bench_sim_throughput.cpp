@@ -16,9 +16,7 @@
 //    write/replay MB/s, and the fabric merge / salvage scan MB/s of the
 //    robustness layer)
 //    so speedups can be pinned in-repo (BENCH_hotpath.json) and tracked
-//    by CI.  Exits 2 when USCA_SIM_BATCH, USCA_OOO_REFERENCE or
-//    USCA_SPEC_PREDICTOR is set: they would swap another path in under
-//    the report's per-trace/batched/fast/reference labels.
+//    by CI.  Each field's path is pinned by its campaign's config.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -368,7 +366,7 @@ hot_path_report measure_hot_path(const bench::arg_map& args) {
       static_cast<double>(simulated_cycles) / report.seconds;
 
   // The identical campaign through the batched SoA backend (the default
-  // lane count, or whatever USCA_SIM_BATCH selects).
+  // lane count).
   config.sim_batch_lanes = -1;
   report.sim_batch_lanes = sim::resolve_sim_batch_lanes(-1);
   {
@@ -689,21 +687,6 @@ void write_json(std::FILE* out, const hot_path_report& r) {
 }
 
 int run_json_mode(const std::string& json_arg, int argc, char** argv) {
-  // Each report field pins its path by config (per-trace, batched, fast
-  // or reference scheduler, perfect predictor); these process-wide
-  // overrides would silently time another path under the same label.
-  for (const char* knob :
-       {"USCA_SIM_BATCH", "USCA_OOO_REFERENCE", "USCA_SPEC_PREDICTOR"}) {
-    if (const char* value = std::getenv(knob);
-        value != nullptr && value[0] != '\0') {
-      std::fprintf(stderr,
-                   "bench_sim_throughput --json: %s is set; it overrides "
-                   "the path each field measures, so the report would be "
-                   "mislabelled.  Unset it and rerun.\n",
-                   knob);
-      return 2;
-    }
-  }
   // Strip the --json flag; the rest is the usual key=value syntax.
   std::vector<char*> rest;
   rest.reserve(static_cast<std::size_t>(argc));

@@ -108,7 +108,6 @@ power::trace_synthesizer acquisition_campaign::make_synthesizer() const {
 std::size_t acquisition_campaign::batch_lanes() const {
   if (config_.backend == sim::backend_kind::ooo &&
       (config_.uarch.ooo.scheduler != sim::ooo_scheduler::fast ||
-       sim::ooo_reference_forced() ||
        sim::speculation_active(config_.uarch))) {
     // The reference scheduler exists as the differential oracle and has
     // no batched counterpart; a speculating core's per-lane wrong paths

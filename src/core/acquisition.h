@@ -93,11 +93,9 @@ struct acquisition_config {
   sim::backend_kind backend = sim::backend_kind::inorder;
   /// Batched-simulation width (sim/batch_sim.h): -1 selects the default
   /// lane count, 0 forces the per-trace path, 1..64 batches that many
-  /// trials per run.  USCA_SIM_BATCH, when set, overrides this field
-  /// (USCA_SIM_BATCH=0 reverts every campaign to the per-trace reference
-  /// path).  Trials whose data-dependent timing diverges from their batch
-  /// are ejected and transparently re-simulated per-trace, so results are
-  /// bit-identical at every lane count.
+  /// trials per run.  Trials whose data-dependent timing diverges from
+  /// their batch are ejected and transparently re-simulated per-trace, so
+  /// results are bit-identical at every lane count.
   int sim_batch_lanes = -1;
 };
 

@@ -1,7 +1,6 @@
 #include "sim/batch_sim.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 
 #include "sim/batch_pipeline.h"
@@ -12,39 +11,7 @@
 
 namespace usca::sim {
 
-std::size_t parse_sim_batch_env(const char* value) {
-  if (value == nullptr || value[0] == '\0') {
-    return default_sim_batch_lanes;
-  }
-  // Strict decimal parse: the whole string must be digits, and the value
-  // must fit the lane budget — a typo must not silently change which
-  // simulation engine a campaign runs on.
-  std::size_t lanes = 0;
-  for (const char* p = value; *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9' || lanes > max_batch_lanes) {
-      throw util::simulation_error(
-          std::string("unknown USCA_SIM_BATCH value '") + value +
-          "' (valid values: unset, \"\", 0 = per-trace, 1.." +
-          std::to_string(max_batch_lanes) + " = batch lanes)");
-    }
-    lanes = lanes * 10 + static_cast<std::size_t>(*p - '0');
-  }
-  if (lanes > max_batch_lanes) {
-    throw util::simulation_error(
-        std::string("unknown USCA_SIM_BATCH value '") + value +
-        "' (valid values: unset, \"\", 0 = per-trace, 1.." +
-        std::to_string(max_batch_lanes) + " = batch lanes)");
-  }
-  return lanes;
-}
-
 std::size_t resolve_sim_batch_lanes(int config_lanes) {
-  // The environment, when set, wins: USCA_SIM_BATCH=0 is the no-rebuild
-  // escape hatch back to the per-trace reference path.
-  if (const char* env = std::getenv("USCA_SIM_BATCH");
-      env != nullptr && env[0] != '\0') {
-    return parse_sim_batch_env(env);
-  }
   if (config_lanes < 0) {
     return default_sim_batch_lanes;
   }

@@ -38,8 +38,8 @@
 // Implementations: sim::batch_pipeline (in-order; batch_pipeline.h) and
 // sim::batch_ooo_core (OoO fast scheduler; ooo/batch_ooo_core.h).  The
 // acquisition engine produces through this interface behind the
-// `sim_batch_lanes` field of core::acquisition_config (default on,
-// USCA_SIM_BATCH=0 escape hatch).
+// `sim_batch_lanes` field of core::acquisition_config (default on; 0
+// selects the per-trace path).
 #ifndef USCA_SIM_BATCH_SIM_H
 #define USCA_SIM_BATCH_SIM_H
 
@@ -65,24 +65,15 @@ struct micro_arch_config;
 /// Lane-mask machinery (and the OoO age ring) bound batches to 64 lanes.
 inline constexpr std::size_t max_batch_lanes = 64;
 
-/// Default batch width when neither the config nor USCA_SIM_BATCH picks
-/// one.  The lane sweep in EXPERIMENTS.md rises through 16 lanes and
-/// flattens around 32–48 (by 64 the lane-major working set starts
-/// falling out of L2); 32 sits on the plateau while keeping a batch's
-/// lane state cache-resident.
+/// Default batch width when the config does not pick one.  The lane
+/// sweep in EXPERIMENTS.md rises through 16 lanes and flattens around
+/// 32–48 (by 64 the lane-major working set starts falling out of L2); 32
+/// sits on the plateau while keeping a batch's lane state cache-resident.
 inline constexpr std::size_t default_sim_batch_lanes = 32;
 
-/// Strict parse of a USCA_SIM_BATCH value: unset / "" selects the default
-/// lane count, "0" disables batching (the per-trace escape hatch), an
-/// integer in [1, 64] selects that many lanes; anything else throws
-/// util::simulation_error listing the valid values.
-std::size_t parse_sim_batch_env(const char* value);
-
-/// Lane count a campaign should batch with: USCA_SIM_BATCH, when set,
-/// wins (it is the no-rebuild escape hatch); otherwise `config_lanes`
-/// decides — negative means "default", 0 means "per-trace", positive is
-/// clamped to max_batch_lanes.  Reads the environment on every call so
-/// setenv-based tests see the live value.
+/// Lane count a campaign should batch with, from the `sim_batch_lanes`
+/// config field: negative means "default", 0 means "per-trace",
+/// positive is clamped to max_batch_lanes.
 std::size_t resolve_sim_batch_lanes(int config_lanes);
 
 /// The set lanes of a lane mask, lowest first:

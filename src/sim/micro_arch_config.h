@@ -61,10 +61,8 @@ enum class issue_policy : std::uint8_t {
 /// keeps the original per-cycle linear scans in sim::ooo_core as the
 /// independent oracle for the differential equivalence suites
 /// (tests/sim/ooo_equivalence_fuzz_test.cpp); it runs per-trace only.
-/// USCA_OOO_REFERENCE=1 in the environment forces `reference` at
-/// construction — a whole-suite toggle that needs no rebuild.  Not part
-/// of the archive config hash: an implementation choice, not a design
-/// point.
+/// This field alone picks the scheduler.  Not part of the archive config
+/// hash: an implementation choice, not a design point.
 enum class ooo_scheduler : std::uint8_t {
   fast,      ///< ready bitmasks, tag-indexed wakeup, constant-time CDB
   reference, ///< per-cycle linear scans (the original implementation)

@@ -30,10 +30,11 @@ batch_ooo_core::batch_ooo_core(program_image image, micro_arch_config config,
       ctl_(config) {
   // The reference scheduler is the differential oracle; its whole point
   // is being an independent implementation, so it runs per-trace only.
-  if (config.ooo.scheduler != ooo_scheduler::fast || ooo_reference_forced()) {
+  if (config.ooo.scheduler != ooo_scheduler::fast) {
     throw util::simulation_error(
         "batch ooo backend supports only the fast scheduler (use "
-        "USCA_SIM_BATCH=0 / per-trace cores for reference-scheduler runs)");
+        "sim_batch_lanes = 0 / per-trace cores for reference-scheduler "
+        "runs)");
   }
   // Speculative lanes diverge down per-lane wrong paths, which the shared
   // front end of the SoA design cannot represent; the campaign layer

@@ -25,8 +25,8 @@
 //
 // The reference scheduler has no batched counterpart: it exists as the
 // differential oracle, and batching it would just be a second fast path.
-// Constructing this class under ooo_scheduler::reference (or
-// USCA_OOO_REFERENCE=1) throws; campaigns fall back to per-trace cores.
+// Constructing this class under ooo_scheduler::reference throws;
+// campaigns fall back to per-trace cores.
 #ifndef USCA_SIM_OOO_BATCH_OOO_CORE_H
 #define USCA_SIM_OOO_BATCH_OOO_CORE_H
 

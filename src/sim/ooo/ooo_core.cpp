@@ -1,7 +1,6 @@
 #include "sim/ooo/ooo_core.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "sim/alu.h"
 #include "util/error.h"
@@ -17,27 +16,6 @@ using isa::reg;
 
 } // namespace
 
-bool parse_ooo_reference_env(const char* value) {
-  if (value == nullptr || value[0] == '\0' ||
-      (value[0] == '0' && value[1] == '\0')) {
-    return false;
-  }
-  if (value[0] == '1' && value[1] == '\0') {
-    return true;
-  }
-  // A typo here used to silently force the reference scheduler (any
-  // non-"0" string counted as "on") — fail loudly instead.
-  throw util::simulation_error(
-      std::string("unknown USCA_OOO_REFERENCE value '") + value +
-      "' (valid values: unset, \"\", 0, 1)");
-}
-
-bool ooo_reference_forced() {
-  // Re-read on every call (a getenv per core construction is noise):
-  // setenv-based A/B tests must see the current value, not a cached one.
-  return parse_ooo_reference_env(std::getenv("USCA_OOO_REFERENCE"));
-}
-
 ooo_core::ooo_core(asmx::program prog, micro_arch_config config)
     : ooo_core(program_image(std::move(prog)), config) {}
 
@@ -47,7 +25,7 @@ ooo_core::ooo_core(program_image image, micro_arch_config config)
       ctl_(config),
       icache_(config.icache),
       dcache_(config.dcache) {
-  spec_ = effective_speculation(config);
+  spec_ = config.speculation;
   spec_enabled_ = spec_.predictor != predictor_kind::perfect;
   if (spec_enabled_) {
     validate_speculation_config(spec_);
@@ -62,8 +40,7 @@ ooo_core::ooo_core(program_image image, micro_arch_config config)
   memory_.load(prog_->data_base, prog_->data);
   activity_.reserve(4096);
 
-  fast_ = config.ooo.scheduler == ooo_scheduler::fast &&
-          !ooo_reference_forced();
+  fast_ = config.ooo.scheduler == ooo_scheduler::fast;
   static const telem::gauge reference_mode{"sim.ooo.reference_mode", "flag",
                                            "sim"};
   reference_mode.set(fast_ ? 0 : 1);
@@ -418,10 +395,29 @@ void ooo_core::write_rat(rob_entry& entry, std::uint32_t rob_slot, reg rd,
   rat_port_state_[lane] = tag;
 }
 
+template <bool wrong_path>
 ooo_core::rename_result ooo_core::rename_one(int slot) {
-  const std::size_t index = state_.pc;
+  // One body for both paths.  The wrong path runs the same stalls, the
+  // same ROB/RAT/RS allocation and the same activity emission, but on the
+  // shadow register view, and NEVER touches state_, memory_ or predictor
+  // tables.  Each test of `wrong_path` is resolved at compile time, so
+  // the correct-path instantiation — the per-trace hot loop — carries no
+  // per-instruction mode test.
+  auto& regs = wrong_path ? spec_regs_ : state_.regs;
+  isa::flags& flags = wrong_path ? spec_flags_ : state_.f;
+  std::size_t& pc = wrong_path ? spec_pc_ : state_.pc;
+
+  const std::size_t index = pc;
   const instruction& ins = prog_->code[index];
   const bool serializing = ins.op == opcode::mark || ins.op == opcode::halt;
+  if constexpr (wrong_path) {
+    if (serializing) {
+      // Serializing µops wait for an empty machine, which an unresolved
+      // branch makes impossible: wrong-path fetch parks until the flush.
+      spec_fetch_done_ = true;
+      return rename_result::stall;
+    }
+  }
 
   // All structural stalls are checked before any architectural effect so
   // that a stalled instruction re-renames cleanly next cycle.
@@ -429,7 +425,9 @@ ooo_core::rename_result ooo_core::rename_one(int slot) {
     return rename_result::stall; // marks/halt drain the machine first
   }
 
-  // Fetch: the I-cache sees one access per renamed instruction.
+  // Fetch: the I-cache sees one access per renamed instruction, on the
+  // wrong path too — speculative fetch pollutes (and can be stalled by)
+  // the same front-end state.
   const int penalty = icache_.access(prog_->address_of(index));
   if (penalty > 0) {
     ctl_.fetch_ready = ctl_.cycle + static_cast<std::uint64_t>(penalty);
@@ -441,10 +439,13 @@ ooo_core::rename_result ooo_core::rename_one(int slot) {
   entry.seq = ctl_.next_seq;
   rob_value_[rob_slot] = 0;
 
-  const bool exec = isa::condition_passes(ins.cond, state_.f);
-  std::size_t next_pc = state_.pc + 1;
+  const bool exec = isa::condition_passes(ins.cond, flags);
+  std::size_t next_pc = index + 1;
 
-  const auto read = [this](reg r) { return state_.reg(r); };
+  const auto read = [&regs](reg r) { return regs[isa::index_of(r)]; };
+  const auto write = [&regs](reg r, std::uint32_t value) {
+    regs[isa::index_of(r)] = value;
+  };
   const auto rename_dest = [&](reg rd, std::uint32_t value) {
     write_rat(entry, rob_slot, rd, value, slot);
   };
@@ -457,17 +458,17 @@ ooo_core::rename_result ooo_core::rename_one(int slot) {
   bool redirected = false;
   const auto add_src = [&](reg r) {
     rs.src_preg[rs.n_src] = ctl_.source_tag(isa::index_of(r));
-    vals.src[rs.n_src] = state_.reg(r);
+    vals.src[rs.n_src] = read(r);
     ++rs.n_src;
   };
   const auto wait_flags = [&] { rs.flags_wait_slot = ctl_.flags_wait(); };
 
-  // --- simulator pseudo-ops ------------------------------------------------
+  // --- simulator pseudo-ops (correct path only: the wrong path parked) ---
   if (ins.op == opcode::mark) {
     entry.is_mark = true;
     entry.mark_id = ins.imm16;
     entry.completed = true;
-    state_.pc = next_pc;
+    pc = next_pc;
   } else if (ins.op == opcode::halt) {
     entry.is_halt = true;
     entry.completed = true;
@@ -477,57 +478,100 @@ ooo_core::rename_result ooo_core::rename_one(int slot) {
     // rename/issue datapath: the OoO engine does not reuse the A7's
     // bus-zeroizing nop implementation.
     entry.completed = true;
-    state_.pc = next_pc;
+    pc = next_pc;
   } else if (isa::is_branch(ins)) {
-    // Branches resolve at rename (the perfect-prediction analogue of the
-    // in-order model); bl's link value is known immediately.  Under a
-    // real predictor the resolved outcome is compared against the
-    // prediction below: a mispredict leaves this entry incomplete and
-    // sends the front end down the predicted (wrong) path until
-    // resolve_mispredict() flushes it.
-    if (ins.op == opcode::bx) {
-      const std::uint32_t target = read(ins.op2.rm);
-      if (exec) {
-        const auto target_index = prog_->index_of_address(target);
-        if (!target_index) {
-          // Return past the outermost frame: the front end stops and the
-          // machine drains to a halt (no speculation on the drain —
-          // wrong-path fetch past the program's end is not modelled).
-          ctl_.frontend_done = true;
-          entry.completed = true;
-          entry.is_halt = true;
-          ctl_.accept(entry, rob_slot);
-          ++renamed_;
-          return rename_result::accepted_stop;
+    if constexpr (wrong_path) {
+      // Wrong-path branches steer wrong-path fetch by prediction alone:
+      // read-only predictor queries (tables learn nothing from a path
+      // that never resolves) and no nested checkpoints — the one
+      // in-flight mispredict flushes everything younger than itself.
+      const auto pc32 = static_cast<std::uint32_t>(index);
+      bool taken_pred = true;
+      if (ins.cond != isa::condition::al) {
+        std::uint32_t target_hint = pc32 + 1;
+        if (ins.op != opcode::bx) {
+          target_hint = static_cast<std::uint32_t>(
+              static_cast<std::int64_t>(index) + 1 + ins.branch_offset);
         }
-        next_pc = *target_index;
+        const auto dir = predictor_.predict_conditional(pc32, target_hint);
+        emit_bp_table(0, dir.table_bus);
+        taken_pred = dir.taken;
       }
-    } else if (exec) {
-      const auto target = static_cast<std::size_t>(
-          static_cast<std::int64_t>(state_.pc) + 1 + ins.branch_offset);
-      if (ins.op == opcode::bl) {
-        const std::uint32_t link = prog_->address_of(state_.pc + 1);
-        rename_dest(reg::lr, link);
-        ctl_.preg_ready[entry.dest_preg] = 1; // value known at rename
-        state_.set_reg(reg::lr, link);
+      if (taken_pred) {
+        if (ins.op == opcode::bx) {
+          if (ins.op2.rm == reg::lr) {
+            const auto p = predictor_.peek_return();
+            emit_btb_port(1, p.target_bus);
+            next_pc = p.target;
+          } else {
+            const auto p = predictor_.predict_indirect(pc32);
+            emit_btb_port(0, p.target_bus);
+            next_pc = p.has_target ? p.target : index + 1;
+          }
+        } else {
+          next_pc = static_cast<std::size_t>(
+              static_cast<std::int64_t>(index) + 1 + ins.branch_offset);
+          if (ins.op == opcode::bl) {
+            const std::uint32_t link =
+                prog_->address_of(index) + 4; // link of the next slot
+            rename_dest(reg::lr, link);
+            ctl_.preg_ready[entry.dest_preg] = 1;
+            write(reg::lr, link);
+          }
+        }
       }
-      next_pc = target;
+      entry.completed = true;
+    } else {
+      // Branches resolve at rename (the perfect-prediction analogue of
+      // the in-order model); bl's link value is known immediately.  Under
+      // a real predictor the resolved outcome is compared against the
+      // prediction below: a mispredict leaves this entry incomplete and
+      // sends the front end down the predicted (wrong) path until
+      // resolve_mispredict() flushes it.
+      if (ins.op == opcode::bx) {
+        const std::uint32_t target = read(ins.op2.rm);
+        if (exec) {
+          const auto target_index = prog_->index_of_address(target);
+          if (!target_index) {
+            // Return past the outermost frame: the front end stops and
+            // the machine drains to a halt (no speculation on the drain —
+            // wrong-path fetch past the program's end is not modelled).
+            ctl_.frontend_done = true;
+            entry.completed = true;
+            entry.is_halt = true;
+            ctl_.accept(entry, rob_slot);
+            ++renamed_;
+            return rename_result::accepted_stop;
+          }
+          next_pc = *target_index;
+        }
+      } else if (exec) {
+        const auto target = static_cast<std::size_t>(
+            static_cast<std::int64_t>(index) + 1 + ins.branch_offset);
+        if (ins.op == opcode::bl) {
+          const std::uint32_t link = prog_->address_of(index + 1);
+          rename_dest(reg::lr, link);
+          ctl_.preg_ready[entry.dest_preg] = 1; // value known at rename
+          write(reg::lr, link);
+        }
+        next_pc = target;
+      }
+      bool mispredicted = false;
+      if (spec_enabled_) [[unlikely]] {
+        predict_branch(ins, index, exec, next_pc, rob_slot, entry.seq);
+        mispredicted = wrong_path_ && spec_branch_seq_ == entry.seq;
+      }
+      redirected = next_pc != index + 1;
+      if (redirected && !config().perfect_branch_prediction) {
+        ctl_.fetch_ready =
+            ctl_.cycle + 1 +
+            static_cast<std::uint64_t>(config().branch_mispredict_penalty);
+      }
+      // A mispredicted branch stays incomplete until the recovery flush:
+      // retirement stalls at it, so no wrong-path µop can ever commit.
+      entry.completed = !mispredicted;
     }
-    bool mispredicted = false;
-    if (spec_enabled_) [[unlikely]] {
-      predict_branch(ins, index, exec, next_pc, rob_slot, entry.seq);
-      mispredicted = wrong_path_ && spec_branch_seq_ == entry.seq;
-    }
-    redirected = next_pc != state_.pc + 1;
-    if (redirected && !config().perfect_branch_prediction) {
-      ctl_.fetch_ready =
-          ctl_.cycle + 1 +
-          static_cast<std::uint64_t>(config().branch_mispredict_penalty);
-    }
-    // A mispredicted branch stays incomplete until the recovery flush:
-    // retirement stalls at it, so no wrong-path µop can ever commit.
-    entry.completed = !mispredicted;
-    state_.pc = next_pc;
+    pc = next_pc;
   } else if (isa::is_memory(ins)) {
     add_src(ins.mem.base);
     const std::uint32_t base = read(ins.mem.base);
@@ -556,15 +600,19 @@ ooo_core::rename_result ooo_core::rename_one(int slot) {
       }
       std::uint32_t value = read(ins.rd); // kept on a failed condition
       if (exec) {
+        // Wrong-path loads read real memory too (every older store
+        // already executed architecturally at rename — perfect
+        // store-to-load forwarding), with forced alignment: a wrong-path
+        // address is arbitrary and must not fault the simulator.
         switch (ins.op) {
         case opcode::ldr:
-          value = memory_.read32(address);
+          value = memory_.read32(wrong_path ? address & ~3U : address);
           break;
         case opcode::ldrb:
           value = memory_.read8(address);
           break;
         case opcode::ldrh:
-          value = memory_.read16(address);
+          value = memory_.read16(wrong_path ? address & ~1U : address);
           break;
         default:
           break;
@@ -572,25 +620,30 @@ ooo_core::rename_result ooo_core::rename_one(int slot) {
         vals.mem_word = memory_.containing_word(address);
       }
       rename_dest(ins.rd, value);
-      state_.set_reg(ins.rd, value);
+      write(ins.rd, value);
       rs.is_load = true;
       vals.sub_value = value;
     } else {
       const std::uint32_t data = read(ins.rd);
       add_src(ins.rd); // store data is a register source
       if (exec) {
-        switch (ins.op) {
-        case opcode::str:
-          memory_.write32(address, data);
-          break;
-        case opcode::strb:
-          memory_.write8(address, static_cast<std::uint8_t>(data));
-          break;
-        case opcode::strh:
-          memory_.write16(address, static_cast<std::uint16_t>(data));
-          break;
-        default:
-          break;
+        // Wrong-path stores write nothing — not memory, not a forwarding
+        // buffer (younger wrong-path loads see stale memory; documented
+        // simplification).  The MDR still observes the target word.
+        if constexpr (!wrong_path) {
+          switch (ins.op) {
+          case opcode::str:
+            memory_.write32(address, data);
+            break;
+          case opcode::strb:
+            memory_.write8(address, static_cast<std::uint8_t>(data));
+            break;
+          case opcode::strh:
+            memory_.write16(address, static_cast<std::uint16_t>(data));
+            break;
+          default:
+            break;
+          }
         }
         vals.mem_word = memory_.containing_word(address);
         vals.sub_value =
@@ -605,7 +658,7 @@ ooo_core::rename_result ooo_core::rename_one(int slot) {
       entry.has_value = true;
     }
     to_rs = true;
-    state_.pc = next_pc;
+    pc = next_pc;
   } else if (ins.op == opcode::mul || ins.op == opcode::mla) {
     add_src(ins.rn);
     add_src(ins.op2.rm);
@@ -626,18 +679,19 @@ ooo_core::rename_result ooo_core::rename_one(int slot) {
     const std::uint32_t result =
         exec ? read(ins.rn) * read(ins.op2.rm) + acc : read(ins.rd);
     rename_dest(ins.rd, result);
-    state_.set_reg(ins.rd, result);
+    write(ins.rd, result);
     if (ins.set_flags) {
       if (exec) {
-        state_.f.n = (result >> 31) != 0;
-        state_.f.z = result == 0;
+        flags.n = (result >> 31) != 0;
+        flags.z = result == 0;
       }
       // The flag rename happens either way: younger flag readers wait on
-      // this µop independent of the condition's outcome.
+      // this µop independent of the condition's outcome (on the wrong
+      // path the flush restores it from the checkpoint).
       ctl_.flags_producer_slot = rob_slot;
     }
     to_rs = true;
-    state_.pc = next_pc;
+    pc = next_pc;
   } else {
     // Data processing (incl. movw/movt and standalone shifts).
     const bool has_rn = !(ins.op == opcode::mov || ins.op == opcode::mvn ||
@@ -659,7 +713,7 @@ ooo_core::rename_result ooo_core::rename_one(int slot) {
       result = (read(ins.rd) & 0xffffU) |
                (static_cast<std::uint32_t>(ins.imm16) << 16);
     } else {
-      const operand2_value op2 = eval_operand2(ins, read, state_.f.c);
+      const operand2_value op2 = eval_operand2(ins, read, flags.c);
       if (ins.op2.k == isa::operand2::kind::reg_shifted) {
         add_src(ins.op2.rm);
         if (ins.op2.shift.by_register) {
@@ -669,7 +723,7 @@ ooo_core::rename_result ooo_core::rename_one(int slot) {
       rs.used_shifter = op2.used_shifter;
       vals.shift_value = op2.value;
       rs.needs_alu0 = op2.used_shifter;
-      dp = execute_dp(ins.op, rn_value, op2.value, op2.carry, state_.f);
+      dp = execute_dp(ins.op, rn_value, op2.value, op2.carry, flags);
       result = dp.value;
       writes_result = dp.writes_result;
       flags_op = isa::writes_flags(ins);
@@ -687,26 +741,27 @@ ooo_core::rename_result ooo_core::rename_one(int slot) {
       }
       const std::uint32_t committed = exec ? result : read(ins.rd);
       rename_dest(ins.rd, committed);
-      state_.set_reg(ins.rd, committed);
+      write(ins.rd, committed);
     }
     if (flags_op) {
       if (exec) {
-        state_.f = dp.f;
+        flags = dp.f;
       }
       ctl_.flags_producer_slot = rob_slot;
     }
     to_rs = true;
-    state_.pc = next_pc;
+    pc = next_pc;
   }
 
   ctl_.accept(entry, rob_slot);
   if (to_rs) {
     dispatch_to_rs(rs, vals, rob_slot);
   }
-  ++renamed_;
+  ++(wrong_path ? wrong_path_renamed_ : renamed_);
 
-  if (state_.pc >= prog_->code.size() && !entry.is_halt) {
-    ctl_.frontend_done = true;
+  if (pc >= prog_->code.size() && !entry.is_halt) {
+    // The front end (or the wrong path) ran off the program's end.
+    (wrong_path ? spec_fetch_done_ : ctl_.frontend_done) = true;
     return rename_result::accepted_stop;
   }
   if (redirected && !config().perfect_branch_prediction) {
@@ -722,7 +777,7 @@ ooo_core::rename_result ooo_core::rename_one(int slot) {
 }
 
 // ---------------------------------------------------------------------------
-// Speculation: prediction, wrong-path rename, recovery flush
+// Speculation: prediction and recovery flush
 // ---------------------------------------------------------------------------
 
 void ooo_core::emit_bp_table(std::uint8_t lane, std::uint32_t value) {
@@ -820,266 +875,6 @@ void ooo_core::predict_branch(const instruction& ins, std::size_t pc_index,
   spec_flags_ = state_.f;
 }
 
-ooo_core::rename_result ooo_core::rename_one_wrong_path(int slot) {
-  // Mirrors rename_one structurally — same stalls, same ROB/RAT/RS
-  // allocation, same activity emission — but reads and writes the shadow
-  // register view and NEVER touches state_, memory_ or predictor tables.
-  // The duplication is deliberate: the correct-path rename is the hot
-  // loop of every campaign and stays free of per-instruction mode tests.
-  const std::size_t index = spec_pc_;
-  const instruction& ins = prog_->code[index];
-  if (ins.op == opcode::mark || ins.op == opcode::halt) {
-    // Serializing µops wait for an empty machine, which an unresolved
-    // branch makes impossible: wrong-path fetch parks until the flush.
-    spec_fetch_done_ = true;
-    return rename_result::stall;
-  }
-  if (ctl_.rename_stalls(false, slot)) {
-    return rename_result::stall;
-  }
-
-  // Wrong-path fetch probes the I-cache like any other: speculative
-  // fetch pollutes (and can be stalled by) the same front-end state.
-  const int penalty = icache_.access(prog_->address_of(index));
-  if (penalty > 0) {
-    ctl_.fetch_ready = ctl_.cycle + static_cast<std::uint64_t>(penalty);
-    return rename_result::stall;
-  }
-
-  const std::uint32_t rob_slot = ctl_.rob_tail();
-  rob_entry entry;
-  entry.seq = ctl_.next_seq;
-  rob_value_[rob_slot] = 0;
-
-  const bool exec = isa::condition_passes(ins.cond, spec_flags_);
-  std::size_t next_pc = index + 1;
-
-  const auto read = [this](reg r) { return spec_regs_[isa::index_of(r)]; };
-  const auto write = [this](reg r, std::uint32_t value) {
-    spec_regs_[isa::index_of(r)] = value;
-  };
-  const auto rename_dest = [&](reg rd, std::uint32_t value) {
-    write_rat(entry, rob_slot, rd, value, slot);
-  };
-
-  rs_entry rs;
-  rs_values vals;
-  rs.seq = entry.seq;
-  bool to_rs = false;
-  const auto add_src = [&](reg r) {
-    rs.src_preg[rs.n_src] = ctl_.source_tag(isa::index_of(r));
-    vals.src[rs.n_src] = read(r);
-    ++rs.n_src;
-  };
-  const auto wait_flags = [&] { rs.flags_wait_slot = ctl_.flags_wait(); };
-
-  if (isa::is_nop(ins)) {
-    entry.completed = true;
-  } else if (isa::is_branch(ins)) {
-    // Wrong-path branches steer wrong-path fetch by prediction alone:
-    // read-only predictor queries (tables learn nothing from a path that
-    // never resolves) and no nested checkpoints — the one in-flight
-    // mispredict flushes everything younger than itself anyway.
-    const auto pc32 = static_cast<std::uint32_t>(index);
-    bool taken_pred = true;
-    if (ins.cond != isa::condition::al) {
-      std::uint32_t target_hint = pc32 + 1;
-      if (ins.op != opcode::bx) {
-        target_hint = static_cast<std::uint32_t>(
-            static_cast<std::int64_t>(index) + 1 + ins.branch_offset);
-      }
-      const auto dir = predictor_.predict_conditional(pc32, target_hint);
-      emit_bp_table(0, dir.table_bus);
-      taken_pred = dir.taken;
-    }
-    if (taken_pred) {
-      if (ins.op == opcode::bx) {
-        if (ins.op2.rm == reg::lr) {
-          const auto p = predictor_.peek_return();
-          emit_btb_port(1, p.target_bus);
-          next_pc = p.target;
-        } else {
-          const auto p = predictor_.predict_indirect(pc32);
-          emit_btb_port(0, p.target_bus);
-          next_pc = p.has_target ? p.target : index + 1;
-        }
-      } else {
-        next_pc = static_cast<std::size_t>(
-            static_cast<std::int64_t>(index) + 1 + ins.branch_offset);
-        if (ins.op == opcode::bl) {
-          const std::uint32_t link =
-              prog_->address_of(index) + 4; // link of the next slot
-          rename_dest(reg::lr, link);
-          ctl_.preg_ready[entry.dest_preg] = 1;
-          write(reg::lr, link);
-        }
-      }
-    }
-    entry.completed = true;
-  } else if (isa::is_memory(ins)) {
-    add_src(ins.mem.base);
-    const std::uint32_t base = read(ins.mem.base);
-    std::uint32_t offset = ins.mem.offset_imm;
-    if (ins.mem.reg_offset) {
-      add_src(ins.mem.offset_reg);
-      offset = read(ins.mem.offset_reg) << ins.mem.offset_shift;
-    }
-    const std::uint32_t address =
-        ins.mem.subtract ? base - offset : base + offset;
-    vals.address = address;
-    rs.uses_lsu = true;
-    rs.is_subword = isa::is_subword(ins);
-    if (isa::reads_flags(ins)) {
-      wait_flags();
-    }
-    vals.squashed = !exec;
-    if (isa::is_load(ins)) {
-      if (ins.cond != isa::condition::al) {
-        add_src(ins.rd);
-      }
-      std::uint32_t value = read(ins.rd);
-      if (exec) {
-        // Speculative loads read real memory (every older store already
-        // executed architecturally at rename — perfect store-to-load
-        // forwarding), with forced alignment: a wrong-path address is
-        // arbitrary and must not fault the simulator.
-        switch (ins.op) {
-        case opcode::ldr:
-          value = memory_.read32(address & ~3U);
-          break;
-        case opcode::ldrb:
-          value = memory_.read8(address);
-          break;
-        case opcode::ldrh:
-          value = memory_.read16(address & ~1U);
-          break;
-        default:
-          break;
-        }
-        vals.mem_word = memory_.containing_word(address);
-      }
-      rename_dest(ins.rd, value);
-      write(ins.rd, value);
-      rs.is_load = true;
-      vals.sub_value = value;
-    } else {
-      const std::uint32_t data = read(ins.rd);
-      add_src(ins.rd);
-      if (exec) {
-        // Wrong-path stores write nothing — not memory, not a forwarding
-        // buffer (younger wrong-path loads see stale memory; documented
-        // simplification).  The MDR still observes the target word.
-        vals.mem_word = memory_.containing_word(address);
-        vals.sub_value =
-            ins.op == opcode::strb ? (data & 0xffU) : (data & 0xffffU);
-      }
-      rs.is_store = true;
-      entry.is_store = true;
-      rob_store_addr_[rob_slot] = address;
-      rob_value_[rob_slot] = data;
-      entry.has_value = true;
-    }
-    to_rs = true;
-  } else if (ins.op == opcode::mul || ins.op == opcode::mla) {
-    add_src(ins.rn);
-    add_src(ins.op2.rm);
-    std::uint32_t acc = 0;
-    if (ins.op == opcode::mla) {
-      add_src(ins.ra);
-      acc = read(ins.ra);
-    }
-    if (isa::reads_flags(ins)) {
-      wait_flags();
-    }
-    if (ins.cond != isa::condition::al) {
-      add_src(ins.rd);
-    }
-    rs.is_mul = true;
-    rs.needs_alu0 = true;
-    vals.squashed = !exec;
-    const std::uint32_t result =
-        exec ? read(ins.rn) * read(ins.op2.rm) + acc : read(ins.rd);
-    rename_dest(ins.rd, result);
-    write(ins.rd, result);
-    if (ins.set_flags) {
-      if (exec) {
-        spec_flags_.n = (result >> 31) != 0;
-        spec_flags_.z = result == 0;
-      }
-      ctl_.flags_producer_slot = rob_slot; // restored from the checkpoint
-    }
-    to_rs = true;
-  } else {
-    const bool has_rn = !(ins.op == opcode::mov || ins.op == opcode::mvn ||
-                          ins.op == opcode::movw || ins.op == opcode::movt);
-    std::uint32_t rn_value = 0;
-    if (has_rn) {
-      add_src(ins.rn);
-      rn_value = read(ins.rn);
-    }
-
-    std::uint32_t result = 0;
-    alu_result dp{};
-    bool writes_result = true;
-    bool flags_op = false;
-    if (ins.op == opcode::movw) {
-      result = ins.imm16;
-    } else if (ins.op == opcode::movt) {
-      add_src(ins.rd);
-      result = (read(ins.rd) & 0xffffU) |
-               (static_cast<std::uint32_t>(ins.imm16) << 16);
-    } else {
-      const operand2_value op2 = eval_operand2(ins, read, spec_flags_.c);
-      if (ins.op2.k == isa::operand2::kind::reg_shifted) {
-        add_src(ins.op2.rm);
-        if (ins.op2.shift.by_register) {
-          add_src(ins.op2.shift.amount_reg);
-        }
-      }
-      rs.used_shifter = op2.used_shifter;
-      vals.shift_value = op2.value;
-      rs.needs_alu0 = op2.used_shifter;
-      dp = execute_dp(ins.op, rn_value, op2.value, op2.carry, spec_flags_);
-      result = dp.value;
-      writes_result = dp.writes_result;
-      flags_op = isa::writes_flags(ins);
-    }
-
-    if (isa::reads_flags(ins)) {
-      wait_flags();
-    }
-    vals.squashed = !exec;
-    if (writes_result) {
-      if (ins.cond != isa::condition::al && ins.op != opcode::movt) {
-        add_src(ins.rd);
-      }
-      const std::uint32_t committed = exec ? result : read(ins.rd);
-      rename_dest(ins.rd, committed);
-      write(ins.rd, committed);
-    }
-    if (flags_op) {
-      if (exec) {
-        spec_flags_ = dp.f;
-      }
-      ctl_.flags_producer_slot = rob_slot;
-    }
-    to_rs = true;
-  }
-
-  ctl_.accept(entry, rob_slot);
-  if (to_rs) {
-    dispatch_to_rs(rs, vals, rob_slot);
-  }
-  ++wrong_path_renamed_;
-
-  spec_pc_ = next_pc;
-  if (next_pc >= prog_->code.size()) {
-    spec_fetch_done_ = true; // wrong path ran off the program's end
-    return rename_result::accepted_stop;
-  }
-  return rename_result::accepted;
-}
-
 void ooo_core::resolve_mispredict() {
   ctl_.squash_younger(spec_branch_slot_, spec_branch_seq_, ckpt_flags_slot_,
                       ckpt_flags_seq_);
@@ -1102,9 +897,9 @@ void ooo_core::rename_stage() {
       // the predicted path — possibly in the same rename group as the
       // branch — until the resolve-cycle flush.
       return spec_fetch_done_ ? rename_result::stall
-                              : rename_one_wrong_path(slot);
+                              : rename_one<true>(slot);
     }
-    return state_.pc < end ? rename_one(slot) : rename_result::stall;
+    return state_.pc < end ? rename_one<false>(slot) : rename_result::stall;
   });
 }
 

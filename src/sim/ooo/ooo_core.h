@@ -55,8 +55,7 @@
 // The two are bit-identical by contract — same retirement order, same
 // architectural state, same activity stream at every cycle — which the
 // differential suites (tests/sim/ooo_equivalence_fuzz_test.cpp and
-// friends) enforce; USCA_OOO_REFERENCE=1 in the environment forces the
-// reference scheduler process-wide for A/B runs without a rebuild.
+// friends) enforce.  The config's `ooo.scheduler` field alone picks one.
 #ifndef USCA_SIM_OOO_OOO_CORE_H
 #define USCA_SIM_OOO_OOO_CORE_H
 
@@ -76,17 +75,6 @@
 #include "sim/uarch_activity.h"
 
 namespace usca::sim {
-
-/// Strict parse of a USCA_OOO_REFERENCE value: unset / "" / "0" mean
-/// "don't force", "1" means "force the reference scheduler"; anything
-/// else throws util::simulation_error listing the valid values (a silent
-/// fallthrough here used to force the reference scheduler on typos).
-bool parse_ooo_reference_env(const char* value);
-
-/// Whether USCA_OOO_REFERENCE currently forces the reference scheduler.
-/// Read from the environment on every call so setenv-based A/B tests see
-/// the live value; throws on a malformed value (see parse above).
-bool ooo_reference_forced();
 
 class ooo_core final : public backend {
 public:
@@ -131,7 +119,7 @@ public:
   std::uint64_t wrong_path_renamed() const noexcept {
     return wrong_path_renamed_;
   }
-  /// The speculation block actually in effect (config + env override).
+  /// The speculation block of the config this core was built from.
   const speculation_config& speculation() const noexcept { return spec_; }
   /// Cycles in which the rename stage accepted more than one instruction
   /// (the OoO analogue of dual-issue pairs).
@@ -179,7 +167,11 @@ private:
   void schedule_stage();
   void rename_stage();
 
-  /// Architectural execution + rename bookkeeping of one instruction.
+  /// Architectural execution + rename bookkeeping of one instruction:
+  /// on the correct path at state_.pc, or (`wrong_path`) on the shadow
+  /// register view at spec_pc_, where it never touches architectural
+  /// state, memory or predictor tables.
+  template <bool wrong_path>
   rename_result rename_one(int slot);
 
   // --- speculation (active only when spec_enabled_) --------------------
@@ -189,10 +181,6 @@ private:
   void predict_branch(const isa::instruction& ins, std::size_t pc_index,
                       bool exec, std::size_t actual_next,
                       std::uint32_t rob_slot, std::uint32_t seq);
-  /// Rename of one wrong-path µop: structurally identical to rename_one
-  /// (ROB/RAT/RS allocation, full activity emission) but reads/writes the
-  /// shadow register view and NEVER touches architectural state/memory.
-  rename_result rename_one_wrong_path(int slot);
   /// Recovery flush at branch resolution: ooo_control's squash of
   /// everything younger than the mispredicted branch (plus the reference
   /// scheduler's in-flight list), then correct-path fetch resumes.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <string>
 
 #include "sim/micro_arch_config.h"
@@ -68,35 +67,8 @@ void validate_speculation_config(const speculation_config& config) {
   }
 }
 
-std::optional<predictor_kind> parse_spec_predictor_env(const char* value) {
-  if (value == nullptr || value[0] == '\0') {
-    return std::nullopt;
-  }
-  const auto kind = parse_predictor_kind(value);
-  if (!kind) {
-    throw util::simulation_error(
-        std::string("unknown USCA_SPEC_PREDICTOR value '") + value +
-        "' (valid values: unset, \"\", perfect, static, bimodal, gshare)");
-  }
-  return kind;
-}
-
-std::optional<predictor_kind> spec_predictor_forced() {
-  // Read live on every call (construction-time noise): setenv-based A/B
-  // tests must see the current value, matching ooo_reference_forced().
-  return parse_spec_predictor_env(std::getenv("USCA_SPEC_PREDICTOR"));
-}
-
-speculation_config effective_speculation(const micro_arch_config& config) {
-  speculation_config spec = config.speculation;
-  if (const auto forced = spec_predictor_forced()) {
-    spec.predictor = *forced;
-  }
-  return spec;
-}
-
 bool speculation_active(const micro_arch_config& config) {
-  return effective_speculation(config).predictor != predictor_kind::perfect;
+  return config.speculation.predictor != predictor_kind::perfect;
 }
 
 // ---------------------------------------------------------------------------

@@ -82,24 +82,8 @@ struct speculation_config {
 /// range (table/history sizes, power-of-two BTB, latency bounds).
 void validate_speculation_config(const speculation_config& config);
 
-/// Strict parse of a USCA_SPEC_PREDICTOR value (same contract as
-/// USCA_OOO_REFERENCE): unset / "" mean "no override"; otherwise the
-/// value must name a predictor_kind ("perfect", "static", "bimodal",
-/// "gshare") and forces it process-wide.  Anything else throws
-/// util::simulation_error listing the valid values.
-std::optional<predictor_kind> parse_spec_predictor_env(const char* value);
-
-/// The USCA_SPEC_PREDICTOR override currently in effect, read live from
-/// the environment (setenv-based A/B tests must see the current value).
-std::optional<predictor_kind> spec_predictor_forced();
-
-/// The speculation block of `config` with the USCA_SPEC_PREDICTOR
-/// override applied — what an ooo_core constructed from `config` will
-/// actually run.
-speculation_config effective_speculation(const micro_arch_config& config);
-
-/// True when an OoO core built from `config` would speculate (effective
-/// predictor != perfect).  The batched OoO core rejects such configs;
+/// True when an OoO core built from `config` would speculate (its
+/// predictor is not `perfect`).  The batched OoO core rejects such configs;
 /// the campaign layers use this to fall back to the per-trace path.
 bool speculation_active(const micro_arch_config& config);
 

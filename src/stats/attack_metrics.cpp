@@ -4,38 +4,6 @@
 
 namespace usca::stats {
 
-double success_rate(int experiments,
-                    const std::function<std::size_t(std::uint64_t)>&
-                        rank_of_correct,
-                    std::uint64_t seed_base) {
-  if (experiments <= 0) {
-    throw util::analysis_error("success_rate: experiments must be positive");
-  }
-  int successes = 0;
-  for (int e = 0; e < experiments; ++e) {
-    if (rank_of_correct(seed_base + static_cast<std::uint64_t>(e)) == 0) {
-      ++successes;
-    }
-  }
-  return static_cast<double>(successes) / experiments;
-}
-
-double guessing_entropy(int experiments,
-                        const std::function<std::size_t(std::uint64_t)>&
-                            rank_of_correct,
-                        std::uint64_t seed_base) {
-  if (experiments <= 0) {
-    throw util::analysis_error(
-        "guessing_entropy: experiments must be positive");
-  }
-  double total = 0.0;
-  for (int e = 0; e < experiments; ++e) {
-    total += static_cast<double>(
-        rank_of_correct(seed_base + static_cast<std::uint64_t>(e)));
-  }
-  return total / experiments;
-}
-
 std::size_t measurements_to_disclosure(
     const std::function<double(std::size_t)>& distinguishing_z,
     double z_threshold, std::size_t start_traces, std::size_t max_traces) {

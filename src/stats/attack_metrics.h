@@ -1,10 +1,9 @@
-// Attack-quality metrics: success rate, guessing entropy, and
-// measurements-to-disclosure.
+// Attack-quality metric: measurements-to-disclosure.
 //
-// The paper reports single campaigns; these estimators quantify attack
-// quality over repeated independent campaigns, which the extension bench
-// (measurements-to-disclosure scaling) builds on.  All estimators take
-// callables so they compose with any campaign construction.
+// The paper reports single campaigns; this estimator quantifies how many
+// traces an attack needs, which the extension bench
+// (measurements-to-disclosure scaling) builds on.  It takes a callable
+// so it composes with any campaign construction.
 #ifndef USCA_STATS_ATTACK_METRICS_H
 #define USCA_STATS_ATTACK_METRICS_H
 
@@ -12,21 +11,6 @@
 #include <functional>
 
 namespace usca::stats {
-
-/// Fraction of `experiments` campaigns (seeded 0..experiments-1 offset by
-/// `seed_base`) in which `attack` returns rank 0 for the correct key.
-/// `rank_of_correct(seed)` runs one campaign and returns the rank.
-double success_rate(int experiments,
-                    const std::function<std::size_t(std::uint64_t)>&
-                        rank_of_correct,
-                    std::uint64_t seed_base = 0);
-
-/// Average rank of the correct key over repeated campaigns (0 = always
-/// first; log2 of this plus one approximates remaining key entropy).
-double guessing_entropy(int experiments,
-                        const std::function<std::size_t(std::uint64_t)>&
-                            rank_of_correct,
-                        std::uint64_t seed_base = 0);
 
 /// Smallest trace count at which `distinguishing_z(n)` exceeds the
 /// `confidence` z-threshold, searched over doubling steps up to

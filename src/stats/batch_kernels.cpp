@@ -1,11 +1,6 @@
 #include "stats/batch_kernels.h"
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
-
-#include "util/error.h"
+#include <cstddef>
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define USCA_HAVE_AVX2_KERNELS 1
@@ -342,40 +337,8 @@ const batch_kernels* neon_kernels() noexcept {
 #endif
 }
 
-const batch_kernels& kernels_for_env(const char* value) {
-  if (value == nullptr || value[0] == '\0') {
-    return *auto_kernels();
-  }
-  if (std::strcmp(value, "generic") == 0) {
-    return generic_set;
-  }
-  if (std::strcmp(value, "avx2") == 0) {
-    if (const batch_kernels* avx2 = avx2_kernels()) {
-      return *avx2;
-    }
-    std::fprintf(stderr, "USCA_BATCH_KERNEL=avx2 requested but this "
-                         "CPU/build has no AVX2 set; using generic\n");
-    return generic_set;
-  }
-  if (std::strcmp(value, "neon") == 0) {
-    if (const batch_kernels* neon = neon_kernels()) {
-      return *neon;
-    }
-    std::fprintf(stderr, "USCA_BATCH_KERNEL=neon requested but this "
-                         "build targets no AArch64; using generic\n");
-    return generic_set;
-  }
-  // A typo here used to silently auto-detect (any unknown string fell
-  // through), so a campaign could run on different kernels than its
-  // config claimed — fail loudly instead.
-  throw util::analysis_error(
-      std::string("unknown USCA_BATCH_KERNEL value '") + value +
-      "' (valid values: unset, \"\", generic, avx2, neon)");
-}
-
 const batch_kernels& active_kernels() {
-  static const batch_kernels* const active =
-      &kernels_for_env(std::getenv("USCA_BATCH_KERNEL"));
+  static const batch_kernels* const active = auto_kernels();
   return *active;
 }
 

@@ -13,12 +13,8 @@
 //
 // Dispatch is resolved once at first use: the AVX2 set on x86-64 CPUs
 // that support it, the NEON set on AArch64, the portable auto-vectorized
-// set otherwise; the USCA_BATCH_KERNEL environment variable
-// (generic|avx2|neon) forces a set, which the identity tests use to
-// compare them on one machine.  A known-but-unavailable set (avx2 on a
-// non-AVX2 machine, neon on x86) warns and falls back to generic; an
-// unknown value throws util::analysis_error listing the valid values —
-// a typo must never silently change which kernels a campaign ran on.
+// set otherwise.  The identity tests compare the sets on one machine
+// through generic_kernels(), avx2_kernels() and neon_kernels().
 #ifndef USCA_STATS_BATCH_KERNELS_H
 #define USCA_STATS_BATCH_KERNELS_H
 
@@ -70,14 +66,7 @@ const batch_kernels* avx2_kernels() noexcept;
 /// The NEON set, or nullptr on non-AArch64 builds.
 const batch_kernels* neon_kernels() noexcept;
 
-/// Resolves a USCA_BATCH_KERNEL value to a kernel set: nullptr / ""
-/// auto-detects, "generic"/"avx2"/"neon" force a set (unavailable forced
-/// sets warn on stderr and fall back to generic), anything else throws
-/// util::analysis_error listing the valid values.
-const batch_kernels& kernels_for_env(const char* value);
-
-/// The runtime-dispatched active set (honours USCA_BATCH_KERNEL; throws
-/// on the first call if the variable holds an unknown value).
+/// The runtime-dispatched active set, resolved once at first use.
 const batch_kernels& active_kernels();
 
 } // namespace usca::stats

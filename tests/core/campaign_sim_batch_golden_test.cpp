@@ -3,9 +3,10 @@
 // marks, samples (bit patterns), retained activity — or every byte of an
 // archive file into one FNV-1a value and compares it with a constant.
 // The constants were recorded once and must never be edited: they pin
-// the records across engine refactors, and since batching is a pure
-// performance knob they must also hold with USCA_SIM_BATCH=0 (per-trace
-// path), USCA_SIM_BATCH=1 (1-lane batches) and USCA_TELEMETRY=1.
+// the records across engine refactors.  Batching is a pure performance
+// knob, so every test runs at sim_batch_lanes -1 (the default lane
+// count), 0 (the per-trace path) and 1 (1-lane batches) against the same
+// constant; CI also reruns the suite with USCA_TELEMETRY=1.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -60,18 +61,23 @@ private:
   std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 
-campaign_config aes_config(sim::backend_kind backend) {
-  campaign_config config;
-  config.traces = 21; // a partial final group at the default lane count
-  config.threads = 2;
-  config.seed = 0x601de5;
-  config.averaging = 3;
-  config.backend = backend;
-  if (backend == sim::backend_kind::ooo) {
-    config.uarch = sim::cortex_a7_ooo();
+/// Every golden holds at each of these `sim_batch_lanes` values.
+class CampaignGolden : public ::testing::TestWithParam<int> {
+protected:
+  campaign_config aes_config(sim::backend_kind backend) const {
+    campaign_config config;
+    config.traces = 21; // a partial final group at the default lane count
+    config.threads = 2;
+    config.seed = 0x601de5;
+    config.averaging = 3;
+    config.backend = backend;
+    if (backend == sim::backend_kind::ooo) {
+      config.uarch = sim::cortex_a7_ooo();
+    }
+    config.sim_batch_lanes = GetParam();
+    return config;
   }
-  return config;
-}
+};
 
 std::uint64_t aes_digest(trace_campaign& campaign) {
   fnv1a h;
@@ -93,20 +99,12 @@ std::uint64_t aes_digest(trace_campaign& campaign) {
   return h.value();
 }
 
-TEST(CampaignGolden, InorderBatched) {
+TEST_P(CampaignGolden, Inorder) {
   trace_campaign campaign(aes_config(sim::backend_kind::inorder), kKey);
   EXPECT_EQ(aes_digest(campaign), 0xeef1c1c57fcd335aULL);
 }
 
-// The per-trace path delivers the same records, so it shares the digest.
-TEST(CampaignGolden, InorderPerTrace) {
-  campaign_config config = aes_config(sim::backend_kind::inorder);
-  config.sim_batch_lanes = 0;
-  trace_campaign campaign(config, kKey);
-  EXPECT_EQ(aes_digest(campaign), 0xeef1c1c57fcd335aULL);
-}
-
-TEST(CampaignGolden, OooBatched) {
+TEST_P(CampaignGolden, Ooo) {
   campaign_config config = aes_config(sim::backend_kind::ooo);
   config.first_index = 5;
   trace_campaign campaign(config, kKey);
@@ -114,7 +112,7 @@ TEST(CampaignGolden, OooBatched) {
 }
 
 // The Figure-4 environment: OS noise plus the simulated interfering core.
-TEST(CampaignGolden, SecondCoreWithOsNoise) {
+TEST_P(CampaignGolden, SecondCoreWithOsNoise) {
   campaign_config config = aes_config(sim::backend_kind::inorder);
   config.power.os_noise.enabled = true;
   config.simulated_second_core = true;
@@ -124,7 +122,7 @@ TEST(CampaignGolden, SecondCoreWithOsNoise) {
 }
 
 // The TVLA fixed-vs-random split, one execution per acquisition.
-TEST(CampaignGolden, FixedVsRandomPolicy) {
+TEST_P(CampaignGolden, FixedVsRandomPolicy) {
   campaign_config config = aes_config(sim::backend_kind::inorder);
   config.averaging = 1;
   trace_campaign campaign(config, kKey);
@@ -147,7 +145,7 @@ TEST(CampaignGolden, FixedVsRandomPolicy) {
 
 // Archive bytes pin the record content, the label layout and the stored
 // config hash (a changed hash would orphan existing archives).
-TEST(CampaignGolden, AesArchiveBytes) {
+TEST_P(CampaignGolden, AesArchiveBytes) {
   campaign_config config = aes_config(sim::backend_kind::inorder);
   config.traces = 70;
   config.averaging = 2;
@@ -176,7 +174,7 @@ TEST(CampaignGolden, AesArchiveBytes) {
 // ejects most lanes of every in-order batch, so the per-trace fallback
 // for ejected lanes runs too.
 // Labels and the retained window activity are part of the digest.
-TEST(CampaignGolden, AcquisitionLabelsAndActivity) {
+TEST_P(CampaignGolden, AcquisitionLabelsAndActivity) {
   const crypto::aes_program_layout layout =
       crypto::generate_aes128_branchy_program();
   const crypto::aes_round_keys round_keys = crypto::expand_key(kKey);
@@ -188,6 +186,7 @@ TEST(CampaignGolden, AcquisitionLabelsAndActivity) {
   config.averaging = 2;
   config.window = {crypto::mark_encrypt_begin, crypto::mark_round1_end};
   config.keep_activity_first = 4;
+  config.sim_batch_lanes = GetParam();
   acquisition_campaign campaign(sim::program_image(layout.prog), config);
   campaign.set_setup([&layout, &round_keys](
                          std::size_t, util::xoshiro256& rng,
@@ -228,6 +227,19 @@ TEST(CampaignGolden, AcquisitionLabelsAndActivity) {
   EXPECT_EQ(delivered, config.traces);
   EXPECT_EQ(h.value(), 0x8097b31a6db094dcULL);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    LaneCounts, CampaignGolden, ::testing::Values(-1, 0, 1),
+    [](const ::testing::TestParamInfo<int>& info) {
+      switch (info.param) {
+      case -1:
+        return std::string("default_lanes");
+      case 0:
+        return std::string("per_trace");
+      default:
+        return std::to_string(info.param) + "_lane";
+      }
+    });
 
 } // namespace
 } // namespace usca::core

@@ -3,10 +3,9 @@
 // records bit-identical to the per-trace path — samples, plaintexts,
 // marks, windows, cycle counts, and the CPA statistics computed from
 // them.  This is what makes sim_batch a pure performance knob: flipping
-// it (or USCA_SIM_BATCH) can never change a published number.
+// it can never change a published number.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -15,7 +14,6 @@
 #include "crypto/aes128.h"
 #include "stats/cpa.h"
 #include "util/bitops.h"
-#include "util/error.h"
 
 namespace usca::core {
 namespace {
@@ -169,66 +167,6 @@ TEST(CampaignSimBatchCpa, RanksAndCorrelationsMatchPerTrace) {
   }
   EXPECT_EQ(got.best().guess, want.best().guess);
   EXPECT_EQ(got.rank_of(kKey[0]), want.rank_of(kKey[0]));
-}
-
-class CampaignSimBatchEnv : public ::testing::Test {
-protected:
-  void TearDown() override { unsetenv("USCA_SIM_BATCH"); }
-};
-
-// USCA_SIM_BATCH=0 is the no-rebuild escape hatch: it forces the
-// per-trace path over any configured lane count, without changing one
-// record.
-TEST_F(CampaignSimBatchEnv, EnvZeroSelectsPerTracePathIdentically) {
-  campaign_config config = base_config(sim::backend_kind::inorder);
-  config.sim_batch_lanes = 8;
-  trace_campaign campaign(config, kKey);
-
-  const std::vector<acquisition_record> batched = collect(campaign);
-  setenv("USCA_SIM_BATCH", "0", 1);
-  const std::vector<acquisition_record> per_trace = collect(campaign);
-  unsetenv("USCA_SIM_BATCH");
-
-  ASSERT_EQ(batched.size(), per_trace.size());
-  for (std::size_t i = 0; i < batched.size(); ++i) {
-    expect_records_identical(batched[i], per_trace[i],
-                             "trace " + std::to_string(i));
-  }
-}
-
-// A lane count from the environment overrides the config field.
-TEST_F(CampaignSimBatchEnv, EnvLaneCountOverridesConfig) {
-  campaign_config config = base_config(sim::backend_kind::ooo);
-  config.sim_batch_lanes = 0;
-  trace_campaign campaign(config, kKey);
-
-  setenv("USCA_SIM_BATCH", "5", 1);
-  const std::vector<acquisition_record> records = collect(campaign);
-  unsetenv("USCA_SIM_BATCH");
-
-  ASSERT_EQ(records.size(), config.traces);
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    expect_records_identical(records[i], campaign.engine().produce(i),
-                             "trace " + std::to_string(i));
-  }
-}
-
-// A typo in USCA_SIM_BATCH fails the campaign loudly instead of
-// silently running some other batching mode.
-TEST_F(CampaignSimBatchEnv, GarbageEnvValueThrows) {
-  campaign_config config = base_config(sim::backend_kind::inorder);
-  trace_campaign campaign(config, kKey);
-
-  setenv("USCA_SIM_BATCH", "moar", 1);
-  try {
-    collect(campaign);
-    FAIL() << "expected util::simulation_error";
-  } catch (const util::simulation_error& e) {
-    EXPECT_NE(std::string(e.what()).find("USCA_SIM_BATCH"),
-              std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("valid values"),
-              std::string::npos);
-  }
 }
 
 // The OoO reference scheduler has no batched counterpart: the campaign

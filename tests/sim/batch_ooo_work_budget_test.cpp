@@ -68,12 +68,6 @@ work measure(Body&& body) {
   return {cycles.value() - cycles_before, skipped.value() - skipped_before};
 }
 
-/// The fast scheduler's skip budget `fast`, or 0 when USCA_OOO_REFERENCE=1
-/// forces every per-trace core onto the reference scheduler.
-std::uint64_t expected_skipped(std::uint64_t fast) {
-  return ooo_reference_forced() ? 0 : fast;
-}
-
 work per_trace_run(const micro_arch_config& config, bool window_bounded) {
   const crypto::aes_program_layout layout = crypto::generate_aes128_program();
   ooo_core core(layout.prog, config);
@@ -89,13 +83,13 @@ work per_trace_run(const micro_arch_config& config, bool window_bounded) {
 TEST(OooWorkBudget, FastSchedulerWholeRunIsPinned) {
   const work got = per_trace_run(cortex_a7_ooo(), false);
   EXPECT_EQ(got.cycles, golden_whole_cycles);
-  EXPECT_EQ(got.skipped, expected_skipped(golden_whole_skipped));
+  EXPECT_EQ(got.skipped, golden_whole_skipped);
 }
 
 TEST(OooWorkBudget, FastSchedulerWindowBoundedRunIsPinned) {
   const work got = per_trace_run(cortex_a7_ooo(), true);
   EXPECT_EQ(got.cycles, golden_window_cycles);
-  EXPECT_EQ(got.skipped, expected_skipped(golden_window_skipped));
+  EXPECT_EQ(got.skipped, golden_window_skipped);
 }
 
 TEST(OooWorkBudget, ReferenceSchedulerNeverSkips) {
@@ -107,10 +101,6 @@ TEST(OooWorkBudget, ReferenceSchedulerNeverSkips) {
 }
 
 TEST(OooWorkBudget, BatchedRunDoesThePerTraceFastRunsWork) {
-  if (ooo_reference_forced()) {
-    GTEST_SKIP() << "the batched OoO core refuses the forced reference "
-                    "scheduler by design";
-  }
   const crypto::aes_program_layout layout = crypto::generate_aes128_program();
   const program_image image(layout.prog);
   const crypto::aes_round_keys round_keys = crypto::expand_key(budget_key);

@@ -275,6 +275,15 @@ TEST_P(BatchSimFuzz, ConditionalBranchEjectsDisagreeingLanes) {
   }
 }
 
+// The `sim_batch_lanes` config field alone sets the lane count: -1 the
+// default, 0 the per-trace path, N up to the 64-lane cap.
+TEST(BatchSimLanes, ResolvesTheConfigField) {
+  EXPECT_EQ(resolve_sim_batch_lanes(-1), default_sim_batch_lanes);
+  EXPECT_EQ(resolve_sim_batch_lanes(0), 0u);
+  EXPECT_EQ(resolve_sim_batch_lanes(5), 5u);
+  EXPECT_EQ(resolve_sim_batch_lanes(1000), max_batch_lanes);
+}
+
 TEST(BatchSimLaneView, SimulationEntryPointsThrow) {
   const crypto::aes_program_layout layout =
       crypto::generate_aes128_program();

@@ -250,9 +250,7 @@ synth_counts synth_counters() {
 }
 
 /// Rows a source fuses: those of every batch whose first record is at or
-/// past `keep_activity_first`.  The lane count is the engine's own
-/// resolution, so USCA_SIM_BATCH=0 (per-trace, never fused) and =1
-/// (one-lane batches) are accounted for.
+/// past `keep_activity_first` (none on the per-trace path).
 std::uint64_t expected_fused(const core::acquisition_config& config) {
   const std::size_t lanes =
       sim::resolve_sim_batch_lanes(config.sim_batch_lanes);
@@ -360,9 +358,7 @@ TEST(FusedSynthesis, KeepActivityFirstStraddlingABatch) {
       expect_source_matches_produce(engine, "keep_activity_first=13");
   EXPECT_EQ(n.fused, expected_fused(config));
   EXPECT_EQ(n.fused + n.events, config.traces);
-  if (sim::resolve_sim_batch_lanes(config.sim_batch_lanes) == 8) {
-    EXPECT_EQ(n.fused, 40U - 16U);
-  }
+  EXPECT_EQ(n.fused, 40U - 16U);
 
   // Whole records (run(sink)) never fuse, and keep their activity.
   std::size_t kept = 0;

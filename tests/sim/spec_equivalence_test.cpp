@@ -11,12 +11,13 @@
 //      flush included.
 //   4. Recovery flushes nest correctly behind in-flight wrong-path
 //      branches, and RSB over/underflow stays deterministic.
-//   5. USCA_SPEC_PREDICTOR parses strictly and overrides live; the
-//      batched OoO core rejects speculative configs and campaigns fall
-//      back to the per-trace path with byte-identical records.
+//   5. The wrong path itself is pinned: golden whole-run digests, cycles,
+//      mispredicts and wrong-path µops per predictor, on the branchy AES,
+//      a seeded random program and a directed drill.
+//   6. The batched OoO core rejects speculative configs and campaigns
+//      fall back to the per-trace path with byte-identical records.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -290,6 +291,16 @@ void expect_wrong_path_golden(const full_snapshot& snap,
   EXPECT_EQ(snap.wrong_path, want.wrong_path) << where;
 }
 
+/// The figures a wrong-path golden pins, read from a finished run.
+full_snapshot counters_of(const ooo_core& core) {
+  full_snapshot snap;
+  snap.cycles = core.cycles();
+  snap.mispredicts = core.mispredicts();
+  snap.wrong_path = core.wrong_path_renamed();
+  snap.activity = core.activity();
+  return snap;
+}
+
 /// The fast and the reference scheduler of the design point `spec`.
 std::array<micro_arch_config, 2> both_schedulers(
     const speculation_config& spec) {
@@ -315,12 +326,7 @@ TEST(SpecWrongPathGolden, BranchyAes) {
                                  golden_plaintext);
       core.warm_caches();
       core.run();
-      full_snapshot snap;
-      snap.cycles = core.cycles();
-      snap.mispredicts = core.mispredicts();
-      snap.wrong_path = core.wrong_path_renamed();
-      snap.activity = core.activity();
-      expect_wrong_path_golden(snap, want, "branchy aes");
+      expect_wrong_path_golden(counters_of(core), want, "branchy aes");
     }
   }
 }
@@ -413,12 +419,7 @@ TEST(SpecWrongPathGolden, DirectedDrill) {
       ooo_core core(prog, arch);
       core.run();
       EXPECT_EQ(core.state().regs[0], 1u);
-      full_snapshot snap;
-      snap.cycles = core.cycles();
-      snap.mispredicts = core.mispredicts();
-      snap.wrong_path = core.wrong_path_renamed();
-      snap.activity = core.activity();
-      expect_wrong_path_golden(snap, want, "directed drill");
+      expect_wrong_path_golden(counters_of(core), want, "directed drill");
     }
   }
 }
@@ -523,48 +524,7 @@ TEST(SpecEquivalence, RsbOverflowAndUnderflowStayCorrect) {
   EXPECT_EQ(again.activity, on.activity);
 }
 
-// --------------------------------------------------- env knob + batching
-
-TEST(SpecEnvKnob, ParsesStrictly) {
-  EXPECT_EQ(parse_spec_predictor_env(nullptr), std::nullopt);
-  EXPECT_EQ(parse_spec_predictor_env(""), std::nullopt);
-  EXPECT_EQ(parse_spec_predictor_env("perfect"), predictor_kind::perfect);
-  EXPECT_EQ(parse_spec_predictor_env("static"), predictor_kind::static_btfn);
-  EXPECT_EQ(parse_spec_predictor_env("bimodal"), predictor_kind::bimodal);
-  EXPECT_EQ(parse_spec_predictor_env("gshare"), predictor_kind::gshare);
-  try {
-    parse_spec_predictor_env("gshar");
-    FAIL() << "expected simulation_error";
-  } catch (const util::simulation_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("gshar"), std::string::npos);
-    EXPECT_NE(what.find("valid values"), std::string::npos);
-    EXPECT_NE(what.find("bimodal"), std::string::npos);
-  }
-}
-
-TEST(SpecEnvKnob, OverridesConfigLive) {
-  ASSERT_EQ(setenv("USCA_SPEC_PREDICTOR", "gshare", 1), 0);
-  {
-    // A default (perfect) config now speculates...
-    ooo_core core(crypto::generate_aes128_program().prog, cortex_a7_ooo());
-    EXPECT_EQ(core.speculation().predictor, predictor_kind::gshare);
-    EXPECT_TRUE(speculation_active(cortex_a7_ooo()));
-  }
-  ASSERT_EQ(setenv("USCA_SPEC_PREDICTOR", "perfect", 1), 0);
-  {
-    // ...and "perfect" forces speculation OFF even for a gshare config.
-    const micro_arch_config arch =
-        cortex_a7_ooo_spec(spec_of(predictor_kind::gshare));
-    ooo_core core(crypto::generate_aes128_program().prog, arch);
-    EXPECT_EQ(core.speculation().predictor, predictor_kind::perfect);
-    EXPECT_FALSE(speculation_active(arch));
-  }
-  ASSERT_EQ(setenv("USCA_SPEC_PREDICTOR", "totally-bogus", 1), 0);
-  EXPECT_THROW(speculation_active(cortex_a7_ooo()), util::simulation_error);
-  ASSERT_EQ(unsetenv("USCA_SPEC_PREDICTOR"), 0);
-  EXPECT_FALSE(speculation_active(cortex_a7_ooo()));
-}
+// ------------------------------------------- validation + batching
 
 TEST(SpecValidation, RejectsOutOfRangeConfigs) {
   const auto check_throws = [](speculation_config spec) {
@@ -639,7 +599,8 @@ TEST(SpecBatching, BatchCoreRejectsSpeculativeConfigs) {
 }
 
 // A speculative campaign silently takes the per-trace path and delivers
-// records byte-identical to an explicit USCA_SIM_BATCH=0 run.
+// records byte-identical to an explicit per-trace (sim_batch_lanes = 0)
+// run.
 TEST(SpecBatching, CampaignFallsBackPerTraceByteIdentical) {
   core::campaign_config config;
   config.traces = 6;
@@ -647,10 +608,10 @@ TEST(SpecBatching, CampaignFallsBackPerTraceByteIdentical) {
   config.seed = 0x5becca3;
   config.backend = sim::backend_kind::ooo;
   config.uarch = cortex_a7_ooo_spec(spec_of(predictor_kind::gshare));
-  config.sim_batch_lanes = -1; // would batch, were speculation off
 
   const crypto::aes_key key = golden_key;
-  const auto collect = [&]() {
+  const auto collect = [&](int lanes) {
+    config.sim_batch_lanes = lanes;
     core::trace_campaign campaign(config, key);
     std::vector<core::acquisition_record> records;
     campaign.engine().run([&records](core::acquisition_record&& rec) {
@@ -659,10 +620,8 @@ TEST(SpecBatching, CampaignFallsBackPerTraceByteIdentical) {
     return records;
   };
 
-  const std::vector<core::acquisition_record> fallback = collect();
-  ASSERT_EQ(setenv("USCA_SIM_BATCH", "0", 1), 0);
-  const std::vector<core::acquisition_record> per_trace = collect();
-  ASSERT_EQ(unsetenv("USCA_SIM_BATCH"), 0);
+  const std::vector<core::acquisition_record> fallback = collect(-1);
+  const std::vector<core::acquisition_record> per_trace = collect(0);
 
   ASSERT_EQ(fallback.size(), per_trace.size());
   for (std::size_t i = 0; i < fallback.size(); ++i) {

@@ -9,38 +9,6 @@
 namespace usca::stats {
 namespace {
 
-TEST(AttackMetrics, SuccessRateCountsRankZero) {
-  // Ranks cycle 0,1,2,0,1,2,...: rank 0 in one third of campaigns.
-  const auto rank = [](std::uint64_t seed) {
-    return static_cast<std::size_t>(seed % 3);
-  };
-  EXPECT_NEAR(success_rate(30, rank), 1.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(success_rate(10, [](std::uint64_t) {
-                     return std::size_t{0};
-                   }),
-                   1.0);
-}
-
-TEST(AttackMetrics, SuccessRateRejectsNonPositive) {
-  EXPECT_THROW(
-      success_rate(0, [](std::uint64_t) { return std::size_t{0}; }),
-      util::analysis_error);
-}
-
-TEST(AttackMetrics, GuessingEntropyAveragesRanks) {
-  const auto rank = [](std::uint64_t seed) {
-    return static_cast<std::size_t>(seed % 4); // 0,1,2,3 -> mean 1.5
-  };
-  EXPECT_NEAR(guessing_entropy(40, rank), 1.5, 1e-12);
-}
-
-TEST(AttackMetrics, SeedBaseShiftsCampaigns) {
-  const auto rank = [](std::uint64_t seed) {
-    return static_cast<std::size_t>(seed); // identity
-  };
-  EXPECT_DOUBLE_EQ(guessing_entropy(1, rank, 7), 7.0);
-}
-
 TEST(AttackMetrics, MtdFindsThresholdCrossing) {
   // z(n) = sqrt(n)/10 crosses 2.326 at n ~ 541.
   const auto z = [](std::size_t n) { return std::sqrt(static_cast<double>(n)) / 10.0; };
