@@ -3,7 +3,9 @@
 // marks, samples (bit patterns), retained activity — or every byte of an
 // archive file into one FNV-1a value and compares it with a constant.
 // The constants were recorded once and must never be edited: they pin
-// the records across engine refactors.  Batching is a pure performance
+// the records across engine refactors.  The *Source tests pin the rows of
+// the window-bounded trace source at the paper's averaging of 16, the
+// path every batched analysis pass reads.  Batching is a pure performance
 // knob, so every test runs at sim_batch_lanes -1 (the default lane
 // count), 0 (the per-trace path) and 1 (1-lane batches) against the same
 // constant; CI also reruns the suite with USCA_TELEMETRY=1.
@@ -19,6 +21,7 @@
 
 #include "core/acquisition.h"
 #include "core/campaign.h"
+#include "core/trace_stream.h"
 #include "core/trace_archive.h"
 #include "crypto/aes128.h"
 #include "crypto/aes_codegen.h"
@@ -102,6 +105,57 @@ std::uint64_t aes_digest(trace_campaign& campaign) {
 TEST_P(CampaignGolden, Inorder) {
   trace_campaign campaign(aes_config(sim::backend_kind::inorder), kKey);
   EXPECT_EQ(aes_digest(campaign), 0xeef1c1c57fcd335aULL);
+}
+
+/// Folds every row a trace source delivers — index, labels, sample bit
+/// patterns — into one digest.
+class digest_pass final : public analysis_pass {
+public:
+  void consume_batch(const trace_batch_view& batch) override {
+    for (std::size_t r = 0; r < batch.count; ++r) {
+      EXPECT_EQ(batch.index(r), next_index_);
+      ++next_index_;
+      h_.u64(batch.index(r));
+      h_.u64(batch.n_labels);
+      for (const double label : batch.labels_row(r)) {
+        h_.f64(label);
+      }
+      h_.u64(batch.n_samples);
+      for (const double sample : batch.samples_row(r)) {
+        h_.f64(sample);
+      }
+    }
+  }
+  std::size_t rows() const noexcept { return next_index_; }
+  std::uint64_t value() const noexcept { return h_.value(); }
+
+private:
+  fnv1a h_;
+  std::size_t next_index_ = 0;
+};
+
+/// The window-bounded source at the paper's averaging of 16: the rows
+/// every batched analysis pass reads, pinned apart from the whole records.
+std::uint64_t source_digest(trace_campaign& campaign) {
+  aes_campaign_source source(campaign);
+  digest_pass digest;
+  pump(source, digest);
+  EXPECT_EQ(digest.rows(), campaign.config().traces);
+  return digest.value();
+}
+
+TEST_P(CampaignGolden, InorderSource) {
+  campaign_config config = aes_config(sim::backend_kind::inorder);
+  config.averaging = 16;
+  trace_campaign campaign(config, kKey);
+  EXPECT_EQ(source_digest(campaign), 0xb9aad7dab7d0ecd6ULL);
+}
+
+TEST_P(CampaignGolden, OooSource) {
+  campaign_config config = aes_config(sim::backend_kind::ooo);
+  config.averaging = 16;
+  trace_campaign campaign(config, kKey);
+  EXPECT_EQ(source_digest(campaign), 0x5688163a3ba611d9ULL);
 }
 
 TEST_P(CampaignGolden, Ooo) {
