@@ -2,7 +2,38 @@
 
 #include <cmath>
 
+#include "util/telemetry.h"
+
 namespace usca::power {
+
+namespace {
+
+/// Adds the Gaussian work drawn from `rng` during its lifetime to the
+/// noise layer's counters: deviates, and candidate pairs the rejection
+/// loop consumed (one per deviate pair, plus the rejected ones).
+class gaussian_work {
+public:
+  explicit gaussian_work(const util::xoshiro256& rng) noexcept
+      : rng_(rng), deviates_(rng.gaussian_deviates()),
+        candidates_(rng.gaussian_candidates()) {}
+  gaussian_work(const gaussian_work&) = delete;
+  gaussian_work& operator=(const gaussian_work&) = delete;
+  ~gaussian_work() {
+    static const telem::counter deviates{"synth.gaussian_deviates",
+                                         "deviates", "synth"};
+    static const telem::counter candidates{"synth.gaussian_candidates",
+                                           "pairs", "synth"};
+    deviates.add(rng_.gaussian_deviates() - deviates_);
+    candidates.add(rng_.gaussian_candidates() - candidates_);
+  }
+
+private:
+  const util::xoshiro256& rng_;
+  std::uint64_t deviates_;
+  std::uint64_t candidates_;
+};
+
+} // namespace
 
 leakage_weights leakage_weights::cortex_a7_like() noexcept {
   leakage_weights w;
@@ -79,6 +110,7 @@ void trace_synthesizer::apply_noise(trace& out) {
 trace trace_synthesizer::synthesize(const sim::activity_trace& activity,
                                     std::uint32_t first_cycle,
                                     std::uint32_t last_cycle) {
+  const gaussian_work work(rng_);
   trace out = synthesize_clean(activity, first_cycle, last_cycle);
   apply_noise(out);
   return out;
@@ -87,6 +119,7 @@ trace trace_synthesizer::synthesize(const sim::activity_trace& activity,
 trace trace_synthesizer::synthesize_averaged(
     const sim::activity_trace& activity, std::uint32_t first_cycle,
     std::uint32_t last_cycle, int executions) {
+  const gaussian_work work(rng_);
   synthesize_clean_into(scratch_, activity, first_cycle, last_cycle);
   return average_executions(executions);
 }
@@ -95,6 +128,7 @@ trace trace_synthesizer::synthesize_column(const double* clean,
                                            std::size_t stride,
                                            std::size_t samples,
                                            int executions) {
+  const gaussian_work work(rng_);
   scratch_.resize(samples);
   for (std::size_t i = 0; i < samples; ++i) {
     scratch_[i] = clean[i * stride];

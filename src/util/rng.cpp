@@ -29,6 +29,8 @@ void xoshiro256::seed(std::uint64_t seed) noexcept {
   }
   has_cached_gaussian_ = false;
   cached_gaussian_ = 0.0;
+  gaussian_deviates_ = 0;
+  gaussian_candidates_ = 0;
 }
 
 xoshiro256::result_type xoshiro256::operator()() noexcept {
@@ -69,6 +71,7 @@ double xoshiro256::next_double() noexcept {
 }
 
 double xoshiro256::next_gaussian() noexcept {
+  ++gaussian_deviates_;
   if (has_cached_gaussian_) {
     has_cached_gaussian_ = false;
     return cached_gaussian_;
@@ -77,6 +80,7 @@ double xoshiro256::next_gaussian() noexcept {
   double v = 0.0;
   double s = 0.0;
   do {
+    ++gaussian_candidates_;
     u = 2.0 * next_double() - 1.0;
     v = 2.0 * next_double() - 1.0;
     s = u * u + v * v;

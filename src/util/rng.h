@@ -60,10 +60,23 @@ public:
   /// Standard normal deviate (Marsaglia polar method, cached pair).
   double next_gaussian() noexcept;
 
+  /// Gaussian work since the last seed(): deviates next_gaussian()
+  /// returned, and (u, v) candidate pairs its rejection loop drew.  Pure
+  /// tallies for the noise layer's work counters; they never influence a
+  /// draw.
+  std::uint64_t gaussian_deviates() const noexcept {
+    return gaussian_deviates_;
+  }
+  std::uint64_t gaussian_candidates() const noexcept {
+    return gaussian_candidates_;
+  }
+
 private:
   std::array<std::uint64_t, 4> state_{};
   double cached_gaussian_ = 0.0;
   bool has_cached_gaussian_ = false;
+  std::uint64_t gaussian_deviates_ = 0;
+  std::uint64_t gaussian_candidates_ = 0;
 };
 
 /// splitmix64 step; exposed because seeding schemes in tests use it.

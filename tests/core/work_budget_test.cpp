@@ -17,12 +17,24 @@
 // halt that needs only the window, would pass all of them; this suite
 // pins the work itself, deterministically on any host.
 //
+// The noise layer has a budget too: `synth.gaussian_deviates` (one
+// Gaussian deviate per window sample, at any averaging: the bare-metal
+// mean of N executions is drawn as one deviate of N times less variance)
+// and `synth.gaussian_candidates` (the Marsaglia-polar (u, v) pairs drawn
+// up to each trace's last accepted one).  Both depend only on the
+// per-trace noise seeds and the window length, so they are pinned at
+// averaging 1 and 16, per-trace and 32-lane batched, against the same
+// constants: however the noise is drawn, it must consume the same
+// streams.
+//
 // The constants were recorded once by printing the per-trace deltas
 // below.  They change only with a change that deliberately changes the
 // simulated work, and the change log must say so.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <tuple>
 
 #include "core/analysis_sinks.h"
 #include "core/campaign.h"
@@ -35,6 +47,9 @@ namespace {
 // --------------------------------------------------------------- golden
 constexpr std::uint64_t golden_whole_cycles_per_trace = 5181;
 constexpr std::uint64_t golden_window_cycles_per_trace = 560;
+constexpr std::uint64_t golden_window_deviates_per_trace = 544;
+/// Candidates vary per trace; this is the total of the 40-trace campaign.
+constexpr std::uint64_t golden_window_candidates = 13910;
 
 constexpr std::size_t budget_traces = 40;
 
@@ -42,15 +57,23 @@ const crypto::aes_key kKey = {0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae,
                               0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88,
                               0x09, 0xcf, 0x4f, 0x3c};
 
-campaign_config budget_config(int lanes) {
+campaign_config budget_config(int lanes, int averaging = 1) {
   campaign_config config;
   config.traces = budget_traces;
   config.threads = 1;
   config.seed = 0xb0d6e7;
-  config.averaging = 1;
+  config.averaging = averaging;
   config.window = {crypto::mark_encrypt_begin, crypto::mark_round1_end};
   config.sim_batch_lanes = lanes;
   return config;
+}
+
+/// The delta `body` adds to `counter`.
+template <typename Body>
+std::uint64_t counter_delta(const telem::counter& counter, Body&& body) {
+  const std::uint64_t before = counter.value();
+  body();
+  return counter.value() - before;
 }
 
 /// The `campaign.cycles` delta `body` adds.
@@ -58,9 +81,7 @@ template <typename Body>
 std::uint64_t campaign_cycles(Body&& body) {
   static const telem::counter cycles{"campaign.cycles", "cycles",
                                      "campaign"};
-  const std::uint64_t before = cycles.value();
-  body();
-  return cycles.value() - before;
+  return counter_delta(cycles, body);
 }
 
 std::uint64_t whole_run_cycles(int lanes) {
@@ -101,6 +122,46 @@ TEST(InorderWorkBudget, WindowBoundedBatchedIsPinned) {
   EXPECT_EQ(window_bounded_cycles(32),
             budget_traces * golden_window_cycles_per_trace);
 }
+
+struct noise_work {
+  std::uint64_t deviates = 0;
+  std::uint64_t candidates = 0;
+};
+
+/// The noise-layer counters' deltas over a window-bounded campaign.
+noise_work window_bounded_noise(int lanes, int averaging) {
+  static const telem::counter deviates{"synth.gaussian_deviates",
+                                       "deviates", "synth"};
+  static const telem::counter candidates{"synth.gaussian_candidates",
+                                         "pairs", "synth"};
+  trace_campaign campaign(budget_config(lanes, averaging), kKey);
+  cpa_sink cpa(0);
+  noise_work work;
+  work.candidates = counter_delta(candidates, [&] {
+    work.deviates = counter_delta(deviates, [&] { campaign.run(cpa); });
+  });
+  EXPECT_EQ(cpa.cpa().traces(), budget_traces);
+  return work;
+}
+
+class NoiseWorkBudget
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(NoiseWorkBudget, WindowBoundedIsPinned) {
+  const auto [lanes, averaging] = GetParam();
+  const noise_work work = window_bounded_noise(lanes, averaging);
+  EXPECT_EQ(work.deviates,
+            budget_traces * golden_window_deviates_per_trace);
+  EXPECT_EQ(work.candidates, golden_window_candidates);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LanesAndAveraging, NoiseWorkBudget,
+    ::testing::Combine(::testing::Values(0, 32), ::testing::Values(1, 16)),
+    [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
+      return "lanes" + std::to_string(std::get<0>(info.param)) +
+             "_averaging" + std::to_string(std::get<1>(info.param));
+    });
 
 } // namespace
 } // namespace usca::core
