@@ -11,7 +11,8 @@
 //    (traces/sec and simulated cycles/sec for BOTH backends — in-order and
 //    OoO, including the speculating OoO front end — the batched in-order
 //    campaign pumped through its window-bounded trace source and the share
-//    of its traces synthesized from the fused batch tile, accumulator
+//    of its traces synthesized from the fused batch tile, the kernel sets
+//    its accumulation, emission and noise ran, accumulator
 //    ns/sample and the batch and CRC kernels picked, trace-store
 //    write/replay MB/s, and the fabric merge / salvage scan MB/s of the
 //    robustness layer)
@@ -35,6 +36,7 @@
 #include "core/campaign_fabric.h"
 #include "stats/batch_kernels.h"
 #include "crypto/aes_codegen.h"
+#include "power/noise_kernels.h"
 #include "power/synthesizer.h"
 #include "power/trace_io.h"
 #include "power/trace_store_reader.h"
@@ -240,6 +242,13 @@ struct hot_path_report {
   double tvla_accumulate_ns_per_sample = 0.0;
   // Batched accumulator throughput (stats/batch_kernels.h dispatch).
   const char* batch_kernel = "generic";
+  // The kernel sets the source campaign ran: accumulation
+  // (stats/batch_kernels.h), fused emission (sim::emit_kernels) and
+  // batch-wide noise (power/noise_kernels.h; "scalar" as soon as one of
+  // the campaign's traces drew its noise on the scalar path).
+  const char* accumulate_kernels = "generic";
+  const char* emit_kernels = "baseline";
+  const char* noise_kernels = "scalar";
   // Store CRC kernel (util/crc32.h dispatch): "clmul" or "portable".
   const char* crc_kernel = "portable";
   double cpa_batch_accumulate_gb_per_sec = 0.0;
@@ -382,8 +391,11 @@ hot_path_report measure_hot_path(const bench::arg_map& args) {
     core::cpa_sink cpa(0);
     const telem::counter fused{"synth.fused_traces", "traces", "synth"};
     const telem::counter events{"synth.event_traces", "traces", "synth"};
+    const telem::counter scalar_noise{"synth.scalar_noise_traces", "traces",
+                                      "synth"};
     const std::uint64_t fused_before = fused.value();
     const std::uint64_t events_before = events.value();
+    const std::uint64_t scalar_noise_before = scalar_noise.value();
     const auto source_start = std::chrono::steady_clock::now();
     core::pump(source, cpa);
     report.source_seconds = seconds_since(source_start);
@@ -394,6 +406,11 @@ hot_path_report measure_hot_path(const bench::arg_map& args) {
         (fused_traces + static_cast<double>(events.value() - events_before));
     report.source_traces_per_sec =
         static_cast<double>(report.traces) / report.source_seconds;
+    report.accumulate_kernels = stats::active_kernels().name;
+    report.emit_kernels = sim::active_emit_kernels().name;
+    report.noise_kernels = scalar_noise.value() == scalar_noise_before
+                               ? power::active_noise_kernels().name
+                               : "scalar";
   }
   config.sim_batch_lanes = 0;
 
@@ -668,6 +685,11 @@ void write_json(std::FILE* out, const hot_path_report& r) {
   w.member_fixed("tvla_accumulate_ns_per_sample",
                  r.tvla_accumulate_ns_per_sample, 3);
   w.member("batch_kernel", r.batch_kernel);
+  w.key("kernels").begin_object();
+  w.member("accumulate", r.accumulate_kernels);
+  w.member("emit", r.emit_kernels);
+  w.member("noise", r.noise_kernels);
+  w.end_object();
   w.member("crc_kernel", r.crc_kernel);
   w.member_fixed("cpa_batch_accumulate_gb_per_sec",
                  r.cpa_batch_accumulate_gb_per_sec, 2);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <utility>
 
 #include "core/ordered_dispatch.h"
@@ -43,6 +44,16 @@ std::unique_ptr<Core> with_recording(std::unique_ptr<Core> core,
     core->set_activity_cutoff_mark(config.window.end_mark, !whole_records);
   }
   return core;
+}
+
+/// Counts one simulated record; a window-bounded run's cycles end at its
+/// end mark.
+void count_trace(std::uint64_t cycles) {
+  static const telem::counter traces{"campaign.traces", "traces", "campaign"};
+  static const telem::counter simulated{"campaign.cycles", "cycles",
+                                        "campaign"};
+  traces.add();
+  simulated.add(cycles);
 }
 
 } // namespace
@@ -121,28 +132,25 @@ std::size_t acquisition_campaign::batch_lanes() const {
   return lanes;
 }
 
-void acquisition_campaign::finish_record(const sim::activity_trace& activity,
-                                         sim::batch_backend* fused,
-                                         std::size_t lane,
-                                         power::trace_synthesizer& synth,
-                                         std::uint64_t synthesis_seed,
-                                         acquisition_record& rec) const {
-  static const telem::counter traces{"campaign.traces", "traces", "campaign"};
-  // Simulated cycles: a window-bounded run counts only up to its end mark.
-  static const telem::counter cycles{"campaign.cycles", "cycles", "campaign"};
-  traces.add();
-  cycles.add(rec.cycles);
-
+void acquisition_campaign::locate_window(
+    std::uint64_t cycles, const std::vector<sim::mark_stamp>& marks,
+    std::uint64_t& begin, std::uint64_t& end) const {
   if (config_.full_run_window) {
-    rec.window_begin = 0;
-    rec.window_end = rec.cycles + config_.full_run_tail_pad;
-  } else if (!find_campaign_window(rec.marks, config_.window,
-                                   rec.window_begin, rec.window_end)) {
+    begin = 0;
+    end = cycles + config_.full_run_tail_pad;
+  } else if (!find_campaign_window(marks, config_.window, begin, end)) {
     throw util::analysis_error(
         "campaign window marks not found (or empty window) in the "
         "simulated program");
   }
+}
 
+void acquisition_campaign::finish_record(const sim::activity_trace& activity,
+                                         power::trace_synthesizer& synth,
+                                         std::uint64_t synthesis_seed,
+                                         acquisition_record& rec) const {
+  count_trace(rec.cycles);
+  locate_window(rec.cycles, rec.marks, rec.window_begin, rec.window_end);
   if (!config_.synthesize) {
     return;
   }
@@ -158,19 +166,10 @@ void acquisition_campaign::finish_record(const sim::activity_trace& activity,
   }
   synth.reseed(synthesis_seed);
   // Which synthesis produced the samples: a silent return of the source
-  // path to the event walk shows up here.
-  static const telem::counter fused_traces{"synth.fused_traces", "traces",
-                                           "synth"};
+  // path to the event walk shows up here (fused batches count
+  // synth.fused_traces in produce_batch_into).
   static const telem::counter event_traces{"synth.event_traces", "traces",
                                            "synth"};
-  if (fused != nullptr) {
-    fused_traces.add();
-    const std::size_t stride = fused->lanes();
-    rec.samples = synth.synthesize_column(
-        fused->clean_tile(end) + begin * stride + lane, stride, end - begin,
-        config_.averaging);
-    return;
-  }
   event_traces.add();
   rec.samples = config_.averaging > 1
                     ? synth.synthesize_averaged(activity, begin, end,
@@ -193,7 +192,7 @@ void acquisition_campaign::produce_into(sim::backend& core,
   rec.cycles = core.cycles();
   rec.instructions = core.instructions_issued();
   rec.marks = core.marks();
-  finish_record(core.activity(), nullptr, 0, synth, seeds.synthesis, rec);
+  finish_record(core.activity(), synth, seeds.synthesis, rec);
 }
 
 void acquisition_campaign::produce_batch_into(
@@ -230,6 +229,13 @@ void acquisition_campaign::produce_batch_into(
   batch.warm_caches();
   batch.run();
 
+  // A fused batch's surviving lanes share their marks, so its window is
+  // located once and every lane's column is rendered by one synthesizer
+  // call, straight into the records.
+  std::uint64_t begin = 0;
+  std::uint64_t end = 0;
+  std::uint64_t columns = 0;
+  std::array<power::trace*, sim::max_batch_lanes> column_out{};
   for (std::size_t l = 0; l < count; ++l) {
     acquisition_record& rec = recs[l];
     if (batch.lane_diverged(l)) {
@@ -248,9 +254,29 @@ void acquisition_campaign::produce_batch_into(
     rec.cycles = batch.cycles();
     rec.instructions = batch.instructions_issued();
     rec.marks = batch.marks();
-    finish_record(batch.activity(l), fused ? &batch : nullptr, l, synth,
-                  synthesis_seeds[l], rec);
+    if (!fused) {
+      finish_record(batch.activity(l), synth, synthesis_seeds[l], rec);
+      continue;
+    }
+    count_trace(rec.cycles);
+    if (columns == 0) {
+      locate_window(rec.cycles, rec.marks, begin, end);
+    }
+    rec.window_begin = begin;
+    rec.window_end = end;
+    columns |= std::uint64_t{1} << l;
+    column_out[l] = &rec.samples;
   }
+  if (columns == 0) {
+    return;
+  }
+  static const telem::counter fused_traces{"synth.fused_traces", "traces",
+                                           "synth"};
+  fused_traces.add(static_cast<std::uint64_t>(std::popcount(columns)));
+  const std::size_t stride = batch.lanes();
+  synth.synthesize_columns(batch.clean_tile(end) + begin * stride, stride,
+                           end - begin, config_.averaging, columns,
+                           synthesis_seeds.data(), column_out.data());
 }
 
 acquisition_record acquisition_campaign::produce(std::size_t index) const {

@@ -203,12 +203,16 @@ private:
                           bool whole_records, power::trace_synthesizer& synth,
                           std::size_t first_index, std::size_t count,
                           std::vector<acquisition_record>& recs) const;
-  /// Window lookup, activity retention and synthesis of a simulated
-  /// record (rec.cycles and rec.marks already set).  Synthesis walks
-  /// `activity`, or, when `fused` is set, renders column `lane` of that
-  /// batch's clean tile.
+  /// The synthesis window [begin, end) of a run of `cycles` cycles with
+  /// `marks`; throws when a marker window is missing or empty.
+  void locate_window(std::uint64_t cycles,
+                     const std::vector<sim::mark_stamp>& marks,
+                     std::uint64_t& begin, std::uint64_t& end) const;
+  /// Window lookup, activity retention and event-walk synthesis of a
+  /// simulated record (rec.cycles and rec.marks already set).  A fused
+  /// batch instead locates its shared window once and renders all its
+  /// surviving lanes' tile columns in one synthesizer call.
   void finish_record(const sim::activity_trace& activity,
-                     sim::batch_backend* fused, std::size_t lane,
                      power::trace_synthesizer& synth,
                      std::uint64_t synthesis_seed,
                      acquisition_record& rec) const;

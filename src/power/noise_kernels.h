@@ -1,0 +1,94 @@
+// Batch-wide Gaussian measurement noise behind runtime dispatch.
+//
+// A fused batch renders one window column per lane, and every lane has
+// its own synthesis seed, so its noise is an independent xoshiro256**
+// stream.  The kernels draw those streams side by side and add
+// `sigma * g` to each lane's clean column, where g is exactly the
+// sequence next_gaussian() returns on that lane's freshly seeded
+// generator: the same uniforms, the same Marsaglia-polar rejections, the
+// same log/divide/sqrt, so every sample is bit-identical to the scalar
+// loop whatever kernel runs.
+//
+// Two sets, resolved once at first use like stats::active_kernels():
+//
+//  * "scalar" — per lane, seed a generator and run the scalar loop
+//    (add_gaussian below); the portable path and the oracle;
+//  * "avx2" — four lanes' generator states in ymm registers (shift-add
+//    for the *5 and *9 of the output scrambler, an exact magic-number
+//    u64 -> double conversion, separate vmulpd/vaddpd for 2u - 1 and
+//    u*u + v*v — never FMA, which rounds once where the scalar path
+//    rounds twice).  Candidates are accepted branch-free and compacted
+//    per lane; a lane that has all its pairs keeps drawing until the
+//    slowest lane of its group is done, and that over-drawn state is
+//    discarded (every trace reseeds).  log stays scalar, one loop per
+//    lane; the divide and sqrt are correctly rounded in either width.
+//
+// The identity tests compare the sets through scalar_noise_kernels() and
+// avx2_noise_kernels().
+#ifndef USCA_POWER_NOISE_KERNELS_H
+#define USCA_POWER_NOISE_KERNELS_H
+
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
+#include "util/rng.h"
+
+namespace usca::power {
+
+/// The scalar noise loop: out[i] = clean[i * stride] + sigma * g_i, with
+/// g the next_gaussian() stream of `rng`.  `out` may alias a stride-1
+/// `clean`.
+inline void add_gaussian(const double* clean, std::size_t stride,
+                         std::size_t samples, double sigma,
+                         util::xoshiro256& rng, double* out) noexcept {
+  for (std::size_t i = 0; i < samples; ++i) {
+    out[i] = clean[i * stride] + sigma * rng.next_gaussian();
+  }
+}
+
+/// One batch-wide noise job: for every lane l set in `lanes`,
+/// out[l][i] = clean[i * stride + l] + sigma * g_i for i < samples, with
+/// g the next_gaussian() stream of xoshiro256(seeds[l]).
+struct noise_columns {
+  const double* clean = nullptr;
+  std::size_t stride = 0;
+  std::size_t samples = 0;
+  double sigma = 0.0;
+  std::uint64_t lanes = 0;
+  const std::uint64_t* seeds = nullptr; ///< indexed by lane
+  double* const* out = nullptr;         ///< indexed by lane
+};
+
+/// Gaussian work of a job: deviates drawn, and candidate pairs consumed
+/// up to each lane's last accepted one (what next_gaussian() draws).
+struct noise_work {
+  std::uint64_t deviates = 0;
+  std::uint64_t candidates = 0;
+};
+
+/// Scratch a kernel reuses across jobs (lane-interleaved candidates).
+struct noise_workspace {
+  std::vector<double> u;
+  std::vector<double> v;
+  std::vector<double> s;
+  std::vector<double> log_s;
+};
+
+struct noise_kernels {
+  const char* name;
+  noise_work (*add_columns)(const noise_columns& job, noise_workspace& ws);
+};
+
+/// The portable set: the scalar loop per lane.
+const noise_kernels& scalar_noise_kernels() noexcept;
+
+/// The AVX2 set, or nullptr when the build or the CPU lacks AVX2.
+const noise_kernels* avx2_noise_kernels() noexcept;
+
+/// The runtime-dispatched active set, resolved once at first use.
+const noise_kernels& active_noise_kernels();
+
+} // namespace usca::power
+
+#endif // USCA_POWER_NOISE_KERNELS_H

@@ -1,5 +1,8 @@
 #include "power/synthesizer.h"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 
 #include "util/telemetry.h"
@@ -8,9 +11,19 @@ namespace usca::power {
 
 namespace {
 
-/// Adds the Gaussian work drawn from `rng` during its lifetime to the
-/// noise layer's counters: deviates, and candidate pairs the rejection
-/// loop consumed (one per deviate pair, plus the rejected ones).
+/// Adds Gaussian work to the noise layer's counters: deviates, and
+/// candidate pairs the rejection loop consumed (one per deviate pair,
+/// plus the rejected ones).
+void note_gaussian_work(const noise_work& work) {
+  static const telem::counter deviates{"synth.gaussian_deviates",
+                                       "deviates", "synth"};
+  static const telem::counter candidates{"synth.gaussian_candidates",
+                                         "pairs", "synth"};
+  deviates.add(work.deviates);
+  candidates.add(work.candidates);
+}
+
+/// Notes the Gaussian work drawn from `rng` during its lifetime.
 class gaussian_work {
 public:
   explicit gaussian_work(const util::xoshiro256& rng) noexcept
@@ -19,12 +32,8 @@ public:
   gaussian_work(const gaussian_work&) = delete;
   gaussian_work& operator=(const gaussian_work&) = delete;
   ~gaussian_work() {
-    static const telem::counter deviates{"synth.gaussian_deviates",
-                                         "deviates", "synth"};
-    static const telem::counter candidates{"synth.gaussian_candidates",
-                                           "pairs", "synth"};
-    deviates.add(rng_.gaussian_deviates() - deviates_);
-    candidates.add(rng_.gaussian_candidates() - candidates_);
+    note_gaussian_work({rng_.gaussian_deviates() - deviates_,
+                        rng_.gaussian_candidates() - candidates_});
   }
 
 private:
@@ -121,7 +130,9 @@ trace trace_synthesizer::synthesize_averaged(
     std::uint32_t last_cycle, int executions) {
   const gaussian_work work(rng_);
   synthesize_clean_into(scratch_, activity, first_cycle, last_cycle);
-  return average_executions(executions);
+  trace out;
+  average_executions(scratch_.data(), 1, scratch_.size(), executions, out);
+  return out;
 }
 
 trace trace_synthesizer::synthesize_column(const double* clean,
@@ -129,50 +140,95 @@ trace trace_synthesizer::synthesize_column(const double* clean,
                                            std::size_t samples,
                                            int executions) {
   const gaussian_work work(rng_);
-  scratch_.resize(samples);
-  for (std::size_t i = 0; i < samples; ++i) {
-    scratch_[i] = clean[i * stride];
-  }
-  if (executions > 1) {
-    return average_executions(executions);
-  }
-  trace out = scratch_;
-  apply_noise(out);
+  trace out;
+  render_column(clean, stride, samples, executions, out);
   return out;
 }
 
-trace trace_synthesizer::average_executions(int executions) {
-  if (!config_.os_noise.enabled && !second_core_ && executions > 1) {
+void trace_synthesizer::synthesize_columns(const double* clean,
+                                           std::size_t stride,
+                                           std::size_t samples,
+                                           int executions,
+                                           std::uint64_t lanes,
+                                           const std::uint64_t* seeds,
+                                           trace* const* out) {
+  static const telem::counter scalar_traces{"synth.scalar_noise_traces",
+                                            "traces", "synth"};
+  if (executions > 1 && bare_metal()) {
+    std::array<double*, 64> rows{};
+    for (std::uint64_t rest = lanes; rest != 0; rest &= rest - 1) {
+      const auto lane = static_cast<std::size_t>(std::countr_zero(rest));
+      out[lane]->resize(samples);
+      rows[lane] = out[lane]->data();
+    }
+    const noise_kernels& kernels = active_noise_kernels();
+    note_gaussian_work(kernels.add_columns(
+        {clean, stride, samples, averaged_sigma(executions), lanes, seeds,
+         rows.data()},
+        workspace_));
+    if (&kernels == &scalar_noise_kernels()) {
+      scalar_traces.add(static_cast<std::uint64_t>(std::popcount(lanes)));
+    }
+    return;
+  }
+  for (std::uint64_t rest = lanes; rest != 0; rest &= rest - 1) {
+    const auto lane = static_cast<std::size_t>(std::countr_zero(rest));
+    reseed(seeds[lane]);
+    const gaussian_work work(rng_);
+    render_column(clean + lane, stride, samples, executions, *out[lane]);
+    scalar_traces.add();
+  }
+}
+
+void trace_synthesizer::render_column(const double* clean, std::size_t stride,
+                                      std::size_t samples, int executions,
+                                      trace& out) {
+  if (executions > 1) {
+    average_executions(clean, stride, samples, executions, out);
+    return;
+  }
+  out.resize(samples);
+  for (std::size_t i = 0; i < samples; ++i) {
+    out[i] = clean[i * stride];
+  }
+  apply_noise(out);
+}
+
+void trace_synthesizer::average_executions(const double* clean,
+                                           std::size_t stride,
+                                           std::size_t samples,
+                                           int executions, trace& out) {
+  out.resize(samples);
+  if (executions > 1 && bare_metal()) {
     // Hot path for the bare-metal environment: the noiseless leakage is
     // identical across the averaged executions, so the mean of
     // `executions` iid Gaussian acquisitions IS the clean trace plus
     // N(0, sigma^2/executions) — draw that noise directly instead of
     // simulating each execution.  Statistically exact, and it turns the
     // dominant 16x per-sample noise loop of a default campaign into 1x.
-    trace out = scratch_;
-    const double sigma =
-        config_.gaussian_sigma / std::sqrt(static_cast<double>(executions));
-    for (double& sample : out) {
-      sample += sigma * rng_.next_gaussian();
-    }
-    return out;
+    add_gaussian(clean, stride, samples, averaged_sigma(executions), rng_,
+                 out.data());
+    return;
   }
-  trace accum(scratch_.size(), 0.0);
+  std::fill(out.begin(), out.end(), 0.0);
   for (int e = 0; e < executions; ++e) {
     os_noise_process os(config_.os_noise, rng_);
-    for (std::size_t i = 0; i < scratch_.size(); ++i) {
-      accum[i] += scratch_[i] +
-                  config_.gaussian_sigma * rng_.next_gaussian() + os.step();
+    for (std::size_t i = 0; i < samples; ++i) {
+      out[i] += clean[i * stride] +
+                config_.gaussian_sigma * rng_.next_gaussian() + os.step();
     }
     if (second_core_) {
-      second_core_->add_window(accum, rng_);
+      second_core_->add_window(out, rng_);
     }
   }
   const double scale = 1.0 / static_cast<double>(executions);
-  for (double& v : accum) {
+  for (double& v : out) {
     v *= scale;
   }
-  return accum;
+}
+
+double trace_synthesizer::averaged_sigma(int executions) const noexcept {
+  return config_.gaussian_sigma / std::sqrt(static_cast<double>(executions));
 }
 
 } // namespace usca::power

@@ -17,9 +17,18 @@
 // The noiseless sum has two producers: the event walk over an activity
 // record (synthesize*), and the batched cores' fused tile, where each
 // emission adds its weighted toggle count as it happens
-// (sim::batch_backend::fuse_synthesis).  synthesize_column renders a
-// window of that tile; both producers add the same terms in the same
-// order, so both yield the same bits, and the noise is drawn the same way.
+// (sim::batch_backend::fuse_synthesis).  synthesize_column renders one
+// lane's window of that tile and synthesize_columns every surviving
+// lane's at once; both producers add the same terms in the same order,
+// so both yield the same bits, and the noise is drawn the same way.
+//
+// The noise is the larger cost: one Marsaglia-polar Gaussian per sample.
+// synthesize_columns draws the bare-metal averaged noise of all lanes
+// through a batch-wide kernel (power/noise_kernels.h: four lanes'
+// generators side by side on AVX2, the scalar loop elsewhere), each lane
+// still consuming exactly its own stream; every other config renders
+// lane by lane on the scalar loop.  Columns are read from the tile
+// straight into the output traces.
 #ifndef USCA_POWER_SYNTHESIZER_H
 #define USCA_POWER_SYNTHESIZER_H
 
@@ -28,6 +37,7 @@
 #include <memory>
 
 #include "power/noise.h"
+#include "power/noise_kernels.h"
 #include "power/second_core.h"
 #include "power/trace.h"
 #include "sim/uarch_activity.h"
@@ -89,6 +99,19 @@ public:
   trace synthesize_column(const double* clean, std::size_t stride,
                           std::size_t samples, int executions);
 
+  /// Renders column l of a fused batch tile for every lane l set in
+  /// `lanes`: *out[l] becomes exactly what reseed(seeds[l]) followed by
+  /// synthesize_column(clean + l, stride, samples, executions) returns.
+  /// `seeds` and `out` are indexed by lane.  Bare-metal averaged columns
+  /// (executions > 1, no OS noise, no second core) draw their noise
+  /// through the dispatched batch-wide kernel; the rest render lane by
+  /// lane (counted by the synth.scalar_noise_traces counter, as are the
+  /// kernel's traces when the scalar set is the one dispatched).
+  void synthesize_columns(const double* clean, std::size_t stride,
+                          std::size_t samples, int executions,
+                          std::uint64_t lanes, const std::uint64_t* seeds,
+                          trace* const* out);
+
   /// Deterministic noiseless rendering (ground-truth tests).
   trace synthesize_clean(const sim::activity_trace& activity,
                          std::uint32_t first_cycle,
@@ -111,14 +134,28 @@ private:
   /// One noisy acquisition's worth of noise (Gaussian + OS + second core)
   /// on top of a clean trace, shared by the synthesize() overloads.
   void apply_noise(trace& out);
-  /// The mean of `executions` noisy acquisitions of the clean trace in
-  /// scratch_, shared by synthesize_averaged and synthesize_column.
-  trace average_executions(int executions);
+  /// synthesize_column's body: the column clean[i * stride] rendered
+  /// into `out`.
+  void render_column(const double* clean, std::size_t stride,
+                     std::size_t samples, int executions, trace& out);
+  /// Into `out`: the mean of `executions` noisy acquisitions of the clean
+  /// samples clean[i * stride], shared by synthesize_averaged and
+  /// render_column.
+  void average_executions(const double* clean, std::size_t stride,
+                          std::size_t samples, int executions, trace& out);
+  /// Whether the noise is the Gaussian alone (the bare-metal
+  /// environment), so an averaged acquisition draws it once.
+  bool bare_metal() const noexcept {
+    return !config_.os_noise.enabled && !second_core_;
+  }
+  /// Sigma of the mean of `executions` bare-metal acquisitions' noise.
+  double averaged_sigma(int executions) const noexcept;
 
   synthesis_config config_;
   util::xoshiro256 rng_;
   std::shared_ptr<const second_core_noise> second_core_;
-  trace scratch_; ///< reused clean-trace buffer for the averaged path
+  trace scratch_; ///< reused clean-trace buffer of the event walk
+  noise_workspace workspace_; ///< the noise kernels' candidate buffers
 };
 
 } // namespace usca::power

@@ -33,7 +33,9 @@
 // events (activity()); with fuse_synthesis() they instead add each
 // weighted toggle count straight into a cycle-major clean-power tile,
 // the noiseless half of power::trace_synthesizer's model, so a consumer
-// that reads only samples skips the event stream entirely.
+// that reads only samples skips the event stream entirely.  The fused
+// contiguous-lane body is dispatched once (emit_kernels: baseline ISA or
+// AVX2, bit-identical), for both engines alike.
 //
 // Implementations: sim::batch_pipeline (in-order; batch_pipeline.h) and
 // sim::batch_ooo_core (OoO fast scheduler; ooo/batch_ooo_core.h).  The
@@ -103,6 +105,31 @@ public:
 private:
   std::uint64_t mask_;
 };
+
+/// Fused-emission lane kernels: lanes 0..n-1 of a clean-power tile row
+/// receive their weighted toggle counts (the contiguous-mask fast path
+/// of batch_backend's emission).  drive: lane l adds
+/// weight * HD(state[l], values[l]), then state[l] takes values[l];
+/// weigh: lane l adds weight * HW(values[l]).  A lane with no toggles
+/// keeps its sample bits.  One body, compiled at the baseline ISA and
+/// for AVX2 (never FMA), so both sets are bit-identical.
+struct emit_kernels {
+  const char* name;
+  void (*drive)(double* row, double weight, std::uint32_t* state,
+                const std::uint32_t* values, std::size_t n);
+  void (*weigh)(double* row, double weight, const std::uint32_t* values,
+                std::size_t n);
+};
+
+/// The baseline-ISA set.
+const emit_kernels& baseline_emit_kernels() noexcept;
+
+/// The AVX2 set, or nullptr when the build or the CPU lacks AVX2.
+const emit_kernels* avx2_emit_kernels() noexcept;
+
+/// The runtime-dispatched active set, resolved once at first use; every
+/// batch engine emits through it.
+const emit_kernels& active_emit_kernels();
 
 /// Flushes one batch run's occupancy to telemetry: the `sim.batch.lanes`
 /// histogram and the `sim.batch.active_lane_cycles` counter.  Called once
@@ -362,6 +389,7 @@ private:
   double* fused_row(std::uint64_t at_cycle);
 
   bool fused_ = false;
+  const emit_kernels* emit_ = &active_emit_kernels();
   std::array<double, component_count> weights_{};
   double baseline_ = 0.0;
   std::vector<double> tile_;     ///< [cycle * lanes_ + lane], see clean_tile

@@ -71,6 +71,12 @@ public:
     return gaussian_candidates_;
   }
 
+  /// The four state words, for kernels that step several generators side
+  /// by side (power/noise_kernels.h).
+  const std::array<std::uint64_t, 4>& state() const noexcept {
+    return state_;
+  }
+
 private:
   std::array<std::uint64_t, 4> state_{};
   double cached_gaussian_ = 0.0;

@@ -1,0 +1,340 @@
+// Identity of the batch-wide lane kernels with their scalar oracles.
+//
+//  * Noise: every noise kernel set, and the synthesizer's batch-wide
+//    synthesize_columns, must render each lane's column exactly as
+//    reseed(seed) + synthesize_column does — the per-lane next_gaussian()
+//    loop — and report the same Gaussian work.  Fuzzed over lane counts
+//    1-32, masks with holes, sample counts around the AES round-1 window
+//    (559, 560) and the whole run (5181), the degenerate 0-3, and the
+//    averaging 2, 4 and 16, with -0.0 and huge clean samples.
+//  * Emission: the baseline and AVX2 fused-emission sets on random rows,
+//    states and hostile weights.
+//
+// The AVX2 halves skip on a CPU or build without AVX2.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "power/noise_kernels.h"
+#include "power/second_core.h"
+#include "power/synthesizer.h"
+#include "sim/batch_sim.h"
+#include "sim/micro_arch_config.h"
+#include "util/rng.h"
+#include "util/telemetry.h"
+
+namespace usca {
+namespace {
+
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](double x, double y) {
+                      return std::bit_cast<std::uint64_t>(x) ==
+                             std::bit_cast<std::uint64_t>(y);
+                    });
+}
+
+/// A random cycle-major clean tile of `rows` x `lanes`, with the values a
+/// fused tile can hold: baselines, -0.0, and large sums.
+std::vector<double> random_tile(util::xoshiro256& rng, std::size_t rows,
+                                std::size_t lanes) {
+  std::vector<double> tile(rows * lanes);
+  for (double& v : tile) {
+    switch (rng.bounded(8)) {
+    case 0:
+      v = -0.0;
+      break;
+    case 1:
+      v = 1e300 * (rng.next_double() - 0.5);
+      break;
+    default:
+      v = 5.0 + 40.0 * rng.next_double();
+    }
+  }
+  return tile;
+}
+
+/// A non-empty random lane mask below `lanes`; every third one is full.
+std::uint64_t random_mask(util::xoshiro256& rng, std::size_t lanes,
+                          std::size_t trial) {
+  const std::uint64_t full =
+      lanes == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
+  if (trial % 3 == 0) {
+    return full;
+  }
+  std::uint64_t mask = 0;
+  while (mask == 0) {
+    mask = rng() & full;
+  }
+  return mask;
+}
+
+struct noise_case {
+  std::size_t lanes;
+  std::uint64_t mask;
+  std::size_t samples;
+  int executions;
+  std::vector<double> tile;
+  std::array<std::uint64_t, sim::max_batch_lanes> seeds{};
+};
+
+std::vector<noise_case> noise_cases() {
+  constexpr std::array<std::size_t, 7> sample_counts = {0,   1,   2,   3,
+                                                        559, 560, 5181};
+  constexpr std::array<int, 3> averaging = {2, 4, 16};
+  util::xoshiro256 rng(0x7015e);
+  std::vector<noise_case> cases;
+  // 32 lane counts x 3 rounds; the sample counts and averagings cycle
+  // through every combination several times.
+  for (std::size_t trial = 0; trial < 96; ++trial) {
+    noise_case c;
+    c.lanes = 1 + trial % 32;
+    c.mask = random_mask(rng, c.lanes, trial);
+    c.samples = sample_counts[trial % sample_counts.size()];
+    c.executions = averaging[(trial / sample_counts.size()) % 3];
+    c.tile = random_tile(rng, c.samples, c.lanes);
+    for (std::size_t l = 0; l < c.lanes; ++l) {
+      c.seeds[l] = rng();
+    }
+    cases.push_back(std::move(c));
+  }
+  return cases;
+}
+
+std::string name_of(const noise_case& c) {
+  return "lanes=" + std::to_string(c.lanes) + " mask=" +
+         std::to_string(c.mask) + " samples=" + std::to_string(c.samples) +
+         " executions=" + std::to_string(c.executions);
+}
+
+/// The oracle: lane by lane, reseed and synthesize_column; also returns
+/// the Gaussian work the scalar loop drew.
+std::vector<power::trace> oracle(const noise_case& c,
+                                 const power::synthesis_config& config,
+                                 power::noise_work& work) {
+  power::trace_synthesizer synth(config, 0);
+  std::vector<power::trace> out(c.lanes);
+  for (std::size_t l = 0; l < c.lanes; ++l) {
+    if ((c.mask >> l) & 1U) {
+      synth.reseed(c.seeds[l]);
+      out[l] = synth.synthesize_column(c.tile.data() + l, c.lanes,
+                                       c.samples, c.executions);
+      work.deviates += synth.rng().gaussian_deviates();
+      work.candidates += synth.rng().gaussian_candidates();
+    }
+  }
+  return out;
+}
+
+/// Runs one kernel set on the case; lanes outside the mask have no
+/// output row, so a kernel touching them would crash.
+std::vector<power::trace> run_kernel(const power::noise_kernels& kernels,
+                                     const noise_case& c, double sigma,
+                                     power::noise_workspace& ws,
+                                     power::noise_work& work) {
+  std::vector<power::trace> out(c.lanes);
+  std::array<double*, sim::max_batch_lanes> rows{};
+  for (std::size_t l = 0; l < c.lanes; ++l) {
+    if ((c.mask >> l) & 1U) {
+      out[l].assign(c.samples, std::numeric_limits<double>::quiet_NaN());
+      rows[l] = out[l].data();
+    }
+  }
+  work = kernels.add_columns({c.tile.data(), c.lanes, c.samples, sigma,
+                              c.mask, c.seeds.data(), rows.data()},
+                             ws);
+  return out;
+}
+
+void expect_same_columns(const std::vector<power::trace>& expected,
+                         const std::vector<power::trace>& actual,
+                         const std::string& what) {
+  ASSERT_EQ(expected.size(), actual.size()) << what;
+  for (std::size_t l = 0; l < expected.size(); ++l) {
+    EXPECT_TRUE(same_bits(expected[l], actual[l]))
+        << what << " lane " << l;
+  }
+}
+
+std::vector<const power::noise_kernels*> noise_sets() {
+  std::vector<const power::noise_kernels*> sets = {
+      &power::scalar_noise_kernels()};
+  if (const power::noise_kernels* avx2 = power::avx2_noise_kernels()) {
+    sets.push_back(avx2);
+  }
+  return sets;
+}
+
+TEST(NoiseKernels, EverySetEqualsTheScalarLoopBitwise) {
+  power::synthesis_config config;
+  for (const double sigma : {2.0, 0.37}) {
+    config.gaussian_sigma = sigma;
+    for (const power::noise_kernels* kernels : noise_sets()) {
+      // One workspace across all cases: stale candidates of a longer job
+      // must not leak into a shorter one.
+      power::noise_workspace ws;
+      for (const noise_case& c : noise_cases()) {
+        const std::string what = std::string(kernels->name) + " sigma=" +
+                                 std::to_string(sigma) + " " + name_of(c);
+        power::noise_work expected_work;
+        const std::vector<power::trace> expected =
+            oracle(c, config, expected_work);
+        power::noise_work work;
+        const std::vector<power::trace> actual = run_kernel(
+            *kernels, c,
+            sigma / std::sqrt(static_cast<double>(c.executions)), ws, work);
+        expect_same_columns(expected, actual, what);
+        EXPECT_EQ(work.deviates, expected_work.deviates) << what;
+        EXPECT_EQ(work.candidates, expected_work.candidates) << what;
+      }
+    }
+  }
+}
+
+TEST(NoiseKernels, Avx2SetIsDispatchedWhereAvailable) {
+  if (power::avx2_noise_kernels() == nullptr) {
+    EXPECT_STREQ(power::active_noise_kernels().name, "scalar");
+    GTEST_SKIP() << "CPU/build without AVX2 — noise dispatch stays scalar";
+  }
+  EXPECT_EQ(&power::active_noise_kernels(), power::avx2_noise_kernels());
+}
+
+/// synthesize_columns on a case, into fresh records.
+std::vector<power::trace> synthesize_columns(power::trace_synthesizer& synth,
+                                             const noise_case& c) {
+  std::vector<power::trace> out(c.lanes);
+  std::array<power::trace*, sim::max_batch_lanes> records{};
+  for (std::size_t l = 0; l < c.lanes; ++l) {
+    if ((c.mask >> l) & 1U) {
+      records[l] = &out[l];
+    }
+  }
+  synth.synthesize_columns(c.tile.data(), c.lanes, c.samples, c.executions,
+                           c.mask, c.seeds.data(), records.data());
+  return out;
+}
+
+// The synthesizer's batch-wide call equals the per-lane oracle on every
+// config: the kernel for bare-metal averaging, lane by lane otherwise
+// (OS noise, a second core, one execution), and counts the traces whose
+// noise took the scalar path.
+TEST(NoiseKernels, SynthesizeColumnsEqualsPerLaneColumns) {
+  const telem::counter scalar_traces{"synth.scalar_noise_traces", "traces",
+                                     "synth"};
+  const telem::counter deviates{"synth.gaussian_deviates", "deviates",
+                                "synth"};
+  const telem::counter candidates{"synth.gaussian_candidates", "pairs",
+                                  "synth"};
+  power::synthesis_config os_noise;
+  os_noise.os_noise.enabled = true;
+  const auto second_core = std::make_shared<const power::second_core_noise>(
+      sim::cortex_a7(), power::leakage_weights::cortex_a7_like(), 7, 512);
+  std::vector<noise_case> cases = noise_cases();
+  for (const int variant : {0, 1, 2, 3}) {
+    // 0: bare metal; 1: OS noise; 2: second core; 3: one execution.
+    const power::synthesis_config config =
+        variant == 1 ? os_noise : power::synthesis_config{};
+    for (noise_case c : cases) {
+      if (variant == 3) {
+        c.executions = 1;
+      }
+      const std::string what = "variant " + std::to_string(variant) + " " +
+                               name_of(c);
+      power::trace_synthesizer reference(config, 0);
+      power::trace_synthesizer batched(config, 0);
+      if (variant == 2) {
+        reference.attach_second_core(second_core);
+        batched.attach_second_core(second_core);
+      }
+      std::vector<power::trace> expected(c.lanes);
+      const std::uint64_t deviates_before = deviates.value();
+      const std::uint64_t candidates_before = candidates.value();
+      for (std::size_t l = 0; l < c.lanes; ++l) {
+        if ((c.mask >> l) & 1U) {
+          reference.reseed(c.seeds[l]);
+          expected[l] = reference.synthesize_column(
+              c.tile.data() + l, c.lanes, c.samples, c.executions);
+        }
+      }
+      const std::uint64_t oracle_deviates = deviates.value() - deviates_before;
+      const std::uint64_t oracle_candidates =
+          candidates.value() - candidates_before;
+      const std::uint64_t scalar_before = scalar_traces.value();
+      expect_same_columns(expected, synthesize_columns(batched, c), what);
+      EXPECT_EQ(deviates.value() - deviates_before, 2 * oracle_deviates)
+          << what;
+      EXPECT_EQ(candidates.value() - candidates_before,
+                2 * oracle_candidates)
+          << what;
+      const bool kernel = variant == 0 && power::avx2_noise_kernels();
+      EXPECT_EQ(scalar_traces.value() - scalar_before,
+                kernel ? 0U
+                       : static_cast<std::uint64_t>(std::popcount(c.mask)))
+          << what;
+    }
+  }
+}
+
+// ------------------------------------------------------------ emission
+
+TEST(EmitKernels, BaselineAndAvx2SetsAreBitIdentical) {
+  const sim::emit_kernels* avx2 = sim::avx2_emit_kernels();
+  if (avx2 == nullptr) {
+    EXPECT_STREQ(sim::active_emit_kernels().name, "baseline");
+    GTEST_SKIP() << "CPU/build without AVX2 — emission stays baseline";
+  }
+  EXPECT_EQ(&sim::active_emit_kernels(), avx2);
+  const sim::emit_kernels& baseline = sim::baseline_emit_kernels();
+  const std::array<double, 8> weights = {
+      1.0, 0.12, -0.0, 0.0, 1e300, -1.25, 7e-310,
+      std::numeric_limits<double>::infinity()};
+  util::xoshiro256 rng(0xe1175);
+  for (std::size_t trial = 0; trial < 400; ++trial) {
+    const std::size_t n = trial % (sim::max_batch_lanes + 1);
+    const double weight = weights[trial % weights.size()];
+    std::vector<double> row(n);
+    std::vector<std::uint32_t> state(n);
+    std::vector<std::uint32_t> values(n);
+    for (std::size_t l = 0; l < n; ++l) {
+      row[l] = rng.bounded(5) == 0 ? -0.0 : 1e3 * (rng.next_double() - 0.5);
+      state[l] = rng.next_u32();
+      // Every fourth lane repeats its state: no toggles, no addition.
+      values[l] = l % 4 == 0 ? state[l] : rng.next_u32();
+      if (rng.bounded(6) == 0) {
+        values[l] = 0;
+      }
+    }
+    const std::string what =
+        "n=" + std::to_string(n) + " weight=" + std::to_string(weight);
+
+    std::vector<double> row_base = row;
+    std::vector<double> row_avx2 = row;
+    std::vector<std::uint32_t> state_base = state;
+    std::vector<std::uint32_t> state_avx2 = state;
+    baseline.drive(row_base.data(), weight, state_base.data(), values.data(),
+                   n);
+    avx2->drive(row_avx2.data(), weight, state_avx2.data(), values.data(),
+                n);
+    EXPECT_TRUE(same_bits(row_base, row_avx2)) << "drive " << what;
+    EXPECT_EQ(state_base, values) << "drive " << what;
+    EXPECT_EQ(state_avx2, values) << "drive " << what;
+
+    row_base = row;
+    row_avx2 = row;
+    baseline.weigh(row_base.data(), weight, values.data(), n);
+    avx2->weigh(row_avx2.data(), weight, values.data(), n);
+    EXPECT_TRUE(same_bits(row_base, row_avx2)) << "weigh " << what;
+  }
+}
+
+} // namespace
+} // namespace usca
