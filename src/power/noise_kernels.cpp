@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cmath>
+
+#include "sim/batch_sim.h"
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define USCA_HAVE_AVX2_NOISE 1
@@ -19,8 +20,7 @@ namespace {
 noise_work scalar_add_columns(const noise_columns& job, noise_workspace&) {
   noise_work work;
   util::xoshiro256 rng;
-  for (std::uint64_t rest = job.lanes; rest != 0; rest &= rest - 1) {
-    const auto lane = static_cast<std::size_t>(std::countr_zero(rest));
+  for (const std::size_t lane : sim::lanes_in(job.lanes)) {
     rng.seed(job.seeds[lane]);
     add_gaussian(job.clean + lane, job.stride, job.samples, job.sigma, rng,
                  job.out[lane]);
@@ -98,7 +98,7 @@ USCA_AVX2 void emit_x4(const noise_columns& job, std::size_t i,
                        std::size_t real, __m256d deviate) {
   const __m256d clean =
       _mm256_i64gather_pd(job.clean + i * job.stride, index, 8);
-  alignas(32) double sample[4];
+  alignas(32) double sample[4] = {};
   _mm256_store_pd(sample,
                   _mm256_add_pd(clean, _mm256_mul_pd(_mm256_set1_pd(job.sigma),
                                                      deviate)));
@@ -121,10 +121,10 @@ avx2_add_columns(const noise_columns& job, noise_workspace& ws) {
       buffer->resize(slots);
     }
   }
-  std::array<std::size_t, 64> ids{};
+  std::array<std::size_t, sim::max_batch_lanes> ids{};
   std::size_t n = 0;
-  for (std::uint64_t rest = job.lanes; rest != 0; rest &= rest - 1) {
-    ids[n++] = static_cast<std::size_t>(std::countr_zero(rest));
+  for (const std::size_t lane : sim::lanes_in(job.lanes)) {
+    ids[n++] = lane;
   }
 
   for (std::size_t first = 0; first < n; first += 4) {
@@ -161,9 +161,9 @@ avx2_add_columns(const noise_columns& job, noise_workspace& ws) {
       const int accept = _mm256_movemask_pd(
           _mm256_and_pd(_mm256_cmp_pd(s, one, _CMP_LT_OQ),
                         _mm256_cmp_pd(s, zero, _CMP_NEQ_OQ)));
-      alignas(32) double tu[4];
-      alignas(32) double tv[4];
-      alignas(32) double ts[4];
+      alignas(32) double tu[4] = {};
+      alignas(32) double tv[4] = {};
+      alignas(32) double ts[4] = {};
       _mm256_store_pd(tu, u);
       _mm256_store_pd(tv, v);
       _mm256_store_pd(ts, s);

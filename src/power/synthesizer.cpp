@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 
+#include "sim/batch_sim.h"
 #include "util/telemetry.h"
 
 namespace usca::power {
@@ -155,9 +156,8 @@ void trace_synthesizer::synthesize_columns(const double* clean,
   static const telem::counter scalar_traces{"synth.scalar_noise_traces",
                                             "traces", "synth"};
   if (executions > 1 && bare_metal()) {
-    std::array<double*, 64> rows{};
-    for (std::uint64_t rest = lanes; rest != 0; rest &= rest - 1) {
-      const auto lane = static_cast<std::size_t>(std::countr_zero(rest));
+    std::array<double*, sim::max_batch_lanes> rows{};
+    for (const std::size_t lane : sim::lanes_in(lanes)) {
       out[lane]->resize(samples);
       rows[lane] = out[lane]->data();
     }
@@ -171,8 +171,7 @@ void trace_synthesizer::synthesize_columns(const double* clean,
     }
     return;
   }
-  for (std::uint64_t rest = lanes; rest != 0; rest &= rest - 1) {
-    const auto lane = static_cast<std::size_t>(std::countr_zero(rest));
+  for (const std::size_t lane : sim::lanes_in(lanes)) {
     reseed(seeds[lane]);
     const gaussian_work work(rng_);
     render_column(clean + lane, stride, samples, executions, *out[lane]);
