@@ -7,11 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "core/acquisition.h"
 #include "core/campaign.h"
 #include "crypto/aes128.h"
+#include "crypto/aes_codegen.h"
 #include "stats/cpa.h"
 #include "util/bitops.h"
 
@@ -183,6 +187,155 @@ TEST(CampaignSimBatchFallback, ReferenceSchedulerRunsPerTrace) {
   for (std::size_t i = 0; i < records.size(); ++i) {
     expect_records_identical(records[i], campaign.engine().produce(i),
                              "trace " + std::to_string(i));
+  }
+}
+
+// ------------------------------------------------------ record reuse
+//
+// The engine may hand a record object it delivered before back to a
+// producer, so every field of every record must be rebuilt from scratch:
+// a label vector the setup appends to, window activity that only some
+// indices keep, samples a sink moved out, and lanes ejected mid-batch and
+// re-produced on the fallback core.  Both consumers — run(sink) and the
+// trace source — must still deliver exactly produce(i).
+
+/// An AES setup that appends its labels one at a time: a per-index number
+/// of them when `varying`, else three (a tile's rows share one label
+/// count).
+acquisition_campaign::setup_fn appending_setup(
+    std::shared_ptr<const crypto::aes_program_layout> layout, bool varying) {
+  return [layout, varying, round_keys = crypto::expand_key(kKey)](
+             std::size_t index, util::xoshiro256& rng, sim::backend& core,
+             std::vector<double>& labels) {
+    crypto::aes_block pt;
+    for (auto& b : pt) {
+      b = rng.next_u8();
+    }
+    crypto::install_aes_inputs(core.memory(), *layout, round_keys, pt);
+    for (std::size_t k = 0; k < (varying ? 1 + index % 5 : 3); ++k) {
+      labels.push_back(pt[k]);
+    }
+  };
+}
+
+void expect_same_activity(const sim::activity_trace& got,
+                          const sim::activity_trace& want,
+                          const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t e = 0; e < got.size(); ++e) {
+    EXPECT_TRUE(got[e].cycle == want[e].cycle && got[e].comp == want[e].comp &&
+                got[e].lane == want[e].lane &&
+                got[e].toggles == want[e].toggles)
+        << what << " event " << e;
+  }
+}
+
+enum class sink_kind { copy, move_samples, move_record };
+
+TEST(CampaignRecordReuse, EveryFieldIsRebuiltForEveryConsumer) {
+  for (const bool branchy : {false, true}) {
+    auto layout = std::make_shared<const crypto::aes_program_layout>(
+        branchy ? crypto::generate_aes128_branchy_program()
+                : crypto::generate_aes128_program());
+    acquisition_config base;
+    base.traces = 45; // partial final groups at 7 and 32 lanes
+    base.seed = 0x7ec7c1e;
+    base.averaging = 2;
+    // Round 1's AddRoundKey to round 2's ShiftRows: on the branchy AES
+    // the window-bounded runs eject lanes too, not only runs to halt.
+    base.window = {
+        crypto::aes_round_phase_mark(1, crypto::aes_round_phase::add_round_key),
+        crypto::aes_round_phase_mark(2, crypto::aes_round_phase::shift_rows)};
+    base.keep_activity_first = 10; // inside the second group of 7
+    const auto oracle_of = [&](bool varying) {
+      acquisition_campaign reference(sim::program_image(layout->prog), base);
+      reference.set_setup(appending_setup(layout, varying));
+      std::vector<acquisition_record> oracle;
+      for (std::size_t i = 0; i < base.traces; ++i) {
+        oracle.push_back(reference.produce(i));
+      }
+      return oracle;
+    };
+    const std::vector<acquisition_record> oracle = oracle_of(true);
+    const std::vector<acquisition_record> rows_oracle = oracle_of(false);
+    ASSERT_FALSE(oracle[9].window_activity.empty());
+    ASSERT_TRUE(oracle[10].window_activity.empty());
+
+    for (const int lanes : {0, 7, 32}) {
+      for (const unsigned threads : {1U, 3U}) {
+        const std::string what = std::string(branchy ? "branchy" : "aes") +
+                                 " lanes=" + std::to_string(lanes) +
+                                 " threads=" + std::to_string(threads);
+        acquisition_config config = base;
+        config.sim_batch_lanes = lanes;
+        config.threads = threads;
+        acquisition_campaign campaign(sim::program_image(layout->prog),
+                                      config);
+        campaign.set_setup(appending_setup(layout, true));
+
+        for (const sink_kind kind :
+             {sink_kind::copy, sink_kind::move_samples,
+              sink_kind::move_record}) {
+          std::vector<acquisition_record> got;
+          campaign.run([&got, kind](acquisition_record&& rec) {
+            switch (kind) {
+            case sink_kind::copy:
+              got.push_back(rec);
+              break;
+            case sink_kind::move_samples: {
+              acquisition_record copy;
+              copy.samples = std::move(rec.samples);
+              copy.index = rec.index;
+              copy.window_begin = rec.window_begin;
+              copy.window_end = rec.window_end;
+              copy.cycles = rec.cycles;
+              copy.instructions = rec.instructions;
+              copy.marks = rec.marks;
+              copy.labels = rec.labels;
+              copy.window_activity = rec.window_activity;
+              got.push_back(std::move(copy));
+              break;
+            }
+            case sink_kind::move_record:
+              got.push_back(std::move(rec));
+              break;
+            }
+          });
+          ASSERT_EQ(got.size(), oracle.size()) << what;
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            const std::string at = what + " sink " +
+                                   std::to_string(static_cast<int>(kind)) +
+                                   " trace " + std::to_string(i);
+            expect_records_identical(got[i], oracle[i], at);
+            EXPECT_EQ(got[i].instructions, oracle[i].instructions) << at;
+            expect_same_activity(got[i].window_activity,
+                                 oracle[i].window_activity, at);
+          }
+        }
+
+        campaign.set_setup(appending_setup(layout, false));
+        acquisition_source source(campaign);
+        std::size_t row = 0;
+        source.for_each_batch(6, [&](const trace_batch_view& batch) {
+          for (std::size_t r = 0; r < batch.count; ++r, ++row) {
+            ASSERT_LT(row, rows_oracle.size()) << what;
+            const acquisition_record& want = rows_oracle[row];
+            const std::span<const double> labels = batch.labels_row(r);
+            const std::span<const double> samples = batch.samples_row(r);
+            EXPECT_EQ(batch.index(r), want.index) << what;
+            EXPECT_EQ(std::vector<double>(labels.begin(), labels.end()),
+                      want.labels)
+                << what << " source row " << row;
+            ASSERT_EQ(samples.size(), want.samples.size()) << what;
+            EXPECT_EQ(std::memcmp(samples.data(), want.samples.data(),
+                                  samples.size() * sizeof(double)),
+                      0)
+                << what << " source row " << row;
+          }
+        });
+        EXPECT_EQ(row, rows_oracle.size()) << what;
+      }
+    }
   }
 }
 

@@ -38,7 +38,10 @@
 
 #include "core/analysis_sinks.h"
 #include "core/campaign.h"
+#include "crypto/aes128.h"
 #include "crypto/aes_codegen.h"
+#include "sim/pipeline.h"
+#include "util/rng.h"
 #include "util/telemetry.h"
 
 namespace usca::core {
@@ -50,6 +53,10 @@ constexpr std::uint64_t golden_window_cycles_per_trace = 560;
 constexpr std::uint64_t golden_window_deviates_per_trace = 544;
 /// Candidates vary per trace; this is the total of the 40-trace campaign.
 constexpr std::uint64_t golden_window_candidates = 13910;
+/// D-cache accesses of one window-bounded trace on the per-trace
+/// pipeline, the warm-up of the data image included.
+constexpr std::uint64_t golden_window_dcache_hits = 194;
+constexpr std::uint64_t golden_window_dcache_misses = 8;
 
 constexpr std::size_t budget_traces = 40;
 
@@ -121,6 +128,39 @@ TEST(InorderWorkBudget, WindowBoundedPerTraceIsPinned) {
 TEST(InorderWorkBudget, WindowBoundedBatchedIsPinned) {
   EXPECT_EQ(window_bounded_cycles(32),
             budget_traces * golden_window_cycles_per_trace);
+}
+
+// The D-cache sees the same accesses on every window-bounded trace, on a
+// fresh pipeline and on one reset between traces: warming the data image
+// misses once per line, and every access after it hits.  A reset that
+// left a line valid, or dropped one the warm-up loaded, moves these.
+TEST(InorderWorkBudget, WindowBoundedDcacheAccessesArePinned) {
+  const crypto::aes_program_layout layout = crypto::generate_aes128_program();
+  const crypto::aes_round_keys keys = crypto::expand_key(kKey);
+  util::xoshiro256 rng(0xdcace);
+  sim::pipeline reused(sim::program_image(layout.prog), sim::cortex_a7());
+  reused.set_activity_cutoff_mark(crypto::mark_round1_end, true);
+  for (int trace = 0; trace < 6; ++trace) {
+    crypto::aes_block pt;
+    for (auto& b : pt) {
+      b = rng.next_u8();
+    }
+    sim::pipeline fresh(sim::program_image(layout.prog), sim::cortex_a7());
+    fresh.set_activity_cutoff_mark(crypto::mark_round1_end, true);
+    if (trace > 0) {
+      reused.reset();
+    }
+    for (sim::pipeline* p : {&fresh, &reused}) {
+      crypto::install_aes_inputs(p->memory(), layout, keys, pt);
+      p->warm_caches();
+      p->run();
+      EXPECT_EQ(p->cycles(), golden_window_cycles_per_trace);
+      EXPECT_EQ(p->dcache().hits(), golden_window_dcache_hits)
+          << "trace " << trace;
+      EXPECT_EQ(p->dcache().misses(), golden_window_dcache_misses)
+          << "trace " << trace;
+    }
+  }
 }
 
 struct noise_work {

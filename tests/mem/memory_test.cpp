@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "util/error.h"
@@ -182,6 +184,126 @@ TEST(Memory, WordAndBulkAccessesMatchByteWiseReference) {
   for (std::uint32_t a = bases[0]; a < bases[0] + memory::page_size + 128;
        a += 4) {
     ASSERT_EQ(m.read32(a), ref.le(a, 4)) << "final read32 at " << a;
+  }
+}
+
+// ------------------------------------------------ reset against fresh
+
+/// Addresses the reset oracle works on: three pages around a page
+/// boundary, and the top of the address space (a load there wraps to 0).
+constexpr std::uint32_t kResetBases[] = {3 * memory::page_size - 96,
+                                         0xffffffffU - 72U};
+constexpr std::uint32_t kResetSpan = 3 * memory::page_size;
+
+/// One seeded mixed sequence: byte, halfword and word writes at arbitrary
+/// offsets (so they land on every 64-byte block position), and bulk loads
+/// that straddle blocks and pages.  Applied identically to every memory
+/// in `targets`.
+void random_ops(util::xoshiro256& rng, int ops,
+                std::initializer_list<memory*> targets) {
+  for (int op = 0; op < ops; ++op) {
+    std::uint32_t a =
+        kResetBases[rng.bounded(2)] +
+        static_cast<std::uint32_t>(rng.bounded(memory::page_size + 160));
+    const auto value = static_cast<std::uint32_t>(rng());
+    switch (rng.bounded(5)) {
+    case 0:
+      for (memory* m : targets) {
+        m->write8(a, static_cast<std::uint8_t>(value));
+      }
+      break;
+    case 1:
+      a &= ~1U;
+      for (memory* m : targets) {
+        m->write16(a, static_cast<std::uint16_t>(value));
+      }
+      break;
+    case 2:
+      a &= ~3U;
+      for (memory* m : targets) {
+        m->write32(a, value);
+      }
+      break;
+    default: {
+      // Mostly short loads crossing one or two block boundaries, now and
+      // then one longer than a page.
+      const std::size_t size = rng.bounded(8) == 0
+                                   ? rng.bounded(memory::page_size + 300)
+                                   : rng.bounded(200);
+      std::vector<std::uint8_t> bytes(size);
+      for (auto& b : bytes) {
+        b = rng.next_u8();
+      }
+      for (memory* m : targets) {
+        m->load(a, bytes);
+      }
+      break;
+    }
+    }
+  }
+}
+
+/// Every byte of the oracle's address ranges reads the same in both.
+void expect_same_bytes(const memory& got, const memory& want,
+                       const std::string& what) {
+  for (const std::uint32_t base : kResetBases) {
+    for (std::uint32_t i = 0; i < kResetSpan; ++i) {
+      const std::uint32_t a = base + i;
+      ASSERT_EQ(got.read8(a), want.read8(a)) << what << " at " << a;
+    }
+  }
+}
+
+// reset() must restore exactly the all-zero state, however the bytes got
+// dirty: whatever follows a reset reads as it would on a memory that only
+// ever saw the post-reset operations.  Copies must carry enough state for
+// their own reset() to be exact, and clear() must compose with reset().
+TEST(Memory, ResetMatchesFreshMemoryUnderMixedOperations) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const std::string what = "seed " + std::to_string(seed);
+    util::xoshiro256 rng(0x5e7b10c + seed);
+    memory m;
+    random_ops(rng, 300, {&m});
+    m.reset();
+    memory fresh;
+    random_ops(rng, 150, {&m, &fresh});
+    expect_same_bytes(m, fresh, what + " after reset");
+
+    // Reset twice in a row, with nothing in between.
+    m.reset();
+    m.reset();
+    expect_same_bytes(m, memory{}, what + " after double reset");
+    random_ops(rng, 200, {&m});
+
+    // A copy-assigned memory (over a target with pages of its own) reads
+    // the same, and its reset zeroes what the source had written.
+    memory copy;
+    random_ops(rng, 50, {&copy});
+    copy = m;
+    expect_same_bytes(copy, m, what + " copy");
+    copy.reset();
+    memory fresh_copy;
+    random_ops(rng, 150, {&copy, &fresh_copy});
+    expect_same_bytes(copy, fresh_copy, what + " copy after reset");
+
+    // A copy-constructed one too.
+    memory constructed(m);
+    constructed.reset();
+    expect_same_bytes(constructed, memory{}, what + " constructed copy");
+
+    // clear() then reset(): both orders leave a fresh memory.
+    m.clear();
+    memory fresh_cleared;
+    random_ops(rng, 150, {&m, &fresh_cleared});
+    expect_same_bytes(m, fresh_cleared, what + " after clear");
+    m.reset();
+    m.clear();
+    memory fresh_again;
+    random_ops(rng, 100, {&m, &fresh_again});
+    m.reset();
+    fresh_again = memory{};
+    random_ops(rng, 100, {&m, &fresh_again});
+    expect_same_bytes(m, fresh_again, what + " after clear and reset");
   }
 }
 
