@@ -11,7 +11,9 @@
 //    (traces/sec and simulated cycles/sec for BOTH backends — in-order and
 //    OoO, including the speculating OoO front end — the batched in-order
 //    campaign pumped through its window-bounded trace source and the share
-//    of its traces synthesized from the fused batch tile, the kernel sets
+//    of its traces synthesized from the fused batch tile, its work per
+//    trace (simulated cycles, Gaussian deviates, restored lane memory
+//    bytes and cache sets) from the telemetry registry, the kernel sets
 //    its accumulation, emission and noise ran, accumulator
 //    ns/sample and the batch and CRC kernels picked, trace-store
 //    write/replay MB/s, and the fabric merge / salvage scan MB/s of the
@@ -209,6 +211,13 @@ struct hot_path_report {
   // summed in its fused tile (synth.fused_traces) rather than through the
   // event walk (synth.event_traces); 1.0 unless the live path fell back.
   double fused_trace_share = 0.0;
+  // Work per trace of the source campaign, read from the telemetry
+  // registry: simulated cycles, Gaussian deviates drawn, and the lane
+  // state the cores' resets restored (memory bytes and cache sets).
+  double campaign_cycles_per_trace = 0.0;
+  double gaussian_deviates_per_trace = 0.0;
+  double bytes_restored_per_trace = 0.0;
+  double cache_sets_restored_per_trace = 0.0;
   // Same campaign on the out-of-order backend (sim::ooo_core).
   // The three OoO campaigns below are timed over repeated runs (see
   // time_in_rounds): *_reps counts the runs, *_seconds is their mean.
@@ -393,12 +402,30 @@ hot_path_report measure_hot_path(const bench::arg_map& args) {
     const telem::counter events{"synth.event_traces", "traces", "synth"};
     const telem::counter scalar_noise{"synth.scalar_noise_traces", "traces",
                                       "synth"};
+    const telem::counter cycles{"campaign.cycles", "cycles", "campaign"};
+    const telem::counter deviates{"synth.gaussian_deviates", "deviates",
+                                  "synth"};
+    const telem::counter bytes{"sim.lane.bytes_restored", "bytes", "sim"};
+    const telem::counter sets{"sim.lane.cache_sets_restored", "sets", "sim"};
     const std::uint64_t fused_before = fused.value();
     const std::uint64_t events_before = events.value();
     const std::uint64_t scalar_noise_before = scalar_noise.value();
+    const std::uint64_t cycles_before = cycles.value();
+    const std::uint64_t deviates_before = deviates.value();
+    const std::uint64_t bytes_before = bytes.value();
+    const std::uint64_t sets_before = sets.value();
     const auto source_start = std::chrono::steady_clock::now();
     core::pump(source, cpa);
     report.source_seconds = seconds_since(source_start);
+    const auto per_trace = [&report](std::uint64_t delta) {
+      return static_cast<double>(delta) / static_cast<double>(report.traces);
+    };
+    report.campaign_cycles_per_trace = per_trace(cycles.value() - cycles_before);
+    report.gaussian_deviates_per_trace =
+        per_trace(deviates.value() - deviates_before);
+    report.bytes_restored_per_trace = per_trace(bytes.value() - bytes_before);
+    report.cache_sets_restored_per_trace =
+        per_trace(sets.value() - sets_before);
     const auto fused_traces =
         static_cast<double>(fused.value() - fused_before);
     report.fused_trace_share =
@@ -662,6 +689,13 @@ void write_json(std::FILE* out, const hot_path_report& r) {
   w.member_fixed("source_seconds", r.source_seconds, 6);
   w.member_fixed("source_traces_per_sec", r.source_traces_per_sec, 1);
   w.member_fixed("fused_trace_share", r.fused_trace_share, 3);
+  w.key("work_per_trace").begin_object();
+  w.member_fixed("campaign.cycles", r.campaign_cycles_per_trace, 1);
+  w.member_fixed("synth.gaussian_deviates", r.gaussian_deviates_per_trace, 1);
+  w.member_fixed("sim.lane.bytes_restored", r.bytes_restored_per_trace, 1);
+  w.member_fixed("sim.lane.cache_sets_restored",
+                 r.cache_sets_restored_per_trace, 1);
+  w.end_object();
   w.member("ooo_samples_per_trace",
            static_cast<std::uint64_t>(r.ooo_samples_per_trace));
   w.member("ooo_reps", static_cast<std::uint64_t>(r.ooo_reps));

@@ -151,13 +151,14 @@ void acquisition_campaign::finish_record(const sim::activity_trace& activity,
                                          acquisition_record& rec) const {
   count_trace(rec.cycles);
   locate_window(rec.cycles, rec.marks, rec.window_begin, rec.window_end);
+  rec.window_activity.clear();
   if (!config_.synthesize) {
+    rec.samples.clear();
     return;
   }
   const auto begin = static_cast<std::uint32_t>(rec.window_begin);
   const auto end = static_cast<std::uint32_t>(rec.window_end);
   if (rec.index < config_.keep_activity_first) {
-    rec.window_activity.clear();
     for (const sim::activity_event& ev : activity) {
       if (ev.cycle >= begin && ev.cycle < end) {
         rec.window_activity.push_back(ev);
@@ -184,6 +185,7 @@ void acquisition_campaign::produce_into(sim::backend& core,
   TELEM_SPAN("campaign.trace");
   const trial_seeds seeds = seeds_of(config_.seed, index);
   rec.index = index;
+  rec.labels.clear(); // the record may be a recycled one
   util::xoshiro256 setup_rng(seeds.setup);
   setup_(index, setup_rng, core, rec.labels);
 
@@ -221,6 +223,7 @@ void acquisition_campaign::produce_batch_into(
     const trial_seeds seeds = seeds_of(config_.seed, index);
     synthesis_seeds[l] = seeds.synthesis;
     recs[l].index = index;
+    recs[l].labels.clear();
     util::xoshiro256 setup_rng(seeds.setup);
     sim::batch_lane_view lane(batch, l);
     setup_(index, setup_rng, lane, recs[l].labels);
@@ -240,14 +243,13 @@ void acquisition_campaign::produce_batch_into(
     acquisition_record& rec = recs[l];
     if (batch.lane_diverged(l)) {
       // Data-dependent timing left the shared schedule; redo this trial
-      // on the per-trace reference core (labels included: the record is
-      // rebuilt from scratch so the setup callback runs exactly once).
+      // on the per-trace reference core.  produce_into rebuilds every
+      // field, so the labels are those of one setup call.
       if (!fallback) {
         fallback = make_backend(whole_records);
       } else {
         fallback->reset();
       }
-      rec = acquisition_record{};
       produce_into(*fallback, synth, first_index + l, rec);
       continue;
     }
@@ -264,6 +266,7 @@ void acquisition_campaign::produce_batch_into(
     }
     rec.window_begin = begin;
     rec.window_end = end;
+    rec.window_activity.clear();
     columns |= std::uint64_t{1} << l;
     column_out[l] = &rec.samples;
   }
@@ -325,16 +328,19 @@ void acquisition_campaign::run_records(const sink_fn& sink,
   const std::size_t items = (config_.traces + group - 1) / group;
 
   // Each worker owns its cores and synthesizer for its whole shard; per
-  // trial only reset() (cheap page zeroing, no reallocation) and
-  // reseed() separate them from a freshly constructed pair, which the
-  // reset-equivalence tests pin as bit-identical.
+  // trial only reset() (zeroing the memory blocks and clearing the cache
+  // sets the last trial touched, no reallocation) and reseed() separate
+  // them from a freshly constructed pair, which the reset-equivalence
+  // tests pin as bit-identical.  The record vectors are recycled too
+  // (ordered_parallel_produce), so a group's samples, labels and marks
+  // reuse the buffers of an earlier group.
   struct worker_context {
     std::unique_ptr<sim::batch_backend> batch; // null on the per-trace path
     std::unique_ptr<sim::backend> core;        // lazy: per-trace or fallback
     power::trace_synthesizer synth;
   };
 
-  ordered_parallel_produce(
+  ordered_parallel_produce<std::vector<acquisition_record>>(
       items, resolved_worker_count(config_.threads, items),
       [this, lanes, whole_records](unsigned) {
         return worker_context{
@@ -345,15 +351,15 @@ void acquisition_campaign::run_records(const sink_fn& sink,
                                         config_, whole_records),
             nullptr, make_synthesizer()};
       },
-      [this, first, group, whole_records](worker_context& ctx,
-                                          std::size_t item) {
+      [this, first, group, whole_records](
+          worker_context& ctx, std::size_t item,
+          std::vector<acquisition_record>& recs) {
         const std::size_t begin = item * group;
         const std::size_t count = std::min(group, config_.traces - begin);
-        std::vector<acquisition_record> recs;
         if (ctx.batch) {
           produce_batch_into(*ctx.batch, ctx.core, whole_records, ctx.synth,
                              first + begin, count, recs);
-          return recs;
+          return;
         }
         if (!ctx.core) {
           ctx.core = make_backend(whole_records);
@@ -362,9 +368,8 @@ void acquisition_campaign::run_records(const sink_fn& sink,
         }
         recs.resize(1);
         produce_into(*ctx.core, ctx.synth, first + begin, recs[0]);
-        return recs;
       },
-      [&sink](std::vector<acquisition_record>&& recs) {
+      [&sink](std::vector<acquisition_record>& recs) {
         for (acquisition_record& rec : recs) {
           sink(std::move(rec));
         }

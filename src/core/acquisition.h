@@ -11,6 +11,11 @@
 // a batch of lanes per batched run), and delivers records to the sink in
 // strict index order.  The AES campaign (core/campaign.h) is one such setup.
 //
+// Between two trials a worker restores its cores by reset(), which costs
+// what the last trial touched (dirty memory blocks, touched cache sets),
+// and it recycles delivered records, so a steady-state run allocates no
+// sample, label or mark buffer per trace.
+//
 // Determinism guarantee:
 //
 //  * Every trial is seeded independently from (campaign seed, index) via
@@ -130,7 +135,9 @@ public:
                                       std::vector<double>& labels)>;
 
   /// Invoked once per record, in strict index order, on the thread that
-  /// called run().
+  /// called run().  The record is valid only during the call: the sink
+  /// may move fields (or the whole record) out, and once it returns the
+  /// engine reuses the object's buffers for a later record.
   using sink_fn = std::function<void(acquisition_record&&)>;
 
   /// `second_core` (optional) is the simulated interfering core every

@@ -11,6 +11,14 @@
 // floating-point accumulation order of any downstream statistics, which
 // is what makes campaign results bit-identical at every thread count.
 //
+// Records are recycled.  A producer fills a record object in place, and
+// once the sink has returned that object goes back to a producer for a
+// later item, so its buffers keep their capacity from item to item.
+// Hence two rules: a
+// producer must overwrite or clear every field it fills, whatever the
+// object held before; and a record is valid only during the sink call
+// (the sink may move parts out of it).
+//
 // Exceptions from context construction, producers or the sink abort the
 // run and rethrow on the calling thread.
 #ifndef USCA_CORE_ORDERED_DISPATCH_H
@@ -46,25 +54,26 @@ inline unsigned resolved_worker_count(unsigned requested,
   return threads;
 }
 
-/// make_context(worker) -> Ctx; produce(ctx, item) -> Record;
-/// sink(Record&&).  `threads` must already be resolved (>= 1).
-template <typename MakeContext, typename Produce, typename Sink>
+/// make_context(worker) -> Ctx; produce(ctx, item, Record&) fills a
+/// recycled record; sink(Record&).  `threads` must already be resolved
+/// (>= 1).
+template <typename Record, typename MakeContext, typename Produce,
+          typename Sink>
 void ordered_parallel_produce(std::size_t count, unsigned threads,
                               MakeContext&& make_context, Produce&& produce,
                               Sink&& sink) {
   using context_type =
       std::remove_reference_t<std::invoke_result_t<MakeContext&, unsigned>>;
-  using record_type =
-      std::remove_reference_t<std::invoke_result_t<Produce&, context_type&,
-                                                   std::size_t>>;
   if (count == 0) {
     return;
   }
 
   if (threads <= 1) {
     context_type context = make_context(0);
+    Record record;
     for (std::size_t i = 0; i < count; ++i) {
-      sink(produce(context, i));
+      produce(context, i, record);
+      sink(record);
     }
     return;
   }
@@ -76,7 +85,8 @@ void ordered_parallel_produce(std::size_t count, unsigned threads,
   std::mutex mutex;
   std::condition_variable producers_cv;
   std::condition_variable consumer_cv;
-  std::map<std::size_t, record_type> reorder;
+  std::map<std::size_t, Record> reorder;
+  std::vector<Record> spares; // delivered records, back for reuse
   std::size_t next_consumed = 0; // count of records already delivered
   std::atomic<std::size_t> next_claim{0};
   bool abort = false;
@@ -100,6 +110,7 @@ void ordered_parallel_produce(std::size_t count, unsigned threads,
         if (i >= count) {
           return;
         }
+        Record record;
         {
           // Backpressure: stay within `capacity` of the consumer before
           // paying for the production.
@@ -110,8 +121,12 @@ void ordered_parallel_produce(std::size_t count, unsigned threads,
           if (abort) {
             return;
           }
+          if (!spares.empty()) {
+            record = std::move(spares.back());
+            spares.pop_back();
+          }
         }
-        record_type record = produce(context, i);
+        produce(context, i, record);
         std::lock_guard<std::mutex> lock(mutex);
         if (abort) {
           return;
@@ -130,10 +145,13 @@ void ordered_parallel_produce(std::size_t count, unsigned threads,
     pool.emplace_back(worker, t);
   }
 
+  Record record;
   while (next_consumed < count) {
-    record_type record;
     {
       std::unique_lock<std::mutex> lock(mutex);
+      if (next_consumed > 0) {
+        spares.push_back(std::move(record)); // the one the sink just had
+      }
       consumer_cv.wait(lock, [&] {
         return abort || reorder.count(next_consumed) != 0;
       });
@@ -147,7 +165,7 @@ void ordered_parallel_produce(std::size_t count, unsigned threads,
       producers_cv.notify_all();
     }
     try {
-      sink(std::move(record));
+      sink(record);
     } catch (...) {
       fail(std::current_exception());
       break;

@@ -163,6 +163,16 @@ bool is_subword(const instruction& ins) noexcept {
          ins.op == opcode::strb || ins.op == opcode::strh;
 }
 
+int access_width(const instruction& ins) noexcept {
+  if (ins.op == opcode::ldrb || ins.op == opcode::strb) {
+    return 1;
+  }
+  if (ins.op == opcode::ldrh || ins.op == opcode::strh) {
+    return 2;
+  }
+  return 4;
+}
+
 bool is_branch(const instruction& ins) noexcept {
   return ins.op == opcode::b || ins.op == opcode::bl || ins.op == opcode::bx;
 }

@@ -200,6 +200,8 @@ bool is_store(const instruction& ins) noexcept;
 bool is_memory(const instruction& ins) noexcept;
 /// Byte or halfword memory access (engages the LSU align buffer).
 bool is_subword(const instruction& ins) noexcept;
+/// Bytes a load or store moves: 1 (ldrb/strb), 2 (ldrh/strh) or 4.
+int access_width(const instruction& ins) noexcept;
 bool is_branch(const instruction& ins) noexcept;
 /// True when the instruction needs a unit feature exclusive to ALU0
 /// (barrel shifter on a source operand, or the multiplier).

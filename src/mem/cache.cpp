@@ -1,5 +1,8 @@
 #include "mem/cache.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "util/error.h"
 
 namespace usca::mem {
@@ -15,16 +18,22 @@ cache::cache(const cache_config& config) : config_(config) {
   if (num_sets_ == 0 || (num_sets_ & (num_sets_ - 1)) != 0) {
     throw util::usca_error("cache set count must be a power of two");
   }
+  line_shift_ = static_cast<unsigned>(std::countr_zero(config_.line_bytes));
+  tag_shift_ = line_shift_ + static_cast<unsigned>(std::countr_zero(num_sets_));
   lines_.resize(num_sets_ * config_.ways);
+  touched_.resize((num_sets_ + 63) / 64);
 }
 
+// Both shifts can reach 32 or more (lines, or lines times sets, spanning
+// the whole address space), so the address is widened first.
+
 std::size_t cache::set_index(std::uint32_t address) const noexcept {
-  return (address / config_.line_bytes) & (num_sets_ - 1);
+  return static_cast<std::size_t>(std::uint64_t{address} >> line_shift_) &
+         (num_sets_ - 1);
 }
 
 std::uint32_t cache::tag_of(std::uint32_t address) const noexcept {
-  return static_cast<std::uint32_t>(address /
-                                    (config_.line_bytes * num_sets_));
+  return static_cast<std::uint32_t>(std::uint64_t{address} >> tag_shift_);
 }
 
 int cache::access(std::uint32_t address) {
@@ -55,6 +64,7 @@ int cache::access(std::uint32_t address) {
     }
   }
   ++misses_;
+  touched_[set / 64] |= std::uint64_t{1} << (set % 64);
   victim->valid = true;
   victim->tag = tag;
   victim->last_use = tick_;
@@ -92,11 +102,21 @@ void cache::warm(std::uint32_t base, std::size_t length) {
   }
 }
 
-void cache::reset() {
-  for (line& l : lines_) {
-    l = line{};
+std::size_t cache::reset() {
+  std::size_t sets = 0;
+  for (std::size_t word = 0; word < touched_.size(); ++word) {
+    for (std::uint64_t m = touched_[word]; m != 0; m &= m - 1) {
+      const std::size_t set =
+          word * 64 + static_cast<std::size_t>(std::countr_zero(m));
+      std::fill_n(lines_.begin() +
+                      static_cast<std::ptrdiff_t>(set * config_.ways),
+                  config_.ways, line{});
+      ++sets;
+    }
+    touched_[word] = 0;
   }
   tick_ = hits_ = misses_ = 0;
+  return sets;
 }
 
 } // namespace usca::mem

@@ -7,6 +7,11 @@
 // with true-LRU replacement, per-access latency, and statistics proving
 // that a measured region ran entirely from cache.  Contents live in
 // mem::memory; the cache holds tags only.
+//
+// Line size and set count are powers of two, so an address splits into
+// set and tag by shifts.  A bitmap of the sets that allocated a line since
+// the last reset() lets reset() clear only those: restoring the fresh
+// state between two simulated traces costs the sets the trace touched.
 #ifndef USCA_MEM_CACHE_H
 #define USCA_MEM_CACHE_H
 
@@ -38,7 +43,9 @@ public:
   /// paper condensed into one call.
   void warm(std::uint32_t base, std::size_t length);
 
-  void reset();
+  /// Restores the freshly constructed state (no valid line, zero tick,
+  /// hits and misses); returns the number of sets it cleared.
+  std::size_t reset();
 
   std::uint64_t hits() const noexcept { return hits_; }
   std::uint64_t misses() const noexcept { return misses_; }
@@ -56,7 +63,13 @@ private:
 
   cache_config config_;
   std::size_t num_sets_;
+  unsigned line_shift_; ///< log2(line_bytes)
+  unsigned tag_shift_;  ///< log2(line_bytes * num_sets_), at most 63
   std::vector<line> lines_; ///< num_sets_ * ways, row-major by set
+  /// Bit s: set s allocated a line since reset().  Hits touch only valid
+  /// lines, which a miss in the same set allocated, so misses alone set
+  /// bits.
+  std::vector<std::uint64_t> touched_;
   std::uint64_t tick_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -7,6 +7,10 @@
 // model does not split unaligned accesses, matching the deterministic
 // micro-benchmarks of the paper), so every access lies in one page and
 // costs one page lookup.
+//
+// Every page keeps a mask of its 64-byte blocks written since the last
+// reset(), so restoring the all-zero state between two simulated traces
+// costs the blocks the trace wrote, not the pages it touched.
 #ifndef USCA_MEM_MEMORY_H
 #define USCA_MEM_MEMORY_H
 
@@ -21,6 +25,10 @@ class memory {
 public:
   static constexpr std::size_t page_bits = 12;
   static constexpr std::size_t page_size = std::size_t{1} << page_bits;
+  /// Granule of reset(): one bit of a page's dirty mask per block.
+  static constexpr std::size_t block_bits = 6;
+  static constexpr std::size_t block_size = std::size_t{1} << block_bits;
+  static_assert(page_size / block_size == 64, "one 64-bit mask per page");
 
   memory() = default;
   // The lookup memo points into pages_, so copies must not inherit it
@@ -52,23 +60,37 @@ public:
   /// sub-word ones; central to the paper's MDR leakage model.
   std::uint32_t containing_word(std::uint32_t address) const;
 
+  /// A load as the pipeline sees it: the `width`-byte value (1, 2 or 4)
+  /// and the containing word the MDR observes.
+  struct word_load {
+    std::uint32_t value;
+    std::uint32_t word;
+  };
+  /// read8/read16/read32 (by `width`) and containing_word of the same
+  /// address from one page lookup; throws on misalignment as they do.
+  word_load load_with_word(std::uint32_t address, int width) const;
+
   /// Drops all pages.
   void clear() noexcept;
 
-  /// Restores the all-zero state while keeping the page allocations: every
-  /// already-touched page is zero-filled in place.  Observationally
-  /// equivalent to a freshly constructed memory (untouched addresses read
-  /// as zero either way) but without freeing — the building block of the
-  /// pipeline's allocation-free reset.
-  void reset() noexcept;
+  /// Restores the all-zero state while keeping the page allocations: the
+  /// blocks written since the last reset() are zero-filled in place.
+  /// Observationally equivalent to a freshly constructed memory
+  /// (untouched addresses read as zero either way) but without freeing —
+  /// the building block of the cores' allocation-free reset.  Returns the
+  /// bytes it zeroed.
+  std::size_t reset() noexcept;
 
 private:
-  using page = std::vector<std::uint8_t>;
+  struct page {
+    std::vector<std::uint8_t> bytes;
+    std::uint64_t dirty = 0; ///< bit b: block b written since reset()
+  };
 
   const page* find_page(std::uint32_t address) const noexcept;
   page& touch_page(std::uint32_t address);
-  /// Little-endian value of `width` bytes within one page.
-  std::uint32_t read_le(std::uint32_t address, int width) const noexcept;
+  /// Little-endian value of the aligned word at `address`.
+  std::uint32_t read_word(std::uint32_t address) const noexcept;
   void write_le(std::uint32_t address, std::uint32_t value, int width);
 
   std::unordered_map<std::uint32_t, page> pages_;

@@ -5,6 +5,7 @@
 #include "sim/ooo/ooo_core.h"
 #include "sim/pipeline.h"
 #include "util/bitops.h"
+#include "util/telemetry.h"
 
 namespace usca::sim {
 
@@ -26,6 +27,15 @@ std::optional<backend_kind> parse_backend_kind(std::string_view text) noexcept {
     return backend_kind::ooo;
   }
   return std::nullopt;
+}
+
+void note_lane_restore(std::size_t bytes, std::size_t cache_sets) {
+  static const telem::counter restored_bytes{"sim.lane.bytes_restored",
+                                             "bytes", "sim"};
+  static const telem::counter restored_sets{"sim.lane.cache_sets_restored",
+                                            "sets", "sim"};
+  restored_bytes.add(bytes);
+  restored_sets.add(cache_sets);
 }
 
 std::unique_ptr<backend> make_backend(backend_kind kind, program_image image,

@@ -184,6 +184,12 @@ protected:
   bool record_default_ = true; ///< restored by reset()
 };
 
+/// Counts the lane state one core reset() restored — the bytes its
+/// memories zeroed and the cache sets it cleared, all lanes and both
+/// caches — into sim.lane.bytes_restored and sim.lane.cache_sets_restored.
+/// Called once per reset(), never per access.
+void note_lane_restore(std::size_t bytes, std::size_t cache_sets);
+
 /// Constructs a backend of the requested kind over a shared program image.
 std::unique_ptr<backend> make_backend(backend_kind kind, program_image image,
                                       const micro_arch_config& config);

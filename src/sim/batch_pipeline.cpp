@@ -302,22 +302,12 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
     if (isa::is_load(ins)) {
       lane_values word;
       lane_values value;
+      const int width = isa::access_width(ins);
       for (const std::size_t l : lanes_in(active_mask_)) {
-        word[l] = memory_[l].containing_word(address[l]);
-        switch (ins.op) {
-        case opcode::ldr:
-          value[l] = memory_[l].read32(address[l]);
-          break;
-        case opcode::ldrb:
-          value[l] = memory_[l].read8(address[l]);
-          break;
-        case opcode::ldrh:
-          value[l] = memory_[l].read16(address[l]);
-          break;
-        default:
-          value[l] = 0;
-          break;
-        }
+        const mem::memory::word_load loaded =
+            memory_[l].load_with_word(address[l], width);
+        value[l] = loaded.value;
+        word[l] = loaded.word;
       }
       retire_write(ins.rd, value, result_ready);
       drive_lanes(component::mdr, 0, mdr_state_.data(), word.data(),

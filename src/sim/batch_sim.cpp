@@ -204,14 +204,16 @@ void batch_backend::leave_run(std::size_t pc, bool halted) noexcept {
 }
 
 void batch_backend::reset_lanes() {
+  std::size_t bytes = 0;
+  std::size_t sets = icache_.reset();
   for (std::size_t l = 0; l < lanes_; ++l) {
-    memory_[l].reset();
+    bytes += memory_[l].reset();
     memory_[l].load(prog_->data_base, prog_->data);
-    dcache_[l].reset();
+    sets += dcache_[l].reset();
     state_[l] = cpu_state{};
     activity_[l].clear();
   }
-  icache_.reset();
+  note_lane_restore(bytes, sets);
   std::fill_n(tile_.begin(), touched_rows_ * lanes_, baseline_);
   touched_rows_ = 0;
   marks_.clear();

@@ -337,23 +337,14 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
         add_src(ins.rd); // select µop reads the old destination
       }
       lane_values value;
+      const int width = isa::access_width(ins);
       for (const std::size_t l : lanes_in(active_mask_)) {
         value[l] = state_[l].reg(ins.rd); // kept on a failed condition
         if ((exec_mask >> l) & 1U) {
-          switch (ins.op) {
-          case opcode::ldr:
-            value[l] = memory_[l].read32(addr[l]);
-            break;
-          case opcode::ldrb:
-            value[l] = memory_[l].read8(addr[l]);
-            break;
-          case opcode::ldrh:
-            value[l] = memory_[l].read16(addr[l]);
-            break;
-          default:
-            break;
-          }
-          rs_mem_word_[rs_row + l] = memory_[l].containing_word(addr[l]);
+          const mem::memory::word_load loaded =
+              memory_[l].load_with_word(addr[l], width);
+          value[l] = loaded.value;
+          rs_mem_word_[rs_row + l] = loaded.word;
         }
       }
       rename_dest(ins.rd, value.data());

@@ -90,10 +90,9 @@ void ooo_core::reset_structures() {
 }
 
 void ooo_core::reset() {
-  memory_.reset();
+  const std::size_t bytes = memory_.reset();
   memory_.load(prog_->data_base, prog_->data);
-  icache_.reset();
-  dcache_.reset();
+  note_lane_restore(bytes, icache_.reset() + dcache_.reset());
   state_ = cpu_state{};
   reset_structures();
 }

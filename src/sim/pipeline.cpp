@@ -44,10 +44,9 @@ void pipeline::derive_pairability() {
 }
 
 void pipeline::reset() {
-  memory_.reset();
+  const std::size_t bytes = memory_.reset();
   memory_.load(prog_->data_base, prog_->data);
-  icache_.reset();
-  dcache_.reset();
+  note_lane_restore(bytes, icache_.reset() + dcache_.reset());
   state_ = cpu_state{};
   reg_ready_.fill(0);
   flags_ready_ = 0;
@@ -367,21 +366,8 @@ pipeline::issue_outcome pipeline::issue(const instruction& ins, int slot) {
     }
 
     if (isa::is_load(ins)) {
-      const std::uint32_t word = memory_.containing_word(address);
-      std::uint32_t value = 0;
-      switch (ins.op) {
-      case opcode::ldr:
-        value = memory_.read32(address);
-        break;
-      case opcode::ldrb:
-        value = memory_.read8(address);
-        break;
-      case opcode::ldrh:
-        value = memory_.read16(address);
-        break;
-      default:
-        break;
-      }
+      const auto [value, word] =
+          memory_.load_with_word(address, isa::access_width(ins));
       retire_write(ins.rd, value, result_ready);
       emit(component::mdr, 0, mdr_state_, word, mem_cycle);
       mdr_state_ = word;

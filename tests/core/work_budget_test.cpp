@@ -27,6 +27,12 @@
 // constants: however the noise is drawn, it must consume the same
 // streams.
 //
+// Restoring the fresh lane state between traces has a budget as well:
+// `sim.lane.bytes_restored` (memory bytes reset() zeroed) and
+// `sim.lane.cache_sets_restored` (cache sets it cleared).  Each reset
+// restores what the run before it touched, not whole pages or caches, so
+// both are pinned per lane and per reset at lanes 0 and 32.
+//
 // The constants were recorded once by printing the per-trace deltas
 // below.  They change only with a change that deliberately changes the
 // simulated work, and the change log must say so.
@@ -40,6 +46,7 @@
 #include "core/campaign.h"
 #include "crypto/aes128.h"
 #include "crypto/aes_codegen.h"
+#include "mem/memory.h"
 #include "sim/pipeline.h"
 #include "util/rng.h"
 #include "util/telemetry.h"
@@ -57,6 +64,16 @@ constexpr std::uint64_t golden_window_candidates = 13910;
 /// pipeline, the warm-up of the data image included.
 constexpr std::uint64_t golden_window_dcache_hits = 194;
 constexpr std::uint64_t golden_window_dcache_misses = 8;
+
+/// Memory one lane's reset() zeroes: the data image's eight 64-byte
+/// blocks.  The AES writes only inside its image, so a traced lane and a
+/// lane that only loaded the image at construction restore the same.
+constexpr std::uint64_t golden_restored_bytes_per_lane = 512;
+/// Cache sets one reset() clears after a window-bounded trace: the sets
+/// of the code lines the I-cache warm-up loads (256 sets, so one line
+/// each) and of the data image's lines in the D-cache.
+constexpr std::uint64_t golden_restored_icache_sets = 183;
+constexpr std::uint64_t golden_restored_dcache_sets_per_lane = 8;
 
 constexpr std::size_t budget_traces = 40;
 
@@ -161,6 +178,54 @@ TEST(InorderWorkBudget, WindowBoundedDcacheAccessesArePinned) {
           << "trace " << trace;
     }
   }
+}
+
+struct restore_work {
+  std::uint64_t bytes = 0;
+  std::uint64_t cache_sets = 0;
+};
+
+/// The restore counters' deltas over a window-bounded campaign.
+restore_work window_bounded_restore(int lanes) {
+  static const telem::counter bytes{"sim.lane.bytes_restored", "bytes",
+                                    "sim"};
+  static const telem::counter sets{"sim.lane.cache_sets_restored", "sets",
+                                   "sim"};
+  trace_campaign campaign(budget_config(lanes), kKey);
+  cpa_sink cpa(0);
+  restore_work work;
+  work.cache_sets = counter_delta(sets, [&] {
+    work.bytes = counter_delta(bytes, [&] { campaign.run(cpa); });
+  });
+  EXPECT_EQ(cpa.cpa().traces(), budget_traces);
+  return work;
+}
+
+// Per trace, one core is reset before every trace but the first, and
+// each reset restores the one trace before it.
+TEST(LaneRestoreBudget, PerTraceIsPinned) {
+  const restore_work work = window_bounded_restore(0);
+  const std::uint64_t resets = budget_traces - 1;
+  EXPECT_EQ(work.bytes, resets * golden_restored_bytes_per_lane);
+  EXPECT_EQ(work.cache_sets,
+            resets * (golden_restored_icache_sets +
+                      golden_restored_dcache_sets_per_lane));
+  EXPECT_LT(work.bytes / resets, mem::memory::page_size);
+}
+
+// Batched, the 40 traces are two groups of 32 lanes (the second has 8
+// active), and the batch resets all 32 lanes before each group: before
+// the first, the lanes hold the data image the constructor loaded and
+// untouched caches; before the second, 32 traced lanes and one shared
+// I-cache.
+TEST(LaneRestoreBudget, BatchedIsPinned) {
+  const restore_work work = window_bounded_restore(32);
+  const std::uint64_t lane_resets = 2 * 32;
+  EXPECT_EQ(work.bytes, lane_resets * golden_restored_bytes_per_lane);
+  EXPECT_EQ(work.cache_sets,
+            golden_restored_icache_sets +
+                32 * golden_restored_dcache_sets_per_lane);
+  EXPECT_LT(work.bytes / lane_resets, mem::memory::page_size);
 }
 
 struct noise_work {

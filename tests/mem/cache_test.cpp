@@ -166,6 +166,33 @@ void random_accesses(util::xoshiro256& rng, int count, cache& c) {
   }
 }
 
+// Set index and tag together name the line: after one access to a, b
+// hits exactly when it lies in a's line, on every geometry — including
+// those whose lines, or lines times sets, span 2^32 bytes or more.
+TEST(Cache, SetAndTagNameTheLine) {
+  for (const geometry& g : reset_geometries()) {
+    if (!g.config.enabled) {
+      continue;
+    }
+    util::xoshiro256 rng(0x11e);
+    for (int i = 0; i < 300; ++i) {
+      cache c(g.config);
+      const std::uint32_t a = random_address(rng, g.config);
+      c.access(a);
+      for (int j = 0; j < 20; ++j) {
+        const std::uint32_t b = j % 2 == 0
+                                    ? random_address(rng, g.config)
+                                    : a ^ static_cast<std::uint32_t>(
+                                              rng.bounded(g.config.line_bytes));
+        EXPECT_EQ(c.would_hit(b),
+                  std::uint64_t{a} / g.config.line_bytes ==
+                      std::uint64_t{b} / g.config.line_bytes)
+            << g.name << " a=" << a << " b=" << b;
+      }
+    }
+  }
+}
+
 // reset() must restore exactly the fresh state: after any access history
 // A, reset() and then B behaves as B on a freshly built cache — same
 // penalty for every access, same hit and miss counts, and the same

@@ -187,6 +187,40 @@ TEST(Memory, WordAndBulkAccessesMatchByteWiseReference) {
   }
 }
 
+// load_with_word is read8/read16/read32 plus containing_word from one
+// lookup: same values, same alignment throws, zero on untouched pages.
+TEST(Memory, LoadWithWordMatchesReadsAndContainingWord) {
+  util::xoshiro256 rng(0x10ad);
+  memory m;
+  for (std::uint32_t a = 0x10000; a < 0x10000 + 256; a += 4) {
+    m.write32(a, static_cast<std::uint32_t>(rng()));
+  }
+  for (int i = 0; i < 4000; ++i) {
+    // Mostly the written range, sometimes an untouched page.
+    const std::uint32_t a =
+        (rng.bounded(8) == 0 ? 0x40000U : 0x10000U) +
+        static_cast<std::uint32_t>(rng.bounded(256));
+    const std::uint32_t word = m.containing_word(a);
+    const memory::word_load byte = m.load_with_word(a, 1);
+    EXPECT_EQ(byte.value, m.read8(a)) << a;
+    EXPECT_EQ(byte.word, word) << a;
+    if (a % 2 == 0) {
+      const memory::word_load half = m.load_with_word(a, 2);
+      EXPECT_EQ(half.value, m.read16(a)) << a;
+      EXPECT_EQ(half.word, word) << a;
+    } else {
+      EXPECT_THROW(m.load_with_word(a, 2), util::simulation_error) << a;
+    }
+    if (a % 4 == 0) {
+      const memory::word_load full = m.load_with_word(a, 4);
+      EXPECT_EQ(full.value, m.read32(a)) << a;
+      EXPECT_EQ(full.word, word) << a;
+    } else {
+      EXPECT_THROW(m.load_with_word(a, 4), util::simulation_error) << a;
+    }
+  }
+}
+
 // ------------------------------------------------ reset against fresh
 
 /// Addresses the reset oracle works on: three pages around a page
