@@ -109,6 +109,7 @@ TEST_P(BatchSimEquivalence, AesLanesAreBitIdenticalToPerTrace) {
     EXPECT_EQ(activity_window_digest(batch->activity(l), 0, last),
               activity_window_digest(expected[l].activity, 0, last));
     EXPECT_EQ(batch->state(l).regs, expected[l].state.regs);
+    EXPECT_EQ(batch->state(l).f, expected[l].state.f);
     EXPECT_EQ(crypto::read_aes_state(batch->memory(l), layout),
               expected[l].ciphertext);
   }
@@ -193,6 +194,7 @@ TEST_P(BatchSimFuzz, SurvivingLanesMatchPerTraceOnRandomPrograms) {
       EXPECT_EQ(batch->cycles(), core->cycles());
       EXPECT_EQ(batch->activity(l), core->activity());
       EXPECT_EQ(batch->state(l).regs, core->state().regs);
+      EXPECT_EQ(batch->state(l).f, core->state().f);
     }
   }
 }
@@ -272,8 +274,64 @@ TEST_P(BatchSimFuzz, ConditionalBranchEjectsDisagreeingLanes) {
     EXPECT_EQ(batch->cycles(), core->cycles());
     EXPECT_EQ(batch->activity(l), core->activity());
     EXPECT_EQ(batch->state(l).regs, core->state().regs);
+    EXPECT_EQ(batch->state(l).f, core->state().f);
   }
 }
+
+// A run that exceeds its cycle budget throws mid-program; every lane's
+// architectural state must still be the per-trace core's at the same
+// budget — the batch may keep state elsewhere during a run, but it must
+// hand it back on every exit of run(), the throw included.
+class BatchSimCycleBudget : public ::testing::TestWithParam<backend_kind> {};
+
+TEST_P(BatchSimCycleBudget, ThrowLeavesEveryLaneInPerTraceState) {
+  const backend_kind kind = GetParam();
+  const crypto::aes_program_layout layout =
+      crypto::generate_aes128_program();
+  const program_image image(layout.prog);
+  const micro_arch_config config = config_for(kind);
+  const crypto::aes_round_keys round_keys = crypto::expand_key(
+      {0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15,
+       0x88, 0x09, 0xcf, 0x4f, 0x3c});
+  constexpr std::size_t lanes = 8;
+
+  util::xoshiro256 rng(0xb0d6e7);
+  std::vector<crypto::aes_block> plaintexts(lanes);
+  for (crypto::aes_block& pt : plaintexts) {
+    for (std::uint8_t& b : pt) {
+      b = static_cast<std::uint8_t>(rng.next_u32());
+    }
+  }
+
+  const std::unique_ptr<backend> core = make_backend(kind, image, config);
+  const std::unique_ptr<batch_backend> batch =
+      make_batch_backend(kind, image, config, lanes);
+  for (const std::uint64_t budget : {100U, 333U, 1000U}) {
+    SCOPED_TRACE(budget);
+    batch->reset();
+    for (std::size_t l = 0; l < lanes; ++l) {
+      crypto::install_aes_inputs(batch->memory(l), layout, round_keys,
+                                 plaintexts[l]);
+    }
+    batch->warm_caches();
+    EXPECT_THROW(batch->run(budget), util::simulation_error);
+    ASSERT_FALSE(batch->any_lane_diverged());
+    for (std::size_t l = 0; l < lanes; ++l) {
+      SCOPED_TRACE(l);
+      core->reset();
+      crypto::install_aes_inputs(core->memory(), layout, round_keys,
+                                 plaintexts[l]);
+      core->warm_caches();
+      EXPECT_THROW(core->run(budget), util::simulation_error);
+      EXPECT_EQ(batch->state(l).regs, core->state().regs);
+      EXPECT_EQ(batch->state(l).f, core->state().f);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, BatchSimCycleBudget,
+                         ::testing::Values(backend_kind::inorder,
+                                           backend_kind::ooo));
 
 // The `sim_batch_lanes` config field alone sets the lane count: -1 the
 // default, 0 the per-trace path, N up to the 64-lane cap.
