@@ -14,9 +14,10 @@
 #ifndef USCA_CORE_TRACE_BATCH_H
 #define USCA_CORE_TRACE_BATCH_H
 
+#include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <span>
-#include <vector>
 
 #include "util/error.h"
 
@@ -82,8 +83,11 @@ public:
       if (!shaped_) {
         n_labels_ = labels.size();
         n_samples_ = samples.size();
-        labels_.resize(capacity_ * n_labels_);
-        samples_.resize(capacity_ * n_samples_);
+        // Uninitialised: view() exposes only the rows append() wrote.
+        labels_ = std::make_unique_for_overwrite<double[]>(capacity_ *
+                                                           n_labels_);
+        samples_ = std::make_unique_for_overwrite<double[]>(capacity_ *
+                                                            n_samples_);
         shaped_ = true;
       } else if (index != next_index_) {
         // Continuity holds ACROSS tiles too: a gap exactly at a tile
@@ -103,10 +107,9 @@ public:
           "(data-dependent trace length?)");
     }
     std::copy(labels.begin(), labels.end(),
-              labels_.begin() + static_cast<std::ptrdiff_t>(count_ * n_labels_));
+              labels_.get() + count_ * n_labels_);
     std::copy(samples.begin(), samples.end(),
-              samples_.begin() +
-                  static_cast<std::ptrdiff_t>(count_ * n_samples_));
+              samples_.get() + count_ * n_samples_);
     ++count_;
     next_index_ = first_index_ + count_;
   }
@@ -140,9 +143,9 @@ public:
     v.count = count_;
     v.n_labels = n_labels_;
     v.n_samples = n_samples_;
-    v.labels = labels_.data();
+    v.labels = labels_.get();
     v.label_stride = n_labels_;
-    v.samples = samples_.data();
+    v.samples = samples_.get();
     v.sample_stride = n_samples_;
     return v;
   }
@@ -158,8 +161,8 @@ private:
   std::size_t count_ = 0;
   std::size_t n_labels_ = 0;
   std::size_t n_samples_ = 0;
-  std::vector<double> labels_;
-  std::vector<double> samples_;
+  std::unique_ptr<double[]> labels_;  ///< capacity_ rows of n_labels_
+  std::unique_ptr<double[]> samples_; ///< capacity_ rows of n_samples_
 };
 
 } // namespace usca::core

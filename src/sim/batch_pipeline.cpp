@@ -1,7 +1,8 @@
 // Lane-batched twin of pipeline.cpp.  Every emission point and every
 // shared-control update below corresponds 1:1 to a statement in
 // sim::pipeline — same order, same cycle stamps — with per-trace scalar
-// data replaced by a loop over the active lanes.  When editing, keep the
+// data replaced by lane rows: register rows of the file, and scratch rows
+// the lane kernels (lane_alu.h) fill.  When editing, keep the
 // two files side by side: the per-lane activity stream of a surviving
 // lane must stay bit-identical to a per-trace run (ctest -L sim_batch).
 #include "sim/batch_pipeline.h"
@@ -9,7 +10,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "sim/alu.h"
 #include "sim/pipeline.h"
 #include "util/bitops.h"
 #include "util/error.h"
@@ -80,12 +80,17 @@ void batch_pipeline::run(std::uint64_t max_cycles) {
 
   const std::uint64_t start_cycle = cycle_;
   const std::uint64_t limit = cycle_ + max_cycles;
-  while (!halted_) {
-    if (cycle_ >= limit) {
-      throw util::simulation_error(
-          "batch pipeline exceeded the cycle budget");
+  try {
+    while (!halted_) {
+      if (cycle_ >= limit) {
+        throw util::simulation_error(
+            "batch pipeline exceeded the cycle budget");
+      }
+      step_cycle();
     }
-    step_cycle();
+  } catch (...) {
+    store_lanes();
+    throw;
   }
   leave_run(pc_, halted_);
   static const telem::counter cycles{"sim.inorder.cycles", "cycles", "sim"};
@@ -98,36 +103,36 @@ void batch_pipeline::run(std::uint64_t max_cycles) {
 // Event plumbing (pipeline.cpp helpers, looped over active lanes)
 // ---------------------------------------------------------------------------
 
-void batch_pipeline::drive_rf_port(const lane_values& values) {
+void batch_pipeline::drive_rf_port(const std::uint32_t* values) {
   const int port = rf_ports_used_this_cycle_++;
   if (port >= 3) {
     return; // defensive: pairing rules keep this within 3 ports
   }
   drive_lanes(component::rf_read_port, static_cast<std::uint8_t>(port),
               &rf_port_state_[static_cast<std::size_t>(port) * lanes_],
-              values.data(), cycle_, active_mask_);
+              values, cycle_, active_mask_);
 }
 
 void batch_pipeline::drive_is_ex_bus(std::uint8_t bus,
-                                     const lane_values& values) {
+                                     const std::uint32_t* values) {
   drive_lanes(component::is_ex_bus, bus,
               &is_ex_bus_state_[static_cast<std::size_t>(bus) * lanes_],
-              values.data(), cycle_ + 1, active_mask_);
+              values, cycle_ + 1, active_mask_);
 }
 
-void batch_pipeline::write_back(int slot, const lane_values& values,
+void batch_pipeline::write_back(int slot, const std::uint32_t* values,
                                 std::uint64_t at_cycle, std::uint64_t mask) {
   const auto bus = static_cast<std::uint8_t>(slot);
   const std::size_t base = static_cast<std::size_t>(slot) * lanes_;
-  drive_lanes(component::wb_bus, bus, &wb_bus_state_[base], values.data(),
+  drive_lanes(component::wb_bus, bus, &wb_bus_state_[base], values,
               at_cycle, mask);
   drive_lanes(component::ex_wb_latch, bus, &ex_wb_latch_state_[base],
-              values.data(), at_cycle, mask);
+              values, at_cycle, mask);
 }
 
-void batch_pipeline::retire_write(reg r, const lane_values& values,
+void batch_pipeline::retire_write(reg r, const std::uint32_t* values,
                                   std::uint64_t ready_at) noexcept {
-  write_reg(r, values.data(), active_mask_);
+  write_reg(r, values, active_mask_);
   reg_ready_[isa::index_of(r)] = ready_at;
 }
 
@@ -191,10 +196,10 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
   }
 
   if (isa::is_nop(ins)) {
-    static constexpr lane_values zeros{};
+    static constexpr lane_row zeros{};
     if (config_.nop_drives_zero_operands) {
-      drive_is_ex_bus(0, zeros);
-      drive_is_ex_bus(1, zeros);
+      drive_is_ex_bus(0, zeros.data());
+      drive_is_ex_bus(1, zeros.data());
     }
     if (config_.nop_zeroes_wb_bus) {
       for (std::uint8_t bus = 0; bus < 2; ++bus) {
@@ -224,12 +229,11 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
   if (isa::is_branch(ins)) {
     const bool exec = agreed_exec(ins);
     if (ins.op == opcode::bx) {
-      lane_values target;
-      read_reg(ins.op2.rm, target.data());
+      const std::uint32_t* target = reg_row(ins.op2.rm);
       drive_rf_port(target);
       if (exec) {
         // Second checkpoint: the indirect target IS the control stream.
-        agree(target.data());
+        agree(target);
         const auto index = prog_->index_of_address(target[leader()]);
         if (!index) {
           halted_ = true; // return past the outermost frame
@@ -242,9 +246,9 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
       const auto target = static_cast<std::size_t>(
           static_cast<std::int64_t>(pc_) + 1 + ins.branch_offset);
       if (ins.op == opcode::bl) {
-        lane_values link;
+        lane_row link;
         link.fill(prog_->address_of(pc_ + 1));
-        retire_write(reg::lr, link, cycle_ + 1);
+        retire_write(reg::lr, link.data(), cycle_ + 1);
       }
       next_pc = target;
     }
@@ -266,17 +270,10 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
   // --- memory -------------------------------------------------------------
   if (isa::is_memory(ins)) {
     const bool exec = agreed_exec(ins);
-    lane_values base_v;
-    read_reg(ins.mem.base, base_v.data());
-    drive_rf_port(base_v);
+    drive_rf_port(reg_row(ins.mem.base));
     if (ins.mem.reg_offset) {
-      lane_values offset_reg;
-      read_reg(ins.mem.offset_reg, offset_reg.data());
-      drive_rf_port(offset_reg);
+      drive_rf_port(reg_row(ins.mem.offset_reg));
     }
-    lane_values address;
-    effective_addresses(ins, address.data());
-
     if (!exec) {
       pc_ = next_pc;
       return outcome;
@@ -284,6 +281,8 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
 
     // Third checkpoint: each lane probes its own D-cache at its own
     // address; the penalty — a shared scoreboard input — must agree.
+    lane_row address;
+    address_lanes(ins.mem, regs_, active_mask_, address.data());
     std::array<int, max_batch_lanes> pen;
     for (const std::size_t l : lanes_in(active_mask_)) {
       pen[l] = dcache_[l].access(address[l]);
@@ -299,9 +298,9 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
       lsu_free_ = cycle_ + static_cast<std::uint64_t>(penalty);
     }
 
+    lane_row word;
     if (isa::is_load(ins)) {
-      lane_values word;
-      lane_values value;
+      lane_row value;
       const int width = isa::access_width(ins);
       for (const std::size_t l : lanes_in(active_mask_)) {
         const mem::memory::word_load loaded =
@@ -309,20 +308,18 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
         value[l] = loaded.value;
         word[l] = loaded.word;
       }
-      retire_write(ins.rd, value, result_ready);
+      retire_write(ins.rd, value.data(), result_ready);
       drive_lanes(component::mdr, 0, mdr_state_.data(), word.data(),
                   mem_cycle, active_mask_);
       if (isa::is_subword(ins) && config_.has_align_buffer) {
         drive_lanes(component::align_buffer, 0, align_buffer_state_.data(),
                     value.data(), mem_cycle + 1, active_mask_);
       }
-      write_back(slot, value, result_ready, active_mask_);
+      write_back(slot, value.data(), result_ready, active_mask_);
     } else {
-      lane_values data;
-      read_reg(ins.rd, data.data());
+      const std::uint32_t* data = reg_row(ins.rd);
       drive_rf_port(data);
       drive_is_ex_bus(slot == 0 ? std::uint8_t{1} : std::uint8_t{2}, data);
-      lane_values word;
       for (const std::size_t l : lanes_in(active_mask_)) {
         switch (ins.op) {
         case opcode::str:
@@ -343,7 +340,7 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
       drive_lanes(component::mdr, 0, mdr_state_.data(), word.data(),
                   mem_cycle, active_mask_);
       if (isa::is_subword(ins) && config_.has_align_buffer) {
-        lane_values sub;
+        lane_row sub;
         const std::uint32_t keep = ins.op == opcode::strb ? 0xffU : 0xffffU;
         for (const std::size_t l : lanes_in(active_mask_)) {
           sub[l] = data[l] & keep;
@@ -362,43 +359,33 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
   // --- multiply -------------------------------------------------------
   if (ins.op == opcode::mul || ins.op == opcode::mla) {
     const bool exec = agreed_exec(ins);
-    lane_values a;
-    lane_values b;
-    read_reg(ins.rn, a.data());
-    read_reg(ins.op2.rm, b.data());
+    const std::uint32_t* a = reg_row(ins.rn);
+    const std::uint32_t* b = reg_row(ins.op2.rm);
     drive_rf_port(a);
     drive_rf_port(b);
-    lane_values acc{};
     if (ins.op == opcode::mla) {
-      read_reg(ins.ra, acc.data());
-      drive_rf_port(acc);
+      drive_rf_port(reg_row(ins.ra));
     }
     drive_is_ex_bus(0, a);
     drive_is_ex_bus(1, b);
     if (exec) {
-      lane_values result;
-      for (const std::size_t l : lanes_in(active_mask_)) {
-        result[l] = a[l] * b[l] + (ins.op == opcode::mla ? acc[l] : 0);
-      }
+      lane_row result;
+      dp_lanes(ins, regs_, nullptr, 0, active_mask_, result.data(), flags_);
       const std::uint64_t ready =
           cycle_ + static_cast<std::uint64_t>(config_.mul_latency);
       if (!config_.mul_pipelined) {
         mul_free_ = ready;
       }
       // The multiplier lives on ALU0.
-      drive_lanes(component::alu_in_latch, 0, alu_latch_state_.data(),
-                  a.data(), cycle_ + 1, active_mask_);
-      drive_lanes(component::alu_in_latch, 1, &alu_latch_state_[lanes_],
-                  b.data(), cycle_ + 1, active_mask_);
+      drive_lanes(component::alu_in_latch, 0, alu_latch_state_.data(), a,
+                  cycle_ + 1, active_mask_);
+      drive_lanes(component::alu_in_latch, 1, &alu_latch_state_[lanes_], b,
+                  cycle_ + 1, active_mask_);
       weigh_lanes(component::alu_out, 0, result.data(), ready - 1,
                   active_mask_);
-      retire_write(ins.rd, result, ready);
-      write_back(slot, result, ready, active_mask_);
+      retire_write(ins.rd, result.data(), ready);
+      write_back(slot, result.data(), ready, active_mask_);
       if (ins.set_flags) {
-        for (const std::size_t l : lanes_in(active_mask_)) {
-          state_[l].f.n = (result[l] >> 31) != 0;
-          state_[l].f.z = result[l] == 0;
-        }
         flags_ready_ = ready;
       }
     }
@@ -407,57 +394,45 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
   }
 
   // --- data processing --------------------------------------------------
+  const bool wide_move = ins.op == opcode::movw || ins.op == opcode::movt;
   const bool has_rn = !(ins.op == opcode::mov || ins.op == opcode::mvn ||
-                        ins.op == opcode::movw || ins.op == opcode::movt);
-  lane_values rn_value{};
+                        wide_move);
+  const std::uint32_t* rn_value = reg_row(ins.rn);
   const std::uint8_t first_lane = slot == 0 ? std::uint8_t{0} : std::uint8_t{2};
   const std::uint8_t second_lane =
       slot == 0 ? std::uint8_t{1} : std::uint8_t{2};
   int reg_operands = 0;
 
-  if (has_rn && !(ins.op == opcode::movw || ins.op == opcode::movt)) {
-    read_reg(ins.rn, rn_value.data());
+  if (has_rn) {
     drive_rf_port(rn_value);
     drive_is_ex_bus(first_lane, rn_value);
     ++reg_operands;
   }
 
-  // Per-lane operand-2 evaluation; the *structure* (used_shifter and the
-  // port/bus traffic it implies) is static per instruction, only the
+  // Operand 2 over the active lanes; its *structure* (the shifter and
+  // the port/bus traffic it implies) is static per instruction, only the
   // values differ per lane.
-  lane_values op2_value{};
-  lane_values op2_pre{};
-  std::array<std::uint8_t, max_batch_lanes> op2_carry{};
-  bool used_shifter = false;
-  if (ins.op == opcode::movw) {
-    op2_value.fill(ins.imm16);
-  } else if (ins.op == opcode::movt) {
-    lane_values old;
-    read_reg(ins.rd, old.data());
-    drive_rf_port(old);
-    for (const std::size_t l : lanes_in(active_mask_)) {
-      op2_value[l] = (old[l] & 0xffffU) |
-                     (static_cast<std::uint32_t>(ins.imm16) << 16);
+  lane_row op2_value;
+  std::uint64_t op2_carry = 0;
+  const bool used_shifter = !wide_move &&
+                            ins.op2.k == isa::operand2::kind::reg_shifted &&
+                            ins.op2.shift.active();
+  if (wide_move) {
+    if (ins.op == opcode::movt) {
+      drive_rf_port(reg_row(ins.rd));
     }
+    dp_lanes(ins, regs_, nullptr, 0, active_mask_, op2_value.data(), flags_);
   } else {
-    for (const std::size_t l : lanes_in(active_mask_)) {
-      const operand2_value op2 = eval_operand2(
-          ins, [this, l](reg r) { return state_[l].reg(r); },
-          state_[l].f.c);
-      op2_value[l] = op2.value;
-      op2_pre[l] = op2.pre_shift;
-      op2_carry[l] = op2.carry ? 1 : 0;
-      used_shifter = op2.used_shifter; // static: ins.op2.shift.active()
-    }
+    op2_carry =
+        operand2_lanes(ins, regs_, flags_.c, active_mask_, op2_value.data());
     if (ins.op2.k == isa::operand2::kind::reg_shifted) {
+      const std::uint32_t* op2_pre = reg_row(ins.op2.rm);
       drive_rf_port(op2_pre);
       const std::uint8_t bus = (reg_operands == 0) ? first_lane : second_lane;
       drive_is_ex_bus(bus, op2_pre);
       ++reg_operands;
       if (ins.op2.shift.by_register) {
-        lane_values amount;
-        read_reg(ins.op2.shift.amount_reg, amount.data());
-        drive_rf_port(amount);
+        drive_rf_port(reg_row(ins.op2.shift.amount_reg));
       }
     }
   }
@@ -474,8 +449,7 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
   // movw/movt stay on the agreement path.
   std::uint64_t exec_mask = active_mask_;
   if (ins.cond != isa::condition::al) {
-    const bool relaxed = !used_shifter && !writes_flags(ins) &&
-                         ins.op != opcode::movw && ins.op != opcode::movt;
+    const bool relaxed = !used_shifter && !writes_flags(ins) && !wide_move;
     if (relaxed) {
       exec_mask = passing_lanes(ins.cond);
     } else if (!agreed_exec(ins)) {
@@ -507,35 +481,30 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
   const auto latch = static_cast<std::uint8_t>(alu_index * 2);
   std::uint32_t* latch_state =
       &alu_latch_state_[static_cast<std::size_t>(latch) * lanes_];
-  if (ins.op == opcode::movw || ins.op == opcode::movt) {
+  if (wide_move) {
     drive_lanes(component::alu_in_latch,
                 static_cast<std::uint8_t>(latch + 1), latch_state + lanes_,
                 op2_value.data(), cycle_ + 1, active_mask_);
-    retire_write(ins.rd, op2_value, cycle_ + result_latency);
+    retire_write(ins.rd, op2_value.data(), cycle_ + result_latency);
     weigh_lanes(component::alu_out, static_cast<std::uint8_t>(alu_index),
                 op2_value.data(), cycle_ + 2, active_mask_);
-    write_back(slot, op2_value, cycle_ + 3, active_mask_);
+    write_back(slot, op2_value.data(), cycle_ + 3, active_mask_);
     pc_ = next_pc;
     return outcome;
   }
 
-  lane_values result;
-  std::array<isa::flags, max_batch_lanes> result_flags;
-  bool writes_result = true; // static per opcode: take any active lane's
-  for (const std::size_t l : lanes_in(active_mask_)) {
-    const alu_result r = execute_dp(ins.op, rn_value[l], op2_value[l],
-                                    op2_carry[l] != 0, state_[l].f);
-    result[l] = r.value;
-    result_flags[l] = r.f;
-    writes_result = r.writes_result;
-  }
-
-  // ALU input latches: operand position 0 = rn, position 1 = (shifted) op2.
   // Every datapath effect below is gated per lane by exec_mask — a
   // predicated-false lane's per-trace twin returned before this point.
+  // A flag writer always executes on every active lane (agreed above),
+  // so dp_lanes writes the flags of exactly the executing lanes.
   const std::uint64_t emit_mask = active_mask_ & exec_mask;
+  lane_row result;
+  dp_lanes(ins, regs_, op2_value.data(), op2_carry, emit_mask, result.data(),
+           flags_);
+
+  // ALU input latches: operand position 0 = rn, position 1 = (shifted) op2.
   if (has_rn) {
-    drive_lanes(component::alu_in_latch, latch, latch_state, rn_value.data(),
+    drive_lanes(component::alu_in_latch, latch, latch_state, rn_value,
                 cycle_ + 1, emit_mask);
   }
   drive_lanes(component::alu_in_latch, static_cast<std::uint8_t>(latch + 1),
@@ -543,17 +512,14 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
   weigh_lanes(component::alu_out, static_cast<std::uint8_t>(alu_index),
               result.data(), cycle_ + 2, emit_mask);
 
-  if (writes_result) {
+  if (!isa::is_compare(ins)) {
     // The scoreboard write is shared (unobservable when lanes disagree —
     // see above); the register value and WB-path events are per lane.
     reg_ready_[isa::index_of(ins.rd)] = cycle_ + result_latency;
     write_reg(ins.rd, result.data(), emit_mask);
-    write_back(slot, result, cycle_ + 3, emit_mask);
+    write_back(slot, result.data(), cycle_ + 3, emit_mask);
   }
   if (writes_flags(ins)) {
-    for (const std::size_t l : lanes_in(active_mask_)) {
-      state_[l].f = result_flags[l];
-    }
     flags_ready_ = cycle_ + result_latency;
   }
   pc_ = next_pc;

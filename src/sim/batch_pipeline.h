@@ -7,10 +7,14 @@
 //   * shared control, run once per cycle for the whole batch — the fetch
 //     stream (pc, I-cache), the issue-stage selection (operand/unit
 //     scoreboard, pairability), the cycle/issue counters and mark stream;
-//   * per-lane data, laid out lane-major — architectural registers and
-//     flags, data memory and D-cache, every leakage-relevant state
-//     register (RF ports, operand buses, ALU latches, WB buses, MDR,
-//     align buffer) and the activity stream or fused clean-power column.
+//   * per-lane data, laid out lane-major — architectural registers (the
+//     base's register rows, regs_[r][lane]) and flags (lane masks), data
+//     memory and D-cache, every leakage-relevant state register (RF
+//     ports, operand buses, ALU latches, WB buses, MDR, align buffer) and
+//     the activity stream or fused clean-power column.  The rows meet
+//     state(lane) only at the run boundary (batch_sim.h); issue() drives
+//     ports and buses with register rows directly and computes operand 2
+//     and the ALU result with one lane kernel call each (lane_alu.h).
 //
 // Divergence checkpoints (lanes ejected on disagreement with the leader):
 // condition outcomes of predicated instructions, indirect-branch (bx)
@@ -78,12 +82,13 @@ private:
 
   // Lane-batched counterparts of the pipeline's event helpers: one lane
   // kernel call per per-trace emission point (the active lanes, or the
-  // executing ones for write_back).
-  void drive_rf_port(const lane_values& values);
-  void drive_is_ex_bus(std::uint8_t bus, const lane_values& values);
-  void write_back(int slot, const lane_values& values, std::uint64_t at_cycle,
-                  std::uint64_t mask);
-  void retire_write(isa::reg r, const lane_values& values,
+  // executing ones for write_back).  `values` is a lane row: a register
+  // row of the file itself or a scratch row of results.
+  void drive_rf_port(const std::uint32_t* values);
+  void drive_is_ex_bus(std::uint8_t bus, const std::uint32_t* values);
+  void write_back(int slot, const std::uint32_t* values,
+                  std::uint64_t at_cycle, std::uint64_t mask);
+  void retire_write(isa::reg r, const std::uint32_t* values,
                     std::uint64_t ready_at) noexcept;
 
   std::vector<std::uint8_t> pairable_next_;

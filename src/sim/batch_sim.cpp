@@ -101,13 +101,6 @@ avx2_weigh(double* row, double weight, const std::uint32_t* values,
 constexpr emit_kernels avx2_set = {"avx2", avx2_drive, avx2_weigh};
 #endif
 
-/// Number of lanes when `mask` covers exactly lanes 0..n-1, else 0.
-std::size_t contiguous_lanes(std::uint64_t mask) noexcept {
-  return (mask & (mask + 1)) == 0
-             ? static_cast<std::size_t>(std::countr_one(mask))
-             : 0;
-}
-
 } // namespace
 
 const emit_kernels& baseline_emit_kernels() noexcept { return baseline_set; }
@@ -188,15 +181,30 @@ void batch_backend::warm_caches() {
 
 const cpu_state& batch_backend::enter_run() noexcept {
   std::array<std::uint64_t, max_batch_lanes> entry;
-  for (const std::size_t l : lanes_in(active_mask_)) {
-    entry[l] = (static_cast<std::uint64_t>(state_[l].pc) << 1) |
-               (state_[l].halted ? 1U : 0U);
+  for (std::size_t l = 0; l < lanes_; ++l) {
+    const cpu_state& st = state_[l];
+    for (std::size_t r = 0; r < regs_.size(); ++r) {
+      regs_[r][l] = st.regs[r];
+    }
+    flags_.set_lane(l, st.f);
+    entry[l] = (static_cast<std::uint64_t>(st.pc) << 1) | (st.halted ? 1U : 0U);
   }
   agree(entry.data());
   return state_[leader()];
 }
 
+void batch_backend::store_lanes() noexcept {
+  for (std::size_t l = 0; l < lanes_; ++l) {
+    cpu_state& st = state_[l];
+    for (std::size_t r = 0; r < regs_.size(); ++r) {
+      st.regs[r] = regs_[r][l];
+    }
+    st.f = flags_.lane(l);
+  }
+}
+
 void batch_backend::leave_run(std::size_t pc, bool halted) noexcept {
+  store_lanes();
   for (const std::size_t l : lanes_in(active_mask_)) {
     state_[l].pc = pc;
     state_[l].halted = halted;

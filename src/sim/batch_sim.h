@@ -28,6 +28,17 @@
 //     on; callers check lane_diverged() and redo those traces on the
 //     per-trace sim::backend, which remains the reference implementation.
 //
+// Register file.  During run() every lane's architectural registers live
+// in rows owned by the base class, regs_[r][lane], and the NZCV flags in
+// four lane masks (sim/lane_alu.h).  The datapath passes a register to a
+// port or bus as its row and evaluates each instruction with one lane
+// kernel call — one opcode switch per instruction, the lane loop inside;
+// a condition is mask arithmetic on the flag masks.  The rows are
+// exchanged with state(lane) only at the run boundary: enter_run() loads
+// them, and every exit of run(), a throw such as the cycle budget
+// included, stores them back.  Outside run(), state(lane) is the lane's
+// state, as setup code and callers see it.
+//
 // Emission runs through two lane kernels of the base class, one call per
 // per-trace emission point.  By default they append each lane's activity
 // events (activity()); with fuse_synthesis() they instead add each
@@ -57,15 +68,13 @@
 #include "mem/memory.h"
 #include "sim/backend.h"
 #include "sim/cpu_state.h"
+#include "sim/lane_alu.h"
 #include "sim/program_image.h"
 #include "sim/uarch_activity.h"
 
 namespace usca::sim {
 
 struct micro_arch_config;
-
-/// Lane-mask machinery (and the OoO age ring) bound batches to 64 lanes.
-inline constexpr std::size_t max_batch_lanes = 64;
 
 /// Default batch width when the config does not pick one.  The lane
 /// sweep in EXPERIMENTS.md rises through 16 lanes and flattens around
@@ -77,34 +86,6 @@ inline constexpr std::size_t default_sim_batch_lanes = 32;
 /// config field: negative means "default", 0 means "per-trace",
 /// positive is clamped to max_batch_lanes.
 std::size_t resolve_sim_batch_lanes(int config_lanes);
-
-/// The set lanes of a lane mask, lowest first:
-///   for (const std::size_t l : lanes_in(mask)) { ... }
-/// The mask is copied at the start, so ejecting lanes in the body does not
-/// change the walk.
-class lanes_in {
-public:
-  explicit constexpr lanes_in(std::uint64_t mask) noexcept : mask_(mask) {}
-
-  struct iterator {
-    std::uint64_t rest;
-    std::size_t operator*() const noexcept {
-      return static_cast<std::size_t>(std::countr_zero(rest));
-    }
-    iterator& operator++() noexcept {
-      rest &= rest - 1;
-      return *this;
-    }
-    bool operator!=(const iterator& other) const noexcept {
-      return rest != other.rest;
-    }
-  };
-  iterator begin() const noexcept { return {mask_}; }
-  iterator end() const noexcept { return {0}; }
-
-private:
-  std::uint64_t mask_;
-};
 
 /// Fused-emission lane kernels: lanes 0..n-1 of a clean-power tile row
 /// receive their weighted toggle counts (the contiguous-mask fast path
@@ -138,10 +119,10 @@ void note_batch_run(std::size_t lanes_active,
                     std::uint64_t active_lane_cycles);
 
 /// N-lane counterpart of sim::backend.  This base holds what every batch
-/// engine shares: the program, the per-lane architectural state (registers,
-/// memory, D-cache) and the shared I-cache, the lane masks, the marks and
-/// the emission state (activity streams or fused tile).  Per-lane data is
-/// exposed by lane index.
+/// engine shares: the program, the per-lane architectural state (register
+/// rows and flag masks during a run, memory, D-cache) and the shared
+/// I-cache, the lane masks, the marks and the emission state (activity
+/// streams or fused tile).  Per-lane data is exposed by lane index.
 class batch_backend {
 public:
   virtual ~batch_backend() = default;
@@ -240,8 +221,6 @@ protected:
   batch_backend(program_image image, const mem::cache_config& icache,
                 const mem::cache_config& dcache, std::size_t lanes);
 
-  using lane_values = std::array<std::uint32_t, max_batch_lanes>;
-
   std::uint64_t mask_for_limit() const noexcept {
     return active_limit_ >= 64 ? ~std::uint64_t{0}
                                : (std::uint64_t{1} << active_limit_) - 1;
@@ -284,49 +263,33 @@ protected:
 
   /// The active lanes whose flags pass condition `cond`.
   std::uint64_t passing_lanes(isa::condition cond) const noexcept {
-    std::uint64_t passing = 0;
-    for (const std::size_t l : lanes_in(active_mask_)) {
-      passing |= std::uint64_t{isa::condition_passes(cond, state_[l].f)}
-                 << l;
-    }
-    return passing;
+    return condition_lanes(cond, flags_, active_mask_);
   }
 
-  /// Register `r` of every active lane into values[lane].
-  void read_reg(isa::reg r, std::uint32_t* values) const noexcept {
-    for (const std::size_t l : lanes_in(active_mask_)) {
-      values[l] = state_[l].reg(r);
-    }
+  /// Register `r` of every lane: its row of the register file.
+  const std::uint32_t* reg_row(isa::reg r) const noexcept {
+    return regs_[isa::index_of(r)].data();
   }
   /// values[lane] into register `r` of every lane in `mask`.
   void write_reg(isa::reg r, const std::uint32_t* values,
                  std::uint64_t mask) noexcept {
-    for (const std::size_t l : lanes_in(mask)) {
-      state_[l].set_reg(r, values[l]);
-    }
-  }
-  /// Effective address of memory instruction `ins` in every active lane:
-  /// the base register plus or minus the immediate or the shifted offset
-  /// register.
-  void effective_addresses(const isa::instruction& ins,
-                           std::uint32_t* address) const noexcept {
-    for (const std::size_t l : lanes_in(active_mask_)) {
-      const std::uint32_t base = state_[l].reg(ins.mem.base);
-      const std::uint32_t offset =
-          ins.mem.reg_offset
-              ? state_[l].reg(ins.mem.offset_reg) << ins.mem.offset_shift
-              : ins.mem.offset_imm;
-      address[l] = ins.mem.subtract ? base - offset : base + offset;
-    }
+    copy_lanes(values, mask, regs_[isa::index_of(r)].data());
   }
 
-  /// Entry agreement of run(): per-lane setup code may have steered a
-  /// lane's pc or halted flag away from the batch; such lanes cannot share
-  /// the control stream and are ejected before the first cycle.  Returns
-  /// the leader's state, which the shared control starts from.
+  /// Entry of run(): loads every lane's registers and flags from state()
+  /// into the rows, then agrees on the entry point — per-lane setup code
+  /// may have steered a lane's pc or halted flag away from the batch;
+  /// such lanes cannot share the control stream and are ejected before
+  /// the first cycle.  Returns the leader's state, which the shared
+  /// control starts from.
   const cpu_state& enter_run() noexcept;
-  /// Hands the shared pc and halted flag back to every surviving lane.
+  /// Normal exit of run(): store_lanes(), then hands the shared pc and
+  /// halted flag to every surviving lane.
   void leave_run(std::size_t pc, bool halted) noexcept;
+  /// Hands the rows back to every lane's state(): registers and flags.
+  /// run() calls it on every exit, a throw included, so state() always
+  /// reads what the lanes executed.
+  void store_lanes() noexcept;
 
   /// Records a committed mark and applies the cutoff; true when the
   /// batch run must end here (see backend::commit_mark).
@@ -376,7 +339,13 @@ protected:
   const asmx::program* prog_ = nullptr;
   std::vector<mem::memory> memory_;
   std::vector<mem::cache> dcache_;
+  /// Lane state as the API sees it (state(lane)); exchanged with the
+  /// rows below only at the run boundary.
   std::vector<cpu_state> state_;
+  /// During run(): every lane's registers, row r lane l, and its flags
+  /// as lane masks.  The datapath reads and writes only these.
+  lane_regs regs_{};
+  lane_flags flags_;
   mem::cache icache_; ///< shared: the fetch stream is lane-invariant
 
 private:

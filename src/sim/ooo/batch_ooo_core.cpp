@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "sim/alu.h"
 #include "sim/ooo/ooo_core.h"
 #include "util/error.h"
 #include "util/telemetry.h"
@@ -98,12 +97,17 @@ void batch_ooo_core::run(std::uint64_t max_cycles) {
   const std::uint64_t start_cycle = ctl_.cycle;
   const std::uint64_t start_skipped = ctl_.idle_skipped;
   const std::uint64_t limit = ctl_.cycle + max_cycles;
-  while (!halted_) {
-    if (ctl_.cycle >= limit) {
-      throw util::simulation_error(
-          "batch ooo core exceeded the cycle budget");
+  try {
+    while (!halted_) {
+      if (ctl_.cycle >= limit) {
+        throw util::simulation_error(
+            "batch ooo core exceeded the cycle budget");
+      }
+      step_cycle();
     }
-    step_cycle();
+  } catch (...) {
+    store_lanes();
+    throw;
   }
   leave_run(pc_, halted_);
   static const telem::counter cycles{"sim.ooo.cycles", "cycles", "sim"};
@@ -131,7 +135,7 @@ void batch_ooo_core::drive_prf_port(const std::uint32_t* values) {
 
 void batch_ooo_core::drive_tag(component comp, std::uint8_t port,
                                std::uint32_t& state, std::uint8_t tag) {
-  lane_values flips;
+  lane_row flips;
   flips.fill(state ^ tag);
   weigh_lanes(comp, port, flips.data(), ctl_.cycle, active_mask_);
   state = tag;
@@ -240,6 +244,7 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
   const std::uint64_t exec_mask = ins.cond == isa::condition::al
                                      ? ~std::uint64_t{0}
                                      : passing_lanes(ins.cond);
+  const std::uint64_t executing = active_mask_ & exec_mask;
 
   std::size_t next_pc = pc_ + 1;
 
@@ -249,18 +254,23 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
   bool redirected = false;
   const auto add_src = [&](reg r) {
     rs.src_preg[rs.n_src] = ctl_.source_tag(isa::index_of(r));
-    read_reg(r, &rs_src_value_[(rs_slot * max_sources + rs.n_src) * lanes_]);
+    std::copy_n(reg_row(r), lanes_,
+                &rs_src_value_[(rs_slot * max_sources + rs.n_src) * lanes_]);
     ++rs.n_src;
   };
+  // Renames `rd` to this µop with values[lane] as its result, which the
+  // lane's register also takes now (execution is architectural at rename).
   const auto rename_dest = [&](reg rd, const std::uint32_t* values) {
     const std::uint8_t tag = ctl_.rename_dest(entry, isa::index_of(rd));
-    for (const std::size_t l : lanes_in(active_mask_)) {
-      rob_value_[vrow + l] = values[l];
-    }
+    copy_lanes(values, active_mask_, &rob_value_[vrow]);
     // RAT write port: the tag is lane-invariant.
     const auto port = static_cast<std::uint8_t>(slot % ooo_control::ports);
     drive_tag(component::rat_port, port, rat_port_state_[port], tag);
+    write_reg(rd, values, active_mask_);
   };
+  // A select µop's result row starts as the old destination; the
+  // executing lanes then overwrite it.
+  const auto old_value = [&](reg rd) { return regs_[isa::index_of(rd)]; };
   const auto wait_flags = [&] { rs.flags_wait_slot = ctl_.flags_wait(); };
 
   // --- simulator pseudo-ops ------------------------------------------------
@@ -282,9 +292,8 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
     if (ins.op == opcode::bx) {
       if (exec) {
         // Second checkpoint: the indirect target IS the fetch stream.
-        lane_values target;
-        read_reg(ins.op2.rm, target.data());
-        agree(target.data());
+        const std::uint32_t* target = reg_row(ins.op2.rm);
+        agree(target);
         const auto target_index =
             prog_->index_of_address(target[leader()]);
         if (!target_index) {
@@ -301,12 +310,10 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
       const auto target = static_cast<std::size_t>(
           static_cast<std::int64_t>(pc_) + 1 + ins.branch_offset);
       if (ins.op == opcode::bl) {
-        const std::uint32_t link = prog_->address_of(pc_ + 1);
-        lane_values link_row;
-        link_row.fill(link);
-        rename_dest(reg::lr, link_row.data());
+        lane_row link;
+        link.fill(prog_->address_of(pc_ + 1));
+        rename_dest(reg::lr, link.data());
         ctl_.preg_ready[entry.dest_preg] = 1; // value known at rename
-        write_reg(reg::lr, link_row.data(), active_mask_);
       }
       next_pc = target;
     }
@@ -324,7 +331,7 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
       add_src(ins.mem.offset_reg);
     }
     std::uint32_t* addr = &rs_address_[rs_row];
-    effective_addresses(ins, addr);
+    address_lanes(ins.mem, regs_, active_mask_, addr);
     rs.uses_lsu = true;
     rs.is_subword = isa::is_subword(ins);
     if (isa::reads_flags(ins)) {
@@ -336,28 +343,22 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
       if (ins.cond != isa::condition::al) {
         add_src(ins.rd); // select µop reads the old destination
       }
-      lane_values value;
+      lane_row value = old_value(ins.rd); // kept on a failed condition
       const int width = isa::access_width(ins);
-      for (const std::size_t l : lanes_in(active_mask_)) {
-        value[l] = state_[l].reg(ins.rd); // kept on a failed condition
-        if ((exec_mask >> l) & 1U) {
-          const mem::memory::word_load loaded =
-              memory_[l].load_with_word(addr[l], width);
-          value[l] = loaded.value;
-          rs_mem_word_[rs_row + l] = loaded.word;
-        }
+      for (const std::size_t l : lanes_in(executing)) {
+        const mem::memory::word_load loaded =
+            memory_[l].load_with_word(addr[l], width);
+        value[l] = loaded.value;
+        rs_mem_word_[rs_row + l] = loaded.word;
       }
       rename_dest(ins.rd, value.data());
-      for (const std::size_t l : lanes_in(active_mask_)) {
-        state_[l].set_reg(ins.rd, value[l]);
-        rs_sub_value_[rs_row + l] = value[l];
-      }
+      copy_lanes(value.data(), active_mask_, &rs_sub_value_[rs_row]);
       rs.is_load = true;
     } else {
-      lane_values data;
-      read_reg(ins.rd, data.data());
+      const std::uint32_t* data = reg_row(ins.rd);
       add_src(ins.rd); // store data is a register source
-      for (const std::size_t l : lanes_in(active_mask_ & exec_mask)) {
+      const std::uint32_t keep = ins.op == opcode::strb ? 0xffU : 0xffffU;
+      for (const std::size_t l : lanes_in(executing)) {
         switch (ins.op) {
         case opcode::str:
           memory_[l].write32(addr[l], data[l]);
@@ -372,29 +373,23 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
           break;
         }
         rs_mem_word_[rs_row + l] = memory_[l].containing_word(addr[l]);
-        rs_sub_value_[rs_row + l] = ins.op == opcode::strb
-                                        ? (data[l] & 0xffU)
-                                        : (data[l] & 0xffffU);
+        rs_sub_value_[rs_row + l] = data[l] & keep;
       }
       rs.is_store = true;
       // A squashed store still occupies its store-buffer slot at commit
       // (the drain probes the computed address; memory is untouched).
       entry.is_store = true;
       entry.has_value = true;
-      for (const std::size_t l : lanes_in(active_mask_)) {
-        rob_store_addr_[vrow + l] = addr[l];
-        rob_value_[vrow + l] = data[l];
-      }
+      copy_lanes(addr, active_mask_, &rob_store_addr_[vrow]);
+      copy_lanes(data, active_mask_, &rob_value_[vrow]);
     }
     to_rs = true;
     pc_ = next_pc;
   } else if (ins.op == opcode::mul || ins.op == opcode::mla) {
     add_src(ins.rn);
     add_src(ins.op2.rm);
-    lane_values acc{};
     if (ins.op == opcode::mla) {
       add_src(ins.ra);
-      read_reg(ins.ra, acc.data());
     }
     if (isa::reads_flags(ins)) {
       wait_flags();
@@ -405,20 +400,10 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
     rs.is_mul = true;
     rs.needs_alu0 = true;
     rs_squash_[rs_slot] = active_mask_ & ~exec_mask;
-    lane_values result;
-    for (const std::size_t l : lanes_in(active_mask_)) {
-      result[l] = ((exec_mask >> l) & 1U) != 0
-                      ? state_[l].reg(ins.rn) * state_[l].reg(ins.op2.rm) +
-                            acc[l]
-                      : state_[l].reg(ins.rd);
-    }
+    lane_row result = old_value(ins.rd);
+    dp_lanes(ins, regs_, nullptr, 0, executing, result.data(), flags_);
     rename_dest(ins.rd, result.data());
-    write_reg(ins.rd, result.data(), active_mask_);
     if (ins.set_flags) {
-      for (const std::size_t l : lanes_in(active_mask_ & exec_mask)) {
-        state_[l].f.n = (result[l] >> 31) != 0;
-        state_[l].f.z = result[l] == 0;
-      }
       // The flag rename happens either way: younger flag readers wait on
       // this µop independent of the condition's outcome.
       ctl_.flags_producer_slot = rob_slot;
@@ -427,73 +412,50 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
     pc_ = next_pc;
   } else {
     // Data processing (incl. movw/movt and standalone shifts).
+    const bool wide_move = ins.op == opcode::movw || ins.op == opcode::movt;
     const bool has_rn = !(ins.op == opcode::mov || ins.op == opcode::mvn ||
-                          ins.op == opcode::movw || ins.op == opcode::movt);
-    lane_values rn_value{};
+                          wide_move);
     if (has_rn) {
       add_src(ins.rn);
-      read_reg(ins.rn, rn_value.data());
     }
 
-    lane_values result{};
-    std::array<isa::flags, max_batch_lanes> dp_flags;
-    bool writes_result = true;
-    bool flags_op = false;
-    if (ins.op == opcode::movw) {
-      result.fill(ins.imm16);
-    } else if (ins.op == opcode::movt) {
+    // The operand-2 *structure* (the shifter, the source registers it
+    // adds) is static per instruction; only the values are per lane.
+    const std::uint32_t* op2 = nullptr;
+    std::uint64_t carry = 0;
+    if (ins.op == opcode::movt) {
       add_src(ins.rd);
-      for (const std::size_t l : lanes_in(active_mask_)) {
-        result[l] = (state_[l].reg(ins.rd) & 0xffffU) |
-                    (static_cast<std::uint32_t>(ins.imm16) << 16);
-      }
-    } else {
-      // The operand-2 *structure* (used_shifter, the source registers it
-      // adds) is static per instruction; only the values are per lane.
-      bool used_shifter = false;
-      for (const std::size_t l : lanes_in(active_mask_)) {
-        const operand2_value op2 = eval_operand2(
-            ins, [this, l](reg r) { return state_[l].reg(r); },
-            state_[l].f.c);
-        rs_shift_value_[rs_row + l] = op2.value;
-        const alu_result dp = execute_dp(ins.op, rn_value[l], op2.value,
-                                         op2.carry, state_[l].f);
-        result[l] = dp.value;
-        dp_flags[l] = dp.f;
-        writes_result = dp.writes_result;
-        used_shifter = op2.used_shifter;
-      }
+    } else if (!wide_move) {
+      op2 = &rs_shift_value_[rs_row];
+      carry = operand2_lanes(ins, regs_, flags_.c, active_mask_,
+                             &rs_shift_value_[rs_row]);
       if (ins.op2.k == isa::operand2::kind::reg_shifted) {
         add_src(ins.op2.rm);
         if (ins.op2.shift.by_register) {
           add_src(ins.op2.shift.amount_reg);
         }
       }
-      rs.used_shifter = used_shifter;
-      rs.needs_alu0 = used_shifter;
-      flags_op = isa::writes_flags(ins);
+      rs.used_shifter = ins.op2.k == isa::operand2::kind::reg_shifted &&
+                        ins.op2.shift.active();
+      rs.needs_alu0 = rs.used_shifter;
     }
 
     if (isa::reads_flags(ins)) {
       wait_flags();
     }
     rs_squash_[rs_slot] = active_mask_ & ~exec_mask;
-    if (writes_result) {
+    if (!isa::is_compare(ins)) {
       if (ins.cond != isa::condition::al && ins.op != opcode::movt) {
         add_src(ins.rd);
       }
-      lane_values committed;
-      for (const std::size_t l : lanes_in(active_mask_)) {
-        committed[l] = ((exec_mask >> l) & 1U) != 0 ? result[l]
-                                                    : state_[l].reg(ins.rd);
-      }
+      lane_row committed = old_value(ins.rd);
+      dp_lanes(ins, regs_, op2, carry, executing, committed.data(), flags_);
       rename_dest(ins.rd, committed.data());
-      write_reg(ins.rd, committed.data(), active_mask_);
+    } else {
+      lane_row ignored;
+      dp_lanes(ins, regs_, op2, carry, executing, ignored.data(), flags_);
     }
-    if (flags_op) {
-      for (const std::size_t l : lanes_in(active_mask_ & exec_mask)) {
-        state_[l].f = dp_flags[l];
-      }
+    if (isa::writes_flags(ins) && !wide_move) {
       ctl_.flags_producer_slot = rob_slot;
     }
     to_rs = true;

@@ -9,6 +9,12 @@
 //    averaging 2, 4 and 16, with -0.0 and huge clean samples.
 //  * Emission: the baseline and AVX2 fused-emission sets on random rows,
 //    states and hostile weights.
+//  * Datapath: the lane ALU kernels (sim/lane_alu.h) lane by lane against
+//    sim::alu's eval_operand2 / execute_dp / apply_shift and the
+//    per-trace cores' movw/movt/mul/mla formulas — every DP opcode, every
+//    operand-2 form, with and without S, random operands and NZCV, over a
+//    full lane mask, a partial one and holed ones; lanes outside the mask
+//    keep their row values and flag bits.
 //
 // The AVX2 halves skip on a CPU or build without AVX2.
 #include <gtest/gtest.h>
@@ -27,7 +33,9 @@
 #include "power/noise_kernels.h"
 #include "power/second_core.h"
 #include "power/synthesizer.h"
+#include "sim/alu.h"
 #include "sim/batch_sim.h"
+#include "sim/lane_alu.h"
 #include "sim/micro_arch_config.h"
 #include "util/rng.h"
 #include "util/telemetry.h"
@@ -333,6 +341,256 @@ TEST(EmitKernels, BaselineAndAvx2SetsAreBitIdentical) {
     baseline.weigh(row_base.data(), weight, values.data(), n);
     avx2->weigh(row_avx2.data(), weight, values.data(), n);
     EXPECT_TRUE(same_bits(row_base, row_avx2)) << "weigh " << what;
+  }
+}
+
+// ------------------------------------------------------------ datapath
+
+/// Register file with hostile values mixed in: 0, all ones, the sign
+/// boundary, and register r9's low byte set to a shift amount of 0, 1,
+/// 31, 32, 33 or 255 over random upper bytes.
+sim::lane_regs random_lane_regs(util::xoshiro256& rng) {
+  static constexpr std::array<std::uint32_t, 4> edges = {
+      0U, 0xffffffffU, 0x80000000U, 0x7fffffffU};
+  static constexpr std::array<std::uint32_t, 6> amounts = {0, 1, 31,
+                                                           32, 33, 255};
+  sim::lane_regs regs{};
+  for (sim::lane_row& row : regs) {
+    for (std::uint32_t& v : row) {
+      v = rng.bounded(4) == 0 ? edges[rng.bounded(4)] : rng.next_u32();
+    }
+  }
+  for (std::uint32_t& v : regs[9]) {
+    v = (rng.next_u32() & ~0xffU) | amounts[rng.bounded(amounts.size())];
+  }
+  return regs;
+}
+
+/// Every operand-2 form a data-processing instruction can take.
+std::vector<isa::operand2> operand2_forms(util::xoshiro256& rng) {
+  using isa::operand2;
+  using isa::shift_kind;
+  std::vector<operand2> forms;
+  forms.push_back(operand2::make_imm(rng.next_u32()));
+  forms.push_back(operand2{});
+  forms.push_back(operand2::make_reg(isa::reg::r2));
+  for (const shift_kind kind : {shift_kind::lsl, shift_kind::lsr,
+                                shift_kind::asr, shift_kind::ror}) {
+    for (const std::uint8_t amount : {0, 1, 31}) {
+      isa::shift_spec shift;
+      shift.kind = kind;
+      shift.amount = amount;
+      forms.push_back(operand2::make_reg(isa::reg::r2, shift));
+    }
+    isa::shift_spec by_reg;
+    by_reg.kind = kind;
+    by_reg.by_register = true;
+    by_reg.amount_reg = isa::reg::r9;
+    forms.push_back(operand2::make_reg(isa::reg::r2, by_reg));
+  }
+  return forms;
+}
+
+std::string describe(const isa::instruction& ins) {
+  std::string out(isa::opcode_mnemonic(ins.op));
+  out += ins.set_flags ? "s" : "";
+  out += " op2.k=" + std::to_string(static_cast<int>(ins.op2.k));
+  if (ins.op2.k == isa::operand2::kind::reg_shifted) {
+    out += " shift=" + std::to_string(static_cast<int>(ins.op2.shift.kind)) +
+           (ins.op2.shift.by_register
+                ? " by r9"
+                : " #" + std::to_string(ins.op2.shift.amount));
+  }
+  return out;
+}
+
+TEST(LaneAluKernels, EqualTheScalarAluLaneByLane) {
+  using isa::opcode;
+  constexpr std::array<opcode, 19> ops = {
+      opcode::mov, opcode::mvn, opcode::add,  opcode::adc,  opcode::sub,
+      opcode::sbc, opcode::rsb, opcode::and_, opcode::orr,  opcode::eor,
+      opcode::bic, opcode::cmp, opcode::cmn,  opcode::tst,  opcode::teq,
+      opcode::movw, opcode::movt, opcode::mul, opcode::mla};
+  util::xoshiro256 rng(0xa1u);
+  std::size_t checked = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    const sim::lane_regs regs = random_lane_regs(rng);
+    const sim::lane_flags before{rng(), rng(),
+                                 rng(), rng()};
+    // Full, partial (lanes 0..n-1) and holed masks.
+    const std::array<std::uint64_t, 4> masks = {
+        ~std::uint64_t{0}, (std::uint64_t{1} << (1 + trial % 40)) - 1,
+        rng(), rng() & rng() & ~std::uint64_t{1}};
+    for (const std::uint64_t mask : masks) {
+      for (const isa::operand2& op2 : operand2_forms(rng)) {
+        for (const opcode op : ops) {
+          for (const bool s : {false, true}) {
+            isa::instruction ins;
+            ins.op = op;
+            ins.rd = isa::reg::r1;
+            ins.rn = isa::reg::r3;
+            ins.ra = isa::reg::r4;
+            ins.imm16 = static_cast<std::uint16_t>(rng.next_u32());
+            ins.set_flags = s;
+            const bool wide = op == opcode::movw || op == opcode::movt;
+            const bool mul = op == opcode::mul || op == opcode::mla;
+            ins.op2 = mul ? isa::operand2::make_reg(isa::reg::r2) : op2;
+            if (wide) {
+              ins.op2 = {};
+            }
+            SCOPED_TRACE(describe(ins) + " mask=" + std::to_string(mask));
+
+            // Operand 2.
+            sim::lane_row value;
+            for (std::uint32_t& v : value) {
+              v = rng.next_u32();
+            }
+            const sim::lane_row value_before = value;
+            std::uint64_t carry = 0;
+            if (!wide && !mul) {
+              carry = sim::operand2_lanes(ins, regs, before.c, mask,
+                                          value.data());
+            }
+            // Result and flags.
+            sim::lane_row result;
+            for (std::uint32_t& v : result) {
+              v = rng.next_u32();
+            }
+            const sim::lane_row result_before = result;
+            sim::lane_flags flags = before;
+            sim::dp_lanes(ins, regs, value.data(), carry, mask,
+                          result.data(), flags);
+
+            for (std::size_t l = 0; l < sim::max_batch_lanes; ++l) {
+              const isa::flags f0 = before.lane(l);
+              if (((mask >> l) & 1U) == 0) {
+                ASSERT_EQ(result[l], result_before[l]) << "lane " << l;
+                ASSERT_EQ(flags.lane(l), f0) << "lane " << l;
+                if (!wide && !mul) {
+                  ASSERT_EQ(value[l], value_before[l]) << "lane " << l;
+                }
+                continue;
+              }
+              const auto reg_of = [&](isa::reg r) {
+                return regs[isa::index_of(r)][l];
+              };
+              std::uint32_t expect_value = 0;
+              isa::flags expect_flags = f0;
+              if (wide) {
+                expect_value = op == opcode::movw
+                                   ? ins.imm16
+                                   : (reg_of(ins.rd) & 0xffffU) |
+                                         (std::uint32_t{ins.imm16} << 16);
+              } else if (mul) {
+                expect_value = reg_of(ins.rn) * reg_of(ins.op2.rm) +
+                               (op == opcode::mla ? reg_of(ins.ra) : 0U);
+                if (s) {
+                  expect_flags.n = (expect_value >> 31) != 0;
+                  expect_flags.z = expect_value == 0;
+                }
+              } else {
+                const sim::operand2_value o =
+                    sim::eval_operand2(ins, reg_of, f0.c);
+                ASSERT_EQ(value[l], o.value) << "op2, lane " << l;
+                if (isa::writes_flags(ins)) {
+                  ASSERT_EQ(((carry >> l) & 1U) != 0, o.carry)
+                      << "shifter carry, lane " << l;
+                }
+                const sim::alu_result r = sim::execute_dp(
+                    op, reg_of(ins.rn), o.value, o.carry, f0);
+                expect_value = r.value;
+                if (isa::writes_flags(ins)) {
+                  expect_flags = r.f;
+                }
+              }
+              ASSERT_EQ(result[l], expect_value) << "lane " << l;
+              ASSERT_EQ(flags.lane(l), expect_flags) << "lane " << l;
+              ++checked;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 100000u);
+}
+
+TEST(LaneAluKernels, ShiftsMatchApplyShiftAtEveryAmount) {
+  // operand2_lanes of a flag-setting mov is apply_shift itself: value and
+  // carry-out of every kind at every register amount 0..255.
+  util::xoshiro256 rng(0x5f17);
+  for (const isa::shift_kind kind :
+       {isa::shift_kind::lsl, isa::shift_kind::lsr, isa::shift_kind::asr,
+        isa::shift_kind::ror}) {
+    for (std::uint32_t base = 0; base < 256; base += sim::max_batch_lanes) {
+      sim::lane_regs regs = random_lane_regs(rng);
+      for (std::size_t l = 0; l < sim::max_batch_lanes; ++l) {
+        regs[9][l] = (rng.next_u32() & ~0xffU) |
+                     static_cast<std::uint32_t>(base + l);
+      }
+      const std::uint64_t carry_in = rng();
+      isa::shift_spec by_reg;
+      by_reg.kind = kind;
+      by_reg.by_register = true;
+      by_reg.amount_reg = isa::reg::r9;
+      isa::instruction ins;
+      ins.op = isa::opcode::mov;
+      ins.set_flags = true;
+      ins.op2 = isa::operand2::make_reg(isa::reg::r2, by_reg);
+      sim::lane_row out{};
+      const std::uint64_t carry = sim::operand2_lanes(
+          ins, regs, carry_in, ~std::uint64_t{0}, out.data());
+      for (std::size_t l = 0; l < sim::max_batch_lanes; ++l) {
+        SCOPED_TRACE(std::to_string(static_cast<int>(kind)) + " by " +
+                     std::to_string(base + l));
+        const sim::shift_result expect =
+            sim::apply_shift(regs[2][l], kind, base + l,
+                             ((carry_in >> l) & 1U) != 0);
+        ASSERT_EQ(out[l], expect.value);
+        ASSERT_EQ(((carry >> l) & 1U) != 0, expect.carry);
+      }
+    }
+  }
+}
+
+TEST(LaneAluKernels, ConditionsAndAddressesMatchTheScalarForms) {
+  util::xoshiro256 rng(0xc0dd);
+  for (int trial = 0; trial < 64; ++trial) {
+    const sim::lane_flags f{rng(), rng(), rng(),
+                            rng()};
+    const std::uint64_t mask = trial % 2 == 0 ? ~std::uint64_t{0}
+                                              : rng();
+    for (std::uint8_t c = 0; c < 16; ++c) {
+      const auto cond = static_cast<isa::condition>(c);
+      const std::uint64_t pass = sim::condition_lanes(cond, f, mask);
+      for (std::size_t l = 0; l < sim::max_batch_lanes; ++l) {
+        const bool expect = ((mask >> l) & 1U) != 0 &&
+                            isa::condition_passes(cond, f.lane(l));
+        ASSERT_EQ(((pass >> l) & 1U) != 0, expect)
+            << "cond " << int{c} << " lane " << l;
+      }
+    }
+
+    const sim::lane_regs regs = random_lane_regs(rng);
+    isa::mem_operand mem;
+    mem.base = isa::reg::r5;
+    mem.reg_offset = rng.bounded(2) == 0;
+    mem.subtract = rng.bounded(2) == 0;
+    mem.offset_imm = static_cast<std::uint32_t>(rng.bounded(4096));
+    mem.offset_reg = isa::reg::r6;
+    mem.offset_shift = static_cast<std::uint8_t>(rng.bounded(32));
+    sim::lane_row address;
+    address.fill(0xdeadbeefU);
+    sim::address_lanes(mem, regs, mask, address.data());
+    for (std::size_t l = 0; l < sim::max_batch_lanes; ++l) {
+      const std::uint32_t offset =
+          mem.reg_offset ? regs[6][l] << mem.offset_shift : mem.offset_imm;
+      const std::uint32_t expect =
+          ((mask >> l) & 1U) == 0
+              ? 0xdeadbeefU
+              : (mem.subtract ? regs[5][l] - offset : regs[5][l] + offset);
+      ASSERT_EQ(address[l], expect) << "lane " << l;
+    }
   }
 }
 
