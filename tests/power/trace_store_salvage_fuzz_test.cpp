@@ -14,14 +14,24 @@
 // 16-byte blocks and ragged tails, and every mutated file is mapped at
 // its exact size, so an ASan build also catches a reader or checksum
 // read past the end of the mapping.
+//
+// A second loop holds the writer's resume() to the reader: stores of 37
+// records in chunks of 8 are truncated, bit-flipped or given zeroed
+// runs, then resumed.  Either resume() and a salvage open both throw, or
+// resume() keeps exactly the salvage reader's leading run of chunks
+// whose indices continue from 0, through the first short chunk; and
+// re-appending the lost records then reproduces the uninterrupted file
+// byte for byte.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -39,6 +49,7 @@ constexpr std::uint64_t k_file_header = 64;
 constexpr std::uint64_t k_chunk_header = 32;
 constexpr std::uint64_t k_first_index = 1000;
 constexpr int k_iterations = 400;
+constexpr int k_resume_iterations = 4000;
 
 struct store_shape {
   const char* name;
@@ -53,6 +64,11 @@ struct store_shape {
 // f32: 76-byte records, 380-byte payloads (a 12-byte CRC tail).
 constexpr store_shape k_f64{"f64", power::trace_scalar::f64, 2, 6, 8, 37};
 constexpr store_shape k_f32{"f32", power::trace_scalar::f32, 3, 13, 5, 23};
+// The resume loop's shapes: 37 records in chunks of 8 (a short last
+// chunk of 5), f32 records of 76 bytes.
+constexpr store_shape k_f64_resume = k_f64;
+constexpr store_shape k_f32_resume{"f32_resume", power::trace_scalar::f32,
+                                   3, 13, 8, 37};
 
 using bytes = std::vector<unsigned char>;
 
@@ -88,8 +104,7 @@ record_bits to_bits(std::span<const double> labels,
   return bits;
 }
 
-/// Writes a store of random records and returns its bytes.
-bytes build_store(const store_shape& shape) {
+power::trace_store_descriptor descriptor_of(const store_shape& shape) {
   power::trace_store_descriptor desc;
   desc.scalar = shape.scalar;
   desc.labels = shape.labels;
@@ -98,11 +113,16 @@ bytes build_store(const store_shape& shape) {
   desc.first_index = k_first_index;
   desc.seed = 0xf022;
   desc.config_hash = 0xc0ffee;
+  return desc;
+}
+
+/// Writes a store of random records and returns its bytes.
+bytes build_store(const store_shape& shape) {
   const std::string path = store_path(shape);
   std::remove(path.c_str());
   {
     power::trace_store_writer writer =
-        power::trace_store_writer::create(path, desc);
+        power::trace_store_writer::create(path, descriptor_of(shape));
     util::xoshiro256 rng(0x5a1f);
     std::vector<double> labels(shape.labels), samples(shape.samples);
     for (std::size_t i = 0; i < shape.records; ++i) {
@@ -316,6 +336,128 @@ void cut_at_every_chunk_boundary(const store_shape& shape) {
   std::remove(path.c_str());
 }
 
+struct record_values {
+  std::vector<double> labels;
+  std::vector<double> samples;
+};
+
+/// Records a resume may keep: the salvage reader's leading chunks whose
+/// indices continue from 0, through the first short chunk.
+std::size_t leading_run(const power::trace_store_reader& reader) {
+  std::size_t records = 0;
+  for (std::size_t c = 0; c < reader.chunk_count(); ++c) {
+    const power::batch_rows rows = reader.chunk_rows(c);
+    if (rows.first_record != records) {
+      break;
+    }
+    records += rows.count;
+    if (rows.count < reader.descriptor().chunk_traces) {
+      break;
+    }
+  }
+  return records;
+}
+
+/// Writes `data` to `path`, resumes it and checks the resume contract.
+/// Returns true when resume() agreed with the reader's leading run, false
+/// when both threw.
+bool check_resume(const std::string& path, const bytes& data,
+                  const bytes& pristine, const store_shape& shape,
+                  const std::vector<record_values>& original,
+                  const std::string& what) {
+  write_file(path, data);
+  std::optional<std::size_t> kept;
+  if (data.empty()) {
+    kept = 0; // an empty file resumes like create()
+  } else {
+    try {
+      const power::trace_store_reader reader(
+          path, power::store_open_mode::salvage);
+      kept = leading_run(reader);
+    } catch (const util::analysis_error&) {
+    }
+  }
+  std::optional<power::trace_store_writer> writer;
+  try {
+    writer.emplace(
+        power::trace_store_writer::resume(path, descriptor_of(shape)));
+  } catch (const util::analysis_error&) {
+  }
+  EXPECT_EQ(writer.has_value(), kept.has_value())
+      << what << ": resume() and the salvage reader disagree on throwing";
+  if (!writer || !kept) {
+    return false;
+  }
+  EXPECT_EQ(writer->next_index(), k_first_index + *kept) << what;
+  for (std::size_t i = writer->next_index() - k_first_index;
+       i < original.size(); ++i) {
+    writer->append(original[i].labels, original[i].samples);
+  }
+  writer->close();
+  EXPECT_TRUE(read_file(path) == pristine)
+      << what << ": resumed file differs from the uninterrupted one";
+  return true;
+}
+
+void fuzz_resume(const store_shape& shape, std::uint64_t seed) {
+  const bytes pristine = build_store(shape);
+  const std::string path = store_path(shape);
+  write_file(path, pristine);
+  std::vector<record_values> original;
+  {
+    const power::trace_store_reader reader(path);
+    reader.stream([&](std::size_t, std::span<const double> labels,
+                      std::span<const double> samples) {
+      original.push_back({{labels.begin(), labels.end()},
+                          {samples.begin(), samples.end()}});
+    });
+  }
+  ASSERT_EQ(original.size(), shape.records);
+
+  util::xoshiro256 rng(seed);
+  int agreed = 0;
+  for (int it = 0; it < k_resume_iterations; ++it) {
+    bytes data = pristine;
+    std::string what = std::string(shape.name) + " resume iteration " +
+                       std::to_string(it) + ": ";
+    switch (rng.bounded(3)) {
+    case 0: {
+      const std::uint64_t size = rng.bounded(data.size());
+      data.resize(size);
+      what += "truncate to " + std::to_string(size);
+      break;
+    }
+    case 1: {
+      const std::uint64_t flips = 1 + rng.bounded(3);
+      for (std::uint64_t f = 0; f < flips; ++f) {
+        const std::uint64_t at = rng.bounded(data.size());
+        data[at] ^= static_cast<unsigned char>(1U << rng.bounded(8));
+        what += "bit flip@" + std::to_string(at) + " ";
+      }
+      break;
+    }
+    default: {
+      const std::uint64_t at = rng.bounded(data.size());
+      const std::uint64_t run =
+          std::min<std::uint64_t>(1 + rng.bounded(80), data.size() - at);
+      std::fill_n(data.begin() + static_cast<std::ptrdiff_t>(at), run, 0);
+      what += "zeroed " + std::to_string(run) + " bytes@" +
+              std::to_string(at);
+      break;
+    }
+    }
+    agreed += check_resume(path, data, pristine, shape, original, what);
+    if (testing::Test::HasFailure()) {
+      break;
+    }
+  }
+  // Most mutations leave the file header intact, so most cases must
+  // exercise the keep-and-re-append path rather than the double throw.
+  EXPECT_GT(agreed, k_resume_iterations / 2);
+  std::remove(path.c_str());
+  std::remove((path + ".quarantine").c_str());
+}
+
 TEST(TraceStoreSalvageFuzz, CutsOnChunkBoundariesAreValidStores) {
   cut_at_every_chunk_boundary(k_f64);
   cut_at_every_chunk_boundary(k_f32);
@@ -327,6 +469,14 @@ TEST(TraceStoreSalvageFuzz, MutatedF64StoresNeverServeAlteredRecords) {
 
 TEST(TraceStoreSalvageFuzz, MutatedF32StoresNeverServeAlteredRecords) {
   fuzz_store(k_f32, 0xf32f32);
+}
+
+TEST(TraceStoreSalvageFuzz, MutatedF64StoresResumeToTheReadersLeadingRun) {
+  fuzz_resume(k_f64_resume, 0x2e5f64);
+}
+
+TEST(TraceStoreSalvageFuzz, MutatedF32StoresResumeToTheReadersLeadingRun) {
+  fuzz_resume(k_f32_resume, 0x2e5f32);
 }
 
 } // namespace
