@@ -137,7 +137,7 @@ void acquisition_campaign::locate_window(
     std::uint64_t& begin, std::uint64_t& end) const {
   if (config_.full_run_window) {
     begin = 0;
-    end = cycles + config_.full_run_tail_pad;
+    end = cycles + full_run_tail_pad;
   } else if (!find_campaign_window(marks, config_.window, begin, end)) {
     throw util::analysis_error(
         "campaign window marks not found (or empty window) in the "

@@ -68,6 +68,10 @@ bool find_campaign_window(const std::vector<sim::mark_stamp>& marks,
                           const campaign_window& window, std::uint64_t& begin,
                           std::uint64_t& end) noexcept;
 
+/// Cycles a full-run window extends past the run's last cycle, to catch
+/// trailing write-backs.
+inline constexpr std::uint32_t full_run_tail_pad = 4;
+
 /// Per-index seed of trial `index`: the root of its private setup and
 /// synthesis streams.  The scheme is load-bearing for the reproducibility
 /// of archived results.
@@ -85,7 +89,6 @@ struct acquisition_config {
   /// Synthesize the whole run instead of a marker window: samples cover
   /// [0, cycles + full_run_tail_pad) — the portability study's view.
   bool full_run_window = false;
-  std::uint32_t full_run_tail_pad = 4; ///< catches trailing write-backs
   /// When false the pipeline records no activity and no trace is
   /// synthesized — pure timing acquisitions (CPI measurements).
   bool synthesize = true;

@@ -1,6 +1,8 @@
 #include "core/trace_archive.h"
 
 #include <bit>
+#include <functional>
+#include <optional>
 
 #include "util/failpoint.h"
 #include "util/telemetry.h"
@@ -75,49 +77,82 @@ void mix_uarch(config_hasher& h, const sim::micro_arch_config& uarch) {
   h.mix(static_cast<std::uint64_t>(ooo.prf_size));
   h.mix(static_cast<std::uint64_t>(ooo.cdb_width));
   h.mix(static_cast<std::uint64_t>(ooo.store_buffer_entries));
+  // Mixed only for a speculating core: under the perfect predictor the
+  // block cannot change a record, and leaving it out keeps the hash of
+  // every non-speculating configuration, so their archives stay
+  // resumable.
+  if (sim::speculation_active(uarch)) {
+    const sim::speculation_config& spec = uarch.speculation;
+    h.mix(static_cast<std::uint64_t>(spec.predictor));
+    h.mix(static_cast<std::uint64_t>(spec.bp_table_bits));
+    h.mix(static_cast<std::uint64_t>(spec.history_bits));
+    h.mix(static_cast<std::uint64_t>(spec.btb_entries));
+    h.mix(static_cast<std::uint64_t>(spec.rsb_entries));
+    h.mix(static_cast<std::uint64_t>(spec.resolve_latency));
+  }
 }
 
-/// Creates-or-resumes the store for the target range and returns the
-/// writer plus the already-archived prefix length.  A torn tail is
-/// quarantined (not destroyed) before the walk truncates it; whatever
-/// the tail held is re-simulated from (seed, index) exactly.
-power::trace_store_writer open_archive(const std::string& path,
-                                       power::trace_store_descriptor desc,
-                                       const archive_options& options,
-                                       archive_result& result) {
+/// Builds the campaign engine for records [first_index, first_index +
+/// traces); the returned engine lives until the next call.
+using engine_fn = std::function<acquisition_campaign&(
+    std::size_t first_index, std::size_t traces)>;
+
+/// The one archive driver: probe the record shape, create or resume the
+/// store, and simulate only the records it does not already hold.  A
+/// torn tail is quarantined (not destroyed) before resume() truncates
+/// it; whatever the tail held is re-simulated from (seed, index) exactly.
+archive_result archive_range(std::uint64_t seed, std::uint64_t config_hash,
+                             std::size_t first_index, std::size_t traces,
+                             const std::string& path,
+                             const archive_options& options,
+                             const engine_fn& engine) {
+  const std::size_t end = first_index + traces;
+  acquisition_campaign& campaign = engine(first_index, traces);
+
+  power::trace_store_descriptor desc;
   desc.scalar = options.scalar;
   desc.chunk_traces = options.chunk_traces;
-  desc.config_hash = salted_config_hash(desc.config_hash, options.config_salt);
-  power::store_resume_options resume_options;
-  resume_options.quarantine_torn_tail = true;
+  desc.seed = seed;
+  desc.config_hash = salted_config_hash(config_hash, options.config_salt);
+  desc.first_index = first_index;
+  {
+    // One probe record fixes the shape so a resume can validate the
+    // existing header before any simulation is spent on the suffix.
+    const acquisition_record rec = campaign.produce(first_index);
+    desc.samples = rec.samples.size();
+    desc.labels = static_cast<std::uint32_t>(rec.labels.size());
+  }
+
+  archive_result result;
   power::store_resume_report report;
   power::trace_store_writer writer =
-      power::trace_store_writer::resume(path, desc, resume_options, &report);
+      power::trace_store_writer::resume(path, desc, &report);
   result.quarantined_bytes = report.truncated_bytes;
   result.quarantine_path = std::move(report.quarantine_path);
-  return writer;
-}
-
-/// Appends every record of `campaign` to `writer`.  A store row holds
-/// only labels and samples, so the records come from the campaign's
-/// trace source, whose runs end at the window's end mark.  The
-/// `archive_record` failpoint still fires once per record, just before
-/// its append.  One-row tiles: the writer buffers its own chunks, so
-/// each record is appended as it is delivered (heartbeats and crash
-/// points keep per-record granularity) while its copy is cache-hot.
-void append_records(acquisition_campaign& campaign,
-                    power::trace_store_writer& writer) {
-  static const telem::counter records{"archive.records", "records",
-                                      "archive"};
-  acquisition_source source(campaign);
-  source.for_each_batch(
-      1, [&writer](const trace_batch_view& batch) {
-        for (std::size_t r = 0; r < batch.count; ++r) {
-          util::failpoint("archive_record");
-          writer.append(batch.labels_row(r), batch.samples_row(r));
-          records.add();
-        }
-      });
+  const std::size_t next = writer.next_index();
+  if (next < end) {
+    // A store row holds only labels and samples, so the records come
+    // from the campaign's trace source, whose runs end at the window's
+    // end mark.  One-row tiles: the writer buffers its own chunks, so
+    // each record is appended as it is delivered (heartbeats and the
+    // per-record `archive_record` crash point keep their granularity)
+    // while its copy is cache-hot.
+    static const telem::counter records{"archive.records", "records",
+                                        "archive"};
+    acquisition_source source(next == first_index ? campaign
+                                                  : engine(next, end - next));
+    source.for_each_batch(1, [&writer](const trace_batch_view& batch) {
+      for (std::size_t r = 0; r < batch.count; ++r) {
+        util::failpoint("archive_record");
+        writer.append(batch.labels_row(r), batch.samples_row(r));
+        records.add();
+      }
+    });
+    result.simulated = end - next;
+  }
+  writer.close();
+  result.total = writer.records();
+  return result;
 }
 
 } // namespace
@@ -136,7 +171,7 @@ acquisition_config_hash(const acquisition_config& config) noexcept {
   h.mix(std::uint64_t{config.window.begin_mark});
   h.mix(std::uint64_t{config.window.end_mark});
   h.mix(config.full_run_window);
-  h.mix(std::uint64_t{config.full_run_tail_pad});
+  h.mix(std::uint64_t{full_run_tail_pad});
   h.mix(config.synthesize);
   h.mix(static_cast<std::uint64_t>(config.backend));
   mix_power(h, config.power);
@@ -169,78 +204,41 @@ archive_acquisition(const sim::program_image& image,
                     const acquisition_campaign::setup_fn& setup,
                     const std::string& path,
                     const archive_options& options) {
-  const std::size_t end = config.first_index + config.traces;
-
-  power::trace_store_descriptor desc;
-  desc.seed = config.seed;
-  desc.config_hash = acquisition_config_hash(config);
-  desc.first_index = config.first_index;
-  {
-    // One probe record fixes the shape so a resume can validate the
-    // existing header before any simulation is spent on the suffix.
-    acquisition_campaign probe(image, config);
-    probe.set_setup(setup);
-    const acquisition_record rec = probe.produce(config.first_index);
-    desc.samples = rec.samples.size();
-    desc.labels = static_cast<std::uint32_t>(rec.labels.size());
-  }
-
-  archive_result result;
-  power::trace_store_writer writer =
-      open_archive(path, desc, options, result);
-  const std::size_t next = writer.next_index();
-  if (next < end) {
-    acquisition_config sub = config;
-    sub.first_index = next;
-    sub.traces = end - next;
-    sub.keep_activity_first = 0;
-    acquisition_campaign campaign(image, sub);
-    campaign.set_setup(setup);
-    append_records(campaign, writer);
-    result.simulated = end - next;
-  }
-  writer.close();
-  result.total = writer.records();
-  return result;
+  std::optional<acquisition_campaign> campaign;
+  return archive_range(
+      config.seed, acquisition_config_hash(config), config.first_index,
+      config.traces, path, options,
+      [&](std::size_t first_index, std::size_t traces)
+          -> acquisition_campaign& {
+        acquisition_config sub = config;
+        sub.first_index = first_index;
+        sub.traces = traces;
+        sub.keep_activity_first = 0;
+        campaign.emplace(image, sub);
+        campaign->set_setup(setup);
+        return *campaign;
+      });
 }
 
 archive_result
 archive_aes_campaign(const campaign_config& config, const crypto::aes_key& key,
                      const std::string& path, const archive_options& options,
                      const trace_campaign::plaintext_fn& plaintext) {
-  const std::size_t end = config.first_index + config.traces;
-
-  power::trace_store_descriptor desc;
-  desc.seed = config.seed;
-  desc.config_hash = aes_campaign_config_hash(config, key);
-  desc.first_index = config.first_index;
-  desc.labels = std::tuple_size_v<crypto::aes_block>;
-  {
-    trace_campaign probe(config, key);
-    if (plaintext) {
-      probe.set_plaintext_policy(plaintext);
-    }
-    desc.samples = probe.produce(config.first_index).samples.size();
-  }
-
-  archive_result result;
-  power::trace_store_writer writer =
-      open_archive(path, desc, options, result);
-  const std::size_t next = writer.next_index();
-  if (next < end) {
-    campaign_config sub = config;
-    sub.first_index = next;
-    sub.traces = end - next;
-    trace_campaign campaign(sub, key);
-    if (plaintext) {
-      campaign.set_plaintext_policy(plaintext);
-    }
-    append_records(campaign.engine(), writer);
-    result.simulated = end - next;
-  }
-  writer.close();
-  result.total = writer.records();
-  return result;
+  std::optional<trace_campaign> campaign;
+  return archive_range(
+      config.seed, aes_campaign_config_hash(config, key), config.first_index,
+      config.traces, path, options,
+      [&](std::size_t first_index, std::size_t traces)
+          -> acquisition_campaign& {
+        campaign_config sub = config;
+        sub.first_index = first_index;
+        sub.traces = traces;
+        campaign.emplace(sub, key);
+        if (plaintext) {
+          campaign->set_plaintext_policy(plaintext);
+        }
+        return campaign->engine();
+      });
 }
 
 } // namespace usca::core

@@ -7,39 +7,16 @@
 // stream once, and any number of later analyses replay it through the
 // mmap reader (power/trace_store_reader.h) without re-simulation.
 //
-// Store layout (all little endian):
+// One module owns the format: power/trace_store_format.h defines the
+// layout, magic numbers, header sizes and field offsets once.  This
+// writer holds the only encoder; the reader holds the only decoder and
+// all validation, and resume() reads an existing store through it.
 //
-//   file_header (64 bytes)
-//     char      magic[8]   = "USCATRC2"
-//     u32       version    = 2
-//     u32       scalar     (0 = float64, 1 = float32 samples)
-//     u64       samples    per trace
-//     u32       labels     per trace (always stored as float64)
-//     u32       chunk_traces  nominal records per chunk (last may be short)
-//     u64       seed          campaign master seed
-//     u64       config_hash   hash of the producing configuration
-//     u64       first_index   global index of record 0
-//     u32       reserved   = 0
-//     u32       header_crc    CRC-32 of the preceding 60 bytes
-//
-//   chunk*  — each:
-//     chunk_header (32 bytes)
-//       u32     magic      = "CHNK"
-//       u32     trace_count
-//       u64     first_index   global index of the chunk's first record
-//       u64     payload_bytes = trace_count * record_bytes
-//       u32     payload_crc   CRC-32 of the payload
-//       u32     header_crc    CRC-32 of the preceding 28 bytes
-//     payload — trace_count records, each:
-//       labels  × f64,  samples × (f64 | f32)
-//
-// Both header sizes are multiples of 8 and a float64 record is too, so
-// every record of an f64 store is 8-byte aligned in the file — the mmap
-// reader hands out zero-copy std::span<const double> views.  Chunks are
-// written atomically (buffered in memory, flushed as one write), so a
-// killed campaign leaves a prefix of whole chunks; resume() drops a
-// trailing short chunk and any torn bytes, and appending the re-simulated
-// records reproduces the uninterrupted file byte for byte.
+// Chunks are written atomically (buffered in memory, flushed as one
+// write), so a killed campaign leaves a prefix of whole chunks; resume()
+// cuts any torn bytes, re-buffers a trailing short chunk, and appending
+// the re-simulated records reproduces the uninterrupted file byte for
+// byte.
 #ifndef USCA_POWER_TRACE_IO_H
 #define USCA_POWER_TRACE_IO_H
 
@@ -74,22 +51,12 @@ struct trace_store_descriptor {
   std::uint64_t record_bytes() const noexcept;
 };
 
-/// How resume() treats the torn tail it cuts off (bytes after the last
-/// intact chunk, left behind by a killed writer or disk corruption).
-struct store_resume_options {
-  /// Preserve the cut bytes in `<path>.quarantine` (overwritten per
-  /// resume) before truncating, so a corrupted tail stays available for
-  /// forensics instead of being destroyed by the repair.  The store file
-  /// itself is byte-identical either way.
-  bool quarantine_torn_tail = false;
-};
-
-/// What resume() found and did; valid-intact fields even on the create()
-/// fallback (all zero).
+/// The torn tail resume() cut off: bytes after the last intact chunk,
+/// left behind by a killed writer or disk corruption.  Zero and empty on
+/// a clean resume and on the create() fallback.
 struct store_resume_report {
-  std::uint64_t intact_records = 0;  ///< records kept (incl. re-buffered)
   std::uint64_t truncated_bytes = 0; ///< torn bytes cut from the file
-  std::string quarantine_path;       ///< where they went ("" = none kept)
+  std::string quarantine_path;       ///< where they went ("" = none cut)
 };
 
 /// Streaming chunked writer.  Records are buffered and written one whole
@@ -110,24 +77,24 @@ public:
   static trace_store_writer create(const std::string& path,
                                    const trace_store_descriptor& desc);
 
-  /// Reopens an existing store for appending.  Validates the header
-  /// against `desc` (seed, config hash, scalar, chunk size, first index,
-  /// and — when nonzero in desc — samples and labels), verifies the chunk
-  /// chain, truncates any torn tail, and re-buffers a trailing chunk
-  /// shorter than chunk_traces as pending records — so appending after a
-  /// kill reproduces an uninterrupted file byte-identically, and resuming
-  /// an already-complete store re-simulates nothing.  next_index() is
-  /// positioned after the last intact record.  A missing or empty file
-  /// behaves like create().  `report` (optional) receives what the walk
-  /// found; options.quarantine_torn_tail preserves any cut tail bytes in
-  /// `<path>.quarantine`.
+  /// Reopens an existing store for appending.  A salvage-mode
+  /// trace_store_reader validates the file; its descriptor must match
+  /// `desc` (seed, config hash, scalar, chunk size, first index, labels,
+  /// and samples when nonzero in desc).  resume() keeps the reader's
+  /// leading chunks whose indices continue from 0, through the first
+  /// short chunk, and cuts everything after them as torn tail, preserved
+  /// in `<path>.quarantine` (overwritten per resume).  A kept short chunk
+  /// is re-buffered as pending records, so appending after a kill
+  /// reproduces an uninterrupted file byte for byte, and resuming an
+  /// already-complete store re-simulates nothing.  next_index() is
+  /// positioned after the last kept record.  A missing or empty file
+  /// behaves like create().  A rejected file is left untouched.
+  /// `report` (optional) receives the cut tail.
   static trace_store_writer resume(const std::string& path,
                                    const trace_store_descriptor& desc,
-                                   const store_resume_options& options = {},
                                    store_resume_report* report = nullptr);
 
   trace_store_writer(trace_store_writer&& other) noexcept;
-  trace_store_writer& operator=(trace_store_writer&& other) noexcept;
   ~trace_store_writer();
 
   /// Appends one record; labels/samples sizes must match the descriptor
@@ -152,12 +119,10 @@ public:
 private:
   trace_store_writer(std::string path, const trace_store_descriptor& desc);
 
-  /// The resume() body once the file is open: validate, walk, truncate,
-  /// re-buffer.  Throws without touching the file's bytes.
-  void resume_existing(const std::string& path,
-                       const trace_store_descriptor& desc,
-                       const store_resume_options& options,
-                       store_resume_report* report);
+  /// The resume() body once the file is open: validate through the
+  /// reader, quarantine the tail, re-buffer, truncate.  Throws without
+  /// touching the file's bytes.
+  void resume_existing(store_resume_report* report);
   void write_header();
   void flush_chunk();
 

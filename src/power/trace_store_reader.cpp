@@ -5,11 +5,11 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <utility>
 
+#include "power/trace_store_format.h"
 #include "util/crc32.h"
 #include "util/error.h"
 #include "util/telemetry.h"
@@ -18,17 +18,7 @@ namespace usca::power {
 
 namespace {
 
-constexpr char store_magic[8] = {'U', 'S', 'C', 'A', 'T', 'R', 'C', '2'};
-constexpr std::uint32_t store_version = 2;
-constexpr std::uint32_t chunk_magic = 0x4b4e4843; // "CHNK"
-constexpr std::uint64_t file_header_bytes = 64;
-constexpr std::uint64_t chunk_header_bytes = 32;
-
-template <typename T> T get(const unsigned char* buf, std::uint64_t offset) {
-  T value{};
-  std::memcpy(&value, buf + offset, sizeof value);
-  return value;
-}
+using namespace store_format;
 
 /// The one formatting path for validation failures: every strict-mode
 /// throw names the file, the byte offset of the damage, the chunk slot
@@ -120,31 +110,31 @@ void trace_store_reader::parse(const std::string& path) {
   // File header faults are fatal in BOTH modes: without a trusted header
   // there is no record geometry to salvage by.
   constexpr std::size_t no_chunk = static_cast<std::size_t>(-1);
-  if (std::memcmp(map_, store_magic, sizeof store_magic) != 0) {
+  if (std::memcmp(map_, magic, sizeof magic) != 0) {
     reject(path, store_fault::file_bad_magic, 0, no_chunk,
            "bad magic (not a usca trace store)");
   }
-  if (get<std::uint32_t>(map_, 8) != store_version) {
-    reject(path, store_fault::file_bad_version, 8, no_chunk,
+  if (get<std::uint32_t>(map_, hdr_version) != version) {
+    reject(path, store_fault::file_bad_version, hdr_version, no_chunk,
            "unsupported version " +
-               std::to_string(get<std::uint32_t>(map_, 8)));
+               std::to_string(get<std::uint32_t>(map_, hdr_version)));
   }
-  if (get<std::uint32_t>(map_, 60) != util::crc32(map_, 60)) {
+  if (get<std::uint32_t>(map_, hdr_crc) != util::crc32(map_, hdr_crc)) {
     reject(path, store_fault::file_header_crc, 0, no_chunk,
            "header checksum mismatch");
   }
-  const auto scalar = get<std::uint32_t>(map_, 12);
+  const auto scalar = get<std::uint32_t>(map_, hdr_scalar);
   if (scalar > static_cast<std::uint32_t>(trace_scalar::f32)) {
-    reject(path, store_fault::file_bad_shape, 12, no_chunk,
+    reject(path, store_fault::file_bad_shape, hdr_scalar, no_chunk,
            "unknown sample scalar kind");
   }
   desc_.scalar = static_cast<trace_scalar>(scalar);
-  desc_.samples = get<std::uint64_t>(map_, 16);
-  desc_.labels = get<std::uint32_t>(map_, 24);
-  desc_.chunk_traces = get<std::uint32_t>(map_, 28);
-  desc_.seed = get<std::uint64_t>(map_, 32);
-  desc_.config_hash = get<std::uint64_t>(map_, 40);
-  desc_.first_index = get<std::uint64_t>(map_, 48);
+  desc_.samples = get<std::uint64_t>(map_, hdr_samples);
+  desc_.labels = get<std::uint32_t>(map_, hdr_labels);
+  desc_.chunk_traces = get<std::uint32_t>(map_, hdr_chunk_traces);
+  desc_.seed = get<std::uint64_t>(map_, hdr_seed);
+  desc_.config_hash = get<std::uint64_t>(map_, hdr_config_hash);
+  desc_.first_index = get<std::uint64_t>(map_, hdr_first_index);
   // Bound the shape before any arithmetic on it: a corrupt header must
   // not be able to overflow record_bytes / payload computations into
   // "valid" ranges (the CRC catches honest bit rot, but the reject path
@@ -152,12 +142,12 @@ void trace_store_reader::parse(const std::string& path) {
   // 32-bit labels, record_bytes < 2^36, so no product or sum below can
   // wrap.  A header-only file (zero records) is a valid empty store.
   if (desc_.samples > (1ULL << 32)) {
-    reject(path, store_fault::file_bad_shape, 16, no_chunk,
+    reject(path, store_fault::file_bad_shape, hdr_samples, no_chunk,
            "implausible sample count");
   }
   const std::uint64_t record_bytes = desc_.record_bytes();
   if (desc_.chunk_traces == 0 || record_bytes == 0) {
-    reject(path, store_fault::file_bad_shape, 16, no_chunk,
+    reject(path, store_fault::file_bad_shape, hdr_samples, no_chunk,
            "degenerate record shape");
   }
 
@@ -208,15 +198,16 @@ void trace_store_reader::parse(const std::string& path) {
               "bad chunk magic");
       continue;
     }
-    if (get<std::uint32_t>(chdr, 28) != util::crc32(chdr, 28)) {
+    if (get<std::uint32_t>(chdr, chk_crc) != util::crc32(chdr, chk_crc)) {
       damaged(store_fault::chunk_header_crc, nominal_stride,
               "chunk header checksum mismatch");
       continue;
     }
     // Header CRC checked out: count/payload_bytes/first_index are
     // trustworthy, so later faults can resync by the exact extent.
-    const std::uint32_t count = get<std::uint32_t>(chdr, 4);
-    const std::uint64_t payload_bytes = get<std::uint64_t>(chdr, 16);
+    const std::uint32_t count = get<std::uint32_t>(chdr, chk_count);
+    const std::uint64_t payload_bytes =
+        get<std::uint64_t>(chdr, chk_payload_bytes);
     // Overflow-safe bounds: the payload must fit in what remains of the
     // mapping (offset + header is already known <= map_size_), and the
     // count comparison divides instead of multiplying, so neither check
@@ -232,8 +223,9 @@ void trace_store_reader::parse(const std::string& path) {
               "inconsistent chunk geometry");
       continue;
     }
-    const std::uint64_t extent = chunk_header_bytes + payload_bytes;
-    const std::uint64_t first_field = get<std::uint64_t>(chdr, 8);
+    const std::uint64_t chunk_bytes = chunk_header_bytes + payload_bytes;
+    const std::uint64_t first_field =
+        get<std::uint64_t>(chdr, chk_first_index);
     if (first_field < desc_.first_index ||
         (mode_ == store_open_mode::strict
              ? first_field - desc_.first_index != expected_next
@@ -245,7 +237,7 @@ void trace_store_reader::parse(const std::string& path) {
                    (on_grid && first_field - desc_.first_index !=
                                    std::uint64_t{ordinal} *
                                        desc_.chunk_traces))) {
-      damaged(store_fault::chunk_index, extent,
+      damaged(store_fault::chunk_index, chunk_bytes,
               "chunk index discontinuity");
       continue;
     }
@@ -263,21 +255,20 @@ void trace_store_reader::parse(const std::string& path) {
       prev_short = false; // note the anomaly once, not per later chunk
     }
     const unsigned char* payload = chdr + chunk_header_bytes;
-    if (get<std::uint32_t>(chdr, 24) !=
+    if (get<std::uint32_t>(chdr, chk_payload_crc) !=
         util::crc32(payload, payload_bytes)) {
-      damaged(store_fault::chunk_payload_crc, extent,
+      damaged(store_fault::chunk_payload_crc, chunk_bytes,
               "chunk payload checksum mismatch");
       continue;
     }
     const auto rec_first =
         static_cast<std::size_t>(first_field - desc_.first_index);
-    chunks_.push_back(
-        chunk_entry{offset + chunk_header_bytes, rec_first, count});
+    chunks_.push_back(chunk_extent{offset, chunk_bytes, rec_first, count});
     traces_ += count;
     expected_next = rec_first + count;
     prev_short = count < desc_.chunk_traces;
-    on_grid = on_grid && extent == nominal_stride;
-    offset += extent;
+    on_grid = on_grid && chunk_bytes == nominal_stride;
+    offset += chunk_bytes;
     ++ordinal;
   }
   end_record_ = expected_next;
@@ -310,92 +301,27 @@ trace_store_reader::trace_store_reader(trace_store_reader&& other) noexcept
       damage_(std::move(other.damage_)),
       scratch_(std::move(other.scratch_)) {}
 
-trace_store_reader&
-trace_store_reader::operator=(trace_store_reader&& other) noexcept {
-  if (this != &other) {
-    if (map_ != nullptr) {
-      ::munmap(const_cast<unsigned char*>(map_), map_size_);
-    }
-    desc_ = other.desc_;
-    mode_ = other.mode_;
-    map_ = std::exchange(other.map_, nullptr);
-    map_size_ = std::exchange(other.map_size_, 0);
-    traces_ = other.traces_;
-    end_record_ = other.end_record_;
-    chunks_ = std::move(other.chunks_);
-    damage_ = std::move(other.damage_);
-    scratch_ = std::move(other.scratch_);
-  }
-  return *this;
-}
-
 trace_store_reader::~trace_store_reader() {
   if (map_ != nullptr) {
     ::munmap(const_cast<unsigned char*>(map_), map_size_);
   }
 }
 
-const trace_store_reader::chunk_entry&
-trace_store_reader::record_chunk(std::size_t record) const {
-  // Surviving chunks are sorted by first_record; find the last chunk
-  // starting at or before `record`.  For an intact store this resolves
-  // to the same chunk as the old division arithmetic.
-  const auto it = std::upper_bound(
-      chunks_.begin(), chunks_.end(), record,
-      [](std::size_t r, const chunk_entry& e) { return r < e.first_record; });
-  if (it == chunks_.begin()) {
-    throw util::analysis_error("trace store record index out of range");
-  }
-  const chunk_entry& entry = *(it - 1);
-  if (record >= entry.first_record + entry.count) {
-    throw util::analysis_error(
-        "trace store record " + std::to_string(record) +
-        " was lost to a damaged chunk (salvaged store)");
-  }
-  return entry;
-}
-
-const unsigned char*
-trace_store_reader::record_ptr(std::size_t record) const {
-  const chunk_entry& entry = record_chunk(record);
-  return map_ + entry.payload_offset +
-         (record - entry.first_record) * desc_.record_bytes();
-}
-
-std::span<const double>
-trace_store_reader::labels_row(std::size_t record) const {
-  const unsigned char* rec = record_ptr(record);
-  if (desc_.record_bytes() % alignof(double) != 0) {
-    throw util::analysis_error(
-        "labels of this store are not uniformly aligned; use stream()");
-  }
-  assert(reinterpret_cast<std::uintptr_t>(rec) % alignof(double) == 0);
-  return {reinterpret_cast<const double*>(rec), desc_.labels};
-}
-
-std::span<const double>
-trace_store_reader::samples_row(std::size_t record) const {
-  if (desc_.scalar != trace_scalar::f64) {
-    throw util::analysis_error(
-        "zero-copy sample views require a float64 store; use stream()");
-  }
-  const unsigned char* rec = record_ptr(record);
-  assert(reinterpret_cast<std::uintptr_t>(rec) % alignof(double) == 0);
-  return {reinterpret_cast<const double*>(rec) + desc_.labels,
-          static_cast<std::size_t>(desc_.samples)};
-}
-
-batch_rows trace_store_reader::chunk_rows(std::size_t chunk) const {
+const chunk_extent& trace_store_reader::extent(std::size_t chunk) const {
   if (chunk >= chunks_.size()) {
     throw util::analysis_error("trace store chunk index out of range");
   }
-  const chunk_entry& entry = chunks_[chunk];
+  return chunks_[chunk];
+}
+
+batch_rows trace_store_reader::chunk_rows(std::size_t chunk) const {
+  const chunk_extent& entry = extent(chunk);
   const std::size_t n_labels = desc_.labels;
   const std::size_t n_samples = static_cast<std::size_t>(desc_.samples);
   batch_rows rows;
   rows.first_record = entry.first_record;
   rows.count = entry.count;
-  const unsigned char* payload = map_ + entry.payload_offset;
+  const unsigned char* payload = map_ + entry.offset + chunk_header_bytes;
   if (desc_.scalar == trace_scalar::f64) {
     // An f64 record is labels*8 + samples*8 bytes and every payload
     // offset is 8-aligned (header sizes are multiples of 8), so the

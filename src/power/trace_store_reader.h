@@ -1,8 +1,11 @@
 // Zero-copy mmap reader for the chunked trace store (power/trace_io.h).
 //
-// The whole file is mapped read-only once; opening validates the header
-// and every chunk (structure, index contiguity, CRC-32 of header and
-// payload).  Two open modes:
+// The reader owns the store's decoder and every validation rule; the
+// format itself is defined once in power/trace_store_format.h, and the
+// writer's resume() validates an existing store by opening it here in
+// salvage mode.  The whole file is mapped read-only once; opening
+// validates the header and every chunk (structure, index contiguity,
+// CRC-32 of header and payload).  Two open modes:
 //
 //  * strict (default) — any structural damage throws util::analysis_error
 //    carrying the file path, byte offset, chunk index and failure class,
@@ -84,6 +87,14 @@ struct chunk_damage {
   std::uint64_t bytes_skipped = 0; ///< extent stepped over to resync
 };
 
+/// Where a surviving chunk lies in the file and which records it holds.
+struct chunk_extent {
+  std::uint64_t offset = 0;     ///< file offset of the chunk header
+  std::uint64_t bytes = 0;      ///< chunk header plus payload
+  std::size_t first_record = 0; ///< original store-relative index
+  std::uint32_t count = 0;      ///< records in the chunk
+};
+
 /// One chunk of a store viewed as strided rows of doubles: row r's labels
 /// start at labels + r * stride, its samples at samples + r * stride.
 /// For f64 stores the pointers alias the mapping (zero-copy); for f32
@@ -106,7 +117,6 @@ public:
   explicit trace_store_reader(const std::string& path,
                               store_open_mode mode = store_open_mode::strict);
   trace_store_reader(trace_store_reader&& other) noexcept;
-  trace_store_reader& operator=(trace_store_reader&& other) noexcept;
   ~trace_store_reader();
 
   const trace_store_descriptor& descriptor() const noexcept { return desc_; }
@@ -136,8 +146,6 @@ public:
     return desc_.record_bytes() * traces_;
   }
 
-  /// The open mode this reader was constructed with.
-  store_open_mode mode() const noexcept { return mode_; }
   /// Damage map of a salvage open (empty after a strict open, which
   /// would have thrown instead).
   std::span<const chunk_damage> damage() const noexcept { return damage_; }
@@ -146,15 +154,6 @@ public:
   /// Records lost to damaged chunks BEFORE the last surviving record
   /// (tail loss has no record count: a torn tail's length is unknown).
   std::size_t lost_records() const noexcept { return end_record_ - traces_; }
-
-  /// Zero-copy row views into the mapping; valid while the reader lives.
-  /// `record` is the store-relative record index — after a salvage open,
-  /// indices inside lost chunks throw.  samples_row requires an f64
-  /// store (throws on f32); labels_row works on either (labels are
-  /// always stored as f64, but are only aligned — and therefore only
-  /// viewable — when the record stride is).
-  std::span<const double> labels_row(std::size_t record) const;
-  std::span<const double> samples_row(std::size_t record) const;
 
   /// Views surviving chunk `chunk` (0 .. chunk_count()) as strided rows;
   /// first_record is the chunk's ORIGINAL store-relative position, so
@@ -172,17 +171,16 @@ public:
       std::span<const double> samples)>;
   void stream(const record_fn& fn) const;
 
-private:
-  /// Surviving chunk: payload location plus its original record range.
-  struct chunk_entry {
-    std::uint64_t payload_offset = 0;
-    std::size_t first_record = 0; ///< original store-relative index
-    std::uint32_t count = 0;
-  };
+  /// Raw byte extent of surviving chunk `chunk` in file_bytes(), for
+  /// resume(), which keeps a prefix of whole chunks byte for byte.
+  const chunk_extent& extent(std::size_t chunk) const;
+  /// The whole mapped file; valid while the reader lives.
+  std::span<const unsigned char> file_bytes() const noexcept {
+    return {map_, static_cast<std::size_t>(map_size_)};
+  }
 
+private:
   void parse(const std::string& path);
-  const chunk_entry& record_chunk(std::size_t record) const;
-  const unsigned char* record_ptr(std::size_t record) const;
 
   trace_store_descriptor desc_;
   store_open_mode mode_ = store_open_mode::strict;
@@ -190,7 +188,7 @@ private:
   std::uint64_t map_size_ = 0;
   std::size_t traces_ = 0;
   std::size_t end_record_ = 0; ///< one past the last surviving record
-  std::vector<chunk_entry> chunks_;
+  std::vector<chunk_extent> chunks_;
   std::vector<chunk_damage> damage_;
   mutable std::vector<double> scratch_; ///< f32 whole-chunk decode tile
 };

@@ -107,7 +107,7 @@ TEST(AcquisitionCampaign, FullRunWindowCoversWholeRun) {
   ASSERT_EQ(records.size(), 2u);
   for (const auto& rec : records) {
     EXPECT_EQ(rec.window_begin, 0u);
-    EXPECT_EQ(rec.window_end, rec.cycles + config.full_run_tail_pad);
+    EXPECT_EQ(rec.window_end, rec.cycles + core::full_run_tail_pad);
     EXPECT_EQ(rec.samples.size(), rec.window_end);
   }
 }

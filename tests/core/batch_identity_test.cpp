@@ -172,12 +172,11 @@ TEST(BatchSources, ArchiveSourceServesWholeChunksZeroCopy) {
   archive_source source(reader);
   std::vector<std::size_t> batch_counts;
   source.for_each_batch(1'000'000, [&](const trace_batch_view& batch) {
-    batch_counts.push_back(batch.count);
     // f64 store: the tile must alias the mapping (no copies) — row 0 of
-    // the batch is exactly the reader's zero-copy row view.
+    // the batch is exactly the reader's zero-copy chunk view.
     EXPECT_EQ(batch.samples_row(0).data(),
-              reader.samples_row(batch.first_index - reader.first_index())
-                  .data());
+              reader.chunk_rows(batch_counts.size()).samples);
+    batch_counts.push_back(batch.count);
   });
   ASSERT_EQ(batch_counts.size(), reader.chunk_count());
   EXPECT_EQ(batch_counts[0], 32u);

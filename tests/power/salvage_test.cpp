@@ -228,11 +228,13 @@ TEST(Salvage, PayloadBitRotFailsThePayloadCrc) {
                 k_chunk_traces *
                     test_descriptor(power::trace_scalar::f64).record_bytes());
   expect_survivors(reader, all_but_chunk(3));
-  // Indexing into the hole throws; its neighbors stay addressable.
-  EXPECT_THROW(reader.labels_row(3 * k_chunk_traces + 1),
+  // The hole is stepped over: its neighbours keep their original
+  // record positions, and no chunk serves the lost range.
+  EXPECT_EQ(reader.chunk_rows(2).first_record, 2 * k_chunk_traces);
+  EXPECT_EQ(reader.chunk_rows(2).labels[0], label_of(2 * k_chunk_traces, 0));
+  EXPECT_EQ(reader.chunk_rows(3).first_record, 4 * k_chunk_traces);
+  EXPECT_THROW(reader.chunk_rows(reader.chunk_count()),
                util::analysis_error);
-  EXPECT_EQ(reader.labels_row(2 * k_chunk_traces)[0],
-            label_of(2 * k_chunk_traces, 0));
   std::remove(path.c_str());
 }
 

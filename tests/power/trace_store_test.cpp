@@ -88,20 +88,23 @@ TEST(TraceStore, RoundTripIsBitIdentical) {
   EXPECT_EQ(reader.descriptor().seed, 0xfeedu);
   EXPECT_EQ(reader.descriptor().config_hash, 0xc0ffeeu);
 
-  // Zero-copy row views.
-  for (std::size_t i = 0; i < n; ++i) {
-    const record expect = record_at(i, 2, 5);
-    const auto labels = reader.labels_row(i);
-    const auto samples = reader.samples_row(i);
-    ASSERT_EQ(labels.size(), 2u);
-    ASSERT_EQ(samples.size(), 5u);
-    for (std::size_t l = 0; l < labels.size(); ++l) {
-      EXPECT_EQ(labels[l], expect.labels[l]);
-    }
-    for (std::size_t s = 0; s < samples.size(); ++s) {
-      EXPECT_EQ(samples[s], expect.samples[s]);
+  // Zero-copy chunk rows, in index order.
+  std::size_t row_index = 0;
+  for (std::size_t c = 0; c < reader.chunk_count(); ++c) {
+    const batch_rows rows = reader.chunk_rows(c);
+    EXPECT_EQ(rows.first_record, row_index);
+    ASSERT_EQ(rows.stride, 2u + 5u);
+    for (std::size_t r = 0; r < rows.count; ++r, ++row_index) {
+      const record expect = record_at(row_index, 2, 5);
+      for (std::size_t l = 0; l < 2; ++l) {
+        EXPECT_EQ(rows.labels[r * rows.stride + l], expect.labels[l]);
+      }
+      for (std::size_t s = 0; s < 5; ++s) {
+        EXPECT_EQ(rows.samples[r * rows.stride + s], expect.samples[s]);
+      }
     }
   }
+  EXPECT_EQ(row_index, n);
 
   // Streaming delivers the same bytes in index order.
   std::size_t seen = 0;
@@ -150,8 +153,13 @@ TEST(TraceStore, F32StoreQuantizesToFloat) {
   }
   trace_store_reader reader(path);
   EXPECT_EQ(reader.descriptor().scalar, trace_scalar::f32);
-  // Half the payload of an f64 store for the samples.
-  EXPECT_THROW((void)reader.samples_row(0), util::analysis_error);
+  // Half the payload of an f64 store for the samples, so the rows are
+  // decoded into a scratch tile instead of aliasing the mapping.
+  const std::span<const unsigned char> mapped = reader.file_bytes();
+  const auto* decoded =
+      reinterpret_cast<const unsigned char*>(reader.chunk_rows(0).samples);
+  EXPECT_TRUE(decoded < mapped.data() ||
+              decoded >= mapped.data() + mapped.size());
   std::size_t seen = 0;
   reader.stream([&](std::size_t index, std::span<const double> labels,
                     std::span<const double> samples) {
