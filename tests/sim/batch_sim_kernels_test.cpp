@@ -344,6 +344,53 @@ TEST(EmitKernels, BaselineAndAvx2SetsAreBitIdentical) {
   }
 }
 
+/// A sample whose fused multiply-add differs from the two-rounding sum:
+/// weight 1/3 times 3 toggles is 1 - 2^-54 exactly, which rounds to 1.0,
+/// so -1.0 + round(weight * 3) is +0.0 while fma(weight, 3, -1.0) is
+/// -2^-54.  A kernel that contracts `row + weight * toggles` fails here
+/// on every lane, whatever the fuzz draws.
+TEST(EmitKernels, NoSetContractsTheWeightedAdd) {
+  const double weight = 1.0 / 3.0;
+  ASSERT_NE(std::fma(weight, 3.0, -1.0), 0.0);
+  std::vector<const sim::emit_kernels*> sets = {
+      &sim::baseline_emit_kernels()};
+  if (const sim::emit_kernels* avx2 = sim::avx2_emit_kernels()) {
+    sets.push_back(avx2);
+  }
+  for (const sim::emit_kernels* kernels : sets) {
+    for (const std::size_t n : {std::size_t{1}, std::size_t{7},
+                                sim::max_batch_lanes}) {
+      // Every fifth lane repeats its state and keeps -1.0; the others
+      // toggle three bits.
+      std::vector<double> row(n, -1.0);
+      std::vector<std::uint32_t> state(n, 0x10U);
+      std::vector<std::uint32_t> values(n);
+      for (std::size_t l = 0; l < n; ++l) {
+        values[l] = l % 5 == 4 ? state[l] : 0x10U ^ (0x7U << (l % 20));
+      }
+      kernels->drive(row.data(), weight, state.data(), values.data(), n);
+      for (std::size_t l = 0; l < n; ++l) {
+        const double expect = l % 5 == 4 ? -1.0 : 0.0;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(row[l]),
+                  std::bit_cast<std::uint64_t>(expect))
+            << kernels->name << " drive n=" << n << " lane " << l;
+      }
+      std::vector<std::uint32_t> weights_of(n);
+      for (std::size_t l = 0; l < n; ++l) {
+        weights_of[l] = l % 5 == 4 ? 0U : 0x7U << (l % 20);
+      }
+      std::fill(row.begin(), row.end(), -1.0);
+      kernels->weigh(row.data(), weight, weights_of.data(), n);
+      for (std::size_t l = 0; l < n; ++l) {
+        const double expect = l % 5 == 4 ? -1.0 : 0.0;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(row[l]),
+                  std::bit_cast<std::uint64_t>(expect))
+            << kernels->name << " weigh n=" << n << " lane " << l;
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------ datapath
 
 /// Register file with hostile values mixed in: 0, all ones, the sign

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -196,6 +198,63 @@ TEST(BatchKernels, GenericAndAvx2SetsAreBitIdentical) {
   avx2->solve_accumulate(acc_a.data(), hyp.data(), part_g.data(), samples,
                          part_n.data(), 256, samples);
   ASSERT_EQ(acc_g, acc_a);
+}
+
+// Accumulators whose fused multiply-add differs from the two-rounding
+// sum: v = 1 + 2^-30 squares to 1 + 2^-29 + 2^-60, which rounds to
+// 1 + 2^-29, so -(1 + 2^-29) + round(v * v) is +0.0 while the fused form
+// keeps 2^-60.  A kernel that contracts `acc + a * b` fails here on every
+// element, whatever the fuzz draws.
+TEST(BatchKernels, NoSetContractsMultiplyAdd) {
+  const double v = 1.0 + 0x1.0p-30;
+  const double square = v * v;
+  ASSERT_NE(std::fma(v, v, -square), 0.0);
+  std::vector<const batch_kernels*> sets = {&generic_kernels()};
+  if (const batch_kernels* avx2 = avx2_kernels()) {
+    sets.push_back(avx2);
+  }
+  if (const batch_kernels* neon = neon_kernels()) {
+    sets.push_back(neon);
+  }
+  const std::size_t n = 37; // vector bodies and a tail
+  for (const batch_kernels* kernels : sets) {
+    SCOPED_TRACE(kernels->name);
+    const std::vector<double> row(n, v);
+    const std::uint8_t partition = 3;
+
+    std::vector<double> sum(n, -v);
+    std::vector<double> sum_sq(n, -square);
+    std::vector<double> part(4 * n, -v);
+    kernels->cpa_accumulate(sum.data(), sum_sq.data(), part.data(), n,
+                            &partition, row.data(), n, 1, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(sum_sq[i]), 0U) << "cpa " << i;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(sum[i]), 0U) << "cpa " << i;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(part[3 * n + i]), 0U)
+          << "cpa " << i;
+    }
+
+    // tvla: dx = v - 0 = v.
+    const std::vector<double> center(n, 0.0);
+    const double* rows[] = {row.data()};
+    std::fill(sum.begin(), sum.end(), -v);
+    std::fill(sum_sq.begin(), sum_sq.end(), -square);
+    kernels->tvla_accumulate(sum.data(), sum_sq.data(), center.data(), rows,
+                             1, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(sum_sq[i]), 0U) << "tvla " << i;
+    }
+
+    // solve: acc += hyp * row with hyp = v.
+    const double hyp = v;
+    const std::uint64_t part_n = 1;
+    std::vector<double> acc(n, -square);
+    kernels->solve_accumulate(acc.data(), &hyp, row.data(), n, &part_n, 1,
+                              n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(acc[i]), 0U) << "solve " << i;
+    }
+  }
 }
 
 TEST(BatchKernels, BatchShapeMismatchesThrow) {
