@@ -9,7 +9,8 @@
 // same log/divide/sqrt, so every sample is bit-identical to the scalar
 // loop whatever kernel runs.
 //
-// Two sets, resolved once at first use like stats::active_kernels():
+// Three sets; the widest the CPU runs is resolved once at first use,
+// like stats::active_kernels():
 //
 //  * "scalar" — per lane, seed a generator and run the scalar loop
 //    (add_gaussian below); the portable path and the oracle;
@@ -21,10 +22,20 @@
 //    per lane; a lane that has all its pairs keeps drawing until the
 //    slowest lane of its group is done, and that over-drawn state is
 //    discarded (every trace reseeds).  log stays scalar, one loop per
-//    lane; the divide and sqrt are correctly rounded in either width.
+//    lane; the divide and sqrt are correctly rounded in either width;
+//  * "avx512" — eight lanes per group: native vprolq, an exact vcvtuqq2pd
+//    for x >> 11, and a masked scatter of each open lane's (u, v, s) at
+//    its own count instead of the per-lane compaction loop; log stays
+//    scalar.
 //
-// The identity tests compare the sets through scalar_noise_kernels() and
-// avx2_noise_kernels().
+// The FMA rule: every multiply and add rounds on its own, as in the
+// scalar loop.  AVX2 leaves FMA off; a target that enables it (AVX-512
+// does) lets GCC fuse even a plain `a + b * c`, so the AVX-512 body
+// multiplies and adds through explicit-rounding intrinsics
+// (util/avx512.h).
+//
+// The identity tests compare the sets through scalar_noise_kernels(),
+// avx2_noise_kernels() and avx512_noise_kernels().
 #ifndef USCA_POWER_NOISE_KERNELS_H
 #define USCA_POWER_NOISE_KERNELS_H
 
@@ -86,7 +97,12 @@ const noise_kernels& scalar_noise_kernels() noexcept;
 /// The AVX2 set, or nullptr when the build or the CPU lacks AVX2.
 const noise_kernels* avx2_noise_kernels() noexcept;
 
-/// The runtime-dispatched active set, resolved once at first use.
+/// The AVX-512 set, or nullptr when the build or the CPU lacks the
+/// util/avx512.h feature set.
+const noise_kernels* avx512_noise_kernels() noexcept;
+
+/// The runtime-dispatched active set, the widest the CPU runs, resolved
+/// once at first use.
 const noise_kernels& active_noise_kernels();
 
 } // namespace usca::power

@@ -6,6 +6,7 @@
 #include "sim/batch_pipeline.h"
 #include "sim/micro_arch_config.h"
 #include "sim/ooo/batch_ooo_core.h"
+#include "util/avx512.h"
 #include "util/error.h"
 #include "util/telemetry.h"
 
@@ -101,6 +102,68 @@ avx2_weigh(double* row, double weight, const std::uint32_t* values,
 constexpr emit_kernels avx2_set = {"avx2", avx2_drive, avx2_weigh};
 #endif
 
+// AVX-512: eight lanes per step.  vpopcntd counts the toggles, and a
+// masked vaddpd adds `weight * toggles` only on the lanes that toggled,
+// which is add_toggles' rule without the bit select.  The multiply and
+// the add are explicit-rounding intrinsics, so they round twice like the
+// baseline and are never fused (util/avx512.h).  The last n % 8 lanes
+// run through the same step under a lane mask.
+#if USCA_HAVE_AVX512
+USCA_AVX512_BODIES_BEGIN
+
+template <bool Distance>
+[[gnu::always_inline]] __attribute__((target(USCA_AVX512_TARGET))) inline void
+add_lanes_x8(double* row, __m512d weight, std::uint32_t* state,
+             const std::uint32_t* values, __mmask8 lanes) {
+  const __m256i value = _mm256_maskz_loadu_epi32(lanes, values);
+  __m256i flips = value;
+  if constexpr (Distance) {
+    flips = _mm256_xor_si256(_mm256_maskz_loadu_epi32(lanes, state), value);
+    _mm256_mask_storeu_epi32(state, lanes, value);
+  }
+  const __mmask8 toggled = _mm256_mask_test_epi32_mask(lanes, flips, flips);
+  const __m512d product = _mm512_mul_round_pd(
+      weight, _mm512_cvtepi32_pd(_mm256_popcnt_epi32(flips)),
+      USCA_AVX512_NEAREST);
+  const __m512d sample = _mm512_maskz_loadu_pd(lanes, row);
+  _mm512_mask_storeu_pd(row, lanes,
+                        _mm512_mask_add_round_pd(sample, toggled, sample,
+                                                 product,
+                                                 USCA_AVX512_NEAREST));
+}
+
+template <bool Distance>
+__attribute__((target(USCA_AVX512_TARGET))) void
+avx512_emit(double* row, double weight, std::uint32_t* state,
+            const std::uint32_t* values, std::size_t n) {
+  const __m512d w = _mm512_set1_pd(weight);
+  std::size_t l = 0;
+  for (; l + 8 <= n; l += 8) {
+    add_lanes_x8<Distance>(row + l, w, Distance ? state + l : nullptr,
+                           values + l, 0xff);
+  }
+  if (l < n) {
+    add_lanes_x8<Distance>(row + l, w, Distance ? state + l : nullptr,
+                           values + l,
+                           static_cast<__mmask8>((1U << (n - l)) - 1));
+  }
+}
+
+USCA_AVX512_BODIES_END
+
+void avx512_drive(double* row, double weight, std::uint32_t* state,
+                  const std::uint32_t* values, std::size_t n) {
+  avx512_emit<true>(row, weight, state, values, n);
+}
+
+void avx512_weigh(double* row, double weight, const std::uint32_t* values,
+                  std::size_t n) {
+  avx512_emit<false>(row, weight, nullptr, values, n);
+}
+
+constexpr emit_kernels avx512_set = {"avx512", avx512_drive, avx512_weigh};
+#endif // USCA_HAVE_AVX512
+
 } // namespace
 
 const emit_kernels& baseline_emit_kernels() noexcept { return baseline_set; }
@@ -113,8 +176,19 @@ const emit_kernels* avx2_emit_kernels() noexcept {
 #endif
 }
 
+const emit_kernels* avx512_emit_kernels() noexcept {
+#if USCA_HAVE_AVX512
+  return util::cpu_has_avx512() ? &avx512_set : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
 const emit_kernels& active_emit_kernels() {
   static const emit_kernels* const active = [] {
+    if (const emit_kernels* avx512 = avx512_emit_kernels()) {
+      return avx512;
+    }
     const emit_kernels* avx2 = avx2_emit_kernels();
     return avx2 != nullptr ? avx2 : &baseline_set;
   }();

@@ -45,8 +45,8 @@
 // weighted toggle count straight into a cycle-major clean-power tile,
 // the noiseless half of power::trace_synthesizer's model, so a consumer
 // that reads only samples skips the event stream entirely.  The fused
-// contiguous-lane body is dispatched once (emit_kernels: baseline ISA or
-// AVX2, bit-identical), for both engines alike.
+// contiguous-lane body is dispatched once (emit_kernels: baseline ISA,
+// AVX2 or AVX-512, bit-identical), for both engines alike.
 //
 // Implementations: sim::batch_pipeline (in-order; batch_pipeline.h) and
 // sim::batch_ooo_core (OoO fast scheduler; ooo/batch_ooo_core.h).  The
@@ -92,8 +92,13 @@ std::size_t resolve_sim_batch_lanes(int config_lanes);
 /// of batch_backend's emission).  drive: lane l adds
 /// weight * HD(state[l], values[l]), then state[l] takes values[l];
 /// weigh: lane l adds weight * HW(values[l]).  A lane with no toggles
-/// keeps its sample bits.  One body, compiled at the baseline ISA and
-/// for AVX2 (never FMA), so both sets are bit-identical.
+/// keeps its sample bits.  Three sets, bit-identical: one body compiled
+/// at the baseline ISA and for AVX2, and an AVX-512 body (vpopcntd and a
+/// masked add).  The FMA rule: a set whose target enables FMA (AVX-512
+/// does) must not let the compiler fuse `row + weight * toggles` — one
+/// rounding where the baseline and the synthesizer's event walk round
+/// twice — so the AVX-512 body multiplies and adds through
+/// explicit-rounding intrinsics; the AVX2 target leaves FMA off.
 struct emit_kernels {
   const char* name;
   void (*drive)(double* row, double weight, std::uint32_t* state,
@@ -108,8 +113,12 @@ const emit_kernels& baseline_emit_kernels() noexcept;
 /// The AVX2 set, or nullptr when the build or the CPU lacks AVX2.
 const emit_kernels* avx2_emit_kernels() noexcept;
 
-/// The runtime-dispatched active set, resolved once at first use; every
-/// batch engine emits through it.
+/// The AVX-512 set, or nullptr when the build or the CPU lacks the
+/// util/avx512.h feature set.
+const emit_kernels* avx512_emit_kernels() noexcept;
+
+/// The runtime-dispatched active set, the widest the CPU runs, resolved
+/// once at first use; every batch engine emits through it.
 const emit_kernels& active_emit_kernels();
 
 /// Flushes one batch run's occupancy to telemetry: the `sim.batch.lanes`

@@ -2,6 +2,8 @@
 
 #include <cstddef>
 
+#include "util/avx512.h"
+
 #if defined(__x86_64__) && defined(__GNUC__)
 #define USCA_HAVE_AVX2_KERNELS 1
 #include <immintrin.h>
@@ -203,6 +205,64 @@ constexpr batch_kernels avx2_set = {
 
 #endif // USCA_HAVE_AVX2_KERNELS
 
+// -------------------------------------------------------------- avx512
+//
+// An 8-wide cpa_accumulate, the kernel of the live campaign path; tvla
+// and solve keep their AVX2 bodies.  target("avx512f") enables FMA, so
+// `sum_sq + v * v` goes through explicit-rounding intrinsics, which GCC
+// never fuses (util/avx512.h): still two roundings, as in the generic
+// set.  The last n % 8 samples take the same step under a lane mask.
+
+#if USCA_HAVE_AVX512
+USCA_AVX512_BODIES_BEGIN
+
+[[gnu::always_inline]] __attribute__((target(USCA_AVX512_TARGET))) inline void
+cpa_step_x8(double* sum, double* sum_sq, double* part, const double* t,
+            __mmask8 lanes) {
+  const __m512d v = _mm512_maskz_loadu_pd(lanes, t);
+  _mm512_mask_storeu_pd(
+      sum, lanes, _mm512_add_pd(_mm512_maskz_loadu_pd(lanes, sum), v));
+  _mm512_mask_storeu_pd(
+      sum_sq, lanes,
+      _mm512_add_round_pd(_mm512_maskz_loadu_pd(lanes, sum_sq),
+                          _mm512_mul_round_pd(v, v, USCA_AVX512_NEAREST),
+                          USCA_AVX512_NEAREST));
+  _mm512_mask_storeu_pd(
+      part, lanes, _mm512_add_pd(_mm512_maskz_loadu_pd(lanes, part), v));
+}
+
+__attribute__((target(USCA_AVX512_TARGET))) void
+avx512_cpa_accumulate(double* sum, double* sum_sq, double* part_base,
+                      std::size_t part_stride,
+                      const std::uint8_t* partitions, const double* samples,
+                      std::size_t sample_stride, std::size_t rows,
+                      std::size_t n) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* t = samples + r * sample_stride;
+    double* part =
+        part_base + static_cast<std::size_t>(partitions[r]) * part_stride;
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+      cpa_step_x8(sum + i, sum_sq + i, part + i, t + i, 0xff);
+    }
+    if (i < n) {
+      cpa_step_x8(sum + i, sum_sq + i, part + i, t + i,
+                  static_cast<__mmask8>((1U << (n - i)) - 1));
+    }
+  }
+}
+
+USCA_AVX512_BODIES_END
+
+constexpr batch_kernels avx512_set = {
+    "avx512",
+    avx512_cpa_accumulate,
+    avx2_tvla_accumulate,
+    avx2_solve_accumulate,
+};
+
+#endif // USCA_HAVE_AVX512
+
 // ---------------------------------------------------------------- neon
 //
 // AdvSIMD is baseline on AArch64, so no runtime CPU check is needed —
@@ -305,6 +365,11 @@ constexpr batch_kernels neon_set = {
 #endif // USCA_HAVE_NEON_KERNELS
 
 const batch_kernels* auto_kernels() noexcept {
+#if USCA_HAVE_AVX512
+  if (util::cpu_has_avx512()) {
+    return &avx512_set;
+  }
+#endif
 #if USCA_HAVE_AVX2_KERNELS
   if (__builtin_cpu_supports("avx2")) {
     return &avx2_set;
@@ -324,6 +389,14 @@ const batch_kernels& generic_kernels() noexcept { return generic_set; }
 const batch_kernels* avx2_kernels() noexcept {
 #if USCA_HAVE_AVX2_KERNELS
   return __builtin_cpu_supports("avx2") ? &avx2_set : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+const batch_kernels* avx512_kernels() noexcept {
+#if USCA_HAVE_AVX512
+  return util::cpu_has_avx512() ? &avx512_set : nullptr;
 #else
   return nullptr;
 #endif

@@ -7,14 +7,21 @@
 // while every row of the batch streams past.  Each accumulator element
 // is still updated once per trace, in ascending trace order — exactly
 // the order of the per-trace path — so every kernel, at any batch size,
-// produces bit-identical sums (the batch-identity tests pin this, and it
-// is why the AVX2 variants use separate multiply/add instead of FMA: a
-// fused multiply-add rounds once, the scalar path rounds twice).
+// produces bit-identical sums (the batch-identity tests pin this).
 //
-// Dispatch is resolved once at first use: the AVX2 set on x86-64 CPUs
-// that support it, the NEON set on AArch64, the portable auto-vectorized
-// set otherwise.  The identity tests compare the sets on one machine
-// through generic_kernels(), avx2_kernels() and neon_kernels().
+// The FMA rule: every set multiplies and adds with two roundings, as the
+// scalar path does; a fused multiply-add rounds once.  The AVX2 and NEON
+// bodies use separate multiply and add instructions.  A target that
+// enables FMA (AVX-512 does) lets GCC fuse even a plain `a + b * c`, so
+// the AVX-512 body multiplies and adds through explicit-rounding
+// intrinsics (util/avx512.h).
+//
+// Dispatch is resolved once at first use: the AVX-512 set (an 8-wide
+// cpa_accumulate; tvla and solve are the AVX2 bodies) on x86-64 CPUs
+// that run it, else the AVX2 set, the NEON set on AArch64, the portable
+// auto-vectorized set otherwise.  The identity tests compare the sets on
+// one machine through generic_kernels(), avx2_kernels(),
+// avx512_kernels() and neon_kernels().
 #ifndef USCA_STATS_BATCH_KERNELS_H
 #define USCA_STATS_BATCH_KERNELS_H
 
@@ -62,6 +69,10 @@ const batch_kernels& generic_kernels() noexcept;
 
 /// The AVX2 set, or nullptr when the build or the CPU lacks AVX2.
 const batch_kernels* avx2_kernels() noexcept;
+
+/// The AVX-512 set, or nullptr when the build or the CPU lacks the
+/// util/avx512.h feature set.
+const batch_kernels* avx512_kernels() noexcept;
 
 /// The NEON set, or nullptr on non-AArch64 builds.
 const batch_kernels* neon_kernels() noexcept;

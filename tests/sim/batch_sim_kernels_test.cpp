@@ -7,8 +7,9 @@
 //    1-32, masks with holes, sample counts around the AES round-1 window
 //    (559, 560) and the whole run (5181), the degenerate 0-3, and the
 //    averaging 2, 4 and 16, with -0.0 and huge clean samples.
-//  * Emission: the baseline and AVX2 fused-emission sets on random rows,
-//    states and hostile weights.
+//  * Emission: every fused-emission set (baseline, AVX2, AVX-512) on
+//    random rows, states and hostile weights, and on a directed case a
+//    fused multiply-add would get wrong.
 //  * Datapath: the lane ALU kernels (sim/lane_alu.h) lane by lane against
 //    sim::alu's eval_operand2 / execute_dp / apply_shift and the
 //    per-trace cores' movw/movt/mul/mla formulas — every DP opcode, every
@@ -16,7 +17,8 @@
 //    full lane mask, a partial one and holed ones; lanes outside the mask
 //    keep their row values and flag bits.
 //
-// The AVX2 halves skip on a CPU or build without AVX2.
+// Each set runs where the CPU runs it; the dispatch tests expect the
+// widest of those to be active.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -173,11 +175,15 @@ void expect_same_columns(const std::vector<power::trace>& expected,
   }
 }
 
+/// Every noise set this CPU runs, narrowest first.
 std::vector<const power::noise_kernels*> noise_sets() {
   std::vector<const power::noise_kernels*> sets = {
       &power::scalar_noise_kernels()};
-  if (const power::noise_kernels* avx2 = power::avx2_noise_kernels()) {
-    sets.push_back(avx2);
+  for (const power::noise_kernels* set :
+       {power::avx2_noise_kernels(), power::avx512_noise_kernels()}) {
+    if (set != nullptr) {
+      sets.push_back(set);
+    }
   }
   return sets;
 }
@@ -208,12 +214,8 @@ TEST(NoiseKernels, EverySetEqualsTheScalarLoopBitwise) {
   }
 }
 
-TEST(NoiseKernels, Avx2SetIsDispatchedWhereAvailable) {
-  if (power::avx2_noise_kernels() == nullptr) {
-    EXPECT_STREQ(power::active_noise_kernels().name, "scalar");
-    GTEST_SKIP() << "CPU/build without AVX2 — noise dispatch stays scalar";
-  }
-  EXPECT_EQ(&power::active_noise_kernels(), power::avx2_noise_kernels());
+TEST(NoiseKernels, WidestSetIsDispatched) {
+  EXPECT_EQ(&power::active_noise_kernels(), noise_sets().back());
 }
 
 /// synthesize_columns on a case, into fresh records.
@@ -283,7 +285,8 @@ TEST(NoiseKernels, SynthesizeColumnsEqualsPerLaneColumns) {
       EXPECT_EQ(candidates.value() - candidates_before,
                 2 * oracle_candidates)
           << what;
-      const bool kernel = variant == 0 && power::avx2_noise_kernels();
+      const bool kernel = variant == 0 && &power::active_noise_kernels() !=
+                                              &power::scalar_noise_kernels();
       EXPECT_EQ(scalar_traces.value() - scalar_before,
                 kernel ? 0U
                        : static_cast<std::uint64_t>(std::popcount(c.mask)))
@@ -294,13 +297,24 @@ TEST(NoiseKernels, SynthesizeColumnsEqualsPerLaneColumns) {
 
 // ------------------------------------------------------------ emission
 
-TEST(EmitKernels, BaselineAndAvx2SetsAreBitIdentical) {
-  const sim::emit_kernels* avx2 = sim::avx2_emit_kernels();
-  if (avx2 == nullptr) {
-    EXPECT_STREQ(sim::active_emit_kernels().name, "baseline");
-    GTEST_SKIP() << "CPU/build without AVX2 — emission stays baseline";
+/// Every emission set this CPU runs, narrowest first.
+std::vector<const sim::emit_kernels*> emit_sets() {
+  std::vector<const sim::emit_kernels*> sets = {
+      &sim::baseline_emit_kernels()};
+  for (const sim::emit_kernels* set :
+       {sim::avx2_emit_kernels(), sim::avx512_emit_kernels()}) {
+    if (set != nullptr) {
+      sets.push_back(set);
+    }
   }
-  EXPECT_EQ(&sim::active_emit_kernels(), avx2);
+  return sets;
+}
+
+TEST(EmitKernels, WidestSetIsDispatched) {
+  EXPECT_EQ(&sim::active_emit_kernels(), emit_sets().back());
+}
+
+TEST(EmitKernels, EverySetEqualsTheBaselineBitwise) {
   const sim::emit_kernels& baseline = sim::baseline_emit_kernels();
   const std::array<double, 8> weights = {
       1.0, 0.12, -0.0, 0.0, 1e300, -1.25, 7e-310,
@@ -325,22 +339,27 @@ TEST(EmitKernels, BaselineAndAvx2SetsAreBitIdentical) {
         "n=" + std::to_string(n) + " weight=" + std::to_string(weight);
 
     std::vector<double> row_base = row;
-    std::vector<double> row_avx2 = row;
     std::vector<std::uint32_t> state_base = state;
-    std::vector<std::uint32_t> state_avx2 = state;
     baseline.drive(row_base.data(), weight, state_base.data(), values.data(),
                    n);
-    avx2->drive(row_avx2.data(), weight, state_avx2.data(), values.data(),
-                n);
-    EXPECT_TRUE(same_bits(row_base, row_avx2)) << "drive " << what;
     EXPECT_EQ(state_base, values) << "drive " << what;
-    EXPECT_EQ(state_avx2, values) << "drive " << what;
+    std::vector<double> weigh_base = row;
+    baseline.weigh(weigh_base.data(), weight, values.data(), n);
 
-    row_base = row;
-    row_avx2 = row;
-    baseline.weigh(row_base.data(), weight, values.data(), n);
-    avx2->weigh(row_avx2.data(), weight, values.data(), n);
-    EXPECT_TRUE(same_bits(row_base, row_avx2)) << "weigh " << what;
+    for (const sim::emit_kernels* kernels : emit_sets()) {
+      std::vector<double> row_set = row;
+      std::vector<std::uint32_t> state_set = state;
+      kernels->drive(row_set.data(), weight, state_set.data(), values.data(),
+                     n);
+      EXPECT_TRUE(same_bits(row_base, row_set))
+          << kernels->name << " drive " << what;
+      EXPECT_EQ(state_set, values) << kernels->name << " drive " << what;
+
+      row_set = row;
+      kernels->weigh(row_set.data(), weight, values.data(), n);
+      EXPECT_TRUE(same_bits(weigh_base, row_set))
+          << kernels->name << " weigh " << what;
+    }
   }
 }
 
@@ -352,12 +371,7 @@ TEST(EmitKernels, BaselineAndAvx2SetsAreBitIdentical) {
 TEST(EmitKernels, NoSetContractsTheWeightedAdd) {
   const double weight = 1.0 / 3.0;
   ASSERT_NE(std::fma(weight, 3.0, -1.0), 0.0);
-  std::vector<const sim::emit_kernels*> sets = {
-      &sim::baseline_emit_kernels()};
-  if (const sim::emit_kernels* avx2 = sim::avx2_emit_kernels()) {
-    sets.push_back(avx2);
-  }
-  for (const sim::emit_kernels* kernels : sets) {
+  for (const sim::emit_kernels* kernels : emit_sets()) {
     for (const std::size_t n : {std::size_t{1}, std::size_t{7},
                                 sim::max_batch_lanes}) {
       // Every fifth lane repeats its state and keeps -1.0; the others

@@ -3,10 +3,11 @@
 // add_batch must produce BIT-identical accumulator state to the
 // equivalent add_trace / add_fixed / add_random sequence — the property
 // that lets one campaign be analysed per-trace or batched (or replayed
-// at any chunk size) with byte-equal results.  When the CPU supports the
-// AVX2 kernel set, the generic and AVX2 kernels are additionally pinned
-// bit-identical to each other (the vector bodies use separate
-// multiply/add — never FMA — precisely so this holds).
+// at any chunk size) with byte-equal results.  Every kernel set the CPU
+// runs (NEON, AVX2, AVX-512) is additionally pinned bit-identical to the
+// generic set, on random tiles and on a directed case a fused
+// multiply-add would get wrong, and the widest of them must be the one
+// dispatched.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -144,60 +145,76 @@ TEST(BatchKernels, StridedBatchRowsMatchPackedRows) {
                        batched.solve(hw_model, 64));
 }
 
-TEST(BatchKernels, GenericAndAvx2SetsAreBitIdentical) {
-  const batch_kernels* avx2 = avx2_kernels();
-  if (avx2 == nullptr) {
-    GTEST_SKIP() << "CPU/build without AVX2 — dispatch stays generic";
+/// Every kernel set this CPU runs, narrowest first.
+std::vector<const batch_kernels*> kernel_sets() {
+  std::vector<const batch_kernels*> sets = {&generic_kernels()};
+  for (const batch_kernels* set :
+       {neon_kernels(), avx2_kernels(), avx512_kernels()}) {
+    if (set != nullptr) {
+      sets.push_back(set);
+    }
   }
+  return sets;
+}
+
+TEST(BatchKernels, WidestSetIsDispatched) {
+  EXPECT_EQ(&active_kernels(), kernel_sets().back());
+}
+
+TEST(BatchKernels, EverySetEqualsTheGenericSetBitwise) {
   const batch_kernels& generic = generic_kernels();
   const std::size_t samples = kBlock + 9; // exercises the vector tail
   const test_tile tile(128, samples, 0xa272);
+  for (const batch_kernels* kernels : kernel_sets()) {
+    SCOPED_TRACE(kernels->name);
 
-  // cpa_accumulate
-  std::vector<double> sum_g(samples, 0.0), sum_a(samples, 0.0);
-  std::vector<double> sq_g(samples, 0.0), sq_a(samples, 0.0);
-  std::vector<double> part_g(256 * samples, 0.0), part_a(256 * samples, 0.0);
-  generic.cpa_accumulate(sum_g.data(), sq_g.data(), part_g.data(), samples,
-                         tile.partitions.data(), tile.data.data(), samples,
-                         tile.rows, samples);
-  avx2->cpa_accumulate(sum_a.data(), sq_a.data(), part_a.data(), samples,
-                       tile.partitions.data(), tile.data.data(), samples,
-                       tile.rows, samples);
-  ASSERT_EQ(sum_g, sum_a);
-  ASSERT_EQ(sq_g, sq_a);
-  ASSERT_EQ(part_g, part_a);
+    // cpa_accumulate
+    std::vector<double> sum_g(samples, 0.0), sum_s(samples, 0.0);
+    std::vector<double> sq_g(samples, 0.0), sq_s(samples, 0.0);
+    std::vector<double> part_g(256 * samples, 0.0);
+    std::vector<double> part_s(256 * samples, 0.0);
+    generic.cpa_accumulate(sum_g.data(), sq_g.data(), part_g.data(), samples,
+                           tile.partitions.data(), tile.data.data(), samples,
+                           tile.rows, samples);
+    kernels->cpa_accumulate(sum_s.data(), sq_s.data(), part_s.data(),
+                            samples, tile.partitions.data(),
+                            tile.data.data(), samples, tile.rows, samples);
+    ASSERT_EQ(sum_g, sum_s);
+    ASSERT_EQ(sq_g, sq_s);
+    ASSERT_EQ(part_g, part_s);
 
-  // tvla_accumulate
-  std::vector<const double*> rows(tile.rows);
-  for (std::size_t r = 0; r < tile.rows; ++r) {
-    rows[r] = tile.row(r);
+    // tvla_accumulate
+    std::vector<const double*> rows(tile.rows);
+    for (std::size_t r = 0; r < tile.rows; ++r) {
+      rows[r] = tile.row(r);
+    }
+    std::vector<double> center(tile.row(0), tile.row(0) + samples);
+    std::fill(sum_g.begin(), sum_g.end(), 0.0);
+    std::fill(sum_s.begin(), sum_s.end(), 0.0);
+    std::fill(sq_g.begin(), sq_g.end(), 0.0);
+    std::fill(sq_s.begin(), sq_s.end(), 0.0);
+    generic.tvla_accumulate(sum_g.data(), sq_g.data(), center.data(),
+                            rows.data(), rows.size(), samples);
+    kernels->tvla_accumulate(sum_s.data(), sq_s.data(), center.data(),
+                             rows.data(), rows.size(), samples);
+    ASSERT_EQ(sum_g, sum_s);
+    ASSERT_EQ(sq_g, sq_s);
+
+    // solve_accumulate
+    std::vector<double> hyp(256);
+    std::vector<std::uint64_t> part_n(256);
+    util::xoshiro256 rng(0x501e);
+    for (std::size_t p = 0; p < 256; ++p) {
+      hyp[p] = rng.next_gaussian();
+      part_n[p] = p % 5 == 0 ? 0 : 1; // exercise the skip path
+    }
+    std::vector<double> acc_g(samples, 0.0), acc_s(samples, 0.0);
+    generic.solve_accumulate(acc_g.data(), hyp.data(), part_g.data(), samples,
+                             part_n.data(), 256, samples);
+    kernels->solve_accumulate(acc_s.data(), hyp.data(), part_g.data(),
+                              samples, part_n.data(), 256, samples);
+    ASSERT_EQ(acc_g, acc_s);
   }
-  std::vector<double> center(tile.row(0), tile.row(0) + samples);
-  std::fill(sum_g.begin(), sum_g.end(), 0.0);
-  std::fill(sum_a.begin(), sum_a.end(), 0.0);
-  std::fill(sq_g.begin(), sq_g.end(), 0.0);
-  std::fill(sq_a.begin(), sq_a.end(), 0.0);
-  generic.tvla_accumulate(sum_g.data(), sq_g.data(), center.data(),
-                          rows.data(), rows.size(), samples);
-  avx2->tvla_accumulate(sum_a.data(), sq_a.data(), center.data(),
-                        rows.data(), rows.size(), samples);
-  ASSERT_EQ(sum_g, sum_a);
-  ASSERT_EQ(sq_g, sq_a);
-
-  // solve_accumulate
-  std::vector<double> hyp(256);
-  std::vector<std::uint64_t> part_n(256);
-  util::xoshiro256 rng(0x501e);
-  for (std::size_t p = 0; p < 256; ++p) {
-    hyp[p] = rng.next_gaussian();
-    part_n[p] = p % 5 == 0 ? 0 : 1; // exercise the skip path
-  }
-  std::vector<double> acc_g(samples, 0.0), acc_a(samples, 0.0);
-  generic.solve_accumulate(acc_g.data(), hyp.data(), part_g.data(), samples,
-                           part_n.data(), 256, samples);
-  avx2->solve_accumulate(acc_a.data(), hyp.data(), part_g.data(), samples,
-                         part_n.data(), 256, samples);
-  ASSERT_EQ(acc_g, acc_a);
 }
 
 // Accumulators whose fused multiply-add differs from the two-rounding
@@ -209,15 +226,8 @@ TEST(BatchKernels, NoSetContractsMultiplyAdd) {
   const double v = 1.0 + 0x1.0p-30;
   const double square = v * v;
   ASSERT_NE(std::fma(v, v, -square), 0.0);
-  std::vector<const batch_kernels*> sets = {&generic_kernels()};
-  if (const batch_kernels* avx2 = avx2_kernels()) {
-    sets.push_back(avx2);
-  }
-  if (const batch_kernels* neon = neon_kernels()) {
-    sets.push_back(neon);
-  }
   const std::size_t n = 37; // vector bodies and a tail
-  for (const batch_kernels* kernels : sets) {
+  for (const batch_kernels* kernels : kernel_sets()) {
     SCOPED_TRACE(kernels->name);
     const std::vector<double> row(n, v);
     const std::uint8_t partition = 3;
