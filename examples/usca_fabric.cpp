@@ -607,6 +607,11 @@ int run_verify(int argc, char** argv) {
     std::fprintf(stderr, "verify: a store or manifest path is required\n");
     return 2;
   }
+  // The reader's probe recognises a trace store; anything else is read
+  // as a manifest, whose walker rejects a file without its magic line.
+  if (power::trace_store_reader::probe(path)) {
+    return verify_store(path, strict);
+  }
   FILE* in = std::fopen(path.c_str(), "rb");
   if (!in) {
     util::json_writer w;
@@ -618,19 +623,8 @@ int run_verify(int argc, char** argv) {
     print_json(w);
     return 1;
   }
-  // Trace stores start with "USCATRC2", manifests with
-  // "usca-fabric-manifest" — the first bytes pick the walker.
-  char magic[8] = {};
-  const std::size_t got = std::fread(magic, 1, sizeof(magic), in);
-  std::rewind(in);
-  int rc;
-  if (got >= 8 && std::strncmp(magic, "USCATRC", 7) == 0) {
-    std::fclose(in);
-    rc = verify_store(path, strict);
-  } else {
-    rc = verify_manifest(path, in);
-    std::fclose(in);
-  }
+  const int rc = verify_manifest(path, in);
+  std::fclose(in);
   return rc;
 }
 

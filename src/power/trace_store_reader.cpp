@@ -105,6 +105,18 @@ trace_store_reader::trace_store_reader(const std::string& path,
   }
 }
 
+bool trace_store_reader::probe(const std::string& path) noexcept {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    return false;
+  }
+  unsigned char header[file_header_bytes];
+  const ::ssize_t got = ::pread(fd, header, sizeof header, 0);
+  ::close(fd);
+  return got == static_cast<::ssize_t>(sizeof header) &&
+         std::memcmp(header, magic, sizeof magic) == 0;
+}
+
 void trace_store_reader::parse(const std::string& path) {
   // --- header ----------------------------------------------------------
   // File header faults are fatal in BOTH modes: without a trusted header

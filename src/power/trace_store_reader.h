@@ -116,6 +116,13 @@ public:
   /// header damage throws and chunk damage lands in damage().
   explicit trace_store_reader(const std::string& path,
                               store_open_mode mode = store_open_mode::strict);
+
+  /// True when `path` holds at least a whole file header and starts
+  /// with the store magic: how a caller tells a store from another file
+  /// (a fabric manifest, say) without copying the magic.  Validates
+  /// nothing else; false for a missing or unreadable file and for one
+  /// cut short inside its header.
+  static bool probe(const std::string& path) noexcept;
   trace_store_reader(trace_store_reader&& other) noexcept;
   ~trace_store_reader();
 

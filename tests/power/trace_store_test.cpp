@@ -199,6 +199,35 @@ TEST(TraceStore, RejectsBadMagicAndHeaderDamage) {
   std::remove(path.c_str());
 }
 
+TEST(TraceStore, ProbeRecognisesStoresOnly) {
+  const std::string path = temp_path("probe");
+  {
+    auto writer = trace_store_writer::create(path, small_desc());
+    write_records(writer, 0, 8, 2, 5);
+    writer.close();
+  }
+  EXPECT_TRUE(trace_store_reader::probe(path));
+  const std::string bytes = file_bytes(path);
+  // A header with no chunk yet is still a store.
+  std::ofstream(path, std::ios::binary) << bytes.substr(0, 64);
+  EXPECT_TRUE(trace_store_reader::probe(path));
+  // Cut inside the header: the magic alone does not make a store.
+  std::ofstream(path, std::ios::binary) << bytes.substr(0, 63);
+  EXPECT_FALSE(trace_store_reader::probe(path));
+  std::ofstream(path, std::ios::binary) << bytes.substr(0, 8);
+  EXPECT_FALSE(trace_store_reader::probe(path));
+  // A fabric manifest, and a store whose magic lost a byte.
+  std::ofstream(path, std::ios::binary)
+      << "usca-fabric-manifest 1\n" << std::string(64, ' ') << "\n";
+  EXPECT_FALSE(trace_store_reader::probe(path));
+  std::string renamed = bytes;
+  renamed[7] = '3';
+  std::ofstream(path, std::ios::binary) << renamed;
+  EXPECT_FALSE(trace_store_reader::probe(path));
+  std::remove(path.c_str());
+  EXPECT_FALSE(trace_store_reader::probe(path));
+}
+
 TEST(TraceStore, RejectsCorruptChunkPayload) {
   const std::string path = temp_path("corrupt");
   {
