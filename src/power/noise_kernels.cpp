@@ -218,7 +218,7 @@ constexpr noise_kernels avx2_set = {"avx2", avx2_add_columns};
 #if USCA_HAVE_AVX512
 USCA_AVX512_BODIES_BEGIN
 
-#define USCA_AVX512 \
+#define USCA_AVX512_INLINE \
   __attribute__((target(USCA_AVX512_TARGET), always_inline)) inline
 
 /// Eight xoshiro256** generators, state word w of generator j in lane j
@@ -229,7 +229,7 @@ struct xoshiro_x8 {
 
 /// xoshiro256::operator() on eight generators: *5 and *9 as shift-adds
 /// (cheaper than vpmullq), the rotates native.
-USCA_AVX512 __m512i next_x8(xoshiro_x8& g) {
+USCA_AVX512_INLINE __m512i next_x8(xoshiro_x8& g) {
   const __m512i times5 = _mm512_add_epi64(_mm512_slli_epi64(g.s1, 2), g.s1);
   const __m512i rotated = _mm512_rol_epi64(times5, 7);
   const __m512i result =
@@ -244,18 +244,18 @@ USCA_AVX512 __m512i next_x8(xoshiro_x8& g) {
   return result;
 }
 
-USCA_AVX512 __m512d mul_x8(__m512d a, __m512d b) {
+USCA_AVX512_INLINE __m512d mul_x8(__m512d a, __m512d b) {
   return _mm512_mul_round_pd(a, b, USCA_AVX512_NEAREST);
 }
 
-USCA_AVX512 __m512d add_x8(__m512d a, __m512d b) {
+USCA_AVX512_INLINE __m512d add_x8(__m512d a, __m512d b) {
   return _mm512_add_round_pd(a, b, USCA_AVX512_NEAREST);
 }
 
 /// 2.0 * next_double() - 1.0 on eight outputs.  x >> 11 has 53 bits, so
 /// vcvtuqq2pd converts it exactly and the 2^-53 scale is exact; the
 /// multiply by 2 and the subtract round apart.
-USCA_AVX512 __m512d signed_unit_x8(xoshiro_x8& g) {
+USCA_AVX512_INLINE __m512d signed_unit_x8(xoshiro_x8& g) {
   const __m512d unit =
       mul_x8(_mm512_cvtepu64_pd(_mm512_srli_epi64(next_x8(g), 11)),
              _mm512_set1_pd(0x1.0p-53));
@@ -268,7 +268,7 @@ USCA_AVX512 __m512d signed_unit_x8(xoshiro_x8& g) {
 /// rows (`row` holds each lane's out pointer plus i doubles, as bytes).
 /// `column` holds the lanes' tile columns; when they are adjacent,
 /// `first` is the lowest and one masked load reads them.
-USCA_AVX512 void emit_x8(const noise_columns& job, std::size_t i,
+USCA_AVX512_INLINE void emit_x8(const noise_columns& job, std::size_t i,
                          __m512i column, const double* first, __m512i row,
                          __mmask8 real, __m512d deviate) {
   const double* clean_row = job.clean + i * job.stride;
@@ -281,7 +281,7 @@ USCA_AVX512 void emit_x8(const noise_columns& job, std::size_t i,
       add_x8(clean, mul_x8(_mm512_set1_pd(job.sigma), deviate)), 1);
 }
 
-#undef USCA_AVX512
+#undef USCA_AVX512_INLINE
 
 __attribute__((target(USCA_AVX512_TARGET))) noise_work
 avx512_add_columns(const noise_columns& job, noise_workspace& ws) {
@@ -326,8 +326,8 @@ avx512_add_columns(const noise_columns& job, noise_workspace& ws) {
                    _mm512_load_si512(words[3].data())};
 
     // Candidates: draw u then v per lane, exactly as next_gaussian does,
-    // and scatter each open lane's (u, v, s) to its slot at its own count;
-    // a rejected candidate is overwritten by the lane's next one.
+    // and scatter each open lane's (u, v) to its slot at its own count; a
+    // rejected candidate is overwritten by the lane's next one.
     const __m512i need = _mm512_maskz_set1_epi64(
         real_lanes, static_cast<long long>(pairs));
     __m512i count = _mm512_setzero_si512();
@@ -354,7 +354,8 @@ avx512_add_columns(const noise_columns& job, noise_workspace& ws) {
     for (std::size_t p = 0; p < pairs; ++p) {
       const __m512d u = _mm512_loadu_pd(ws.u.data() + p * 8);
       const __m512d v = _mm512_loadu_pd(ws.v.data() + p * 8);
-      _mm512_storeu_pd(ws.s.data() + p * 8, add_x8(mul_x8(u, u), mul_x8(v, v)));
+      _mm512_storeu_pd(ws.s.data() + p * 8,
+                       add_x8(mul_x8(u, u), mul_x8(v, v)));
     }
     for (std::size_t j = 0; j < real; ++j) {
       for (std::size_t p = 0; p < pairs; ++p) {

@@ -24,9 +24,9 @@
 //    discarded (every trace reseeds).  log stays scalar, one loop per
 //    lane; the divide and sqrt are correctly rounded in either width;
 //  * "avx512" — eight lanes per group: native vprolq, an exact vcvtuqq2pd
-//    for x >> 11, and a masked scatter of each open lane's (u, v, s) at
-//    its own count instead of the per-lane compaction loop; log stays
-//    scalar.
+//    for x >> 11, and a masked scatter of each open lane's (u, v) at its
+//    own count instead of the per-lane compaction loop (s is recomputed
+//    from the accepted pairs); log stays scalar.
 //
 // The FMA rule: every multiply and add rounds on its own, as in the
 // scalar loop.  AVX2 leaves FMA off; a target that enables it (AVX-512

@@ -123,6 +123,7 @@ public:
   /// nothing else; false for a missing or unreadable file and for one
   /// cut short inside its header.
   static bool probe(const std::string& path) noexcept;
+
   trace_store_reader(trace_store_reader&& other) noexcept;
   ~trace_store_reader();
 
