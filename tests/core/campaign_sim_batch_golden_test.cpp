@@ -158,6 +158,27 @@ TEST_P(CampaignGolden, OooSource) {
   EXPECT_EQ(source_digest(campaign), 0x5688163a3ba611d9ULL);
 }
 
+// The same sources with the Gaussian sigma at 0: each row is the clean
+// power of its window (the fused tile column on the batched paths, the
+// event walk on the per-trace one), with every noise draw still made but
+// scaled to nothing.  These pin the simulation and the clean sum apart
+// from the noise, so a change to the noise alone leaves them as they are.
+TEST_P(CampaignGolden, InorderCleanSource) {
+  campaign_config config = aes_config(sim::backend_kind::inorder);
+  config.averaging = 16;
+  config.power.gaussian_sigma = 0.0;
+  trace_campaign campaign(config, kKey);
+  EXPECT_EQ(source_digest(campaign), 0x407568a239ad2c89ULL);
+}
+
+TEST_P(CampaignGolden, OooCleanSource) {
+  campaign_config config = aes_config(sim::backend_kind::ooo);
+  config.averaging = 16;
+  config.power.gaussian_sigma = 0.0;
+  trace_campaign campaign(config, kKey);
+  EXPECT_EQ(source_digest(campaign), 0x0919549a0fcc20ecULL);
+}
+
 TEST_P(CampaignGolden, Ooo) {
   campaign_config config = aes_config(sim::backend_kind::ooo);
   config.first_index = 5;
