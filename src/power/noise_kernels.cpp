@@ -2,15 +2,17 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 
 #include "sim/batch_sim.h"
 #include "util/avx512.h"
+#include "util/polar_log.h"
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define USCA_HAVE_AVX2_NOISE 1
 #include <immintrin.h>
 #endif
+
+USCA_FP_CONTRACT_OFF
 
 namespace usca::power {
 
@@ -117,7 +119,7 @@ avx2_add_columns(const noise_columns& job, noise_workspace& ws) {
   // Slot p * 4 + j holds candidate p of group lane j; one spare pair per
   // lane takes the writes of a lane that already has all its pairs.
   const std::size_t slots = (pairs + 1) * 4;
-  for (std::vector<double>* buffer : {&ws.u, &ws.v, &ws.s, &ws.log_s}) {
+  for (std::vector<double>* buffer : {&ws.u, &ws.v, &ws.s}) {
     if (buffer->size() < slots) {
       buffer->resize(slots);
     }
@@ -180,24 +182,21 @@ avx2_add_columns(const noise_columns& job, noise_workspace& ws) {
     }
 
     for (std::size_t j = 0; j < real; ++j) {
-      for (std::size_t p = 0; p < pairs; ++p) {
-        ws.log_s[p * 4 + j] = std::log(ws.s[p * 4 + j]);
-      }
       work.deviates += job.samples;
       work.candidates += consumed[j];
     }
 
     // factor = sqrt(-2 log s / s); sample = clean + sigma * (u * factor)
-    // for the even sample of the pair, v for the odd one.
+    // for the even sample of the pair, v for the odd one.  Padding lanes
+    // take the log of whatever their slots hold and are never written out.
     const __m256i index = _mm256_set_epi64x(
         static_cast<long long>(lane[3]), static_cast<long long>(lane[2]),
         static_cast<long long>(lane[1]), static_cast<long long>(lane[0]));
     const __m256d minus_two = _mm256_set1_pd(-2.0);
     for (std::size_t p = 0; p < pairs; ++p) {
       const __m256d s = _mm256_loadu_pd(ws.s.data() + p * 4);
-      const __m256d log_s = _mm256_loadu_pd(ws.log_s.data() + p * 4);
-      const __m256d factor =
-          _mm256_sqrt_pd(_mm256_div_pd(_mm256_mul_pd(minus_two, log_s), s));
+      const __m256d factor = _mm256_sqrt_pd(_mm256_div_pd(
+          _mm256_mul_pd(minus_two, util::polar_log_x4(s)), s));
       emit_x4(job, 2 * p, index, lane, real,
               _mm256_mul_pd(_mm256_loadu_pd(ws.u.data() + p * 4), factor));
       if (2 * p + 1 < job.samples) {
@@ -290,7 +289,7 @@ avx512_add_columns(const noise_columns& job, noise_workspace& ws) {
   // Slot p * 8 + j holds candidate p of group lane j.  Only open lanes
   // (fewer than `pairs` accepted) write, so no spare pair is needed.
   const std::size_t slots = pairs * 8;
-  for (std::vector<double>* buffer : {&ws.u, &ws.v, &ws.s, &ws.log_s}) {
+  for (std::vector<double>* buffer : {&ws.u, &ws.v}) {
     if (buffer->size() < slots) {
       buffer->resize(slots);
     }
@@ -349,23 +348,12 @@ avx512_add_columns(const noise_columns& job, noise_workspace& ws) {
       count = _mm512_mask_add_epi64(count, open & accept, count, one);
     }
 
-    // s is recomputed from the accepted (u, v), the same operations on
-    // the same values, rather than scattered with them.
-    for (std::size_t p = 0; p < pairs; ++p) {
-      const __m512d u = _mm512_loadu_pd(ws.u.data() + p * 8);
-      const __m512d v = _mm512_loadu_pd(ws.v.data() + p * 8);
-      _mm512_storeu_pd(ws.s.data() + p * 8,
-                       add_x8(mul_x8(u, u), mul_x8(v, v)));
-    }
-    for (std::size_t j = 0; j < real; ++j) {
-      for (std::size_t p = 0; p < pairs; ++p) {
-        ws.log_s[p * 8 + j] = std::log(ws.s[p * 8 + j]);
-      }
-    }
     work.deviates += job.samples * real;
     work.candidates +=
         static_cast<std::uint64_t>(_mm512_reduce_add_epi64(consumed));
 
+    // s = u*u + v*v is recomputed from the accepted (u, v), the same
+    // operations on the same values, rather than scattered with them;
     // factor = sqrt(-2 log s / s); sample = clean + sigma * (u * factor)
     // for the even sample of the pair, v for the odd one.  Padding lanes
     // read the first lane's column and are never stored.
@@ -377,16 +365,17 @@ avx512_add_columns(const noise_columns& job, noise_workspace& ws) {
     const __m512i next_row = _mm512_set1_epi64(sizeof(double));
     const __m512d minus_two = _mm512_set1_pd(-2.0);
     for (std::size_t p = 0; p < pairs; ++p) {
-      const __m512d s = _mm512_loadu_pd(ws.s.data() + p * 8);
-      const __m512d log_s = _mm512_loadu_pd(ws.log_s.data() + p * 8);
-      const __m512d factor =
-          _mm512_sqrt_pd(_mm512_div_pd(mul_x8(minus_two, log_s), s));
+      const __m512d u = _mm512_loadu_pd(ws.u.data() + p * 8);
+      const __m512d v = _mm512_loadu_pd(ws.v.data() + p * 8);
+      const __m512d s = add_x8(mul_x8(u, u), mul_x8(v, v));
+      const __m512d factor = _mm512_sqrt_pd(
+          _mm512_div_pd(mul_x8(minus_two, util::polar_log_x8(s)), s));
       emit_x8(job, 2 * p, lanes, adjacent, row, real_lanes,
-              mul_x8(_mm512_loadu_pd(ws.u.data() + p * 8), factor));
+              mul_x8(u, factor));
       row = _mm512_add_epi64(row, next_row);
       if (2 * p + 1 < job.samples) {
         emit_x8(job, 2 * p + 1, lanes, adjacent, row, real_lanes,
-                mul_x8(_mm512_loadu_pd(ws.v.data() + p * 8), factor));
+                mul_x8(v, factor));
         row = _mm512_add_epi64(row, next_row);
       }
     }

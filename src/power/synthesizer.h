@@ -24,8 +24,9 @@
 //
 // The noise is the larger cost: one Marsaglia-polar Gaussian per sample.
 // synthesize_columns draws the bare-metal averaged noise of all lanes
-// through a batch-wide kernel (power/noise_kernels.h: four lanes'
-// generators side by side on AVX2, the scalar loop elsewhere), each lane
+// through a batch-wide kernel (power/noise_kernels.h: eight lanes'
+// generators side by side on AVX-512, four on AVX2, the scalar loop
+// elsewhere), each lane
 // still consuming exactly its own stream; every other config renders
 // lane by lane on the scalar loop.  Columns are read from the tile
 // straight into the output traces.

@@ -2,6 +2,10 @@
 
 #include <cmath>
 
+#include "util/polar_log.h"
+
+USCA_FP_CONTRACT_OFF
+
 namespace usca::util {
 
 std::uint64_t splitmix64(std::uint64_t& state) noexcept {
@@ -85,7 +89,7 @@ double xoshiro256::next_gaussian() noexcept {
     v = 2.0 * next_double() - 1.0;
     s = u * u + v * v;
   } while (s >= 1.0 || s == 0.0);
-  const double factor = std::sqrt(-2.0 * std::log(s) / s);
+  const double factor = std::sqrt(-2.0 * polar_log(s) / s);
   cached_gaussian_ = v * factor;
   has_cached_gaussian_ = true;
   return u * factor;

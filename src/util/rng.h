@@ -58,6 +58,15 @@ public:
   double next_double() noexcept;
 
   /// Standard normal deviate (Marsaglia polar method, cached pair).
+  ///
+  /// u = 2 next_double() - 1 and v likewise until s = u*u + v*v lies in
+  /// (0, 1); then u * f and v * f with f = sqrt(-2 log(s) / s), the log
+  /// being util::polar_log (util/polar_log.h), not the host's libm.  The
+  /// FMA and fixed-order rule: every multiply, add, divide and sqrt rounds
+  /// on its own, in this order (rng.cpp compiles under
+  /// USCA_FP_CONTRACT_OFF), so the batch-wide noise kernels
+  /// (power/noise_kernels.h) reproduce the stream bit for bit and the
+  /// deviates are the same on every host.
   double next_gaussian() noexcept;
 
   /// Gaussian work since the last seed(): deviates next_gaussian()
