@@ -134,11 +134,7 @@ void trace_store_writer::resume_existing(store_resume_report* report) {
     return; // empty file: behaves like create()
   }
 
-  std::uint64_t keep = file_header_bytes; // file bytes that stay on disk
-  std::uint64_t records = 0;              // records in kept chunks
-  {
-    const trace_store_reader reader(path_, store_open_mode::salvage);
-    const trace_store_descriptor& file = reader.descriptor();
+  const auto refuse_foreign = [this](const trace_store_descriptor& file) {
     if (file.scalar != desc_.scalar ||
         file.chunk_traces != desc_.chunk_traces || file.seed != desc_.seed ||
         file.config_hash != desc_.config_hash ||
@@ -150,7 +146,18 @@ void trace_store_writer::resume_existing(store_resume_report* report) {
           "' was written by a different campaign configuration; refusing "
           "to resume into it");
     }
-    desc_ = file; // adopt the file's (known) sample count
+  };
+  // The header alone decides whether this campaign may resume the file,
+  // so a store of another configuration is turned away before a single
+  // chunk is mapped or checksummed.
+  refuse_foreign(trace_store_reader::read_header(path_));
+
+  std::uint64_t keep = file_header_bytes; // file bytes that stay on disk
+  std::uint64_t records = 0;              // records in kept chunks
+  {
+    const trace_store_reader reader(path_, store_open_mode::salvage);
+    refuse_foreign(reader.descriptor()); // the header as mapped
+    desc_ = reader.descriptor(); // adopt the file's (known) sample count
     header_written_ = true;
 
     // Keep the leading chunks that lie back to back from the header with

@@ -77,10 +77,13 @@ public:
   static trace_store_writer create(const std::string& path,
                                    const trace_store_descriptor& desc);
 
-  /// Reopens an existing store for appending.  A salvage-mode
-  /// trace_store_reader validates the file; its descriptor must match
-  /// `desc` (seed, config hash, scalar, chunk size, first index, labels,
-  /// and samples when nonzero in desc).  resume() keeps the reader's
+  /// Reopens an existing store for appending.  The file header's
+  /// descriptor must match `desc` (seed, config hash, scalar, chunk
+  /// size, first index, labels, and samples when nonzero in desc); it is
+  /// read and checked first (trace_store_reader::read_header), so a
+  /// foreign store is refused without its chunks being read.  A matching
+  /// file is then validated by a salvage-mode trace_store_reader, and
+  /// resume() keeps the reader's
   /// leading chunks whose indices continue from 0, through the first
   /// short chunk, and cuts everything after them as torn tail, preserved
   /// in `<path>.quarantine` (overwritten per resume).  A kept short chunk

@@ -37,6 +37,62 @@ using namespace store_format;
   throw util::analysis_error(msg);
 }
 
+/// Decodes and validates the 64-byte file header: magic, version, CRC and
+/// a plausible record shape.  Faults here are fatal in BOTH open modes:
+/// without a trusted header there is no record geometry to salvage by.
+trace_store_descriptor decode_file_header(const unsigned char* header,
+                                          const std::string& path) {
+  constexpr std::size_t no_chunk = static_cast<std::size_t>(-1);
+  if (std::memcmp(header, magic, sizeof magic) != 0) {
+    reject(path, store_fault::file_bad_magic, 0, no_chunk,
+           "bad magic (not a usca trace store)");
+  }
+  if (get<std::uint32_t>(header, hdr_version) != version) {
+    reject(path, store_fault::file_bad_version, hdr_version, no_chunk,
+           "unsupported version " +
+               std::to_string(get<std::uint32_t>(header, hdr_version)));
+  }
+  if (get<std::uint32_t>(header, hdr_crc) != util::crc32(header, hdr_crc)) {
+    reject(path, store_fault::file_header_crc, 0, no_chunk,
+           "header checksum mismatch");
+  }
+  const auto scalar = get<std::uint32_t>(header, hdr_scalar);
+  if (scalar > static_cast<std::uint32_t>(trace_scalar::f32)) {
+    reject(path, store_fault::file_bad_shape, hdr_scalar, no_chunk,
+           "unknown sample scalar kind");
+  }
+  trace_store_descriptor desc;
+  desc.scalar = static_cast<trace_scalar>(scalar);
+  desc.samples = get<std::uint64_t>(header, hdr_samples);
+  desc.labels = get<std::uint32_t>(header, hdr_labels);
+  desc.chunk_traces = get<std::uint32_t>(header, hdr_chunk_traces);
+  desc.seed = get<std::uint64_t>(header, hdr_seed);
+  desc.config_hash = get<std::uint64_t>(header, hdr_config_hash);
+  desc.first_index = get<std::uint64_t>(header, hdr_first_index);
+  // Bound the shape before any arithmetic on it: a corrupt header must
+  // not be able to overflow record_bytes / payload computations into
+  // "valid" ranges (the CRC catches honest bit rot, but the reject path
+  // must be safe for arbitrary bytes too).  With samples <= 2^32 and
+  // 32-bit labels, record_bytes < 2^36, so no product or sum below can
+  // wrap.  A header-only file (zero records) is a valid empty store.
+  if (desc.samples > (1ULL << 32)) {
+    reject(path, store_fault::file_bad_shape, hdr_samples, no_chunk,
+           "implausible sample count");
+  }
+  if (desc.chunk_traces == 0 || desc.record_bytes() == 0) {
+    reject(path, store_fault::file_bad_shape, hdr_samples, no_chunk,
+           "degenerate record shape");
+  }
+  return desc;
+}
+
+[[noreturn]] void reject_short_header(const std::string& path,
+                                      std::uint64_t size) {
+  reject(path, store_fault::file_short_header, 0,
+         static_cast<std::size_t>(-1),
+         "too small to hold a header (" + std::to_string(size) + " bytes)");
+}
+
 } // namespace
 
 const char* store_fault_name(store_fault fault) noexcept {
@@ -86,10 +142,7 @@ trace_store_reader::trace_store_reader(const std::string& path,
   map_size_ = static_cast<std::uint64_t>(st.st_size);
   if (map_size_ < file_header_bytes) {
     ::close(fd);
-    reject(path, store_fault::file_short_header, 0,
-           static_cast<std::size_t>(-1),
-           "too small to hold a header (" + std::to_string(map_size_) +
-               " bytes)");
+    reject_short_header(path, map_size_);
   }
   void* map = ::mmap(nullptr, map_size_, PROT_READ, MAP_PRIVATE, fd, 0);
   ::close(fd); // the mapping keeps the file alive
@@ -117,51 +170,28 @@ bool trace_store_reader::probe(const std::string& path) noexcept {
          std::memcmp(header, magic, sizeof magic) == 0;
 }
 
+trace_store_descriptor trace_store_reader::read_header(
+    const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    throw util::analysis_error("cannot open trace store '" + path + "'");
+  }
+  unsigned char header[file_header_bytes];
+  const ::ssize_t got = ::pread(fd, header, sizeof header, 0);
+  ::close(fd);
+  if (got < 0) {
+    throw util::analysis_error("cannot read trace store '" + path + "'");
+  }
+  if (got != static_cast<::ssize_t>(sizeof header)) {
+    reject_short_header(path, static_cast<std::uint64_t>(got));
+  }
+  return decode_file_header(header, path);
+}
+
 void trace_store_reader::parse(const std::string& path) {
   // --- header ----------------------------------------------------------
-  // File header faults are fatal in BOTH modes: without a trusted header
-  // there is no record geometry to salvage by.
-  constexpr std::size_t no_chunk = static_cast<std::size_t>(-1);
-  if (std::memcmp(map_, magic, sizeof magic) != 0) {
-    reject(path, store_fault::file_bad_magic, 0, no_chunk,
-           "bad magic (not a usca trace store)");
-  }
-  if (get<std::uint32_t>(map_, hdr_version) != version) {
-    reject(path, store_fault::file_bad_version, hdr_version, no_chunk,
-           "unsupported version " +
-               std::to_string(get<std::uint32_t>(map_, hdr_version)));
-  }
-  if (get<std::uint32_t>(map_, hdr_crc) != util::crc32(map_, hdr_crc)) {
-    reject(path, store_fault::file_header_crc, 0, no_chunk,
-           "header checksum mismatch");
-  }
-  const auto scalar = get<std::uint32_t>(map_, hdr_scalar);
-  if (scalar > static_cast<std::uint32_t>(trace_scalar::f32)) {
-    reject(path, store_fault::file_bad_shape, hdr_scalar, no_chunk,
-           "unknown sample scalar kind");
-  }
-  desc_.scalar = static_cast<trace_scalar>(scalar);
-  desc_.samples = get<std::uint64_t>(map_, hdr_samples);
-  desc_.labels = get<std::uint32_t>(map_, hdr_labels);
-  desc_.chunk_traces = get<std::uint32_t>(map_, hdr_chunk_traces);
-  desc_.seed = get<std::uint64_t>(map_, hdr_seed);
-  desc_.config_hash = get<std::uint64_t>(map_, hdr_config_hash);
-  desc_.first_index = get<std::uint64_t>(map_, hdr_first_index);
-  // Bound the shape before any arithmetic on it: a corrupt header must
-  // not be able to overflow record_bytes / payload computations into
-  // "valid" ranges (the CRC catches honest bit rot, but the reject path
-  // must be safe for arbitrary bytes too).  With samples <= 2^32 and
-  // 32-bit labels, record_bytes < 2^36, so no product or sum below can
-  // wrap.  A header-only file (zero records) is a valid empty store.
-  if (desc_.samples > (1ULL << 32)) {
-    reject(path, store_fault::file_bad_shape, hdr_samples, no_chunk,
-           "implausible sample count");
-  }
+  desc_ = decode_file_header(map_, path);
   const std::uint64_t record_bytes = desc_.record_bytes();
-  if (desc_.chunk_traces == 0 || record_bytes == 0) {
-    reject(path, store_fault::file_bad_shape, hdr_samples, no_chunk,
-           "degenerate record shape");
-  }
 
   // --- chunk chain -----------------------------------------------------
   // Every chunk except the last is full, so the file has a fixed nominal

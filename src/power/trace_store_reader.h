@@ -124,6 +124,13 @@ public:
   /// cut short inside its header.
   static bool probe(const std::string& path) noexcept;
 
+  /// The descriptor of the store at `path`, from its 64-byte file header
+  /// alone: reads those bytes, validates them as a strict open would
+  /// (magic, version, CRC, shape) and throws util::analysis_error on any
+  /// fault, but reads no chunk.  How resume() turns away a store of
+  /// another configuration before mapping and walking it.
+  static trace_store_descriptor read_header(const std::string& path);
+
   trace_store_reader(trace_store_reader&& other) noexcept;
   ~trace_store_reader();
 

@@ -15,6 +15,7 @@
 #include "util/crc32.h"
 #include "util/error.h"
 #include "util/rng.h"
+#include "util/telemetry.h"
 
 namespace usca::power {
 namespace {
@@ -392,6 +393,38 @@ TEST(TraceStore, ResumeRejectsForeignConfigurationWithoutTouchingIt) {
     EXPECT_EQ(writer.next_index(), 8u);
     writer.close();
   }
+  EXPECT_EQ(file_bytes(path), before);
+  std::remove(path.c_str());
+}
+
+// A foreign store is refused on its header alone: no chunk of it is
+// checksummed (store.read.crc_validations stays put), however many it
+// has, and the file keeps every byte.
+TEST(TraceStore, ResumeRejectsForeignStoreBeforeReadingItsChunks) {
+  const telem::counter crc_checks{"store.read.crc_validations", "checks",
+                                  "store"};
+  const std::string path = temp_path("foreign_chunks");
+  {
+    auto writer = trace_store_writer::create(path, small_desc());
+    write_records(writer, 0, 8 * 6 + 3, 2, 5); // six full chunks, a short one
+    writer.close();
+  }
+  const std::string before = file_bytes(path);
+  trace_store_descriptor other = small_desc();
+  other.config_hash = 0xbad;
+  const std::uint64_t checks = crc_checks.value();
+  EXPECT_THROW(trace_store_writer::resume(path, other),
+               util::analysis_error);
+  EXPECT_EQ(crc_checks.value(), checks);
+  EXPECT_EQ(file_bytes(path), before);
+
+  // The matching configuration still walks the whole store.
+  {
+    auto writer = trace_store_writer::resume(path, small_desc());
+    EXPECT_EQ(writer.next_index(), 8u * 6 + 3);
+    writer.close();
+  }
+  EXPECT_EQ(crc_checks.value(), checks + 1 + 2 * 7);
   EXPECT_EQ(file_bytes(path), before);
   std::remove(path.c_str());
 }
