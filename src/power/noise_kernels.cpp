@@ -220,6 +220,10 @@ USCA_AVX512_BODIES_BEGIN
 #define USCA_AVX512_INLINE \
   __attribute__((target(USCA_AVX512_TARGET), always_inline)) inline
 
+using util::add_x8;
+using util::mul_x8;
+using util::sub_x8;
+
 /// Eight xoshiro256** generators, state word w of generator j in lane j
 /// of s[w].
 struct xoshiro_x8 {
@@ -243,14 +247,6 @@ USCA_AVX512_INLINE __m512i next_x8(xoshiro_x8& g) {
   return result;
 }
 
-USCA_AVX512_INLINE __m512d mul_x8(__m512d a, __m512d b) {
-  return _mm512_mul_round_pd(a, b, USCA_AVX512_NEAREST);
-}
-
-USCA_AVX512_INLINE __m512d add_x8(__m512d a, __m512d b) {
-  return _mm512_add_round_pd(a, b, USCA_AVX512_NEAREST);
-}
-
 /// 2.0 * next_double() - 1.0 on eight outputs.  x >> 11 has 53 bits, so
 /// vcvtuqq2pd converts it exactly and the 2^-53 scale is exact; the
 /// multiply by 2 and the subtract round apart.
@@ -258,8 +254,7 @@ USCA_AVX512_INLINE __m512d signed_unit_x8(xoshiro_x8& g) {
   const __m512d unit =
       mul_x8(_mm512_cvtepu64_pd(_mm512_srli_epi64(next_x8(g), 11)),
              _mm512_set1_pd(0x1.0p-53));
-  return _mm512_sub_round_pd(mul_x8(_mm512_set1_pd(2.0), unit),
-                             _mm512_set1_pd(1.0), USCA_AVX512_NEAREST);
+  return sub_x8(mul_x8(_mm512_set1_pd(2.0), unit), _mm512_set1_pd(1.0));
 }
 
 /// Sample i of every real lane of a group: the lanes' clean values at

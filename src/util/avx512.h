@@ -40,6 +40,29 @@
 
 namespace usca::util {
 
+#if USCA_HAVE_AVX512
+USCA_AVX512_BODIES_BEGIN
+
+#define USCA_AVX512_HELPER \
+  __attribute__((target(USCA_AVX512_TARGET), always_inline)) inline
+
+/// a + b, a - b and a * b on eight doubles, each rounded to nearest on its
+/// own: the arithmetic of the AVX-512 bodies, which GCC never fuses.
+USCA_AVX512_HELPER __m512d add_x8(__m512d a, __m512d b) {
+  return _mm512_add_round_pd(a, b, USCA_AVX512_NEAREST);
+}
+USCA_AVX512_HELPER __m512d sub_x8(__m512d a, __m512d b) {
+  return _mm512_sub_round_pd(a, b, USCA_AVX512_NEAREST);
+}
+USCA_AVX512_HELPER __m512d mul_x8(__m512d a, __m512d b) {
+  return _mm512_mul_round_pd(a, b, USCA_AVX512_NEAREST);
+}
+
+#undef USCA_AVX512_HELPER
+
+USCA_AVX512_BODIES_END
+#endif
+
 /// True when the build has the AVX-512 bodies and the CPU (and OS) run
 /// every feature of USCA_AVX512_TARGET.
 inline bool cpu_has_avx512() noexcept {

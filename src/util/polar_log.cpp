@@ -11,11 +11,9 @@ double polar_log(double x) noexcept {
   const auto bits = std::bit_cast<std::uint64_t>(x);
   const std::uint64_t mantissa = bits & c::mantissa_mask;
   const std::uint64_t halve = (mantissa + c::sqrt2_carry) & c::exponent_one;
-  const double m =
-      std::bit_cast<double>(mantissa | (halve ^ c::one_bits));
-  const double k =
-      static_cast<double>(static_cast<std::int64_t>((bits >> 52) + (halve >> 52)) -
-                          1023);
+  const double m = std::bit_cast<double>(mantissa | (halve ^ c::one_bits));
+  const auto biased = static_cast<std::int64_t>((bits >> 52) + (halve >> 52));
+  const auto k = static_cast<double>(biased - 1023);
 
   const double f = m - 1.0;
   const double hfsq = 0.5 * f * f;

@@ -21,9 +21,10 @@
 //   log(x) = k * ln2_hi - ((hfsq - (s * (hfsq + R) + k * ln2_lo)) - f),
 //   ln2 split so that k * ln2_hi is exact.
 //
-// No table.  Over the polar inputs the result is within 1 ULP of the
-// correctly rounded log (tests/util/polar_log_test.cpp checks it against
-// libquadmath's logq; EXPERIMENTS.md records a 10^8-input sweep).
+// (This s is fdlibm's name, not the polar radius, which is x here.)  No
+// table.  Over the polar inputs the result is within 1 ULP of log(x)
+// (tests/util/polar_log_test.cpp measures it against libquadmath's logq;
+// EXPERIMENTS.md records a 10^8-input sweep, worst 0.86 ULP).
 //
 // The FMA and fixed-order rule: every multiply, add and divide rounds on
 // its own, in the order written, identically in all three bodies, so the
@@ -66,16 +67,16 @@ namespace usca::util {
 
 namespace polar_log_constants {
 
-inline constexpr std::uint64_t mantissa_mask = 0x000fffffffffffffULL;
-inline constexpr std::uint64_t exponent_one = 0x0010000000000000ULL;
+inline constexpr std::int64_t mantissa_mask = 0x000fffffffffffffLL;
+inline constexpr std::int64_t exponent_one = 0x0010000000000000LL;
 /// The exponent bits of 1.0.
-inline constexpr std::uint64_t one_bits = 0x3ff0000000000000ULL;
+inline constexpr std::int64_t one_bits = 0x3ff0000000000000LL;
 /// Added to a mantissa, carries into the exponent bit exactly when the
 /// mantissa is at least that of sqrt(2) (0x6a09e667f3bcd).
-inline constexpr std::uint64_t sqrt2_carry = 0x00095f619980c433ULL;
+inline constexpr std::int64_t sqrt2_carry = 0x00095f619980c433LL;
 /// The bits of 2^52: OR-ed onto an integer below 2^52 they give the
 /// double 2^52 + that integer.
-inline constexpr std::uint64_t two52_bits = 0x4330000000000000ULL;
+inline constexpr std::int64_t two52_bits = 0x4330000000000000LL;
 /// Subtracted from 2^52 + biased exponent, leaves the unbiased one.
 inline constexpr double two52_plus_bias = 0x1.0p52 + 1023.0;
 
@@ -98,9 +99,9 @@ inline constexpr double c10 = 2.0 / 21.0;
 
 } // namespace polar_log_constants
 
-/// log(s) for a positive normal double s, the scalar body.  Out of line
+/// log(x) for a positive normal double x, the scalar body.  Out of line
 /// so it compiles under USCA_FP_CONTRACT_OFF (polar_log.cpp).
-double polar_log(double s) noexcept;
+double polar_log(double x) noexcept;
 
 #if USCA_HAVE_AVX2_POLAR_LOG
 
@@ -109,22 +110,18 @@ __attribute__((target("avx2"), always_inline)) inline __m256d
 polar_log_x4(__m256d x) {
   namespace c = polar_log_constants;
   const __m256i bits = _mm256_castpd_si256(x);
-  const __m256i mantissa = _mm256_and_si256(
-      bits, _mm256_set1_epi64x(static_cast<long long>(c::mantissa_mask)));
+  const __m256i mantissa =
+      _mm256_and_si256(bits, _mm256_set1_epi64x(c::mantissa_mask));
   const __m256i halve = _mm256_and_si256(
-      _mm256_add_epi64(mantissa, _mm256_set1_epi64x(
-                                     static_cast<long long>(c::sqrt2_carry))),
-      _mm256_set1_epi64x(static_cast<long long>(c::exponent_one)));
+      _mm256_add_epi64(mantissa, _mm256_set1_epi64x(c::sqrt2_carry)),
+      _mm256_set1_epi64x(c::exponent_one));
   const __m256d m = _mm256_castsi256_pd(_mm256_or_si256(
-      mantissa,
-      _mm256_xor_si256(halve, _mm256_set1_epi64x(
-                                  static_cast<long long>(c::one_bits)))));
+      mantissa, _mm256_xor_si256(halve, _mm256_set1_epi64x(c::one_bits))));
   const __m256i biased = _mm256_add_epi64(_mm256_srli_epi64(bits, 52),
                                           _mm256_srli_epi64(halve, 52));
   const __m256d k = _mm256_sub_pd(
-      _mm256_castsi256_pd(_mm256_or_si256(
-          biased,
-          _mm256_set1_epi64x(static_cast<long long>(c::two52_bits)))),
+      _mm256_castsi256_pd(
+          _mm256_or_si256(biased, _mm256_set1_epi64x(c::two52_bits))),
       _mm256_set1_pd(c::two52_plus_bias));
 
   const __m256d f = _mm256_sub_pd(m, _mm256_set1_pd(1.0));
@@ -134,8 +131,8 @@ polar_log_x4(__m256d x) {
   const __m256d z = _mm256_mul_pd(s, s);
   const __m256d z2 = _mm256_mul_pd(z, z);
   const __m256d z4 = _mm256_mul_pd(z2, z2);
-  // Estrin's scheme: (c1 + z c2) + z2 (c3 + z c4), likewise c5..c8, and
-  // R = z (that + z4 (the next + z4 (c9 + z c10))).
+  // Estrin's scheme: R = z (low + z4 (high + z4 p910)), with
+  // low = p12 + z2 p34, high = p56 + z2 p78 and p_ij = c_i + z c_j.
   const __m256d p12 =
       _mm256_add_pd(_mm256_set1_pd(c::c1),
                     _mm256_mul_pd(z, _mm256_set1_pd(c::c2)));
@@ -170,65 +167,52 @@ polar_log_x4(__m256d x) {
 #if USCA_HAVE_AVX512
 USCA_AVX512_BODIES_BEGIN
 
-#define USCA_POLAR_LOG_X8 \
-  __attribute__((target(USCA_AVX512_TARGET), always_inline)) inline
-
-namespace polar_log_x8_ops {
-
-USCA_POLAR_LOG_X8 __m512d add(__m512d a, __m512d b) {
-  return _mm512_add_round_pd(a, b, USCA_AVX512_NEAREST);
-}
-USCA_POLAR_LOG_X8 __m512d sub(__m512d a, __m512d b) {
-  return _mm512_sub_round_pd(a, b, USCA_AVX512_NEAREST);
-}
-USCA_POLAR_LOG_X8 __m512d mul(__m512d a, __m512d b) {
-  return _mm512_mul_round_pd(a, b, USCA_AVX512_NEAREST);
-}
-USCA_POLAR_LOG_X8 __m512d splat(double v) { return _mm512_set1_pd(v); }
-USCA_POLAR_LOG_X8 __m512i splat(std::uint64_t v) {
-  return _mm512_set1_epi64(static_cast<long long>(v));
-}
-
-} // namespace polar_log_x8_ops
-
 /// polar_log on eight lanes, the same bits lane by lane.
-USCA_POLAR_LOG_X8 __m512d polar_log_x8(__m512d x) {
+__attribute__((target(USCA_AVX512_TARGET), always_inline)) inline __m512d
+polar_log_x8(__m512d x) {
   namespace c = polar_log_constants;
-  using namespace polar_log_x8_ops;
   const __m512i bits = _mm512_castpd_si512(x);
-  const __m512i mantissa = _mm512_and_si512(bits, splat(c::mantissa_mask));
+  const __m512i mantissa =
+      _mm512_and_si512(bits, _mm512_set1_epi64(c::mantissa_mask));
   const __m512i halve = _mm512_and_si512(
-      _mm512_add_epi64(mantissa, splat(c::sqrt2_carry)),
-      splat(c::exponent_one));
+      _mm512_add_epi64(mantissa, _mm512_set1_epi64(c::sqrt2_carry)),
+      _mm512_set1_epi64(c::exponent_one));
   const __m512d m = _mm512_castsi512_pd(_mm512_or_si512(
-      mantissa, _mm512_xor_si512(halve, splat(c::one_bits))));
+      mantissa, _mm512_xor_si512(halve, _mm512_set1_epi64(c::one_bits))));
   const __m512i biased = _mm512_add_epi64(_mm512_srli_epi64(bits, 52),
                                           _mm512_srli_epi64(halve, 52));
-  const __m512d k =
-      sub(_mm512_castsi512_pd(_mm512_or_si512(biased, splat(c::two52_bits))),
-          splat(c::two52_plus_bias));
+  const __m512d k = sub_x8(
+      _mm512_castsi512_pd(
+          _mm512_or_si512(biased, _mm512_set1_epi64(c::two52_bits))),
+      _mm512_set1_pd(c::two52_plus_bias));
 
-  const __m512d f = sub(m, splat(1.0));
-  const __m512d hfsq = mul(mul(splat(0.5), f), f);
-  const __m512d s =
-      _mm512_div_round_pd(f, add(splat(2.0), f), USCA_AVX512_NEAREST);
-  const __m512d z = mul(s, s);
-  const __m512d z2 = mul(z, z);
-  const __m512d z4 = mul(z2, z2);
-  const __m512d p12 = add(splat(c::c1), mul(z, splat(c::c2)));
-  const __m512d p34 = add(splat(c::c3), mul(z, splat(c::c4)));
-  const __m512d p56 = add(splat(c::c5), mul(z, splat(c::c6)));
-  const __m512d p78 = add(splat(c::c7), mul(z, splat(c::c8)));
-  const __m512d p910 = add(splat(c::c9), mul(z, splat(c::c10)));
-  const __m512d low = add(p12, mul(z2, p34));
-  const __m512d high = add(p56, mul(z2, p78));
-  const __m512d r = mul(z, add(low, mul(z4, add(high, mul(z4, p910)))));
+  const __m512d f = sub_x8(m, _mm512_set1_pd(1.0));
+  const __m512d hfsq = mul_x8(mul_x8(_mm512_set1_pd(0.5), f), f);
+  const __m512d s = _mm512_div_round_pd(
+      f, add_x8(_mm512_set1_pd(2.0), f), USCA_AVX512_NEAREST);
+  const __m512d z = mul_x8(s, s);
+  const __m512d z2 = mul_x8(z, z);
+  const __m512d z4 = mul_x8(z2, z2);
+  const __m512d p12 =
+      add_x8(_mm512_set1_pd(c::c1), mul_x8(z, _mm512_set1_pd(c::c2)));
+  const __m512d p34 =
+      add_x8(_mm512_set1_pd(c::c3), mul_x8(z, _mm512_set1_pd(c::c4)));
+  const __m512d p56 =
+      add_x8(_mm512_set1_pd(c::c5), mul_x8(z, _mm512_set1_pd(c::c6)));
+  const __m512d p78 =
+      add_x8(_mm512_set1_pd(c::c7), mul_x8(z, _mm512_set1_pd(c::c8)));
+  const __m512d p910 =
+      add_x8(_mm512_set1_pd(c::c9), mul_x8(z, _mm512_set1_pd(c::c10)));
+  const __m512d low = add_x8(p12, mul_x8(z2, p34));
+  const __m512d high = add_x8(p56, mul_x8(z2, p78));
+  const __m512d r =
+      mul_x8(z, add_x8(low, mul_x8(z4, add_x8(high, mul_x8(z4, p910)))));
 
-  const __m512d tail = add(mul(s, add(hfsq, r)), mul(k, splat(c::ln2_lo)));
-  return sub(mul(k, splat(c::ln2_hi)), sub(sub(hfsq, tail), f));
+  const __m512d tail = add_x8(mul_x8(s, add_x8(hfsq, r)),
+                              mul_x8(k, _mm512_set1_pd(c::ln2_lo)));
+  return sub_x8(mul_x8(k, _mm512_set1_pd(c::ln2_hi)),
+                sub_x8(sub_x8(hfsq, tail), f));
 }
-
-#undef USCA_POLAR_LOG_X8
 
 USCA_AVX512_BODIES_END
 #endif // USCA_HAVE_AVX512

@@ -196,7 +196,8 @@ TEST(PolarLog, ReductionConstants) {
   namespace c = polar_log_constants;
   const std::uint64_t sqrt2 =
       std::bit_cast<std::uint64_t>(std::sqrt(2.0)) & c::mantissa_mask;
-  EXPECT_EQ(sqrt2 + c::sqrt2_carry, c::exponent_one);
+  EXPECT_EQ(sqrt2 + c::sqrt2_carry,
+            static_cast<std::uint64_t>(c::exponent_one));
   EXPECT_EQ(std::bit_cast<double>(c::one_bits), 1.0);
   EXPECT_EQ(std::bit_cast<double>(c::two52_bits), 0x1.0p52);
   EXPECT_EQ(c::two52_plus_bias - 0x1.0p52, 1023.0);
