@@ -6,7 +6,12 @@
 #include <cmath>
 
 #include "sim/batch_sim.h"
+#include "util/polar_log.h"
 #include "util/telemetry.h"
+
+// The per-trace noise (add_gaussian, the averaged executions) must round
+// like the batch-wide kernels, whatever flags build this file.
+USCA_FP_CONTRACT_OFF
 
 namespace usca::power {
 
