@@ -7,8 +7,11 @@
 #include "util/avx512.h"
 #include "util/polar_log.h"
 
-#if defined(__x86_64__) && defined(__GNUC__)
-#define USCA_HAVE_AVX2_NOISE 1
+// The vector sets are one template instantiated under `#pragma GCC
+// target`, which GCC also applies to a template's explicit
+// instantiation; a Clang build runs the scalar set.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#define USCA_HAVE_VECTOR_NOISE 1
 #include <immintrin.h>
 #endif
 
@@ -35,255 +38,66 @@ noise_work scalar_add_columns(const noise_columns& job, noise_workspace&) {
 
 constexpr noise_kernels scalar_set = {"scalar", scalar_add_columns};
 
-// ---------------------------------------------------------------- avx2
+#if USCA_HAVE_VECTOR_NOISE
 
-#if USCA_HAVE_AVX2_NOISE
+// ------------------------------------------------------ the vector body
+//
+// One body for every vector set, add_columns<L>, over a lane type L:
+// L::width lanes per group, L::f64 and L::u64 GCC vectors of that many
+// doubles and 64-bit words, and the primitives GCC cannot write, or
+// writes badly, as a few intrinsics each: sqrt, compare-to-mask,
+// any-lane, the open-lane scatter of candidates, the clean-row load, the
+// output scatter and u64 -> double.  Everything else — the xoshiro
+// step, 2u - 1, u*u + v*v, the acceptance counts and the pair loop — is
+// written once below.  Each set instantiates the body inside a
+// `#pragma GCC target` region together with its primitives, so the body
+// and everything it inlines compile for that set's ISA and no vector
+// crosses a target boundary (util/polar_log.h).
 
-#define USCA_AVX2 __attribute__((target("avx2"), always_inline)) inline
+// The helpers are default-target templates that take and return vectors
+// by value.  They are always_inline, so no call passes a vector across
+// the ABI -Wpsabi warns about; GCC reports it at the end of the file,
+// where it instantiates templates, so it is off from here on.
+#pragma GCC diagnostic ignored "-Wpsabi"
 
-/// Four xoshiro256** generators, state word w of generator j in lane j of
-/// s[w].
-struct xoshiro_x4 {
-  __m256i s0, s1, s2, s3;
+/// W xoshiro256** generators side by side: state word w of lane j in
+/// lane j of s<w>.
+template <class L> struct xoshiro_lanes {
+  typename L::u64 s0, s1, s2, s3;
 };
 
-template <int K>
-USCA_AVX2 __m256i rotl_x4(__m256i x) {
-  return _mm256_or_si256(_mm256_slli_epi64(x, K), _mm256_srli_epi64(x, 64 - K));
+template <class U> [[gnu::always_inline]] inline U rotl(const U& x, int k) {
+  return (x << k) | (x >> (64 - k));
 }
 
-/// xoshiro256::operator() on four generators; AVX2 has no 64-bit
-/// multiply, so *5 and *9 are shift-adds (exact modulo 2^64).
-USCA_AVX2 __m256i next_x4(xoshiro_x4& g) {
-  const __m256i times5 = _mm256_add_epi64(_mm256_slli_epi64(g.s1, 2), g.s1);
-  const __m256i rotated = rotl_x4<7>(times5);
-  const __m256i result =
-      _mm256_add_epi64(_mm256_slli_epi64(rotated, 3), rotated);
-  const __m256i t = _mm256_slli_epi64(g.s1, 17);
-  g.s2 = _mm256_xor_si256(g.s2, g.s0);
-  g.s3 = _mm256_xor_si256(g.s3, g.s1);
-  g.s1 = _mm256_xor_si256(g.s1, g.s2);
-  g.s0 = _mm256_xor_si256(g.s0, g.s3);
-  g.s2 = _mm256_xor_si256(g.s2, t);
-  g.s3 = rotl_x4<45>(g.s3);
+/// xoshiro256::operator() on every lane; *5 and *9 as shift-adds (exact
+/// modulo 2^64, and cheaper than a 64-bit vector multiply).
+template <class L>
+[[gnu::always_inline]] inline typename L::u64 next(xoshiro_lanes<L>& g) {
+  const typename L::u64 times5 = (g.s1 << 2) + g.s1;
+  const typename L::u64 rotated = rotl(times5, 7);
+  const typename L::u64 result = (rotated << 3) + rotated;
+  const typename L::u64 t = g.s1 << 17;
+  g.s2 ^= g.s0;
+  g.s3 ^= g.s1;
+  g.s1 ^= g.s2;
+  g.s0 ^= g.s3;
+  g.s2 ^= t;
+  g.s3 = rotl(g.s3, 45);
   return result;
 }
 
-/// xoshiro256::next_double on four outputs.  x >> 11 has 53 bits, past
-/// the reach of the one-constant 2^52 trick, so it is split at bit 32:
-/// 2^84 + hi * 2^32 and 2^52 + lo are exact doubles, and subtracting
-/// 2^84 + 2^52 from the first before adding the second leaves exactly
-/// (x >> 11), which then scales by 2^-53 without rounding.
-USCA_AVX2 __m256d unit_x4(__m256i x) {
-  const __m256i magic84 = _mm256_set1_epi64x(0x4530000000000000LL);
-  const __m256i magic52 = _mm256_set1_epi64x(0x4330000000000000LL);
-  const __m256d magic84_52 = _mm256_set1_pd(0x1.0p84 + 0x1.0p52);
-  const __m256i hi = _mm256_srli_epi64(x, 43);
-  const __m256i lo = _mm256_and_si256(_mm256_srli_epi64(x, 11),
-                                      _mm256_set1_epi64x(0xffffffffLL));
-  const __m256d high = _mm256_sub_pd(
-      _mm256_castsi256_pd(_mm256_or_si256(hi, magic84)), magic84_52);
-  const __m256d whole =
-      _mm256_add_pd(high, _mm256_castsi256_pd(_mm256_or_si256(lo, magic52)));
-  return _mm256_mul_pd(whole, _mm256_set1_pd(0x1.0p-53));
-}
-
-/// 2.0 * next_double() - 1.0, multiply and subtract rounded apart.
-USCA_AVX2 __m256d signed_unit_x4(xoshiro_x4& g) {
-  return _mm256_sub_pd(_mm256_mul_pd(_mm256_set1_pd(2.0), unit_x4(next_x4(g))),
-                       _mm256_set1_pd(1.0));
-}
-
-/// Sample i of every real lane of a group: the lanes' clean values at
-/// row i plus sigma times their deviates.
-USCA_AVX2 void emit_x4(const noise_columns& job, std::size_t i,
-                       __m256i index, const std::array<std::size_t, 4>& lane,
-                       std::size_t real, __m256d deviate) {
-  const __m256d clean =
-      _mm256_i64gather_pd(job.clean + i * job.stride, index, 8);
-  alignas(32) double sample[4] = {};
-  _mm256_store_pd(sample,
-                  _mm256_add_pd(clean, _mm256_mul_pd(_mm256_set1_pd(job.sigma),
-                                                     deviate)));
-  for (std::size_t j = 0; j < real; ++j) {
-    job.out[lane[j]][i] = sample[j];
-  }
-}
-
-#undef USCA_AVX2
-
-__attribute__((target("avx2"))) noise_work
-avx2_add_columns(const noise_columns& job, noise_workspace& ws) {
+template <class L>
+noise_work add_columns(const noise_columns& job, noise_workspace& ws) {
+  using f64 = typename L::f64;
+  using u64 = typename L::u64;
+  constexpr std::size_t width = L::width;
   noise_work work;
   const std::size_t pairs = (job.samples + 1) / 2;
-  // Slot p * 4 + j holds candidate p of group lane j; one spare pair per
-  // lane takes the writes of a lane that already has all its pairs.
-  const std::size_t slots = (pairs + 1) * 4;
-  for (std::vector<double>* buffer : {&ws.u, &ws.v, &ws.s}) {
-    if (buffer->size() < slots) {
-      buffer->resize(slots);
-    }
-  }
-  std::array<std::size_t, sim::max_batch_lanes> ids{};
-  std::size_t n = 0;
-  for (const std::size_t lane : sim::lanes_in(job.lanes)) {
-    ids[n++] = lane;
-  }
-
-  for (std::size_t first = 0; first < n; first += 4) {
-    // Group of up to four lanes; padding slots repeat the first lane and
-    // need no pairs, so they never accept and are never written out.
-    const std::size_t real = std::min<std::size_t>(4, n - first);
-    std::array<std::size_t, 4> lane{};
-    std::array<std::size_t, 4> need{};
-    alignas(32) std::array<std::array<std::uint64_t, 4>, 4> words{};
-    for (std::size_t j = 0; j < 4; ++j) {
-      lane[j] = ids[first + (j < real ? j : 0)];
-      need[j] = j < real ? pairs : 0;
-      const util::xoshiro256 seeded(job.seeds[lane[j]]);
-      for (std::size_t w = 0; w < 4; ++w) {
-        words[w][j] = seeded.state()[w];
-      }
-    }
-    const auto* word = reinterpret_cast<const __m256i*>(words.data());
-    xoshiro_x4 gen{_mm256_load_si256(word), _mm256_load_si256(word + 1),
-                   _mm256_load_si256(word + 2), _mm256_load_si256(word + 3)};
-
-    // Candidates: draw u then v per lane, exactly as next_gaussian does,
-    // and append each lane's accepted (u, v, s) at its own count.
-    std::array<std::size_t, 4> count{};
-    std::array<std::size_t, 4> consumed{};
-    const __m256d one = _mm256_set1_pd(1.0);
-    const __m256d zero = _mm256_setzero_pd();
-    while (count[0] < need[0] || count[1] < need[1] || count[2] < need[2] ||
-           count[3] < need[3]) {
-      const __m256d u = signed_unit_x4(gen);
-      const __m256d v = signed_unit_x4(gen);
-      const __m256d s =
-          _mm256_add_pd(_mm256_mul_pd(u, u), _mm256_mul_pd(v, v));
-      const int accept = _mm256_movemask_pd(
-          _mm256_and_pd(_mm256_cmp_pd(s, one, _CMP_LT_OQ),
-                        _mm256_cmp_pd(s, zero, _CMP_NEQ_OQ)));
-      alignas(32) double tu[4] = {};
-      alignas(32) double tv[4] = {};
-      alignas(32) double ts[4] = {};
-      _mm256_store_pd(tu, u);
-      _mm256_store_pd(tv, v);
-      _mm256_store_pd(ts, s);
-      for (std::size_t j = 0; j < 4; ++j) {
-        const std::size_t at = count[j] * 4 + j;
-        ws.u[at] = tu[j];
-        ws.v[at] = tv[j];
-        ws.s[at] = ts[j];
-        const std::size_t open = count[j] < need[j] ? 1 : 0;
-        consumed[j] += open;
-        count[j] += open & static_cast<std::size_t>((accept >> j) & 1);
-      }
-    }
-
-    for (std::size_t j = 0; j < real; ++j) {
-      work.deviates += job.samples;
-      work.candidates += consumed[j];
-    }
-
-    // factor = sqrt(-2 log s / s); sample = clean + sigma * (u * factor)
-    // for the even sample of the pair, v for the odd one.  Padding lanes
-    // take the log of whatever their slots hold and are never written out.
-    const __m256i index = _mm256_set_epi64x(
-        static_cast<long long>(lane[3]), static_cast<long long>(lane[2]),
-        static_cast<long long>(lane[1]), static_cast<long long>(lane[0]));
-    const __m256d minus_two = _mm256_set1_pd(-2.0);
-    for (std::size_t p = 0; p < pairs; ++p) {
-      const __m256d s = _mm256_loadu_pd(ws.s.data() + p * 4);
-      const __m256d factor = _mm256_sqrt_pd(_mm256_div_pd(
-          _mm256_mul_pd(minus_two, util::polar_log_x4(s)), s));
-      emit_x4(job, 2 * p, index, lane, real,
-              _mm256_mul_pd(_mm256_loadu_pd(ws.u.data() + p * 4), factor));
-      if (2 * p + 1 < job.samples) {
-        emit_x4(job, 2 * p + 1, index, lane, real,
-                _mm256_mul_pd(_mm256_loadu_pd(ws.v.data() + p * 4), factor));
-      }
-    }
-  }
-  return work;
-}
-
-constexpr noise_kernels avx2_set = {"avx2", avx2_add_columns};
-
-#endif // USCA_HAVE_AVX2_NOISE
-
-// -------------------------------------------------------------- avx512
-
-#if USCA_HAVE_AVX512
-USCA_AVX512_BODIES_BEGIN
-
-#define USCA_AVX512_INLINE \
-  __attribute__((target(USCA_AVX512_TARGET), always_inline)) inline
-
-using util::add_x8;
-using util::mul_x8;
-using util::sub_x8;
-
-/// Eight xoshiro256** generators, state word w of generator j in lane j
-/// of s[w].
-struct xoshiro_x8 {
-  __m512i s0, s1, s2, s3;
-};
-
-/// xoshiro256::operator() on eight generators: *5 and *9 as shift-adds
-/// (cheaper than vpmullq), the rotates native.
-USCA_AVX512_INLINE __m512i next_x8(xoshiro_x8& g) {
-  const __m512i times5 = _mm512_add_epi64(_mm512_slli_epi64(g.s1, 2), g.s1);
-  const __m512i rotated = _mm512_rol_epi64(times5, 7);
-  const __m512i result =
-      _mm512_add_epi64(_mm512_slli_epi64(rotated, 3), rotated);
-  const __m512i t = _mm512_slli_epi64(g.s1, 17);
-  g.s2 = _mm512_xor_si512(g.s2, g.s0);
-  g.s3 = _mm512_xor_si512(g.s3, g.s1);
-  g.s1 = _mm512_xor_si512(g.s1, g.s2);
-  g.s0 = _mm512_xor_si512(g.s0, g.s3);
-  g.s2 = _mm512_xor_si512(g.s2, t);
-  g.s3 = _mm512_rol_epi64(g.s3, 45);
-  return result;
-}
-
-/// 2.0 * next_double() - 1.0 on eight outputs.  x >> 11 has 53 bits, so
-/// vcvtuqq2pd converts it exactly and the 2^-53 scale is exact; the
-/// multiply by 2 and the subtract round apart.
-USCA_AVX512_INLINE __m512d signed_unit_x8(xoshiro_x8& g) {
-  const __m512d unit =
-      mul_x8(_mm512_cvtepu64_pd(_mm512_srli_epi64(next_x8(g), 11)),
-             _mm512_set1_pd(0x1.0p-53));
-  return sub_x8(mul_x8(_mm512_set1_pd(2.0), unit), _mm512_set1_pd(1.0));
-}
-
-/// Sample i of every real lane of a group: the lanes' clean values at
-/// row i plus sigma times their deviates, scattered to the lanes' output
-/// rows (`row` holds each lane's out pointer plus i doubles, as bytes).
-/// `column` holds the lanes' tile columns; when they are adjacent,
-/// `first` is the lowest and one masked load reads them.
-USCA_AVX512_INLINE void emit_x8(const noise_columns& job, std::size_t i,
-                         __m512i column, const double* first, __m512i row,
-                         __mmask8 real, __m512d deviate) {
-  const double* clean_row = job.clean + i * job.stride;
-  const __m512d clean =
-      first != nullptr
-          ? _mm512_maskz_loadu_pd(real, clean_row + (first - job.clean))
-          : _mm512_i64gather_pd(column, clean_row, 8);
-  _mm512_mask_i64scatter_pd(
-      nullptr, real, row,
-      add_x8(clean, mul_x8(_mm512_set1_pd(job.sigma), deviate)), 1);
-}
-
-#undef USCA_AVX512_INLINE
-
-__attribute__((target(USCA_AVX512_TARGET))) noise_work
-avx512_add_columns(const noise_columns& job, noise_workspace& ws) {
-  noise_work work;
-  const std::size_t pairs = (job.samples + 1) / 2;
-  // Slot p * 8 + j holds candidate p of group lane j.  Only open lanes
-  // (fewer than `pairs` accepted) write, so no spare pair is needed.
-  const std::size_t slots = pairs * 8;
+  // Slot p * width + j holds candidate p of group lane j; one spare pair
+  // per lane takes the writes of a lane that already has all its pairs,
+  // where the scatter writes closed lanes.
+  const std::size_t slots = (pairs + 1) * width;
   for (std::vector<double>* buffer : {&ws.u, &ws.v}) {
     if (buffer->size() < slots) {
       buffer->resize(slots);
@@ -295,102 +109,240 @@ avx512_add_columns(const noise_columns& job, noise_workspace& ws) {
     ids[n++] = lane;
   }
 
-  const __m512i group_lane = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
-  const __m512i one = _mm512_set1_epi64(1);
-  for (std::size_t first = 0; first < n; first += 8) {
-    // Group of up to eight lanes; padding slots repeat the first lane,
-    // need no pairs and are masked out of every store.
-    const std::size_t real = std::min<std::size_t>(8, n - first);
-    const auto real_lanes = static_cast<__mmask8>((1U << real) - 1);
-    alignas(64) std::array<std::array<std::uint64_t, 8>, 4> words{};
-    alignas(64) std::array<std::uint64_t, 8> column{};
-    alignas(64) std::array<std::uint64_t, 8> out{};
-    for (std::size_t j = 0; j < 8; ++j) {
+  for (std::size_t first = 0; first < n; first += width) {
+    // Group of up to `width` lanes; padding lanes repeat the first lane,
+    // need no pairs, and are never stored.
+    const std::size_t real = std::min(width, n - first);
+    u64 group_lane{};
+    u64 need{};
+    u64 column{};
+    std::array<double*, width> out{};
+    xoshiro_lanes<L> gen{};
+    for (std::size_t j = 0; j < width; ++j) {
       const std::size_t lane = ids[first + (j < real ? j : 0)];
+      group_lane[j] = j;
+      need[j] = j < real ? pairs : 0;
       column[j] = lane;
-      out[j] = reinterpret_cast<std::uintptr_t>(job.out[lane]);
+      out[j] = job.out[lane];
       const util::xoshiro256 seeded(job.seeds[lane]);
-      for (std::size_t w = 0; w < 4; ++w) {
-        words[w][j] = seeded.state()[w];
-      }
+      gen.s0[j] = seeded.state()[0];
+      gen.s1[j] = seeded.state()[1];
+      gen.s2[j] = seeded.state()[2];
+      gen.s3[j] = seeded.state()[3];
     }
-    xoshiro_x8 gen{_mm512_load_si512(words[0].data()),
-                   _mm512_load_si512(words[1].data()),
-                   _mm512_load_si512(words[2].data()),
-                   _mm512_load_si512(words[3].data())};
 
     // Candidates: draw u then v per lane, exactly as next_gaussian does,
-    // and scatter each open lane's (u, v) to its slot at its own count; a
-    // rejected candidate is overwritten by the lane's next one.
-    const __m512i need = _mm512_maskz_set1_epi64(
-        real_lanes, static_cast<long long>(pairs));
-    __m512i count = _mm512_setzero_si512();
-    __m512i consumed = _mm512_setzero_si512();
-    const __m512d unit = _mm512_set1_pd(1.0);
-    const __m512d zero = _mm512_setzero_pd();
-    for (__mmask8 open = _mm512_cmplt_epu64_mask(count, need); open != 0;
-         open = _mm512_cmplt_epu64_mask(count, need)) {
-      const __m512d u = signed_unit_x8(gen);
-      const __m512d v = signed_unit_x8(gen);
-      const __m512d s = add_x8(mul_x8(u, u), mul_x8(v, v));
-      const __mmask8 accept = _mm512_cmp_pd_mask(s, unit, _CMP_LT_OQ) &
-                              _mm512_cmp_pd_mask(s, zero, _CMP_NEQ_OQ);
-      const __m512i at =
-          _mm512_add_epi64(_mm512_slli_epi64(count, 3), group_lane);
-      _mm512_mask_i64scatter_pd(ws.u.data(), open, at, u, 8);
-      _mm512_mask_i64scatter_pd(ws.v.data(), open, at, v, 8);
-      consumed = _mm512_mask_add_epi64(consumed, open, consumed, one);
-      count = _mm512_mask_add_epi64(count, open & accept, count, one);
+    // and write each open lane's (u, v) to its slot at its own count; a
+    // rejected candidate is overwritten by the lane's next one.  Each is
+    // 2.0 * next_double() - 1.0: x >> 11 has 53 bits, so it converts
+    // exactly and the 2^-53 scale is exact; the multiply by 2 and the
+    // subtract round apart.  Masks are all-ones lanes, so subtracting one
+    // adds 1 where it is set.
+    u64 count{};
+    u64 consumed{};
+    for (u64 open = L::less(count, need); L::any(open);
+         open = L::less(count, need)) {
+      const f64 u = 2.0 * (L::to_double(next(gen) >> 11) * 0x1.0p-53) - 1.0;
+      const f64 v = 2.0 * (L::to_double(next(gen) >> 11) * 0x1.0p-53) - 1.0;
+      const f64 s = u * u + v * v;
+      const u64 accept = L::less(s, f64{} + 1.0) & L::differ(s, f64{});
+      L::scatter(ws.u.data(), ws.v.data(), count * width + group_lane, open,
+                 u, v);
+      consumed -= open;
+      count -= open & accept;
     }
 
     work.deviates += job.samples * real;
-    work.candidates +=
-        static_cast<std::uint64_t>(_mm512_reduce_add_epi64(consumed));
+    for (std::size_t j = 0; j < width; ++j) {
+      work.candidates += consumed[j];
+    }
 
     // s = u*u + v*v is recomputed from the accepted (u, v), the same
-    // operations on the same values, rather than scattered with them;
-    // factor = sqrt(-2 log s / s); sample = clean + sigma * (u * factor)
-    // for the even sample of the pair, v for the odd one.  Padding lanes
-    // read the first lane's column and are never stored.
-    const __m512i lanes = _mm512_load_si512(column.data());
-    const double* adjacent = column[real - 1] - column[0] == real - 1
-                                 ? job.clean + column[0]
-                                 : nullptr;
-    __m512i row = _mm512_load_si512(out.data());
-    const __m512i next_row = _mm512_set1_epi64(sizeof(double));
-    const __m512d minus_two = _mm512_set1_pd(-2.0);
+    // operations on the same values; factor = sqrt(-2 log s / s);
+    // sample = clean + sigma * (u * factor) for the even sample of the
+    // pair, v for the odd one.  Padding lanes compute on whatever their
+    // slots hold and are never stored.
+    const bool adjacent = column[real - 1] - column[0] == real - 1;
     for (std::size_t p = 0; p < pairs; ++p) {
-      const __m512d u = _mm512_loadu_pd(ws.u.data() + p * 8);
-      const __m512d v = _mm512_loadu_pd(ws.v.data() + p * 8);
-      const __m512d s = add_x8(mul_x8(u, u), mul_x8(v, v));
-      const __m512d factor = _mm512_sqrt_pd(
-          _mm512_div_pd(mul_x8(minus_two, util::polar_log_x8(s)), s));
-      emit_x8(job, 2 * p, lanes, adjacent, row, real_lanes,
-              mul_x8(u, factor));
-      row = _mm512_add_epi64(row, next_row);
-      if (2 * p + 1 < job.samples) {
-        emit_x8(job, 2 * p + 1, lanes, adjacent, row, real_lanes,
-                mul_x8(v, factor));
-        row = _mm512_add_epi64(row, next_row);
+      f64 u;
+      f64 v;
+      __builtin_memcpy(&u, ws.u.data() + p * width, sizeof(u));
+      __builtin_memcpy(&v, ws.v.data() + p * width, sizeof(v));
+      const f64 s = u * u + v * v;
+      f64 log_s;
+      util::polar_log_lanes(s, log_s);
+      const f64 factor = L::sqrt(-2.0 * log_s / s);
+      const std::size_t i = 2 * p;
+      L::store_rows(out.data(), i, real,
+                    L::load_row(job.clean + i * job.stride, column, real,
+                                adjacent) +
+                        job.sigma * (u * factor));
+      if (i + 1 < job.samples) {
+        L::store_rows(out.data(), i + 1, real,
+                      L::load_row(job.clean + (i + 1) * job.stride, column,
+                                  real, adjacent) +
+                          job.sigma * (v * factor));
       }
     }
   }
   return work;
 }
 
+#define USCA_PRAGMA(x) _Pragma(#x)
+/// Functions defined, and templates explicitly instantiated, between
+/// USCA_TARGET_BEGIN(isa) and USCA_TARGET_END compile for `isa`.
+#define USCA_TARGET_BEGIN(isa) _Pragma("GCC push_options") USCA_PRAGMA(GCC target(isa))
+#define USCA_TARGET_END _Pragma("GCC pop_options")
+
+// ---------------------------------------------------------------- avx2
+
+USCA_TARGET_BEGIN("avx2")
+
+/// Four lanes per group.
+struct avx2_lanes {
+  static constexpr std::size_t width = 4;
+  using f64 = double __attribute__((vector_size(32)));
+  using u64 = std::uint64_t __attribute__((vector_size(32)));
+
+  [[gnu::always_inline]] static f64 sqrt(f64 x) {
+    return _mm256_sqrt_pd(x);
+  }
+  [[gnu::always_inline]] static u64 less(f64 a, f64 b) {
+    return u64(_mm256_cmp_pd(a, b, _CMP_LT_OQ));
+  }
+  [[gnu::always_inline]] static u64 differ(f64 a, f64 b) {
+    return u64(_mm256_cmp_pd(a, b, _CMP_NEQ_OQ));
+  }
+  /// Counts stay below 2^63, so the signed compare is exact.
+  [[gnu::always_inline]] static u64 less(u64 a, u64 b) {
+    return u64(_mm256_cmpgt_epi64(__m256i(b), __m256i(a)));
+  }
+  [[gnu::always_inline]] static bool any(u64 mask) {
+    return _mm256_testz_si256(__m256i(mask), __m256i(mask)) == 0;
+  }
+  /// Every lane writes (u, v) at its slot; a closed lane's slot is in
+  /// its spare pair or, for a padding lane, a slot never stored.
+  [[gnu::always_inline]] static void scatter(double* u_slots,
+                                             double* v_slots, u64 at, u64,
+                                             f64 u, f64 v) {
+    for (std::size_t j = 0; j < width; ++j) {
+      u_slots[at[j]] = u[j];
+      v_slots[at[j]] = v[j];
+    }
+  }
+  /// The first `real` lanes' clean values in `row`, at their columns.
+  [[gnu::always_inline]] static f64 load_row(const double* row, u64 column,
+                                             std::size_t real,
+                                             bool adjacent) {
+    const __m256i lanes = _mm256_cmpgt_epi64(
+        _mm256_set1_epi64x(static_cast<long long>(real)),
+        _mm256_set_epi64x(3, 2, 1, 0));
+    return adjacent ? _mm256_maskload_pd(row + column[0], lanes)
+                    : _mm256_i64gather_pd(row, __m256i(column), 8);
+  }
+  /// Sample i of the first `real` lanes' output rows.
+  [[gnu::always_inline]] static void store_rows(double* const* out,
+                                                std::size_t i,
+                                                std::size_t real,
+                                                f64 sample) {
+    for (std::size_t j = 0; j < real; ++j) {
+      out[j][i] = sample[j];
+    }
+  }
+  /// Exact for x < 2^53.  AVX2 has no u64 -> double, and x is past the
+  /// reach of the one-constant 2^52 trick, so it is split at bit 32:
+  /// 2^84 + hi * 2^32 and 2^52 + lo are exact doubles, and subtracting
+  /// 2^84 + 2^52 from the first before adding the second leaves exactly x.
+  [[gnu::always_inline]] static f64 to_double(u64 x) {
+    const f64 high = f64((x >> 32) | 0x4530000000000000ULL) -
+                     (0x1.0p84 + 0x1.0p52);
+    return high + f64((x & 0xffffffffULL) | 0x4330000000000000ULL);
+  }
+};
+
+template noise_work add_columns<avx2_lanes>(const noise_columns&,
+                                            noise_workspace&);
+
+USCA_TARGET_END
+
+constexpr noise_kernels avx2_set = {"avx2", add_columns<avx2_lanes>};
+
+// -------------------------------------------------------------- avx512
+
+USCA_AVX512_BODIES_BEGIN
+USCA_TARGET_BEGIN(USCA_AVX512_TARGET)
+
+/// Eight lanes per group: native compares into mask registers, masked
+/// scatters, and an exact vcvtuqq2pd.
+struct avx512_lanes {
+  static constexpr std::size_t width = 8;
+  using f64 = double __attribute__((vector_size(64)));
+  using u64 = std::uint64_t __attribute__((vector_size(64)));
+
+  [[gnu::always_inline]] static __mmask8 mask_of(u64 lanes) {
+    return _mm512_test_epi64_mask(__m512i(lanes), __m512i(lanes));
+  }
+  [[gnu::always_inline]] static f64 sqrt(f64 x) {
+    return _mm512_sqrt_pd(x);
+  }
+  [[gnu::always_inline]] static u64 less(f64 a, f64 b) {
+    return u64(_mm512_movm_epi64(_mm512_cmp_pd_mask(a, b, _CMP_LT_OQ)));
+  }
+  [[gnu::always_inline]] static u64 differ(f64 a, f64 b) {
+    return u64(_mm512_movm_epi64(_mm512_cmp_pd_mask(a, b, _CMP_NEQ_OQ)));
+  }
+  [[gnu::always_inline]] static u64 less(u64 a, u64 b) {
+    return u64(_mm512_movm_epi64(_mm512_cmplt_epu64_mask(__m512i(a),
+                                                         __m512i(b))));
+  }
+  [[gnu::always_inline]] static bool any(u64 mask) {
+    return mask_of(mask) != 0;
+  }
+  /// Only open lanes write, so the spare pair stays untouched.
+  [[gnu::always_inline]] static void scatter(double* u_slots,
+                                             double* v_slots, u64 at,
+                                             u64 open, f64 u, f64 v) {
+    _mm512_mask_i64scatter_pd(u_slots, mask_of(open), __m512i(at), u, 8);
+    _mm512_mask_i64scatter_pd(v_slots, mask_of(open), __m512i(at), v, 8);
+  }
+  [[gnu::always_inline]] static __mmask8 first(std::size_t real) {
+    return static_cast<__mmask8>((1U << real) - 1);
+  }
+  [[gnu::always_inline]] static f64 load_row(const double* row, u64 column,
+                                             std::size_t real,
+                                             bool adjacent) {
+    return adjacent ? _mm512_maskz_loadu_pd(first(real), row + column[0])
+                    : _mm512_i64gather_pd(__m512i(column), row, 8);
+  }
+  [[gnu::always_inline]] static void store_rows(double* const* out,
+                                                std::size_t i,
+                                                std::size_t real,
+                                                f64 sample) {
+    const __m512i rows = _mm512_add_epi64(
+        _mm512_loadu_si512(out),
+        _mm512_set1_epi64(static_cast<long long>(i * sizeof(double))));
+    _mm512_mask_i64scatter_pd(nullptr, first(real), rows, sample, 1);
+  }
+  [[gnu::always_inline]] static f64 to_double(u64 x) {
+    return _mm512_cvtepu64_pd(__m512i(x));
+  }
+};
+
+template noise_work add_columns<avx512_lanes>(const noise_columns&,
+                                              noise_workspace&);
+
+USCA_TARGET_END
 USCA_AVX512_BODIES_END
 
-constexpr noise_kernels avx512_set = {"avx512", avx512_add_columns};
+constexpr noise_kernels avx512_set = {"avx512", add_columns<avx512_lanes>};
 
-#endif // USCA_HAVE_AVX512
+#endif // USCA_HAVE_VECTOR_NOISE
 
 const noise_kernels* auto_kernels() noexcept {
-#if USCA_HAVE_AVX512
+#if USCA_HAVE_VECTOR_NOISE
   if (util::cpu_has_avx512()) {
     return &avx512_set;
   }
-#endif
-#if USCA_HAVE_AVX2_NOISE
   if (__builtin_cpu_supports("avx2")) {
     return &avx2_set;
   }
@@ -403,7 +355,7 @@ const noise_kernels* auto_kernels() noexcept {
 const noise_kernels& scalar_noise_kernels() noexcept { return scalar_set; }
 
 const noise_kernels* avx2_noise_kernels() noexcept {
-#if USCA_HAVE_AVX2_NOISE
+#if USCA_HAVE_VECTOR_NOISE
   return __builtin_cpu_supports("avx2") ? &avx2_set : nullptr;
 #else
   return nullptr;
@@ -411,7 +363,7 @@ const noise_kernels* avx2_noise_kernels() noexcept {
 }
 
 const noise_kernels* avx512_noise_kernels() noexcept {
-#if USCA_HAVE_AVX512
+#if USCA_HAVE_VECTOR_NOISE
   return util::cpu_has_avx512() ? &avx512_set : nullptr;
 #else
   return nullptr;

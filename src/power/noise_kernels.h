@@ -7,39 +7,30 @@
 // sequence next_gaussian() returns on that lane's freshly seeded
 // generator: the same uniforms, the same Marsaglia-polar rejections, the
 // same log/divide/sqrt, so every sample is bit-identical to the scalar
-// loop whatever kernel runs.  The log is util::polar_log
-// (util/polar_log.h) in every set, its scalar body in the scalar loop and
-// its 4- and 8-wide bodies in the vector sets, all with the same bits; no
-// set calls the host's libm.
+// loop whatever kernel runs.  The log is util/polar_log.h's one body in
+// every set, at width 1 in the scalar loop and at the group's width in
+// the vector sets, with the same bits; no set calls the host's libm.
 //
 // Three sets; the widest the CPU runs is resolved once at first use,
 // like stats::active_kernels():
 //
 //  * "scalar" — per lane, seed a generator and run the scalar loop
 //    (add_gaussian below); the portable path and the oracle;
-//  * "avx2" — four lanes' generator states in ymm registers (shift-add
-//    for the *5 and *9 of the output scrambler, an exact magic-number
-//    u64 -> double conversion, separate vmulpd/vaddpd for 2u - 1 and
-//    u*u + v*v — never FMA, which rounds once where the scalar path
-//    rounds twice).  Candidates are accepted branch-free and compacted
-//    per lane; a lane that has all its pairs keeps drawing until the
-//    slowest lane of its group is done, and that over-drawn state is
-//    discarded (every trace reseeds).  The log runs four lanes wide
-//    (util::polar_log_x4) in the pair loop; the divide and sqrt are
-//    correctly rounded in either width;
-//  * "avx512" — eight lanes per group: native vprolq, an exact vcvtuqq2pd
-//    for x >> 11, and a masked scatter of each open lane's (u, v) at its
-//    own count instead of the per-lane compaction loop.  The pair loop
-//    recomputes s from the accepted (u, v) and takes its log eight lanes
-//    wide (util::polar_log_x8).
+//  * "avx2" and "avx512" — one body, compiled for four and for eight
+//    lanes per group.  The lanes' generator states sit side by side in
+//    vectors.  Candidates are accepted branch-free and written to each
+//    lane's slot at its own count; a lane that has all its pairs keeps
+//    drawing until the slowest lane of its group is done, and that
+//    over-drawn state is discarded (every trace reseeds).  The pair loop
+//    recomputes s from the accepted (u, v), takes the log at the group's
+//    width (util::polar_log_lanes) and its divide and sqrt, all
+//    correctly rounded in any width.  Only a few per-width primitives are
+//    intrinsics (sqrt, compares, scatters, the clean-row load and
+//    u64 -> double); noise_kernels.cpp lists them.
 //
-// The FMA and fixed-order rule: every multiply, add, divide and sqrt
-// rounds on its own, in the order of the scalar loop.  AVX2 leaves FMA
-// off; a target that enables it (AVX-512 does) lets GCC fuse even a
-// plain `a + b * c`, so the AVX-512 body multiplies and adds through
-// explicit-rounding intrinsics (util/avx512.h).  noise_kernels.cpp
-// compiles under USCA_FP_CONTRACT_OFF, so a build that turns FMA on for
-// every function fuses nothing here either.
+// Every multiply, add, divide and sqrt rounds on its own, in the order of
+// the scalar loop: the FMA rule of util/polar_log.h, which
+// noise_kernels.cpp keeps with USCA_FP_CONTRACT_OFF.
 //
 // The identity tests compare the sets through scalar_noise_kernels(),
 // avx2_noise_kernels() and avx512_noise_kernels().
@@ -85,12 +76,10 @@ struct noise_work {
   std::uint64_t candidates = 0;
 };
 
-/// Scratch a kernel reuses across jobs (lane-interleaved candidates; s
-/// only in the AVX2 set).
+/// Scratch a kernel reuses across jobs (lane-interleaved candidates).
 struct noise_workspace {
   std::vector<double> u;
   std::vector<double> v;
-  std::vector<double> s;
 };
 
 struct noise_kernels {

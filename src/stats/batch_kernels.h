@@ -9,19 +9,19 @@
 // the order of the per-trace path — so every kernel, at any batch size,
 // produces bit-identical sums (the batch-identity tests pin this).
 //
-// The FMA rule: every set multiplies and adds with two roundings, as the
-// scalar path does; a fused multiply-add rounds once.  The AVX2 and NEON
-// bodies use separate multiply and add instructions.  A target that
-// enables FMA (AVX-512 does) lets GCC fuse even a plain `a + b * c`, so
-// the AVX-512 body multiplies and adds through explicit-rounding
-// intrinsics (util/avx512.h).
+// Every set is the same plain loops (batch_kernels.cpp), compiled for
+// its ISA and vectorised by the compiler: "generic" at the baseline ISA,
+// "avx2" and "avx512" under those targets, and "neon" on AArch64, where
+// AdvSIMD is the baseline, so it is the generic body under its own name.
+// They multiply and add with two roundings, as the per-trace path does:
+// the FMA rule of util/polar_log.h, which batch_kernels.cpp keeps with
+// USCA_FP_CONTRACT_OFF.
 //
-// Dispatch is resolved once at first use: the AVX-512 set (an 8-wide
-// cpa_accumulate; tvla and solve are the AVX2 bodies) on x86-64 CPUs
-// that run it, else the AVX2 set, the NEON set on AArch64, the portable
-// auto-vectorized set otherwise.  The identity tests compare the sets on
-// one machine through generic_kernels(), avx2_kernels(),
-// avx512_kernels() and neon_kernels().
+// Dispatch is resolved once at first use: the AVX-512 set on x86-64 CPUs
+// that run it, else the AVX2 set, the NEON set on AArch64, the generic
+// set otherwise.  The identity tests compare the sets on one machine
+// through generic_kernels(), avx2_kernels(), avx512_kernels() and
+// neon_kernels().
 #ifndef USCA_STATS_BATCH_KERNELS_H
 #define USCA_STATS_BATCH_KERNELS_H
 
@@ -64,7 +64,7 @@ struct batch_kernels {
                            std::size_t partitions, std::size_t n);
 };
 
-/// The portable set (plain loops the compiler auto-vectorizes).
+/// The portable set, at the baseline ISA.
 const batch_kernels& generic_kernels() noexcept;
 
 /// The AVX2 set, or nullptr when the build or the CPU lacks AVX2.

@@ -1,10 +1,12 @@
-// The natural log of the Marsaglia-polar radius s = u*u + v*v, in three
-// bodies that return the same bits: a scalar one (polar_log), a 4-wide
-// AVX2 one (polar_log_x4) and an 8-wide AVX-512 one (polar_log_x8).
-// Every Gaussian deviate of the repository goes through one of them —
-// xoshiro256::next_gaussian (util/rng.h) and the batch-wide noise kernels
-// (power/noise_kernels.h) — so sample bits depend on this code alone, not
-// on the host's libm.
+// The natural log of the Marsaglia-polar radius s = u*u + v*v, written
+// once: polar_log_lanes, a template over the lane type — double, or a GCC
+// vector of 4 or 8 doubles.  Every instance returns the same bits lane by
+// lane, whatever its width and target.  The named instances are
+// polar_log (scalar), polar_log_x4 (AVX2) and polar_log_x8 (AVX-512); the
+// batch-wide noise kernels (power/noise_kernels.h) instantiate the
+// template at their own width.  Every Gaussian deviate of the repository
+// goes through it — xoshiro256::next_gaussian (util/rng.h) included — so
+// sample bits depend on this code alone, not on the host's libm.
 //
 // The reduction, for a positive normal double x (every polar s is one: it
 // lies in [2^-104, 1 - 2^-53]):
@@ -24,22 +26,9 @@
 // (This s is fdlibm's name, not the polar radius, which is x here.)  No
 // table.  Over the polar inputs the result is within 1 ULP of log(x)
 // (tests/util/polar_log_test.cpp measures it against libquadmath's logq;
-// EXPERIMENTS.md records a 10^8-input sweep, worst 0.86 ULP).
-//
-// The FMA and fixed-order rule: every multiply, add and divide rounds on
-// its own, in the order written, identically in all three bodies, so the
-// three return the same bits.  A fused multiply-add rounds once where the
-// bodies round twice, so none may fuse:
-//  * the scalar body is defined in polar_log.cpp under
-//    USCA_FP_CONTRACT_OFF, so no compiler flag (-mfma, -march=native,
-//    aarch64's default contraction) can fuse it;
-//  * the AVX2 body compiles under target("avx2"), which has no FMA; a
-//    caller that inlines it declares USCA_FP_CONTRACT_OFF too, in case
-//    the whole build enables FMA;
-//  * the AVX-512 body multiplies and adds through explicit-rounding
-//    intrinsics (util/avx512.h), which GCC never fuses.
-// The integer steps (exponent, mantissa, the sqrt(2) compare) are exact in
-// every width, and k converts to double exactly.
+// EXPERIMENTS.md records a 10^8-input sweep, worst 0.86 ULP).  The integer
+// steps (exponent, mantissa, the sqrt(2) compare) are exact in every
+// width, and k converts to double exactly.
 #ifndef USCA_UTIL_POLAR_LOG_H
 #define USCA_UTIL_POLAR_LOG_H
 
@@ -52,16 +41,61 @@
 #include <immintrin.h>
 #endif
 
+// The FMA rule, for every dispatched kernel family (this log, the noise
+// in power/noise_kernels.h, the CPA/TVLA accumulators in
+// stats/batch_kernels.h, emission in sim/batch_sim.h): every multiply,
+// add, divide and sqrt rounds on its own, in the order written, so every
+// width and target returns the bits of the scalar path.  A fused
+// multiply-add rounds once where the source rounds twice, and GCC
+// contracts a plain `a + b * c` into one wherever the target has FMA
+// (AVX-512, "avx2,fma", AArch64) unless contraction is off for the
+// function the arithmetic ends up in — even under -std=c++20.  Hence:
+//  * every source file that instantiates a kernel body puts
+//    USCA_FP_CONTRACT_OFF after its includes.  An always_inline body
+//    takes the contraction setting of the function it is inlined into, so
+//    no header can protect it;
+//  * the named polar_log instances are defined inside this header's own
+//    contraction-off region (USCA_POLAR_LOG_INSTANCE) and are not
+//    always_inline: GCC keeps a function with its own optimization
+//    options out of a caller whose options differ, so an instance stays
+//    unfused even where the caller's file is built with contraction on
+//    (tests/util/polar_log_contraction_test.cpp is built with
+//    -ffp-contract=fast to check it);
+//  * the top-level CMakeLists adds -ffp-contract=off as well, but
+//    perfbench builds src/ with its own flags, so the pragma is what holds
+//    there.
+// Emission's AVX-512 body is the one kernel still written in intrinsics;
+// it multiplies and adds through explicit-rounding ones
+// (_mm512_*_round_pd), which GCC never fuses.
+//
+// Vectors never cross a target boundary by value.  A default-target
+// function and a target("avx2") one pass and return a 32-byte vector in
+// different places, so the callee reads garbage — at -O0, where only
+// always_inline functions inline, this is a crash.  Vector bodies are
+// therefore always_inline, or compiled under their caller's target, and
+// the integer views below use __builtin_bit_cast, which is no call,
+// rather than std::bit_cast, which is one at -O0.
+
 /// Placed once at file scope after a source file's includes: no function
 /// defined below it contracts a multiply and an add into an FMA, whatever
 /// the compiler flags.
 #if defined(__clang__)
 #define USCA_FP_CONTRACT_OFF _Pragma("clang fp contract(off)")
+#define USCA_FP_CONTRACT_OFF_BEGIN                                            \
+  _Pragma("float_control(push)") _Pragma("clang fp contract(off)")
+#define USCA_FP_CONTRACT_OFF_END _Pragma("float_control(pop)")
 #elif defined(__GNUC__)
 #define USCA_FP_CONTRACT_OFF _Pragma("GCC optimize(\"fp-contract=off\")")
+#define USCA_FP_CONTRACT_OFF_BEGIN                                            \
+  _Pragma("GCC push_options") USCA_FP_CONTRACT_OFF
+#define USCA_FP_CONTRACT_OFF_END _Pragma("GCC pop_options")
 #else
 #define USCA_FP_CONTRACT_OFF
+#define USCA_FP_CONTRACT_OFF_BEGIN
+#define USCA_FP_CONTRACT_OFF_END
 #endif
+// USCA_FP_CONTRACT_OFF_BEGIN / _END: the same, for the functions between
+// them only (a header's region).
 
 namespace usca::util {
 
@@ -99,123 +133,84 @@ inline constexpr double c10 = 2.0 / 21.0;
 
 } // namespace polar_log_constants
 
-/// log(x) for a positive normal double x, the scalar body.  Out of line
-/// so it compiles under USCA_FP_CONTRACT_OFF (polar_log.cpp).
-double polar_log(double x) noexcept;
+/// The 64-bit unsigned integer lanes of V (unsigned, so that `>>` is the
+/// logical shift every ISA has).
+template <class V> struct polar_log_int {
+  typedef std::uint64_t type __attribute__((vector_size(sizeof(V))));
+};
+template <> struct polar_log_int<double> {
+  using type = std::uint64_t;
+};
 
-#if USCA_HAVE_AVX2_POLAR_LOG
+USCA_FP_CONTRACT_OFF_BEGIN
 
-/// polar_log on four lanes, the same bits lane by lane.
-__attribute__((target("avx2"), always_inline)) inline __m256d
-polar_log_x4(__m256d x) {
+/// log = log(x) on every lane of V, each a positive normal double: the one
+/// body.  Its instances are the functions it is inlined into, compiled for
+/// their targets; the file holding one is under USCA_FP_CONTRACT_OFF.
+/// Vectors pass by reference, so that no default-target function takes or
+/// returns one by value (GCC warns about such an ABI, -Wpsabi, even for a
+/// body that is always inlined).
+template <class V>
+[[gnu::always_inline]] inline void polar_log_lanes(const V& x,
+                                                   V& log) noexcept {
   namespace c = polar_log_constants;
-  const __m256i bits = _mm256_castpd_si256(x);
-  const __m256i mantissa =
-      _mm256_and_si256(bits, _mm256_set1_epi64x(c::mantissa_mask));
-  const __m256i halve = _mm256_and_si256(
-      _mm256_add_epi64(mantissa, _mm256_set1_epi64x(c::sqrt2_carry)),
-      _mm256_set1_epi64x(c::exponent_one));
-  const __m256d m = _mm256_castsi256_pd(_mm256_or_si256(
-      mantissa, _mm256_xor_si256(halve, _mm256_set1_epi64x(c::one_bits))));
-  const __m256i biased = _mm256_add_epi64(_mm256_srli_epi64(bits, 52),
-                                          _mm256_srli_epi64(halve, 52));
-  const __m256d k = _mm256_sub_pd(
-      _mm256_castsi256_pd(
-          _mm256_or_si256(biased, _mm256_set1_epi64x(c::two52_bits))),
-      _mm256_set1_pd(c::two52_plus_bias));
+  using I = typename polar_log_int<V>::type;
+  const I bits = __builtin_bit_cast(I, x);
+  const I mantissa = bits & c::mantissa_mask;
+  const I halve = (mantissa + c::sqrt2_carry) & c::exponent_one;
+  const V m = __builtin_bit_cast(V, mantissa | (halve ^ c::one_bits));
+  const I biased = (bits >> 52) + (halve >> 52);
+  const V k = __builtin_bit_cast(V, biased | c::two52_bits) -
+              c::two52_plus_bias;
 
-  const __m256d f = _mm256_sub_pd(m, _mm256_set1_pd(1.0));
-  const __m256d hfsq =
-      _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(0.5), f), f);
-  const __m256d s = _mm256_div_pd(f, _mm256_add_pd(_mm256_set1_pd(2.0), f));
-  const __m256d z = _mm256_mul_pd(s, s);
-  const __m256d z2 = _mm256_mul_pd(z, z);
-  const __m256d z4 = _mm256_mul_pd(z2, z2);
+  const V f = m - 1.0;
+  const V hfsq = 0.5 * f * f;
+  const V s = f / (2.0 + f);
+  const V z = s * s;
+  const V z2 = z * z;
+  const V z4 = z2 * z2;
   // Estrin's scheme: R = z (low + z4 (high + z4 p910)), with
   // low = p12 + z2 p34, high = p56 + z2 p78 and p_ij = c_i + z c_j.
-  const __m256d p12 =
-      _mm256_add_pd(_mm256_set1_pd(c::c1),
-                    _mm256_mul_pd(z, _mm256_set1_pd(c::c2)));
-  const __m256d p34 =
-      _mm256_add_pd(_mm256_set1_pd(c::c3),
-                    _mm256_mul_pd(z, _mm256_set1_pd(c::c4)));
-  const __m256d p56 =
-      _mm256_add_pd(_mm256_set1_pd(c::c5),
-                    _mm256_mul_pd(z, _mm256_set1_pd(c::c6)));
-  const __m256d p78 =
-      _mm256_add_pd(_mm256_set1_pd(c::c7),
-                    _mm256_mul_pd(z, _mm256_set1_pd(c::c8)));
-  const __m256d p910 =
-      _mm256_add_pd(_mm256_set1_pd(c::c9),
-                    _mm256_mul_pd(z, _mm256_set1_pd(c::c10)));
-  const __m256d low = _mm256_add_pd(p12, _mm256_mul_pd(z2, p34));
-  const __m256d high = _mm256_add_pd(p56, _mm256_mul_pd(z2, p78));
-  const __m256d r = _mm256_mul_pd(
-      z, _mm256_add_pd(low, _mm256_mul_pd(
-                                z4, _mm256_add_pd(
-                                        high, _mm256_mul_pd(z4, p910)))));
+  const V p12 = c::c1 + z * c::c2;
+  const V p34 = c::c3 + z * c::c4;
+  const V p56 = c::c5 + z * c::c6;
+  const V p78 = c::c7 + z * c::c8;
+  const V p910 = c::c9 + z * c::c10;
+  const V low = p12 + z2 * p34;
+  const V high = p56 + z2 * p78;
+  const V r = z * (low + z4 * (high + z4 * p910));
 
-  const __m256d tail =
-      _mm256_add_pd(_mm256_mul_pd(s, _mm256_add_pd(hfsq, r)),
-                    _mm256_mul_pd(k, _mm256_set1_pd(c::ln2_lo)));
-  return _mm256_sub_pd(_mm256_mul_pd(k, _mm256_set1_pd(c::ln2_hi)),
-                       _mm256_sub_pd(_mm256_sub_pd(hfsq, tail), f));
+  const V tail = s * (hfsq + r) + k * c::ln2_lo;
+  log = k * c::ln2_hi - ((hfsq - tail) - f);
 }
 
-#endif // USCA_HAVE_AVX2_POLAR_LOG
+USCA_FP_CONTRACT_OFF_END
+
+/// Defines `inline V name(V x) noexcept`, polar_log_lanes on the lanes of
+/// V, with the attributes given after V (a target, or none), inside a
+/// contraction-off region of its own.
+#define USCA_POLAR_LOG_INSTANCE(name, V, ...)                                 \
+  USCA_FP_CONTRACT_OFF_BEGIN                                                  \
+  __VA_ARGS__ inline V name(V x) noexcept {                                   \
+    V log;                                                                    \
+    ::usca::util::polar_log_lanes(x, log);                                    \
+    return log;                                                               \
+  }                                                                           \
+  USCA_FP_CONTRACT_OFF_END
+
+/// log(x) for a positive normal double x.
+USCA_POLAR_LOG_INSTANCE(polar_log, double, )
+
+#if USCA_HAVE_AVX2_POLAR_LOG
+/// polar_log on four lanes.
+USCA_POLAR_LOG_INSTANCE(polar_log_x4, __m256d, __attribute__((target("avx2"))))
+#endif
 
 #if USCA_HAVE_AVX512
-USCA_AVX512_BODIES_BEGIN
-
-/// polar_log on eight lanes, the same bits lane by lane.
-__attribute__((target(USCA_AVX512_TARGET), always_inline)) inline __m512d
-polar_log_x8(__m512d x) {
-  namespace c = polar_log_constants;
-  const __m512i bits = _mm512_castpd_si512(x);
-  const __m512i mantissa =
-      _mm512_and_si512(bits, _mm512_set1_epi64(c::mantissa_mask));
-  const __m512i halve = _mm512_and_si512(
-      _mm512_add_epi64(mantissa, _mm512_set1_epi64(c::sqrt2_carry)),
-      _mm512_set1_epi64(c::exponent_one));
-  const __m512d m = _mm512_castsi512_pd(_mm512_or_si512(
-      mantissa, _mm512_xor_si512(halve, _mm512_set1_epi64(c::one_bits))));
-  const __m512i biased = _mm512_add_epi64(_mm512_srli_epi64(bits, 52),
-                                          _mm512_srli_epi64(halve, 52));
-  const __m512d k = sub_x8(
-      _mm512_castsi512_pd(
-          _mm512_or_si512(biased, _mm512_set1_epi64(c::two52_bits))),
-      _mm512_set1_pd(c::two52_plus_bias));
-
-  const __m512d f = sub_x8(m, _mm512_set1_pd(1.0));
-  const __m512d hfsq = mul_x8(mul_x8(_mm512_set1_pd(0.5), f), f);
-  const __m512d s = _mm512_div_round_pd(
-      f, add_x8(_mm512_set1_pd(2.0), f), USCA_AVX512_NEAREST);
-  const __m512d z = mul_x8(s, s);
-  const __m512d z2 = mul_x8(z, z);
-  const __m512d z4 = mul_x8(z2, z2);
-  const __m512d p12 =
-      add_x8(_mm512_set1_pd(c::c1), mul_x8(z, _mm512_set1_pd(c::c2)));
-  const __m512d p34 =
-      add_x8(_mm512_set1_pd(c::c3), mul_x8(z, _mm512_set1_pd(c::c4)));
-  const __m512d p56 =
-      add_x8(_mm512_set1_pd(c::c5), mul_x8(z, _mm512_set1_pd(c::c6)));
-  const __m512d p78 =
-      add_x8(_mm512_set1_pd(c::c7), mul_x8(z, _mm512_set1_pd(c::c8)));
-  const __m512d p910 =
-      add_x8(_mm512_set1_pd(c::c9), mul_x8(z, _mm512_set1_pd(c::c10)));
-  const __m512d low = add_x8(p12, mul_x8(z2, p34));
-  const __m512d high = add_x8(p56, mul_x8(z2, p78));
-  const __m512d r =
-      mul_x8(z, add_x8(low, mul_x8(z4, add_x8(high, mul_x8(z4, p910)))));
-
-  const __m512d tail = add_x8(mul_x8(s, add_x8(hfsq, r)),
-                              mul_x8(k, _mm512_set1_pd(c::ln2_lo)));
-  return sub_x8(mul_x8(k, _mm512_set1_pd(c::ln2_hi)),
-                sub_x8(sub_x8(hfsq, tail), f));
-}
-
-USCA_AVX512_BODIES_END
-#endif // USCA_HAVE_AVX512
+/// polar_log on eight lanes.
+USCA_POLAR_LOG_INSTANCE(polar_log_x8, __m512d,
+                        __attribute__((target(USCA_AVX512_TARGET))))
+#endif
 
 } // namespace usca::util
 

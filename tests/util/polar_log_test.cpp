@@ -1,8 +1,9 @@
 // Tests for util::polar_log, the log of the Marsaglia-polar radius that
 // every Gaussian deviate goes through (util/polar_log.h):
 //
-//  * its three bodies — scalar, 4-wide AVX2, 8-wide AVX-512 — return the
-//    same bits on every input, for every body this CPU runs;
+//  * its instances — scalar, 4-wide AVX2, 8-wide AVX-512, and the 8-wide
+//    source with no ISA target — return the same bits on every input, for
+//    every instance this CPU runs;
 //  * it lies within 1 ULP of libquadmath's logq (where the toolchain has
 //    libquadmath);
 //  * the ln2 hi/lo split and the reduction constants are what the header
@@ -23,6 +24,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <vector>
 
 #include "util/avx512.h"
@@ -179,6 +181,41 @@ TEST(PolarLog, EveryBodyReturnsTheScalarBits) {
     }
     EXPECT_EQ(differ, 0u) << "of " << in.size() << " inputs";
   }
+}
+
+/// polar_log_lanes at width 8 with no ISA target: the 8-wide source that
+/// the AVX-512 noise kernel compiles, run on every host (in SSE2 halves on
+/// x86-64), so a CPU without AVX-512 still checks it.
+std::vector<double> portable_x8_log(const std::vector<double>& in) {
+  using f64x8 = double __attribute__((vector_size(64)));
+  const std::vector<double> lanes = padded(in);
+  std::vector<double> out(lanes.size());
+  for (std::size_t i = 0; i < lanes.size(); i += 8) {
+    f64x8 x;
+    f64x8 log;
+    std::memcpy(&x, lanes.data() + i, sizeof(x));
+    polar_log_lanes(x, log);
+    std::memcpy(out.data() + i, &log, sizeof(log));
+  }
+  out.resize(in.size());
+  return out;
+}
+
+TEST(PolarLog, EightWideSourceWithoutAnIsaTargetReturnsTheScalarBits) {
+  const std::vector<double> in = test_inputs();
+  const std::vector<double> expected = scalar_log(in);
+  const std::vector<double> got = portable_x8_log(in);
+  std::size_t differ = 0;
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(got[i]) !=
+        std::bit_cast<std::uint64_t>(expected[i])) {
+      if (differ++ == 0) {
+        ADD_FAILURE() << "first difference at s = " << std::hexfloat << in[i]
+                      << ": " << got[i] << " vs scalar " << expected[i];
+      }
+    }
+  }
+  EXPECT_EQ(differ, 0u) << "of " << in.size() << " inputs";
 }
 
 TEST(PolarLog, KnownValues) {
