@@ -24,7 +24,20 @@ namespace {
 // its own ISA and the compiler vectorises them to its width.  Rows (and
 // partitions) stay the outer loop: every stream is walked contiguously,
 // and the caller's 256-sample blocking keeps sum/sum_sq L1-resident
-// across it.
+// across it.  The per-row loops take their streams as __restrict
+// parameters, which GCC keeps through inlining; restrict-qualified
+// locals alone still drew a runtime overlap check per row.
+
+[[gnu::always_inline]] inline void
+cpa_row(double* __restrict sum, double* __restrict sum_sq,
+        double* __restrict part, const double* __restrict t, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double v = t[i];
+    sum[i] += v;
+    sum_sq[i] += v * v;
+    part[i] += v;
+  }
+}
 
 [[gnu::always_inline]] inline void
 cpa_accumulate(double* sum, double* sum_sq, double* part_base,
@@ -32,17 +45,20 @@ cpa_accumulate(double* sum, double* sum_sq, double* part_base,
                const double* samples, std::size_t sample_stride,
                std::size_t rows, std::size_t n) {
   for (std::size_t r = 0; r < rows; ++r) {
-    const double* __restrict t = samples + r * sample_stride;
-    double* __restrict part =
-        part_base + static_cast<std::size_t>(partitions[r]) * part_stride;
-    double* __restrict s = sum;
-    double* __restrict ss = sum_sq;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double v = t[i];
-      s[i] += v;
-      ss[i] += v * v;
-      part[i] += v;
-    }
+    cpa_row(sum, sum_sq,
+            part_base + static_cast<std::size_t>(partitions[r]) * part_stride,
+            samples + r * sample_stride, n);
+  }
+}
+
+[[gnu::always_inline]] inline void
+tvla_row(double* __restrict sum, double* __restrict sum_sq,
+         const double* __restrict center, const double* __restrict t,
+         std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double dx = t[i] - center[i];
+    sum[i] += dx;
+    sum_sq[i] += dx * dx;
   }
 }
 
@@ -51,15 +67,15 @@ tvla_accumulate(double* sum, double* sum_sq, const double* center,
                 const double* const* rows, std::size_t nrows,
                 std::size_t n) {
   for (std::size_t r = 0; r < nrows; ++r) {
-    const double* __restrict t = rows[r];
-    const double* __restrict c = center;
-    double* __restrict s = sum;
-    double* __restrict ss = sum_sq;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double dx = t[i] - c[i];
-      s[i] += dx;
-      ss[i] += dx * dx;
-    }
+    tvla_row(sum, sum_sq, center, rows[r], n);
+  }
+}
+
+[[gnu::always_inline]] inline void
+solve_row(double* __restrict acc, double h, const double* __restrict row,
+          std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    acc[i] += h * row[i];
   }
 }
 
@@ -68,14 +84,8 @@ solve_accumulate(double* acc, const double* hyp, const double* part_base,
                  std::size_t part_stride, const std::uint64_t* part_n,
                  std::size_t partitions, std::size_t n) {
   for (std::size_t p = 0; p < partitions; ++p) {
-    if (part_n[p] == 0) {
-      continue;
-    }
-    const double h = hyp[p];
-    const double* __restrict row = part_base + p * part_stride;
-    double* __restrict a = acc;
-    for (std::size_t i = 0; i < n; ++i) {
-      a[i] += h * row[i];
+    if (part_n[p] != 0) {
+      solve_row(acc, hyp[p], part_base + p * part_stride, n);
     }
   }
 }
