@@ -54,14 +54,14 @@ constexpr noise_kernels scalar_set = {"scalar", scalar_add_columns};
 // and everything it inlines compile for that set's ISA and no vector
 // crosses a target boundary (util/polar_log.h).
 
-// The helpers are default-target templates that take and return vectors
-// by value.  They are always_inline, so no call passes a vector across
+// The helpers are default-target templates that return vectors by
+// value.  They are always_inline, so no call passes a vector across
 // the ABI -Wpsabi warns about; GCC reports it at the end of the file,
 // where it instantiates templates, so it is off from here on.
 #pragma GCC diagnostic ignored "-Wpsabi"
 
-/// W xoshiro256** generators side by side: state word w of lane j in
-/// lane j of s<w>.
+/// xoshiro256** generators side by side: lane j of s0..s3 holds the four
+/// state words of generator j.
 template <class L> struct xoshiro_lanes {
   typename L::u64 s0, s1, s2, s3;
 };
@@ -191,7 +191,8 @@ noise_work add_columns(const noise_columns& job, noise_workspace& ws) {
 #define USCA_PRAGMA(x) _Pragma(#x)
 /// Functions defined, and templates explicitly instantiated, between
 /// USCA_TARGET_BEGIN(isa) and USCA_TARGET_END compile for `isa`.
-#define USCA_TARGET_BEGIN(isa) _Pragma("GCC push_options") USCA_PRAGMA(GCC target(isa))
+#define USCA_TARGET_BEGIN(isa)                                                \
+  _Pragma("GCC push_options") USCA_PRAGMA(GCC target(isa))
 #define USCA_TARGET_END _Pragma("GCC pop_options")
 
 // ---------------------------------------------------------------- avx2
@@ -305,6 +306,7 @@ struct avx512_lanes {
     _mm512_mask_i64scatter_pd(u_slots, mask_of(open), __m512i(at), u, 8);
     _mm512_mask_i64scatter_pd(v_slots, mask_of(open), __m512i(at), v, 8);
   }
+  /// Lanes 0 .. real - 1.
   [[gnu::always_inline]] static __mmask8 first(std::size_t real) {
     return static_cast<__mmask8>((1U << real) - 1);
   }

@@ -50,10 +50,10 @@
 // contracts a plain `a + b * c` into one wherever the target has FMA
 // (AVX-512, "avx2,fma", AArch64) unless contraction is off for the
 // function the arithmetic ends up in — even under -std=c++20.  Hence:
-//  * every source file that instantiates a kernel body puts
-//    USCA_FP_CONTRACT_OFF after its includes.  An always_inline body
-//    takes the contraction setting of the function it is inlined into, so
-//    no header can protect it;
+//  * every source file that instantiates the log, noise or accumulator
+//    bodies puts USCA_FP_CONTRACT_OFF after its includes.  An
+//    always_inline body takes the contraction setting of the function it
+//    is inlined into, so no header can protect it;
 //  * the named polar_log instances are defined inside this header's own
 //    contraction-off region (USCA_POLAR_LOG_INSTANCE) and are not
 //    always_inline: GCC keeps a function with its own optimization
@@ -64,9 +64,11 @@
 //  * the top-level CMakeLists adds -ffp-contract=off as well, but
 //    perfbench builds src/ with its own flags, so the pragma is what holds
 //    there.
-// Emission's AVX-512 body is the one kernel still written in intrinsics;
-// it multiplies and adds through explicit-rounding ones
-// (_mm512_*_round_pd), which GCC never fuses.
+// Emission (sim/batch_sim.cpp) is outside the pragma: its plain body
+// compiles for the baseline and AVX2, which have no FMA on x86-64, and
+// its AVX-512 body, the one kernel still written in intrinsics,
+// multiplies and adds through explicit-rounding ones (_mm512_*_round_pd),
+// which GCC never fuses.
 //
 // Vectors never cross a target boundary by value.  A default-target
 // function and a target("avx2") one pass and return a 32-byte vector in
@@ -203,7 +205,8 @@ USCA_POLAR_LOG_INSTANCE(polar_log, double, )
 
 #if USCA_HAVE_AVX2_POLAR_LOG
 /// polar_log on four lanes.
-USCA_POLAR_LOG_INSTANCE(polar_log_x4, __m256d, __attribute__((target("avx2"))))
+USCA_POLAR_LOG_INSTANCE(polar_log_x4, __m256d,
+                        __attribute__((target("avx2"))))
 #endif
 
 #if USCA_HAVE_AVX512
