@@ -13,8 +13,8 @@
 // k0 assuming k1 from the preceding chained attack step (the paper's
 // model likewise combines two consecutive stores).
 //
-// Acquisition runs through core::trace_campaign into a per-record CPA
-// sink (core::per_trace_adapter); the campaign-extension loop exploits
+// Acquisition runs through core::trace_campaign into a CPA pass that
+// walks each tile row by row; the campaign-extension loop exploits
 // its prefix property: extension batches cover disjoint
 // [first_index, first_index+traces) ranges under the same master seed, so
 // growing the campaign never re-simulates (or re-draws) its prefix.
@@ -24,6 +24,7 @@
 #include <cmath>
 #include <cstdio>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "bench_util.h"
@@ -37,30 +38,33 @@ using namespace usca;
 namespace {
 
 /// CPA under the HD(two consecutive SubBytes byte stores) model.  The
-/// hypothesis needs plaintext bytes 0 and 1, so records feed a generic
-/// cpa_engine one at a time; pumping the sink again extends the
-/// accumulated campaign.
-class hd_stores_cpa final : public core::trace_sink {
+/// hypothesis needs plaintext bytes 0 and 1, so each row of a tile feeds
+/// a generic cpa_engine in index order; pumping the pass again extends
+/// the accumulated campaign.
+class hd_stores_cpa final : public core::analysis_pass {
 public:
   explicit hd_stores_cpa(std::uint8_t k1) : k1_(k1) {}
 
-  void begin(std::size_t samples, std::size_t) override {
+  void begin(const core::stream_shape& shape) override {
     if (!cpa_) {
-      cpa_.emplace(samples, hypotheses_.size());
+      cpa_.emplace(shape.samples, hypotheses_.size());
     }
   }
 
-  void consume(const core::trace_view& view) override {
-    const auto pt0 = static_cast<std::uint8_t>(view.labels[0]);
-    const std::uint8_t second = crypto::subbytes_hypothesis(
-        static_cast<std::uint8_t>(view.labels[1]), k1_);
-    for (std::size_t g = 0; g < hypotheses_.size(); ++g) {
-      const std::uint8_t first =
-          crypto::subbytes_hypothesis(pt0, static_cast<std::uint8_t>(g));
-      hypotheses_[g] =
-          static_cast<double>(util::hamming_distance(first, second));
+  void consume_batch(const core::trace_batch_view& batch) override {
+    for (std::size_t r = 0; r < batch.count; ++r) {
+      const std::span<const double> labels = batch.labels_row(r);
+      const auto pt0 = static_cast<std::uint8_t>(labels[0]);
+      const std::uint8_t second = crypto::subbytes_hypothesis(
+          static_cast<std::uint8_t>(labels[1]), k1_);
+      for (std::size_t g = 0; g < hypotheses_.size(); ++g) {
+        const std::uint8_t first =
+            crypto::subbytes_hypothesis(pt0, static_cast<std::uint8_t>(g));
+        hypotheses_[g] =
+            static_cast<double>(util::hamming_distance(first, second));
+      }
+      cpa_->add_trace(batch.samples_row(r), hypotheses_);
     }
-    cpa_->add_trace(view.samples, hypotheses_);
   }
 
   const stats::cpa_engine& cpa() const { return *cpa_; }
@@ -96,7 +100,6 @@ int main(int argc, char** argv) {
   config.power.os_noise.enabled = true; // the loaded-Linux environment
 
   hd_stores_cpa cpa(key[1]);
-  core::per_trace_adapter cpa_pass(cpa);
 
   // Extends the accumulated campaign with traces [first, first+count).
   const auto add_traces = [&](std::size_t first, std::size_t count) {
@@ -104,7 +107,7 @@ int main(int argc, char** argv) {
     batch.first_index = first;
     batch.traces = count;
     core::trace_campaign campaign(batch, key);
-    campaign.run(cpa_pass);
+    campaign.run(cpa);
     return campaign.resolved_threads();
   };
 

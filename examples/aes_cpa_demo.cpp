@@ -50,13 +50,15 @@ const crypto::aes_key demo_key = {0xde, 0xad, 0xbe, 0xef, 0x01, 0x23,
                                   0x45, 0x67, 0x89, 0xab, 0xcd, 0xef,
                                   0x10, 0x32, 0x54, 0x76};
 
-/// Narrates acquisition progress alongside the analysis passes (kept a
-/// per-record trace_sink on purpose — it rides in a per_trace_adapter).
-class progress_sink final : public core::trace_sink {
+/// Narrates acquisition progress alongside the analysis passes, one
+/// line per 250 records in index order.
+class progress_sink final : public core::analysis_pass {
 public:
-  void consume(const core::trace_view& view) override {
-    if ((view.index + 1) % 250 == 0) {
-      std::printf("  collected %zu traces...\n", view.index + 1);
+  void consume_batch(const core::trace_batch_view& batch) override {
+    for (std::size_t r = 0; r < batch.count; ++r) {
+      if ((batch.index(r) + 1) % 250 == 0) {
+        std::printf("  collected %zu traces...\n", batch.index(r) + 1);
+      }
     }
   }
 };
@@ -364,8 +366,7 @@ int main(int argc, char** argv) {
   }
 
   progress_sink progress;
-  core::per_trace_adapter progress_pass(progress);
-  std::vector<core::analysis_pass*> passes = {&cpa, &progress_pass};
+  std::vector<core::analysis_pass*> passes = {&cpa, &progress};
   for (core::cpa_sink* sink : phase_sinks) {
     passes.push_back(sink);
   }

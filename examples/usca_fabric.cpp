@@ -27,8 +27,11 @@
 //
 // `verify` is the health checker (machine-readable: one JSON object on
 // stdout, exit 0 = healthy): a trace store is opened in salvage mode
-// and its damage map printed; a fabric manifest is walked lease by
-// lease with every shard probed strict-then-salvage.
+// and its damage map printed; a fabric manifest is read with
+// core::fabric_manifest::read, the coordinator's own reader, and walked
+// lease by lease with every shard probed strict-then-salvage.  A
+// manifest the reader refuses (any line the coordinator would not
+// write) exits 1 with the reader's error in the JSON object.
 //
 // `status` is the live campaign monitor: it renders manifest + worker
 // heartbeats (`<shard>.hb`, written by every worker every 250 ms) as
@@ -36,8 +39,12 @@
 // cheap to run against a mid-campaign directory from another terminal.
 // PATH may be the manifest, the --out path (".manifest" is appended),
 // or a directory containing exactly one "*.manifest".  Exit 0 = the
-// manifest parsed, even when the campaign is still running; --probe
-// additionally opens every shard in salvage mode like `verify`.
+// manifest read, even when the campaign is still running; a manifest
+// the reader refuses exits 1 with the reader's error on stderr.
+// --probe additionally opens every shard in salvage mode like `verify`.
+//
+// Counts (--traces, --seed, --inject's lease id, ...) are unsigned
+// decimals: a sign or any other character exits 2 before anything runs.
 //
 // `--progress` makes the coordinator print a live one-line report
 // (traces/s, ETA, worker liveness from heartbeats) to stderr;
@@ -45,10 +52,11 @@
 // coordinator on the progress cadence and from every worker at exit —
 // to PATH (workers inherit it via USCA_TELEMETRY_PATH).
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -120,21 +128,35 @@ std::string self_exe(const char* argv0) {
   return argv0;
 }
 
+/// A whole unsigned decimal: strtoull alone would wrap "-1" to 2^64 - 1
+/// and clamp an out-of-range value to it.
+std::optional<std::uint64_t> to_u64(const std::string& text) {
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
+    return std::nullopt;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+  if (*end != '\0' || errno == ERANGE) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 bool parse_u64(std::string_view arg, std::string_view prefix,
                std::uint64_t& out) {
   if (arg.rfind(prefix, 0) != 0) {
     return false;
   }
   const std::string text(arg.substr(prefix.size()));
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') {
-    std::fprintf(stderr, "%.*s wants an integer, got '%s'\n",
+  const std::optional<std::uint64_t> value = to_u64(text);
+  if (!value) {
+    std::fprintf(stderr, "%.*s wants a non-negative integer, got '%s'\n",
                  static_cast<int>(prefix.size()), prefix.data(),
                  text.c_str());
     std::exit(2);
   }
-  out = value;
+  out = *value;
   return true;
 }
 
@@ -251,9 +273,16 @@ int run_coordinator(int argc, char** argv) {
                      argv[i] + 9);
         return 2;
       }
-      inject[static_cast<std::size_t>(
-          std::strtoull(std::string(spec.substr(0, colon)).c_str(),
-                        nullptr, 10))] = std::string(spec.substr(colon + 1));
+      const std::optional<std::uint64_t> lease_id =
+          to_u64(std::string(spec.substr(0, colon)));
+      if (!lease_id) {
+        std::fprintf(stderr,
+                     "--inject wants a non-negative lease id, got '%s'\n",
+                     argv[i] + 9);
+        return 2;
+      }
+      inject[static_cast<std::size_t>(*lease_id)] =
+          std::string(spec.substr(colon + 1));
     } else if (arg == "--keep-shards") {
       keep_shards = true;
     } else if (arg == "--progress") {
@@ -454,49 +483,24 @@ int verify_store(const std::string& path, bool strict) {
   }
 }
 
-// Stand-alone manifest parse: the coordinator's loader requires the
-// campaign config for binding validation, but health checks and status
-// views must work from the manifest alone.
-struct manifest_lease {
-  std::uint64_t id = 0, first_index = 0, traces = 0, attempts = 0;
-  std::string state;
-  std::string shard;
-};
+/// The campaign fields every manifest view prints first, in the order
+/// the coordinator writes them.
+void campaign_members(util::json_writer& w, const core::fabric_manifest& m) {
+  w.member("config_hash", m.config_hash);
+  w.member("seed", m.seed);
+  w.member("first_index", m.first_index);
+  w.member("traces", m.traces);
+  w.member("lease_traces", m.lease_traces);
+}
 
-struct manifest_view {
-  std::vector<std::pair<std::string, std::uint64_t>> config; ///< in order
-  std::vector<manifest_lease> leases;
-  bool malformed_lines = false;
-};
-
-constexpr std::string_view manifest_header = "usca-fabric-manifest 1";
-
-bool parse_manifest(FILE* in, manifest_view& mv) {
-  char line[4096];
-  if (!std::fgets(line, sizeof(line), in) ||
-      std::strncmp(line, manifest_header.data(), manifest_header.size()) !=
-          0) {
-    return false;
-  }
-  while (std::fgets(line, sizeof(line), in)) {
-    char key[32];
-    unsigned long long a = 0, b = 0, c = 0, d = 0;
-    char state[16], shard[3072];
-    if (std::sscanf(line, "%31s", key) != 1) {
-      continue;
-    }
-    if (std::strcmp(key, "lease") == 0) {
-      if (std::sscanf(line, "lease %llu %llu %llu %llu %15s %3071[^\n]", &a,
-                      &b, &c, &d, state, shard) != 6) {
-        mv.malformed_lines = true;
-        continue;
-      }
-      mv.leases.push_back(manifest_lease{a, b, c, d, state, shard});
-    } else if (std::sscanf(line, "%31s %llu", key, &a) == 2) {
-      mv.config.emplace_back(key, a);
-    }
-  }
-  return true;
+/// The lease fields `verify` and `status` share.
+void lease_members(util::json_writer& w, const core::fabric_lease& lease) {
+  w.member("id", lease.id);
+  w.member("first_index", lease.first_index);
+  w.member("traces", lease.traces);
+  w.member("attempts", lease.attempts);
+  w.member("state", core::lease_state_name(lease.state));
+  w.member("shard", lease.shard_path);
 }
 
 /// Shard paths in the manifest are relative to the coordinator's cwd;
@@ -518,7 +522,8 @@ std::string resolve_shard(const std::string& manifest_path,
 /// Strict-then-salvage shard probe shared by `verify` and `status
 /// --probe`; returns the status word and fills `detail` when useful.
 std::string probe_shard(const std::string& shard,
-                        const manifest_lease& lease, std::string& detail) {
+                        const core::fabric_lease& lease,
+                        std::string& detail) {
   try {
     const power::trace_store_reader reader(shard);
     if (reader.first_index() != lease.first_index ||
@@ -541,39 +546,34 @@ std::string probe_shard(const std::string& shard,
   }
 }
 
-int verify_manifest(const std::string& path, FILE* in) {
-  manifest_view mv;
+int verify_manifest(const std::string& path) {
   util::json_writer w;
   w.begin_object();
   w.member("kind", "manifest");
   w.member("path", path);
-  if (!parse_manifest(in, mv)) {
+  core::fabric_manifest m;
+  try {
+    m = core::fabric_manifest::read(path);
+  } catch (const util::usca_error& e) {
     w.member("ok", false);
-    w.member("error", "bad magic line");
+    w.member("error", e.what());
     w.end_object();
     print_json(w);
     return 1;
   }
-  for (const auto& [key, value] : mv.config) {
-    w.member(key, value);
-  }
-  bool healthy = !mv.malformed_lines;
+  campaign_members(w, m);
+  bool healthy = true;
   util::json_writer leases;
   leases.begin_array();
-  for (const manifest_lease& lease : mv.leases) {
+  for (const core::fabric_lease& lease : m.leases) {
     std::string detail;
     const std::string status =
-        probe_shard(resolve_shard(path, lease.shard), lease, detail);
-    if (lease.state != "done" || status != "valid") {
+        probe_shard(resolve_shard(path, lease.shard_path), lease, detail);
+    if (lease.state != core::lease_state::done || status != "valid") {
       healthy = false;
     }
     leases.begin_object();
-    leases.member("id", lease.id);
-    leases.member("first_index", lease.first_index);
-    leases.member("traces", lease.traces);
-    leases.member("attempts", lease.attempts);
-    leases.member("state", lease.state);
-    leases.member("shard", lease.shard);
+    lease_members(leases, lease);
     leases.member("shard_status", status);
     if (!detail.empty()) {
       leases.member("detail", detail);
@@ -607,40 +607,15 @@ int run_verify(int argc, char** argv) {
     std::fprintf(stderr, "verify: a store or manifest path is required\n");
     return 2;
   }
-  // The reader's probe recognises a trace store; anything else is read
-  // as a manifest, whose walker rejects a file without its magic line.
+  // The store reader's probe recognises a trace store; anything else is
+  // read as a manifest, whose reader names what is wrong with it.
   if (power::trace_store_reader::probe(path)) {
     return verify_store(path, strict);
   }
-  FILE* in = std::fopen(path.c_str(), "rb");
-  if (!in) {
-    util::json_writer w;
-    w.begin_object();
-    w.member("path", path);
-    w.member("ok", false);
-    w.member("error", "cannot open");
-    w.end_object();
-    print_json(w);
-    return 1;
-  }
-  const int rc = verify_manifest(path, in);
-  std::fclose(in);
-  return rc;
+  return verify_manifest(path);
 }
 
 // -------------------------------------------------------------- status
-
-/// True when `path` starts with the manifest header line.
-bool is_manifest_file(const std::string& path) {
-  FILE* in = std::fopen(path.c_str(), "rb");
-  if (in == nullptr) {
-    return false;
-  }
-  char head[manifest_header.size()] = {};
-  const std::size_t got = std::fread(head, 1, sizeof(head), in);
-  std::fclose(in);
-  return std::string_view(head, got) == manifest_header;
-}
 
 /// PATH resolution for `status`: a manifest file as-is, an --out path
 /// (".manifest" appended — also when the path itself exists but is not
@@ -672,15 +647,15 @@ std::string resolve_manifest(const std::string& path) {
     return {};
   }
   const bool exists = ::stat(path.c_str(), &st) == 0;
-  if (exists && is_manifest_file(path)) {
+  if (exists && core::fabric_manifest::probe(path)) {
     return path;
   }
   const std::string with_suffix = path + ".manifest";
   if (::stat(with_suffix.c_str(), &st) == 0) {
     return with_suffix;
   }
-  // Not a manifest and no sibling one: hand it back so the parse error
-  // names the file the user gave.
+  // Not a manifest and no sibling one: hand it back so the reader's
+  // error names the file the user gave.
   return exists ? path : std::string{};
 }
 
@@ -704,18 +679,16 @@ int run_status(int argc, char** argv) {
     return 2;
   }
   const std::string manifest = resolve_manifest(path);
-  FILE* in = manifest.empty() ? nullptr : std::fopen(manifest.c_str(), "rb");
-  if (in == nullptr) {
+  if (manifest.empty()) {
     std::fprintf(stderr, "status: no fabric manifest at '%s'\n",
                  path.c_str());
     return 1;
   }
-  manifest_view mv;
-  const bool parsed = parse_manifest(in, mv);
-  std::fclose(in);
-  if (!parsed) {
-    std::fprintf(stderr, "status: '%s' is not a fabric manifest\n",
-                 manifest.c_str());
+  core::fabric_manifest m;
+  try {
+    m = core::fabric_manifest::read(manifest);
+  } catch (const util::usca_error& e) {
+    std::fprintf(stderr, "status: %s\n", e.what());
     return 1;
   }
 
@@ -727,20 +700,15 @@ int run_status(int argc, char** argv) {
   std::size_t live_workers = 0;
   util::json_writer leases;
   leases.begin_array();
-  for (const manifest_lease& lease : mv.leases) {
+  for (const core::fabric_lease& lease : m.leases) {
     total_traces += lease.traces;
-    if (lease.state == "done") {
+    if (lease.state == core::lease_state::done) {
       ++done_leases;
       done_traces += lease.traces;
     }
-    const std::string shard = resolve_shard(manifest, lease.shard);
+    const std::string shard = resolve_shard(manifest, lease.shard_path);
     leases.begin_object();
-    leases.member("id", lease.id);
-    leases.member("first_index", lease.first_index);
-    leases.member("traces", lease.traces);
-    leases.member("attempts", lease.attempts);
-    leases.member("state", lease.state);
-    leases.member("shard", lease.shard);
+    lease_members(leases, lease);
     const auto hb = core::read_heartbeat(core::heartbeat_path(shard));
     if (hb) {
       const bool running =
@@ -775,10 +743,8 @@ int run_status(int argc, char** argv) {
   w.begin_object();
   w.member("kind", "status");
   w.member("manifest", manifest);
-  for (const auto& [key, value] : mv.config) {
-    w.member(key, value);
-  }
-  w.member("total_leases", static_cast<std::uint64_t>(mv.leases.size()));
+  campaign_members(w, m);
+  w.member("total_leases", static_cast<std::uint64_t>(m.leases.size()));
   w.member("done_leases", done_leases);
   w.member("total_traces", total_traces);
   w.member("done_traces", done_traces);

@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <optional>
-#include <sstream>
+#include <string_view>
 #include <thread>
 
 #include <fcntl.h>
@@ -30,6 +33,56 @@ using clock_type = std::chrono::steady_clock;
 
 [[noreturn]] void fail(const std::string& what) {
   throw util::analysis_error(what);
+}
+
+/// First line of every manifest; a newer format changes the version.
+constexpr std::string_view manifest_magic = "usca-fabric-manifest 1";
+
+/// The lease split of [first_index, first_index + traces) into ranges of
+/// lease_traces records, the last possibly short: a pure function of the
+/// three numbers, shared by the coordinator and the manifest reader.
+struct lease_split {
+  std::size_t first_index = 0;
+  std::size_t traces = 0;
+  std::size_t lease_traces = 0;
+
+  /// Why the range cannot be split, or nullptr when it can.
+  const char* error() const noexcept {
+    if (traces == 0 || lease_traces == 0) {
+      return "traces and lease_traces must be nonzero";
+    }
+    if (traces > std::numeric_limits<std::size_t>::max() - first_index) {
+      return "first_index + traces overflows";
+    }
+    return nullptr;
+  }
+
+  /// Computed without the wrap of (traces + lease_traces - 1) /
+  /// lease_traces, which is 0 for traces = SIZE_MAX.
+  std::size_t count() const noexcept {
+    return traces / lease_traces + (traces % lease_traces != 0 ? 1 : 0);
+  }
+
+  /// Lease `id` < count() with its range set (pending, no shard path).
+  fabric_lease lease(std::size_t id) const {
+    fabric_lease l;
+    l.id = id;
+    l.first_index = first_index + id * lease_traces;
+    l.traces = std::min(lease_traces, traces - id * lease_traces);
+    return l;
+  }
+};
+
+/// A whole decimal field, no sign; nullopt for anything else, including
+/// a value past uint64.
+std::optional<std::uint64_t> parse_field(std::string_view text) noexcept {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 std::string shard_name(const std::string& dir, std::size_t id) {
@@ -59,6 +112,142 @@ void full_write(int fd, const char* data, std::size_t size,
 }
 
 } // namespace
+
+// ------------------------------------------------------------ manifest
+
+fabric_manifest fabric_manifest::read(const std::string& path) {
+  std::size_t line_no = 0;
+  const auto bad = [&path, &line_no](const std::string& what) {
+    fail("fabric manifest '" + path + "': " +
+         (line_no > 0 ? "line " + std::to_string(line_no) + ": " : "") +
+         what);
+  };
+  std::ifstream in(path, std::ios::binary);
+  if (!in.is_open()) {
+    bad("cannot open");
+  }
+  const std::string text{std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>()};
+
+  // Lines one at a time; the rename-journaled writer never leaves a
+  // line without its newline, so one is a cut file.
+  std::size_t pos = 0;
+  const auto next_line = [&](std::string_view& line) {
+    ++line_no;
+    if (pos == text.size()) {
+      return false;
+    }
+    const std::size_t nl = text.find('\n', pos);
+    if (nl == std::string::npos) {
+      bad("cut short (no newline)");
+    }
+    line = std::string_view(text).substr(pos, nl - pos);
+    pos = nl + 1;
+    return true;
+  };
+
+  std::string_view line;
+  if (!next_line(line) || line != manifest_magic) {
+    line_no = 0;
+    bad("bad magic line (not a fabric manifest, or a newer version)");
+  }
+
+  const auto campaign_line = [&](std::string_view key) {
+    std::optional<std::uint64_t> value;
+    if (next_line(line) && line.size() > key.size() &&
+        line.substr(0, key.size()) == key && line[key.size()] == ' ') {
+      value = parse_field(line.substr(key.size() + 1));
+    }
+    if (!value) {
+      bad("expected '" + std::string(key) + " <number>'");
+    }
+    return *value;
+  };
+  fabric_manifest m;
+  m.config_hash = campaign_line("config_hash");
+  m.seed = campaign_line("seed");
+  m.first_index = campaign_line("first_index");
+  m.traces = campaign_line("traces");
+  m.lease_traces = campaign_line("lease_traces");
+  const lease_split split{m.first_index, m.traces, m.lease_traces};
+  if (const char* why = split.error()) {
+    bad(why);
+  }
+
+  // lease <id> <first_index> <traces> <attempts> <state> <shard path>
+  constexpr std::string_view lease_key = "lease ";
+  while (next_line(line)) {
+    if (line.substr(0, lease_key.size()) != lease_key) {
+      bad("unknown line");
+    }
+    std::string_view rest = line.substr(lease_key.size());
+    std::string_view token[5]; // id, first_index, traces, attempts, state
+    for (std::string_view& t : token) {
+      const std::size_t space = rest.find(' ');
+      if (space == std::string_view::npos) {
+        bad("expected 'lease <id> <first_index> <traces> <attempts> "
+            "<state> <shard>'");
+      }
+      t = rest.substr(0, space);
+      rest.remove_prefix(space + 1);
+    }
+    const std::optional<std::uint64_t> id = parse_field(token[0]);
+    const std::optional<std::uint64_t> first = parse_field(token[1]);
+    const std::optional<std::uint64_t> traces = parse_field(token[2]);
+    const std::optional<std::uint64_t> attempts = parse_field(token[3]);
+    if (!id || !first || !traces || !attempts) {
+      bad("malformed lease numbers");
+    }
+    const std::size_t next = m.leases.size();
+    if (next == split.count()) {
+      bad("more leases than the campaign's " + std::to_string(next));
+    }
+    fabric_lease lease = split.lease(next);
+    if (*id != lease.id || *first != lease.first_index ||
+        *traces != lease.traces) {
+      bad("lease does not match the campaign split");
+    }
+    if (*attempts > std::numeric_limits<unsigned>::max()) {
+      bad("attempt count out of range");
+    }
+    lease.attempts = static_cast<unsigned>(*attempts);
+    if (token[4] == "pending") {
+      lease.state = lease_state::pending;
+    } else if (token[4] == "leased") {
+      lease.state = lease_state::leased;
+    } else if (token[4] == "done") {
+      lease.state = lease_state::done;
+    } else {
+      bad("unknown lease state '" + std::string(token[4]) + "'");
+    }
+    if (rest.empty()) {
+      bad("lease has no shard path");
+    }
+    lease.shard_path = rest;
+    m.leases.push_back(std::move(lease));
+  }
+  // A manifest whose split disagrees was tampered with or cut short at a
+  // line end.
+  line_no = 0;
+  if (m.leases.size() != split.count()) {
+    bad("has " + std::to_string(m.leases.size()) +
+        " leases, campaign needs " + std::to_string(split.count()));
+  }
+  return m;
+}
+
+bool fabric_manifest::probe(const std::string& path) noexcept {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return false;
+  }
+  char head[manifest_magic.size() + 1];
+  const ssize_t got = ::pread(fd, head, sizeof head, 0);
+  ::close(fd);
+  return got == static_cast<ssize_t>(sizeof head) &&
+         std::string_view(head, manifest_magic.size()) == manifest_magic &&
+         head[manifest_magic.size()] == '\n';
+}
 
 const char* lease_state_name(lease_state state) noexcept {
   switch (state) {
@@ -193,8 +382,10 @@ campaign_fabric::campaign_fabric(fabric_config config)
   if (config_.manifest_path.empty() || config_.shard_dir.empty()) {
     fail("campaign_fabric: manifest_path and shard_dir are required");
   }
-  if (config_.traces == 0 || config_.lease_traces == 0) {
-    fail("campaign_fabric: traces and lease_traces must be nonzero");
+  const lease_split split{config_.first_index, config_.traces,
+                         config_.lease_traces};
+  if (const char* why = split.error()) {
+    fail(std::string("campaign_fabric: ") + why);
   }
   if (config_.workers == 0 || config_.max_attempts == 0) {
     fail("campaign_fabric: workers and max_attempts must be nonzero");
@@ -202,15 +393,10 @@ campaign_fabric::campaign_fabric(fabric_config config)
   ::mkdir(config_.shard_dir.c_str(), 0755); // EEXIST is the common case
 
   if (!load_manifest()) {
-    const std::size_t count =
-        (config_.traces + config_.lease_traces - 1) / config_.lease_traces;
+    const std::size_t count = split.count();
     leases_.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
-      fabric_lease lease;
-      lease.id = i;
-      lease.first_index = config_.first_index + i * config_.lease_traces;
-      lease.traces = std::min(config_.lease_traces,
-                              config_.traces - i * config_.lease_traces);
+      fabric_lease lease = split.lease(i);
       lease.shard_path = shard_name(config_.shard_dir, i);
       leases_.push_back(std::move(lease));
     }
@@ -219,110 +405,39 @@ campaign_fabric::campaign_fabric(fabric_config config)
 }
 
 bool campaign_fabric::load_manifest() {
-  std::ifstream in(config_.manifest_path);
-  if (!in.is_open()) {
+  if (::access(config_.manifest_path.c_str(), F_OK) != 0) {
     return false;
   }
-  const std::string& path = config_.manifest_path;
-  auto bad = [&path](const std::string& what) {
-    fail("fabric manifest '" + path + "': " + what);
-  };
-
-  std::string line;
-  if (!std::getline(in, line) || line != "usca-fabric-manifest 1") {
-    bad("bad magic line (not a fabric manifest, or a newer version)");
-  }
-
-  auto check_binding = [&bad](const std::string& key, std::uint64_t stored,
-                              std::uint64_t expected) {
+  fabric_manifest m = fabric_manifest::read(config_.manifest_path);
+  // The reader checked the leases against the manifest's own split; the
+  // binding makes that split this campaign's.
+  const auto bind = [this](const char* key, std::uint64_t stored,
+                           std::uint64_t expected) {
     if (stored != expected) {
-      bad("was written for " + key + " " + std::to_string(stored) +
-          ", this campaign has " + std::to_string(expected) +
-          " (refusing to mix trace populations)");
+      fail("fabric manifest '" + config_.manifest_path +
+           "': was written for " + key + " " + std::to_string(stored) +
+           ", this campaign has " + std::to_string(expected) +
+           " (refusing to mix trace populations)");
     }
   };
-
-  std::vector<fabric_lease> leases;
-  while (std::getline(in, line)) {
-    if (line.empty()) {
-      continue;
-    }
-    std::istringstream iss(line);
-    std::string key;
-    iss >> key;
-    if (key == "config_hash" || key == "seed" || key == "first_index" ||
-        key == "traces" || key == "lease_traces") {
-      std::uint64_t value = 0;
-      if (!(iss >> value)) {
-        bad("malformed '" + key + "' line");
-      }
-      if (key == "config_hash") {
-        check_binding(key, value, config_.config_hash);
-      } else if (key == "seed") {
-        check_binding(key, value, config_.seed);
-      } else if (key == "first_index") {
-        check_binding(key, value, config_.first_index);
-      } else if (key == "traces") {
-        check_binding(key, value, config_.traces);
-      } else {
-        check_binding(key, value, config_.lease_traces);
-      }
-    } else if (key == "lease") {
-      fabric_lease lease;
-      std::string state;
-      if (!(iss >> lease.id >> lease.first_index >> lease.traces >>
-            lease.attempts >> state)) {
-        bad("malformed lease line: '" + line + "'");
-      }
-      std::getline(iss, lease.shard_path);
-      const std::size_t start = lease.shard_path.find_first_not_of(' ');
-      lease.shard_path = start == std::string::npos
-                             ? std::string()
-                             : lease.shard_path.substr(start);
-      if (lease.shard_path.empty()) {
-        bad("lease " + std::to_string(lease.id) + " has no shard path");
-      }
-      if (state == "pending" || state == "leased") {
-        // `leased` means the previous coordinator died with the worker
-        // in flight — the shard resumes, so just re-issue.
-        lease.state = lease_state::pending;
-      } else if (state == "done") {
-        lease.state = lease_state::done;
-      } else {
-        bad("lease " + std::to_string(lease.id) + " has unknown state '" +
-            state + "'");
-      }
-      leases.push_back(std::move(lease));
-    } else {
-      bad("unknown line: '" + line + "'");
+  bind("config_hash", m.config_hash, config_.config_hash);
+  bind("seed", m.seed, config_.seed);
+  bind("first_index", m.first_index, config_.first_index);
+  bind("traces", m.traces, config_.traces);
+  bind("lease_traces", m.lease_traces, config_.lease_traces);
+  for (fabric_lease& lease : m.leases) {
+    // `leased` means the previous coordinator died with the worker in
+    // flight — the shard resumes, so just re-issue.
+    if (lease.state == lease_state::leased) {
+      lease.state = lease_state::pending;
     }
   }
-
-  // The lease split is a pure function of (first_index, traces,
-  // lease_traces); a manifest whose split disagrees was tampered with or
-  // truncated mid-rewrite (which the atomic rename should prevent).
-  const std::size_t count =
-      (config_.traces + config_.lease_traces - 1) / config_.lease_traces;
-  if (leases.size() != count) {
-    bad("has " + std::to_string(leases.size()) + " leases, campaign needs " +
-        std::to_string(count));
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    const fabric_lease& lease = leases[i];
-    const std::size_t first = config_.first_index + i * config_.lease_traces;
-    const std::size_t traces = std::min(
-        config_.lease_traces, config_.traces - i * config_.lease_traces);
-    if (lease.id != i || lease.first_index != first ||
-        lease.traces != traces) {
-      bad("lease " + std::to_string(i) + " does not match the campaign split");
-    }
-  }
-  leases_ = std::move(leases);
+  leases_ = std::move(m.leases);
   return true;
 }
 
 void campaign_fabric::save_manifest() const {
-  std::string body = "usca-fabric-manifest 1\n";
+  std::string body = std::string(manifest_magic) + "\n";
   body += "config_hash " + std::to_string(config_.config_hash) + "\n";
   body += "seed " + std::to_string(config_.seed) + "\n";
   body += "first_index " + std::to_string(config_.first_index) + "\n";

@@ -63,6 +63,32 @@ struct fabric_lease {
   std::string shard_path;
 };
 
+/// A fabric manifest as the coordinator journals it: the campaign's
+/// binding and split, and every lease with its state as written
+/// (`leased` included; the coordinator demotes it to pending on load,
+/// status views show it).  The one reader of the format, so health
+/// checks and status views read exactly what the coordinator accepts.
+struct fabric_manifest {
+  std::uint64_t config_hash = 0;
+  std::uint64_t seed = 0;
+  std::size_t first_index = 0;
+  std::size_t traces = 0;
+  std::size_t lease_traces = 0;
+  std::vector<fabric_lease> leases; ///< in id order
+
+  /// Parses the manifest at `path`.  Accepts only what the coordinator
+  /// writes: the magic line, the five campaign lines in order, then one
+  /// lease line per lease of the campaign's split, in id order, every
+  /// line newline-terminated.  Throws util::analysis_error naming the
+  /// path and the first line at fault otherwise.
+  static fabric_manifest read(const std::string& path);
+
+  /// True when `path` starts with the manifest magic line: how a caller
+  /// tells a manifest from a trace store or another file without a
+  /// parse.  False for a missing or unreadable file.
+  static bool probe(const std::string& path) noexcept;
+};
+
 /// Point-in-time coordinator view handed to fabric_config::on_progress:
 /// enough to render a progress line (done trace count, live workers)
 /// or a full per-lease health report without touching coordinator
@@ -183,7 +209,9 @@ struct fabric_report {
 
 /// The coordinator.  Construction loads the manifest at
 /// config.manifest_path when it exists (validating the config binding)
-/// or creates and journals a fresh lease split.
+/// or creates and journals a fresh lease split.  Throws
+/// util::analysis_error for an empty campaign or lease size and for a
+/// range whose end, first_index + traces, overflows.
 class campaign_fabric {
 public:
   explicit campaign_fabric(fabric_config config);

@@ -199,26 +199,6 @@ void build_verdicts(const characterization_benchmark& bench,
   }
 }
 
-/// Benchmark identity folded into the archive's config hash (the
-/// acquisition config alone cannot distinguish two benchmarks).
-std::uint64_t bench_salt(const characterization_benchmark& bench) noexcept {
-  config_hasher h;
-  h.mix(bench.name);
-  h.mix(bench.sequence_text);
-  for (const model_spec& m : bench.models) {
-    h.mix(m.label);
-  }
-  return h.value();
-}
-
-benchmark_report report_header(const characterization_benchmark& bench) {
-  benchmark_report report;
-  report.name = bench.name;
-  report.sequence_text = bench.sequence_text;
-  report.expect_dual_issue = bench.expect_dual_issue;
-  return report;
-}
-
 } // namespace
 
 acquisition_config
@@ -237,37 +217,28 @@ leakage_characterizer::acquisition_plan(const options& opts) const {
 benchmark_report
 leakage_characterizer::characterize(const characterization_benchmark& bench,
                                     const options& opts) const {
-  // The live trial stream is one more trace source, whose runs end at
-  // the window's end mark.
-  const bench_program bp = bench.build();
-  acquisition_campaign campaign(sim::program_image(bp.prog),
-                                acquisition_plan(opts));
-  campaign.set_setup(make_bench_setup(bench, bp));
-  acquisition_source source(campaign);
-  return characterize(bench, source, opts);
-}
-
-benchmark_report
-leakage_characterizer::characterize(const characterization_benchmark& bench,
-                                    trace_source& source,
-                                    const options& opts) const {
   const bench_program bp = bench.build();
 
-  benchmark_report report = report_header(bench);
+  benchmark_report report;
+  report.name = bench.name;
+  report.sequence_text = bench.sequence_text;
+  report.expect_dual_issue = bench.expect_dual_issue;
 
-  // Total-power pass from the source, batched: archive sources deliver
-  // whole mmap'd chunks zero-copy, live ones window-bounded tiles.
+  // Total-power pass from the live trial stream, whose runs end at the
+  // window's end mark, in window-bounded tiles.
   label_correlation_sink power_pass;
-  pump(source, power_pass);
+  {
+    acquisition_campaign stream(sim::program_image(bp.prog),
+                                acquisition_plan(opts));
+    stream.set_setup(make_bench_setup(bench, bp));
+    acquisition_source source(stream);
+    pump(source, power_pass);
+  }
   const std::size_t streamed = power_pass.traces();
   if (streamed == 0) {
-    throw util::analysis_error("trace source delivered no records");
+    throw util::analysis_error("characterization needs at least one trace");
   }
   const std::size_t n_models = bench.models.size();
-  if (power_pass.correlations().size() != n_models) {
-    throw util::analysis_error(
-        "trace source labels do not match the benchmark's models");
-  }
   const std::size_t samples = power_pass.samples();
   report.samples = samples;
   report.traces = streamed;
@@ -279,7 +250,7 @@ leakage_characterizer::characterize(const characterization_benchmark& bench,
   // Attribution + dual-issue need pipeline activity and whole-run marks,
   // which no source carries: re-simulate the trial prefix to halt.
   // Per-index seeding makes these trials bit-identical to the ones behind
-  // the streamed records, live or archived.
+  // the streamed records.
   const std::size_t n_attr = std::min(opts.attribution_trials, streamed);
   acquisition_config acq = acquisition_plan(opts);
   acq.traces = n_attr;
@@ -294,7 +265,7 @@ leakage_characterizer::characterize(const characterization_benchmark& bench,
       }
       if (rec.window_end - rec.window_begin != samples) {
         throw util::analysis_error(
-            "archived records do not match this benchmark's window");
+            "attribution trials do not match the streamed window");
       }
       accumulate_attribution(rec, power_, samples, column_contrib,
                              column_acc);
@@ -306,35 +277,6 @@ leakage_characterizer::characterize(const characterization_benchmark& bench,
   build_verdicts(bench, power_pass.correlations(), column_acc, samples,
                  streamed, opts, report);
   return report;
-}
-
-archive_result
-leakage_characterizer::archive(const characterization_benchmark& bench,
-                               const std::string& path, const options& opts,
-                               const archive_options& store) const {
-  const bench_program bp = bench.build();
-  archive_options salted = store;
-  salted.config_salt = bench_salt(bench);
-  return archive_acquisition(sim::program_image(bp.prog),
-                             acquisition_plan(opts),
-                             make_bench_setup(bench, bp), path, salted);
-}
-
-benchmark_report leakage_characterizer::characterize_replayed(
-    const characterization_benchmark& bench, const std::string& path,
-    const options& opts) const {
-  power::trace_store_reader reader(path);
-  const acquisition_config acq = acquisition_plan(opts);
-  const std::uint64_t expected =
-      salted_config_hash(acquisition_config_hash(acq), bench_salt(bench));
-  if (reader.descriptor().seed != acq.seed ||
-      reader.descriptor().config_hash != expected) {
-    throw util::analysis_error(
-        "trace store '" + path +
-        "' was not archived from this benchmark/configuration");
-  }
-  archive_source source(reader);
-  return characterize(bench, source, opts);
 }
 
 } // namespace usca::core

@@ -29,8 +29,6 @@
 
 #include "asmx/program.h"
 #include "core/acquisition.h"
-#include "core/trace_archive.h"
-#include "core/trace_stream.h"
 #include "power/synthesizer.h"
 #include "sim/backend.h"
 #include "sim/micro_arch_config.h"
@@ -154,43 +152,21 @@ public:
                         power::synthesis_config power);
 
   /// Characterizes a live trial stream: the benchmark's campaign,
-  /// wrapped in an acquisition_source (runs end at the window's end mark)
-  /// and handed to the trace-source overload below.  A benchmark whose
-  /// window length depends on the data throws util::analysis_error.
+  /// wrapped in an acquisition_source (runs end at the window's end
+  /// mark), feeds the total-power correlation pass.  The
+  /// cycle-attribution pass and the dual-issue observation need pipeline
+  /// activity and whole-run marks, which no source carries, so the
+  /// (small) trial prefix is re-simulated to halt — per-index seeding
+  /// makes those trials bit-identical to the ones behind the streamed
+  /// records.  A benchmark whose window length depends on the data
+  /// throws util::analysis_error.
   benchmark_report characterize(const characterization_benchmark& bench,
                                 const options& opts = {}) const;
-
-  /// Characterizes from a trace source whose records carry the
-  /// benchmark's model values as labels (in model order): a live
-  /// campaign or an archive.  The total-power correlation pass streams
-  /// from the source; the cycle-attribution pass and the dual-issue
-  /// observation need pipeline activity and whole-run marks, which no
-  /// source carries, so the (small) trial prefix is re-simulated to halt
-  /// — per-index seeding makes those trials bit-identical to the ones
-  /// behind the streamed records.
-  benchmark_report characterize(const characterization_benchmark& bench,
-                                trace_source& source,
-                                const options& opts = {}) const;
-
-  /// Archives the benchmark's trial stream (labels = model values) into
-  /// a trace store at `path`; resumable like any campaign archive.
-  archive_result archive(const characterization_benchmark& bench,
-                         const std::string& path, const options& opts = {},
-                         const archive_options& store = {}) const;
-
-  /// Opens the store at `path`, validates that it was archived from this
-  /// benchmark/configuration (seed + config hash), and characterizes from
-  /// it.  Bit-identical to characterize(bench, opts) for a store written
-  /// by archive() with the same options (pinned by tests).
-  benchmark_report
-  characterize_replayed(const characterization_benchmark& bench,
-                        const std::string& path,
-                        const options& opts = {}) const;
 
 private:
-  /// The acquisition configuration every characterizer pass runs on
-  /// (live, archive and attribution share it so their records agree);
-  /// it keeps no window activity.
+  /// The acquisition configuration both characterizer passes run on
+  /// (the stream and the attribution prefix share it so their records
+  /// agree); it keeps no window activity.
   acquisition_config acquisition_plan(const options& opts) const;
 
   sim::micro_arch_config arch_;

@@ -40,14 +40,6 @@ public:
   }
   void mix(double value) noexcept;
   void mix(bool value) noexcept { mix(std::uint64_t{value}); }
-  /// Length-prefix-free string mixing with a terminating separator, so
-  /// ("ab","c") and ("a","bc") hash differently.
-  void mix(const std::string& value) noexcept {
-    for (const unsigned char c : value) {
-      mix(std::uint64_t{c});
-    }
-    mix(std::uint64_t{0xff});
-  }
 
   std::uint64_t value() const noexcept { return hash_; }
 
@@ -60,8 +52,7 @@ struct archive_options {
   std::uint32_t chunk_traces = 256;
   /// Extra identity mixed into the stored config hash, for producers
   /// whose record content depends on more than the acquisition config
-  /// (e.g. the characterizer salts in the benchmark, whose program and
-  /// models shape labels and samples).
+  /// (e.g. a non-default plaintext policy, see archive_aes_campaign).
   std::uint64_t config_salt = 0;
 };
 
@@ -117,9 +108,9 @@ archive_result archive_acquisition(const sim::program_image& image,
 /// be a pure function of (index, rng) or the resume bit-identity breaks.
 /// CAUTION: the stored config hash cannot cover the policy callback —
 /// when archiving with a non-default policy, salt its identity in via
-/// archive_options.config_salt (as the characterizer does for its
-/// benchmarks), or a later resume with a different policy will pass the
-/// provenance check and silently mix trace populations.
+/// archive_options.config_salt, or a later resume with a different
+/// policy will pass the provenance check and silently mix trace
+/// populations.
 archive_result
 archive_aes_campaign(const campaign_config& config, const crypto::aes_key& key,
                      const std::string& path,

@@ -22,11 +22,9 @@
 // accumulation: an analysis is bit-identical at any batch size, and an
 // analysis fed from an archive is bit-identical to the same analysis fed
 // from the live campaign that wrote the archive — the properties the
-// replay and batch-identity tests pin.
-//
-// The older per-record trace_sink interface survives for consumers that
-// genuinely want one record at a time (progress meters, CSV emitters);
-// per_trace_adapter presents any trace_sink as an analysis_pass.
+// replay and batch-identity tests pin.  A consumer that wants one record
+// at a time (a progress meter, a per-record hypothesis) is an
+// analysis_pass that loops over the rows of each tile.
 #ifndef USCA_CORE_TRACE_STREAM_H
 #define USCA_CORE_TRACE_STREAM_H
 
@@ -44,8 +42,9 @@
 
 namespace usca::core {
 
-/// One record of the stream.  The spans are valid only during the
-/// consume() call (live sources reuse buffers; archive sources may remap).
+/// One row of a tile, as tvla_sink's classifier sees it.  The spans are
+/// valid only during the call (live sources reuse buffers; archive
+/// sources may remap).
 struct trace_view {
   std::size_t index = 0;
   std::span<const double> labels;
@@ -116,53 +115,6 @@ public:
   virtual void finish() {}
 };
 
-/// Per-record consumer kept for progress meters and exporters; adapt it
-/// with per_trace_adapter to run alongside batched passes.
-class trace_sink {
-public:
-  virtual ~trace_sink() = default;
-
-  /// Called once, before the first record, with the discovered shape.
-  virtual void begin(std::size_t samples, std::size_t labels) {
-    (void)samples;
-    (void)labels;
-  }
-
-  /// Called once per record, in strict index order.
-  virtual void consume(const trace_view& view) = 0;
-
-  /// Called once after the last record — flush/close point.
-  virtual void finish() {}
-};
-
-/// Presents a per-record trace_sink as an analysis_pass (optionally over
-/// a window) by unrolling each tile row by row.
-class per_trace_adapter final : public analysis_pass {
-public:
-  explicit per_trace_adapter(trace_sink& sink,
-                             window_spec window = window_spec::all())
-      : sink_(sink), window_(window) {}
-
-  window_spec window() const override { return window_; }
-
-  void begin(const stream_shape& shape) override {
-    sink_.begin(shape.samples, shape.labels);
-  }
-
-  void consume_batch(const trace_batch_view& batch) override {
-    for (std::size_t r = 0; r < batch.count; ++r) {
-      sink_.consume(trace_view{batch.index(r), batch.labels_row(r),
-                               batch.samples_row(r)});
-    }
-  }
-
-  void finish() override { sink_.finish(); }
-
-private:
-  trace_sink& sink_;
-  window_spec window_;
-};
-
 class trace_source {
 public:
   using batch_fn = std::function<void(const trace_batch_view&)>;
@@ -183,18 +135,7 @@ public:
   virtual void for_each_batch(std::size_t max_batch,
                               const batch_fn& fn) = 0;
 
-  /// Per-record convenience over for_each_batch (row unrolling).
-  void for_each(const std::function<void(const trace_view&)>& fn) {
-    for_each_batch(default_batch_traces,
-                   [&fn](const trace_batch_view& batch) {
-                     for (std::size_t r = 0; r < batch.count; ++r) {
-                       fn(trace_view{batch.index(r), batch.labels_row(r),
-                                     batch.samples_row(r)});
-                     }
-                   });
-  }
-
-  /// Default tile size of pump()/for_each(): matches the trace store's
+  /// Default tile size of pump(): matches the trace store's
   /// default chunk size, so archive replay stays whole-chunk zero-copy.
   static constexpr std::size_t default_batch_traces = 256;
 };
@@ -304,13 +245,6 @@ inline void pump(trace_source& source, analysis_pass& pass,
                  const pump_options& options = {}) {
   analysis_pass* passes[] = {&pass};
   pump(source, passes, options);
-}
-
-/// Per-record compatibility pump: wraps the sink in a per_trace_adapter.
-inline void pump(trace_source& source, trace_sink& sink,
-                 const pump_options& options = {}) {
-  per_trace_adapter adapter(sink);
-  pump(source, static_cast<analysis_pass&>(adapter), options);
 }
 
 } // namespace usca::core

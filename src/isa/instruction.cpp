@@ -234,30 +234,6 @@ issue_class classify(const instruction& ins) noexcept {
   return issue_class::alu_reg;
 }
 
-std::string_view issue_class_name(issue_class cls) noexcept {
-  switch (cls) {
-  case issue_class::mov_like:
-    return "mov";
-  case issue_class::alu_reg:
-    return "ALU";
-  case issue_class::alu_imm:
-    return "ALU w/ imm";
-  case issue_class::mul_like:
-    return "mul";
-  case issue_class::shift_like:
-    return "shifts";
-  case issue_class::branch_like:
-    return "branch";
-  case issue_class::load_store:
-    return "ld/st";
-  case issue_class::nop_like:
-    return "nop";
-  case issue_class::other:
-    return "other";
-  }
-  return "other";
-}
-
 bool reads_flags(const instruction& ins) noexcept {
   if (ins.cond != condition::al && ins.cond != condition::nv) {
     return true;
@@ -399,9 +375,6 @@ instruction eor(reg rd, reg rn, reg rm) noexcept {
 instruction orr(reg rd, reg rn, reg rm) noexcept {
   return dp(opcode::orr, rd, rn, rm);
 }
-instruction and_(reg rd, reg rn, reg rm) noexcept {
-  return dp(opcode::and_, rd, rn, rm);
-}
 instruction and_imm(reg rd, reg rn, std::uint32_t imm) noexcept {
   return dp_imm(opcode::and_, rd, rn, imm);
 }
@@ -423,9 +396,6 @@ instruction lsl(reg rd, reg rm, std::uint8_t amount) noexcept {
 }
 instruction lsr(reg rd, reg rm, std::uint8_t amount) noexcept {
   return dp_shift(opcode::mov, rd, reg::r0, rm, shift_kind::lsr, amount);
-}
-instruction asr(reg rd, reg rm, std::uint8_t amount) noexcept {
-  return dp_shift(opcode::mov, rd, reg::r0, rm, shift_kind::asr, amount);
 }
 instruction ror(reg rd, reg rm, std::uint8_t amount) noexcept {
   return dp_shift(opcode::mov, rd, reg::r0, rm, shift_kind::ror, amount);

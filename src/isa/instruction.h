@@ -186,8 +186,6 @@ enum class issue_class : std::uint8_t {
   other,       ///< mark/halt — serializing pseudo-ops
 };
 
-std::string_view issue_class_name(issue_class cls) noexcept;
-
 issue_class classify(const instruction& ins) noexcept;
 
 /// True for the canonical nop encoding: `movnv r0, r0` — the Cortex-A7
@@ -249,7 +247,6 @@ instruction sub(reg rd, reg rn, reg rm) noexcept;
 instruction sub_imm(reg rd, reg rn, std::uint32_t imm) noexcept;
 instruction eor(reg rd, reg rn, reg rm) noexcept;
 instruction orr(reg rd, reg rn, reg rm) noexcept;
-instruction and_(reg rd, reg rn, reg rm) noexcept;
 instruction and_imm(reg rd, reg rn, std::uint32_t imm) noexcept;
 instruction cmp(reg rn, reg rm) noexcept;
 instruction cmp_imm(reg rn, std::uint32_t imm) noexcept;
@@ -257,7 +254,6 @@ instruction cmp_imm(reg rn, std::uint32_t imm) noexcept;
 /// Standalone shifts are mov-with-shifted-operand, as in ARM.
 instruction lsl(reg rd, reg rm, std::uint8_t amount) noexcept;
 instruction lsr(reg rd, reg rm, std::uint8_t amount) noexcept;
-instruction asr(reg rd, reg rm, std::uint8_t amount) noexcept;
 instruction ror(reg rd, reg rm, std::uint8_t amount) noexcept;
 
 instruction mul(reg rd, reg rn, reg rm) noexcept;

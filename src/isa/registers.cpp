@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cctype>
+#include <string>
 
 namespace usca::isa {
 
@@ -47,15 +48,6 @@ std::optional<reg> parse_reg(std::string_view text) noexcept {
     }
   }
   return std::nullopt;
-}
-
-std::string flags_to_string(const flags& f) {
-  std::string out;
-  out += f.n ? 'N' : 'n';
-  out += f.z ? 'Z' : 'z';
-  out += f.c ? 'C' : 'c';
-  out += f.v ? 'V' : 'v';
-  return out;
 }
 
 } // namespace usca::isa

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <string_view>
 
 namespace usca::isa {
@@ -62,9 +61,6 @@ struct flags {
 
   friend bool operator==(const flags&, const flags&) = default;
 };
-
-/// Renders flags as a 4-character string such as "nZcv" (capital = set).
-std::string flags_to_string(const flags& f);
 
 } // namespace usca::isa
 

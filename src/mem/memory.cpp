@@ -151,11 +151,6 @@ memory::word_load memory::load_with_word(std::uint32_t address,
           word};
 }
 
-void memory::clear() noexcept {
-  pages_.clear();
-  memo_page_ = nullptr;
-}
-
 std::size_t memory::reset() noexcept {
   std::size_t blocks = 0;
   for (auto& [number, p] : pages_) {

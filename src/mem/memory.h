@@ -70,9 +70,6 @@ public:
   /// address from one page lookup; throws on misalignment as they do.
   word_load load_with_word(std::uint32_t address, int width) const;
 
-  /// Drops all pages.
-  void clear() noexcept;
-
   /// Restores the all-zero state while keeping the page allocations: the
   /// blocks written since the last reset() are zero-filled in place.
   /// Observationally equivalent to a freshly constructed memory
@@ -96,8 +93,9 @@ private:
   std::unordered_map<std::uint32_t, page> pages_;
   // One-entry lookup memo for the hot sequential-access pattern (AES state
   // and S-box share few pages).  Node pointers of an unordered_map stay
-  // valid across inserts/rehash, so the memo only needs invalidation on
-  // clear().  Purely an access-path cache: no observable behaviour change.
+  // valid across inserts/rehash and no page is ever erased, so only a
+  // copy drops the memo.  Purely an access-path cache: no observable
+  // behaviour change.
   mutable std::uint32_t memo_number_ = 0;
   mutable page* memo_page_ = nullptr;
 };

@@ -4,44 +4,6 @@
 
 namespace usca::sim {
 
-std::string_view component_name(component c) noexcept {
-  switch (c) {
-  case component::rf_read_port:
-    return "RF read port";
-  case component::is_ex_bus:
-    return "IS/EX bus";
-  case component::alu_in_latch:
-    return "ALU input latch";
-  case component::alu_out:
-    return "ALU output";
-  case component::shift_buffer:
-    return "Shift buffer";
-  case component::ex_wb_latch:
-    return "EX/WB latch";
-  case component::wb_bus:
-    return "WB bus";
-  case component::mdr:
-    return "MDR";
-  case component::align_buffer:
-    return "Align buffer";
-  case component::rat_port:
-    return "RAT port";
-  case component::prf_read_port:
-    return "PRF read port";
-  case component::rs_tag_bus:
-    return "RS tag bus";
-  case component::cdb:
-    return "CDB";
-  case component::rob_retire_port:
-    return "ROB retire port";
-  case component::bp_table:
-    return "BP table";
-  case component::btb_port:
-    return "BTB/RSB port";
-  }
-  return "?";
-}
-
 std::uint64_t activity_window_digest(const activity_trace& events,
                                      std::uint32_t first,
                                      std::uint32_t last) {

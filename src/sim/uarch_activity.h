@@ -52,7 +52,6 @@
 #define USCA_SIM_UARCH_ACTIVITY_H
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 namespace usca::sim {
@@ -81,8 +80,6 @@ enum class component : std::uint8_t {
 };
 
 constexpr std::size_t component_count = 16;
-
-std::string_view component_name(component c) noexcept;
 
 /// One switching event: `toggles` bits changed on `comp`/`lane` at `cycle`.
 struct activity_event {

@@ -11,16 +11,4 @@ bool is_arm_immediate(std::uint32_t value) noexcept {
   return false;
 }
 
-arm_immediate encode_arm_immediate(std::uint32_t value) noexcept {
-  for (unsigned rot = 0; rot < 32; rot += 2) {
-    const std::uint32_t rotated = rotate_left(value, rot);
-    if ((rotated & ~0xffU) == 0) {
-      return arm_immediate{static_cast<std::uint8_t>(rot / 2),
-                           static_cast<std::uint8_t>(rotated)};
-    }
-  }
-  // Unreachable when the precondition holds; encode zero defensively.
-  return arm_immediate{0, 0};
-}
-
 } // namespace usca::util

@@ -30,25 +30,10 @@ constexpr int hamming_distance(std::uint32_t before,
   return std::popcount(before ^ after);
 }
 
-/// Rotate right, as used by the ARM-style immediate encoding and the ROR
-/// shift type.  `amount` is taken modulo 32; ror(x, 0) == x.
-constexpr std::uint32_t rotate_right(std::uint32_t value,
-                                     unsigned amount) noexcept {
-  return std::rotr(value, static_cast<int>(amount & 31U));
-}
-
-/// Rotate left companion.
+/// Rotate left; `amount` is taken modulo 32.
 constexpr std::uint32_t rotate_left(std::uint32_t value,
                                     unsigned amount) noexcept {
   return std::rotl(value, static_cast<int>(amount & 31U));
-}
-
-/// Sign extension of the low `bits` bits of `value` to a full int32.
-constexpr std::int32_t sign_extend(std::uint32_t value, unsigned bits) noexcept {
-  const std::uint32_t mask = 1U << (bits - 1);
-  const std::uint32_t trimmed =
-      bits >= 32 ? value : (value & ((1U << bits) - 1U));
-  return static_cast<std::int32_t>((trimmed ^ mask) - mask);
 }
 
 /// Extract the byte `index` (0 = least significant) of a word.
@@ -65,19 +50,6 @@ constexpr std::uint16_t half_of(std::uint32_t value, unsigned index) noexcept {
 /// rotated right by an even amount.  Used by the assembler to validate
 /// data-processing immediates.
 bool is_arm_immediate(std::uint32_t value) noexcept;
-
-/// Encodes `value` as (rotation/2, imm8); precondition: is_arm_immediate.
-struct arm_immediate {
-  std::uint8_t rot4; ///< rotation divided by two, 0..15
-  std::uint8_t imm8; ///< base byte
-};
-arm_immediate encode_arm_immediate(std::uint32_t value) noexcept;
-
-/// Decodes an (rot4, imm8) pair back to the 32-bit constant.
-constexpr std::uint32_t decode_arm_immediate(std::uint8_t rot4,
-                                             std::uint8_t imm8) noexcept {
-  return rotate_right(imm8, 2U * rot4);
-}
 
 } // namespace usca::util
 

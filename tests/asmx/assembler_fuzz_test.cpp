@@ -1,13 +1,13 @@
 // Fuzz property: any instruction the library can construct disassembles
 // to text that re-assembles to the identical instruction.  This closes the
-// loop between the three AL32 representations (IR, text, binary) beyond
-// the fixed corpus in disasm_test.cpp.
+// loop between the two AL32 representations (IR and text) beyond the
+// fixed corpus in disasm_test.cpp.
 #include <gtest/gtest.h>
+
+#include <bit>
 
 #include "asmx/assembler.h"
 #include "isa/disasm.h"
-#include "isa/encoding.h"
-#include "util/bitops.h"
 #include "util/rng.h"
 
 namespace usca::asmx {
@@ -63,7 +63,7 @@ instruction random_instruction(util::xoshiro256& rng) {
     ins.rn = rand_reg(rng);
     const auto imm8 = static_cast<std::uint32_t>(rng.bounded(256));
     const auto rot = 2 * static_cast<unsigned>(rng.bounded(16));
-    ins.op2 = isa::operand2::make_imm(util::rotate_right(imm8, rot));
+    ins.op2 = isa::operand2::make_imm(std::rotr(imm8, static_cast<int>(rot)));
     return ins;
   }
   case 2: { // compare
@@ -141,19 +141,6 @@ TEST_P(AssemblerFuzz, DisasmAssembleRoundTrip) {
     ASSERT_NO_THROW(prog = assemble(text)) << text;
     ASSERT_EQ(prog.code.size(), 1u) << text;
     ASSERT_EQ(prog.code.front(), original) << text;
-  }
-}
-
-TEST_P(AssemblerFuzz, EncodeDecodeRoundTrip) {
-  util::xoshiro256 rng(GetParam() ^ 0xe17c0de);
-  for (int i = 0; i < 500; ++i) {
-    const instruction original = random_instruction(rng);
-    if (!isa::encodable(original)) {
-      continue;
-    }
-    const auto decoded = isa::decode(isa::encode(original));
-    ASSERT_TRUE(decoded.has_value());
-    ASSERT_EQ(*decoded, original) << isa::disassemble(original);
   }
 }
 

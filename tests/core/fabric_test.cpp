@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -279,6 +280,30 @@ TEST_F(FabricTest, ManifestConfigBindingIsEnforced) {
   core::fabric_config reseeded = fx.config;
   reseeded.seed ^= 1;
   EXPECT_THROW(core::campaign_fabric{reseeded}, util::analysis_error);
+}
+
+TEST_F(FabricTest, LargestRangeSplitsWithoutWrapping) {
+  fabric_fixture fx("max_range");
+  core::fabric_config config = fx.config;
+  config.traces = std::numeric_limits<std::size_t>::max();
+  config.lease_traces = std::size_t{1} << 63;
+  {
+    core::campaign_fabric fabric(config);
+    ASSERT_EQ(fabric.leases().size(), 2u);
+    EXPECT_EQ(fabric.leases()[1].first_index, std::size_t{1} << 63);
+    EXPECT_EQ(fabric.leases()[1].traces, (std::size_t{1} << 63) - 1);
+  }
+  // The journaled manifest reloads to the same split.
+  const core::campaign_fabric reloaded(config);
+  ASSERT_EQ(reloaded.leases().size(), 2u);
+  EXPECT_EQ(reloaded.leases()[1].traces, (std::size_t{1} << 63) - 1);
+
+  // One record later the range's end overflows.
+  core::fabric_config shifted = config;
+  shifted.manifest_path = fx.dir + "/shifted.manifest";
+  shifted.first_index = 1;
+  EXPECT_THROW(core::campaign_fabric{shifted}, util::analysis_error);
+  EXPECT_FALSE(fs::exists(shifted.manifest_path));
 }
 
 TEST_F(FabricTest, ExhaustedLeaseThrowsButKeepsTheJournal) {

@@ -181,19 +181,23 @@ TEST(TraceArchive, ReplayedRecordsMatchLiveCampaignExactly) {
                                      0));
   core::archive_source source(reader);
   std::size_t seen = 0;
-  source.for_each([&](const core::trace_view& view) {
-    ASSERT_LT(view.index, live.size());
-    const auto& rec = live[view.index];
-    ASSERT_EQ(view.labels.size(), rec.labels.size());
-    ASSERT_EQ(view.samples.size(), rec.samples.size());
-    for (std::size_t l = 0; l < rec.labels.size(); ++l) {
-      EXPECT_EQ(view.labels[l], rec.labels[l]);
-    }
-    for (std::size_t s = 0; s < rec.samples.size(); ++s) {
-      EXPECT_EQ(view.samples[s], rec.samples[s]);
-    }
-    ++seen;
-  });
+  source.for_each_batch(
+      core::trace_source::default_batch_traces,
+      [&](const core::trace_batch_view& batch) {
+        for (std::size_t r = 0; r < batch.count; ++r) {
+          ASSERT_LT(batch.index(r), live.size());
+          const auto& rec = live[batch.index(r)];
+          ASSERT_EQ(batch.labels_row(r).size(), rec.labels.size());
+          ASSERT_EQ(batch.samples_row(r).size(), rec.samples.size());
+          for (std::size_t l = 0; l < rec.labels.size(); ++l) {
+            EXPECT_EQ(batch.labels_row(r)[l], rec.labels[l]);
+          }
+          for (std::size_t s = 0; s < rec.samples.size(); ++s) {
+            EXPECT_EQ(batch.samples_row(r)[s], rec.samples[s]);
+          }
+          ++seen;
+        }
+      });
   EXPECT_EQ(seen, live.size());
   std::remove(path.c_str());
 }

@@ -4,8 +4,7 @@
 // per-trace single-window run (manual sample slicing) — the
 // simulate-once/analyse-many multi-window contract.  Also pins the
 // empty-stream semantics (shape-aware sources begin their passes even
-// when zero records are delivered), the per_trace_adapter bridge, and
-// window_spec validation.
+// when zero records are delivered) and window_spec validation.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -146,55 +145,6 @@ TEST(WindowedPasses, EmptyArchiveStillBeginsShapeAwarePasses) {
   EXPECT_EQ(cpa.cpa().traces(), 0u);
   EXPECT_EQ(cpa.cpa().samples(), 40u);
   EXPECT_EQ(tvla.tvla().max_abs_t(), 0.0);
-  std::remove(path.c_str());
-}
-
-/// Records what a per-trace sink sees through the adapter.
-class recording_sink final : public trace_sink {
-public:
-  std::size_t begun_samples = 0;
-  std::size_t begun_labels = 0;
-  std::vector<std::size_t> indices;
-  std::vector<double> first_samples;
-
-  void begin(std::size_t samples, std::size_t labels) override {
-    begun_samples = samples;
-    begun_labels = labels;
-  }
-  void consume(const trace_view& view) override {
-    indices.push_back(view.index);
-    first_samples.push_back(view.samples[0]);
-  }
-  void finish() override { finished = true; }
-  bool finished = false;
-};
-
-TEST(WindowedPasses, PerTraceAdapterUnrollsBatchesInIndexOrder) {
-  const campaign_config config = small_config(50);
-  const std::string path = archive_small_campaign(config, "adapter");
-  const power::trace_store_reader reader(path);
-  const std::size_t samples = reader.samples();
-
-  std::vector<double> sample5; // sample 5 of every stored row
-  reader.stream([&](std::size_t, std::span<const double>,
-                    std::span<const double> row) {
-    sample5.push_back(row[5]);
-  });
-
-  recording_sink sink;
-  per_trace_adapter adapter(sink, window_spec::range(5, samples));
-  archive_source source(reader);
-  pump(source, adapter);
-
-  EXPECT_TRUE(sink.finished);
-  EXPECT_EQ(sink.begun_samples, samples - 5);
-  EXPECT_EQ(sink.begun_labels, reader.labels());
-  ASSERT_EQ(sink.indices.size(), reader.traces());
-  for (std::size_t i = 0; i < sink.indices.size(); ++i) {
-    EXPECT_EQ(sink.indices[i], reader.first_index() + i);
-    // The adapter's windowed record starts at sample 5 of the full row.
-    EXPECT_EQ(sink.first_samples[i], sample5[i]);
-  }
   std::remove(path.c_str());
 }
 

@@ -69,10 +69,5 @@ TEST(Condition, ParseAliases) {
   EXPECT_FALSE(parse_condition("zz").has_value());
 }
 
-TEST(Condition, FlagsToString) {
-  EXPECT_EQ(flags_to_string(make_flags(true, false, true, false)), "NzCv");
-  EXPECT_EQ(flags_to_string(make_flags(false, false, false, false)), "nzcv");
-}
-
 } // namespace
 } // namespace usca::isa

@@ -73,13 +73,6 @@ TEST(Memory, ContainingWordForSubwordAccess) {
   EXPECT_EQ(m.containing_word(0x3003), 0xaabbccddu);
 }
 
-TEST(Memory, ClearDropsContents) {
-  memory m;
-  m.write32(0x1000, 5);
-  m.clear();
-  EXPECT_EQ(m.read32(0x1000), 0u);
-}
-
 TEST(Memory, ResetZeroesEveryTouchedPageInPlace) {
   memory m;
   m.write32(0x1000, 0xdeadbeef);
@@ -291,7 +284,7 @@ void expect_same_bytes(const memory& got, const memory& want,
 // reset() must restore exactly the all-zero state, however the bytes got
 // dirty: whatever follows a reset reads as it would on a memory that only
 // ever saw the post-reset operations.  Copies must carry enough state for
-// their own reset() to be exact, and clear() must compose with reset().
+// their own reset() to be exact.
 TEST(Memory, ResetMatchesFreshMemoryUnderMixedOperations) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const std::string what = "seed " + std::to_string(seed);
@@ -324,20 +317,6 @@ TEST(Memory, ResetMatchesFreshMemoryUnderMixedOperations) {
     memory constructed(m);
     constructed.reset();
     expect_same_bytes(constructed, memory{}, what + " constructed copy");
-
-    // clear() then reset(): both orders leave a fresh memory.
-    m.clear();
-    memory fresh_cleared;
-    random_ops(rng, 150, {&m, &fresh_cleared});
-    expect_same_bytes(m, fresh_cleared, what + " after clear");
-    m.reset();
-    m.clear();
-    memory fresh_again;
-    random_ops(rng, 100, {&m, &fresh_again});
-    m.reset();
-    fresh_again = memory{};
-    random_ops(rng, 100, {&m, &fresh_again});
-    expect_same_bytes(m, fresh_again, what + " after clear and reset");
   }
 }
 
