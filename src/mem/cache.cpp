@@ -7,42 +7,34 @@
 
 namespace usca::mem {
 
-cache::cache(const cache_config& config) : config_(config) {
-  if (config_.line_bytes == 0 || (config_.line_bytes & (config_.line_bytes - 1)) != 0) {
+cache_geometry::cache_geometry(const cache_config& config)
+    : line_bytes(config.line_bytes), ways(config.ways) {
+  if (line_bytes == 0 || (line_bytes & (line_bytes - 1)) != 0) {
     throw util::usca_error("cache line size must be a power of two");
   }
-  if (config_.ways == 0) {
+  if (ways == 0) {
     throw util::usca_error("cache must have at least one way");
   }
-  num_sets_ = config_.size_bytes / (config_.line_bytes * config_.ways);
-  if (num_sets_ == 0 || (num_sets_ & (num_sets_ - 1)) != 0) {
+  sets = config.size_bytes / (line_bytes * ways);
+  if (sets == 0 || (sets & (sets - 1)) != 0) {
     throw util::usca_error("cache set count must be a power of two");
   }
-  line_shift_ = static_cast<unsigned>(std::countr_zero(config_.line_bytes));
-  tag_shift_ = line_shift_ + static_cast<unsigned>(std::countr_zero(num_sets_));
-  lines_.resize(num_sets_ * config_.ways);
-  touched_.resize((num_sets_ + 63) / 64);
+  line_shift = static_cast<unsigned>(std::countr_zero(line_bytes));
+  tag_shift = line_shift + static_cast<unsigned>(std::countr_zero(sets));
 }
 
-// Both shifts can reach 32 or more (lines, or lines times sets, spanning
-// the whole address space), so the address is widened first.
-
-std::size_t cache::set_index(std::uint32_t address) const noexcept {
-  return static_cast<std::size_t>(std::uint64_t{address} >> line_shift_) &
-         (num_sets_ - 1);
-}
-
-std::uint32_t cache::tag_of(std::uint32_t address) const noexcept {
-  return static_cast<std::uint32_t>(std::uint64_t{address} >> tag_shift_);
-}
+cache::cache(const cache_config& config)
+    : config_(config), geometry_(config),
+      lines_(geometry_.sets * geometry_.ways),
+      touched_((geometry_.sets + 63) / 64) {}
 
 int cache::access(std::uint32_t address) {
   if (!config_.enabled) {
     return 0;
   }
   ++tick_;
-  const std::size_t set = set_index(address);
-  const std::uint32_t tag = tag_of(address);
+  const std::size_t set = geometry_.set_of(address);
+  const std::uint32_t tag = geometry_.tag_of(address);
   for (std::size_t w = 0; w < config_.ways; ++w) {
     line& l = lines_[set * config_.ways + w];
     if (l.valid && l.tag == tag) {
@@ -75,8 +67,8 @@ bool cache::would_hit(std::uint32_t address) const noexcept {
   if (!config_.enabled) {
     return true;
   }
-  const std::size_t set = set_index(address);
-  const std::uint32_t tag = tag_of(address);
+  const std::size_t set = geometry_.set_of(address);
+  const std::uint32_t tag = geometry_.tag_of(address);
   for (std::size_t w = 0; w < config_.ways; ++w) {
     const line& l = lines_[set * config_.ways + w];
     if (l.valid && l.tag == tag) {
@@ -87,18 +79,9 @@ bool cache::would_hit(std::uint32_t address) const noexcept {
 }
 
 void cache::warm(std::uint32_t base, std::size_t length) {
-  if (!config_.enabled || length == 0) {
-    return;
-  }
-  const auto line_bytes = static_cast<std::uint32_t>(config_.line_bytes);
-  const std::uint32_t first = base / line_bytes * line_bytes;
-  const std::uint32_t last =
-      (base + static_cast<std::uint32_t>(length) - 1) / line_bytes * line_bytes;
-  for (std::uint32_t addr = first;; addr += line_bytes) {
-    access(addr);
-    if (addr == last) {
-      break;
-    }
+  if (config_.enabled) {
+    geometry_.for_each_line(base, length,
+                            [this](std::uint32_t line) { access(line); });
   }
 }
 

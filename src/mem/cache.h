@@ -9,7 +9,7 @@
 // mem::memory; the cache holds tags only.
 //
 // Line size and set count are powers of two, so an address splits into
-// set and tag by shifts.  A bitmap of the sets that allocated a line since
+// set and tag by shifts (cache_geometry).  A bitmap of the sets that allocated a line since
 // the last reset() lets reset() clear only those: restoring the fresh
 // state between two simulated traces costs the sets the trace touched.
 #ifndef USCA_MEM_CACHE_H
@@ -26,6 +26,51 @@ struct cache_config {
   std::size_t line_bytes = 64;        ///< Cortex-A7 line: 64 B
   std::size_t ways = 4;
   int miss_penalty = 10; ///< extra cycles on a miss (L2 hit assumed)
+};
+
+/// How a cache_config splits an address: set index and tag by shifts,
+/// validated once.  mem::cache and the batched cores' lane-major D-cache
+/// (sim/lane_memory.h) index the same way.
+struct cache_geometry {
+  /// Throws util::usca_error unless the line size and the set count are
+  /// powers of two and there is at least one way.
+  explicit cache_geometry(const cache_config& config);
+
+  // Both shifts can reach 32 or more (lines, or lines times sets, spanning
+  // the whole address space), so the address is widened first.
+  std::size_t set_of(std::uint32_t address) const noexcept {
+    return static_cast<std::size_t>(std::uint64_t{address} >> line_shift) &
+           (sets - 1);
+  }
+  std::uint32_t tag_of(std::uint32_t address) const noexcept {
+    return static_cast<std::uint32_t>(std::uint64_t{address} >> tag_shift);
+  }
+
+  /// Calls `access(line address)` for every line of [base, base+length),
+  /// in address order: the warm-up loop of the paper condensed.
+  template <typename Access>
+  void for_each_line(std::uint32_t base, std::size_t length,
+                     Access&& access) const {
+    if (length == 0) {
+      return;
+    }
+    const auto bytes = static_cast<std::uint32_t>(line_bytes);
+    const std::uint32_t first = base / bytes * bytes;
+    const std::uint32_t last =
+        (base + static_cast<std::uint32_t>(length) - 1) / bytes * bytes;
+    for (std::uint32_t addr = first;; addr += bytes) {
+      access(addr);
+      if (addr == last) {
+        break;
+      }
+    }
+  }
+
+  std::size_t line_bytes;
+  std::size_t ways;
+  std::size_t sets;
+  unsigned line_shift; ///< log2(line_bytes)
+  unsigned tag_shift;  ///< log2(line_bytes * sets), at most 63
 };
 
 class cache {
@@ -58,14 +103,9 @@ private:
     std::uint64_t last_use = 0;
   };
 
-  std::size_t set_index(std::uint32_t address) const noexcept;
-  std::uint32_t tag_of(std::uint32_t address) const noexcept;
-
   cache_config config_;
-  std::size_t num_sets_;
-  unsigned line_shift_; ///< log2(line_bytes)
-  unsigned tag_shift_;  ///< log2(line_bytes * num_sets_), at most 63
-  std::vector<line> lines_; ///< num_sets_ * ways, row-major by set
+  cache_geometry geometry_;
+  std::vector<line> lines_; ///< sets * ways, row-major by set
   /// Bit s: set s allocated a line since reset().  Hits touch only valid
   /// lines, which a miss in the same set allocated, so misses alone set
   /// bits.

@@ -131,6 +131,21 @@ void memory::load(std::uint32_t base, const std::uint8_t* bytes,
   }
 }
 
+void memory::read(std::uint32_t base, std::uint8_t* bytes,
+                  std::size_t size) const noexcept {
+  for (std::size_t done = 0; done < size;) {
+    const std::uint32_t address = base + static_cast<std::uint32_t>(done);
+    const std::size_t offset = page_offset(address);
+    const std::size_t chunk = std::min(size - done, page_size - offset);
+    if (const page* p = find_page(address)) {
+      std::copy_n(p->bytes.data() + offset, chunk, bytes + done);
+    } else {
+      std::fill_n(bytes + done, chunk, std::uint8_t{0});
+    }
+    done += chunk;
+  }
+}
+
 std::uint32_t memory::containing_word(std::uint32_t address) const {
   return load_with_word(address, 1).word;
 }

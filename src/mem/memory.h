@@ -54,6 +54,11 @@ public:
   /// at a time; equivalent to write8 of every byte in order.
   void load(std::uint32_t base, const std::vector<std::uint8_t>& bytes);
   void load(std::uint32_t base, const std::uint8_t* bytes, std::size_t size);
+  /// Bulk read, load()'s inverse: [base, base+size) copied out a page at a
+  /// time, never-written addresses as zero; equivalent to read8 of every
+  /// byte in order.
+  void read(std::uint32_t base, std::uint8_t* bytes,
+            std::size_t size) const noexcept;
 
   /// Reads the aligned 32-bit word containing `address` — the value the
   /// memory data register (MDR) observes on any access, including

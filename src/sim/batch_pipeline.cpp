@@ -283,12 +283,10 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
     // address; the penalty — a shared scoreboard input — must agree.
     lane_row address;
     address_lanes(ins.mem, regs_, active_mask_, address.data());
-    std::array<int, max_batch_lanes> pen;
-    for (const std::size_t l : lanes_in(active_mask_)) {
-      pen[l] = dcache_[l].access(address[l]);
-    }
-    agree(pen.data());
-    const int penalty = pen[leader()];
+    const std::uint64_t missed = data_.probe(address.data(), active_mask_);
+    const int penalty =
+        data_.miss_penalty() != 0 && agree_bit(missed) ? data_.miss_penalty()
+                                                       : 0;
     const std::uint64_t mem_cycle = cycle_ + 2;
     const std::uint64_t result_ready =
         cycle_ + static_cast<std::uint64_t>(config_.lsu_latency + penalty);
@@ -299,15 +297,11 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
     }
 
     lane_row word;
+    const int width = isa::access_width(ins);
     if (isa::is_load(ins)) {
       lane_row value;
-      const int width = isa::access_width(ins);
-      for (const std::size_t l : lanes_in(active_mask_)) {
-        const mem::memory::word_load loaded =
-            memory_[l].load_with_word(address[l], width);
-        value[l] = loaded.value;
-        word[l] = loaded.word;
-      }
+      data_.load(address.data(), width, active_mask_, value.data(),
+                 word.data());
       retire_write(ins.rd, value.data(), result_ready);
       drive_lanes(component::mdr, 0, mdr_state_.data(), word.data(),
                   mem_cycle, active_mask_);
@@ -320,23 +314,7 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
       const std::uint32_t* data = reg_row(ins.rd);
       drive_rf_port(data);
       drive_is_ex_bus(slot == 0 ? std::uint8_t{1} : std::uint8_t{2}, data);
-      for (const std::size_t l : lanes_in(active_mask_)) {
-        switch (ins.op) {
-        case opcode::str:
-          memory_[l].write32(address[l], data[l]);
-          break;
-        case opcode::strb:
-          memory_[l].write8(address[l], static_cast<std::uint8_t>(data[l]));
-          break;
-        case opcode::strh:
-          memory_[l].write16(address[l],
-                             static_cast<std::uint16_t>(data[l]));
-          break;
-        default:
-          break;
-        }
-        word[l] = memory_[l].containing_word(address[l]);
-      }
+      data_.store(address.data(), data, width, active_mask_, word.data());
       drive_lanes(component::mdr, 0, mdr_state_.data(), word.data(),
                   mem_cycle, active_mask_);
       if (isa::is_subword(ins) && config_.has_align_buffer) {

@@ -241,22 +241,20 @@ batch_backend::batch_backend(program_image image,
     : lanes_(lanes == 0 ? 1 : std::min(lanes, max_batch_lanes)),
       active_limit_(lanes_), active_mask_(mask_for_limit()),
       activity_(lanes_), image_(std::move(image)), prog_(&image_.prog()),
-      memory_(lanes_), dcache_(lanes_, mem::cache(dcache)), state_(lanes_),
-      icache_(icache) {
+      data_(prog_->data_base, prog_->data.size(), dcache, lanes_),
+      state_(lanes_), icache_(icache) {
   for (activity_trace& t : activity_) {
     t.reserve(4096);
   }
-  for (mem::memory& m : memory_) {
-    m.load(prog_->data_base, prog_->data);
+  for (std::size_t l = 0; l < lanes_; ++l) {
+    data_.memory(l).load(prog_->data_base, prog_->data);
   }
 }
 
 void batch_backend::warm_caches() {
   icache_.warm(prog_->code_base, prog_->code.size() * 4 + 4);
   if (!prog_->data.empty()) {
-    for (mem::cache& d : dcache_) {
-      d.warm(prog_->data_base, prog_->data.size());
-    }
+    data_.warm(prog_->data_base, prog_->data.size());
   }
 }
 
@@ -270,11 +268,12 @@ const cpu_state& batch_backend::enter_run() noexcept {
     flags_.set_lane(l, st.f);
     entry[l] = (static_cast<std::uint64_t>(st.pc) << 1) | (st.halted ? 1U : 0U);
   }
+  data_.enter(active_limit_);
   agree(entry.data());
   return state_[leader()];
 }
 
-void batch_backend::store_lanes() noexcept {
+void batch_backend::store_lanes() {
   for (std::size_t l = 0; l < lanes_; ++l) {
     cpu_state& st = state_[l];
     for (std::size_t r = 0; r < regs_.size(); ++r) {
@@ -282,9 +281,10 @@ void batch_backend::store_lanes() noexcept {
     }
     st.f = flags_.lane(l);
   }
+  data_.leave(active_limit_);
 }
 
-void batch_backend::leave_run(std::size_t pc, bool halted) noexcept {
+void batch_backend::leave_run(std::size_t pc, bool halted) {
   store_lanes();
   for (const std::size_t l : lanes_in(active_mask_)) {
     state_[l].pc = pc;
@@ -294,11 +294,11 @@ void batch_backend::leave_run(std::size_t pc, bool halted) noexcept {
 
 void batch_backend::reset_lanes() {
   std::size_t bytes = 0;
-  std::size_t sets = icache_.reset();
+  const std::size_t sets = icache_.reset() + data_.reset_cache();
   for (std::size_t l = 0; l < lanes_; ++l) {
-    bytes += memory_[l].reset();
-    memory_[l].load(prog_->data_base, prog_->data);
-    sets += dcache_[l].reset();
+    mem::memory& m = data_.memory(l);
+    bytes += m.reset();
+    m.load(prog_->data_base, prog_->data);
     state_[l] = cpu_state{};
     activity_[l].clear();
   }

@@ -69,6 +69,7 @@
 #include "sim/backend.h"
 #include "sim/cpu_state.h"
 #include "sim/lane_alu.h"
+#include "sim/lane_memory.h"
 #include "sim/program_image.h"
 #include "sim/uarch_activity.h"
 
@@ -156,9 +157,11 @@ public:
   const cpu_state& state(std::size_t lane) const noexcept {
     return state_[lane];
   }
-  mem::memory& memory(std::size_t lane) noexcept { return memory_[lane]; }
+  mem::memory& memory(std::size_t lane) noexcept {
+    return data_.memory(lane);
+  }
   const mem::memory& memory(std::size_t lane) const noexcept {
-    return memory_[lane];
+    return data_.memory(lane);
   }
   const asmx::program& program() const noexcept { return *prog_; }
 
@@ -294,11 +297,12 @@ protected:
   const cpu_state& enter_run() noexcept;
   /// Normal exit of run(): store_lanes(), then hands the shared pc and
   /// halted flag to every surviving lane.
-  void leave_run(std::size_t pc, bool halted) noexcept;
-  /// Hands the rows back to every lane's state(): registers and flags.
-  /// run() calls it on every exit, a throw included, so state() always
-  /// reads what the lanes executed.
-  void store_lanes() noexcept;
+  void leave_run(std::size_t pc, bool halted);
+  /// Hands the rows back to every lane: registers and flags to state(),
+  /// data windows to memory().  run() calls it on every exit, a throw
+  /// included, so state() and memory() always read what the lanes
+  /// executed.
+  void store_lanes();
 
   /// Records a committed mark and applies the cutoff; true when the
   /// batch run must end here (see backend::commit_mark).
@@ -346,8 +350,9 @@ protected:
 
   program_image image_;
   const asmx::program* prog_ = nullptr;
-  std::vector<mem::memory> memory_;
-  std::vector<mem::cache> dcache_;
+  /// Every lane's data memory and D-cache: mem::memory objects outside
+  /// run(), word rows over the data window during it (lane_memory.h).
+  lane_memory data_;
   /// Lane state as the API sees it (state(lane)); exchanged with the
   /// rows below only at the run boundary.
   std::vector<cpu_state> state_;

@@ -170,12 +170,10 @@ std::uint64_t batch_ooo_core::issue_entry(std::size_t slot, int alu_index) {
   if (rs.is_load) {
     // Divergence checkpoint: each lane probes its own D-cache at its own
     // address, but the penalty is a shared scheduling input.
-    std::array<int, max_batch_lanes> pen;
-    for (const std::size_t l : lanes_in(active_mask_)) {
-      pen[l] = dcache_[l].access(rs_address_[row + l]);
+    const std::uint64_t missed = data_.probe(&rs_address_[row], active_mask_);
+    if (data_.miss_penalty() != 0 && agree_bit(missed)) {
+      penalty = data_.miss_penalty();
     }
-    agree(pen.data());
-    penalty = pen[leader()];
   }
   const std::uint64_t complete_at = ctl_.occupy_units(rs, penalty);
 
@@ -344,35 +342,18 @@ batch_ooo_core::rename_result batch_ooo_core::rename_one(int slot) {
         add_src(ins.rd); // select µop reads the old destination
       }
       lane_row value = old_value(ins.rd); // kept on a failed condition
-      const int width = isa::access_width(ins);
-      for (const std::size_t l : lanes_in(executing)) {
-        const mem::memory::word_load loaded =
-            memory_[l].load_with_word(addr[l], width);
-        value[l] = loaded.value;
-        rs_mem_word_[rs_row + l] = loaded.word;
-      }
+      data_.load(addr, isa::access_width(ins), executing, value.data(),
+                 &rs_mem_word_[rs_row]);
       rename_dest(ins.rd, value.data());
       copy_lanes(value.data(), active_mask_, &rs_sub_value_[rs_row]);
       rs.is_load = true;
     } else {
       const std::uint32_t* data = reg_row(ins.rd);
       add_src(ins.rd); // store data is a register source
+      data_.store(addr, data, isa::access_width(ins), executing,
+                  &rs_mem_word_[rs_row]);
       const std::uint32_t keep = ins.op == opcode::strb ? 0xffU : 0xffffU;
       for (const std::size_t l : lanes_in(executing)) {
-        switch (ins.op) {
-        case opcode::str:
-          memory_[l].write32(addr[l], data[l]);
-          break;
-        case opcode::strb:
-          memory_[l].write8(addr[l], static_cast<std::uint8_t>(data[l]));
-          break;
-        case opcode::strh:
-          memory_[l].write16(addr[l], static_cast<std::uint16_t>(data[l]));
-          break;
-        default:
-          break;
-        }
-        rs_mem_word_[rs_row + l] = memory_[l].containing_word(addr[l]);
         rs_sub_value_[rs_row + l] = data[l] & keep;
       }
       rs.is_store = true;
@@ -518,9 +499,7 @@ bool batch_ooo_core::step_cycle() {
   // here — a diverging cache state surfaces (and ejects) at the next
   // load-penalty checkpoint.
   ctl_.drain_store_buffer([this](std::size_t entry) {
-    for (const std::size_t l : lanes_in(active_mask_)) {
-      dcache_[l].access(sb_addr_[entry * lanes_ + l]);
-    }
+    data_.probe(&sb_addr_[entry * lanes_], active_mask_);
   });
   ctl_.broadcast([this](std::uint8_t bus, const exec_entry& done) {
     // The ROB slot stays allocated until retirement, so its value row is

@@ -160,9 +160,16 @@ TEST(Memory, WordAndBulkAccessesMatchByteWiseReference) {
       }
       break;
     }
-    case 4:
+    case 4: {
       ASSERT_EQ(m.read8(a), ref.at(a)) << "read8 at " << a;
+      std::vector<std::uint8_t> bytes(rng.bounded(memory::page_size + 256));
+      m.read(a, bytes.data(), bytes.size());
+      for (std::size_t i = 0; i < bytes.size(); ++i) {
+        const std::uint32_t at = a + static_cast<std::uint32_t>(i);
+        ASSERT_EQ(bytes[i], ref.at(at)) << "bulk read at " << at;
+      }
       break;
+    }
     case 5:
       a &= ~1U;
       ASSERT_EQ(m.read16(a), ref.le(a, 2)) << "read16 at " << a;

@@ -32,6 +32,7 @@
 #include "sim/backend.h"
 #include "sim/batch_sim.h"
 #include "sim/lane_alu.h"
+#include "sim/lane_memory.h"
 #include "sim/micro_arch_config.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -42,69 +43,7 @@ namespace {
 using isa::reg;
 
 /// The lane memory under test: one call per memory op over a lane mask.
-/// Here it is the per-lane objects themselves, looped in lane order.
-class lane_objects {
-public:
-  lane_objects(std::uint32_t, std::size_t, const mem::cache_config& dcache,
-               std::size_t lanes)
-      : memory_(lanes), dcache_(lanes, mem::cache(dcache)) {}
-
-  mem::memory& memory(std::size_t lane) { return memory_[lane]; }
-  void enter(std::size_t) {}
-  void leave(std::size_t) {}
-
-  std::uint64_t probe(const std::uint32_t* address, std::uint64_t mask) {
-    std::uint64_t missed = 0;
-    for (const std::size_t l : lanes_in(mask)) {
-      const std::uint64_t before = dcache_[l].misses();
-      dcache_[l].access(address[l]);
-      if (dcache_[l].misses() != before) {
-        missed |= std::uint64_t{1} << l;
-      }
-    }
-    return missed;
-  }
-  void warm(std::uint32_t base, std::size_t length) {
-    for (mem::cache& d : dcache_) {
-      d.warm(base, length);
-    }
-  }
-  std::size_t reset_cache() {
-    std::size_t sets = 0;
-    for (mem::cache& d : dcache_) {
-      sets += d.reset();
-    }
-    return sets;
-  }
-  void load(const std::uint32_t* address, int width, std::uint64_t mask,
-            std::uint32_t* value, std::uint32_t* word) {
-    for (const std::size_t l : lanes_in(mask)) {
-      const mem::memory::word_load loaded =
-          memory_[l].load_with_word(address[l], width);
-      value[l] = loaded.value;
-      word[l] = loaded.word;
-    }
-  }
-  void store(const std::uint32_t* address, const std::uint32_t* data,
-             int width, std::uint64_t mask, std::uint32_t* word) {
-    for (const std::size_t l : lanes_in(mask)) {
-      if (width == 4) {
-        memory_[l].write32(address[l], data[l]);
-      } else if (width == 2) {
-        memory_[l].write16(address[l], static_cast<std::uint16_t>(data[l]));
-      } else {
-        memory_[l].write8(address[l], static_cast<std::uint8_t>(data[l]));
-      }
-      word[l] = memory_[l].containing_word(address[l]);
-    }
-  }
-
-private:
-  std::vector<mem::memory> memory_;
-  std::vector<mem::cache> dcache_;
-};
-
-using subject = lane_objects;
+using subject = lane_memory;
 
 // ------------------------------------------------------------ reference
 
