@@ -17,6 +17,7 @@
 #include "crypto/aes128.h"
 #include "power/trace_store_reader.h"
 #include "util/bitops.h"
+#include "../scratch_path.h"
 
 namespace usca::core {
 namespace {
@@ -100,9 +101,8 @@ TEST_P(BatchIdentity, LiveAndReplayMatchPerTraceAtEveryBatchSize) {
   const reference_analyses ref = per_trace_reference(reference_campaign);
 
   // Archive once; chunk size 32 so multi-chunk geometry is exercised.
-  const std::string path = "/tmp/usca_batch_identity_" +
-                           std::to_string(static_cast<int>(backend)) +
-                           ".trc";
+  const std::string path = tests::scratch_path(
+      "batch_identity_" + std::to_string(static_cast<int>(backend)) + ".trc");
   std::remove(path.c_str());
   archive_options store;
   store.chunk_traces = 32;
@@ -162,7 +162,7 @@ TEST(BatchSources, BatchBuilderRejectsGapsAtTileBoundariesToo) {
 
 TEST(BatchSources, ArchiveSourceServesWholeChunksZeroCopy) {
   campaign_config config = small_config(sim::backend_kind::inorder, 70);
-  const std::string path = "/tmp/usca_batch_chunks.trc";
+  const std::string path = tests::scratch_path("batch_chunks.trc");
   std::remove(path.c_str());
   archive_options store;
   store.chunk_traces = 32;

@@ -17,12 +17,13 @@
 #include "core/trace_archive.h"
 #include "util/json_writer.h"
 #include "util/telemetry.h"
+#include "../scratch_path.h"
 
 namespace usca {
 namespace {
 
 std::string temp_path(const char* name) {
-  return std::string("/tmp/usca_campaign_telemetry_test_") + name;
+  return tests::scratch_path(std::string("campaign_telemetry_test_") + name);
 }
 
 std::string file_bytes(const std::string& path) {

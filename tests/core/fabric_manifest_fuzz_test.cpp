@@ -23,12 +23,11 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "core/campaign_fabric.h"
 #include "core/trace_archive.h"
 #include "util/error.h"
 #include "util/rng.h"
+#include "../scratch_path.h"
 
 namespace usca {
 namespace {
@@ -188,9 +187,7 @@ protected:
     }
   }
 
-  // Per process, so two builds' test runs on one host do not collide.
-  std::string dir_ =
-      "/tmp/usca_fabric_manifest_fuzz_" + std::to_string(::getpid());
+  std::string dir_ = tests::scratch_path("fabric_manifest_fuzz");
   core::fabric_config config_;
   std::string base_;
 };

@@ -22,6 +22,7 @@
 #include "power/trace_store_reader.h"
 #include "util/error.h"
 #include "util/failpoint.h"
+#include "../scratch_path.h"
 
 namespace usca {
 namespace {
@@ -92,7 +93,7 @@ std::string file_bytes(const std::string& path) {
 /// 37 records in 5 leases of <=8, fast backoff for test speed.
 struct fabric_fixture {
   explicit fabric_fixture(const char* name)
-      : dir(std::string("/tmp/usca_fabric_test_") + name) {
+      : dir(tests::scratch_path(std::string("fabric_test_") + name)) {
     fs::remove_all(dir);
     fs::create_directories(dir);
     config.manifest_path = dir + "/manifest";

@@ -12,6 +12,7 @@
 #include "core/trace_archive.h"
 #include "power/trace_store_reader.h"
 #include "util/error.h"
+#include "../scratch_path.h"
 
 namespace usca {
 namespace {
@@ -57,8 +58,8 @@ core::archive_options small_chunks() {
 }
 
 std::string temp_path(const char* name) {
-  return std::string("/tmp/usca_trace_archive_provenance_test_") + name +
-         ".trc";
+  return tests::scratch_path(std::string("trace_archive_provenance_test_") +
+                             name + ".trc");
 }
 
 std::string file_bytes(const std::string& path) {

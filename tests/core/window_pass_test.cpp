@@ -19,6 +19,7 @@
 #include "crypto/aes128.h"
 #include "power/trace_store_reader.h"
 #include "util/bitops.h"
+#include "../scratch_path.h"
 
 namespace usca::core {
 namespace {
@@ -45,7 +46,7 @@ campaign_config small_config(std::size_t traces) {
 
 std::string archive_small_campaign(const campaign_config& config,
                                    const std::string& name) {
-  const std::string path = "/tmp/usca_window_" + name + ".trc";
+  const std::string path = tests::scratch_path("window_" + name + ".trc");
   std::remove(path.c_str());
   archive_options store;
   store.chunk_traces = 64;
@@ -120,7 +121,7 @@ TEST(WindowedPasses, ThreeWindowsOneReplayMatchPerTraceSliced) {
 TEST(WindowedPasses, EmptyArchiveStillBeginsShapeAwarePasses) {
   // A header-only store (known shape, zero records) is a valid archive;
   // replaying it must yield sized, zero-trace analyses — not a throw.
-  const std::string path = "/tmp/usca_window_empty.trc";
+  const std::string path = tests::scratch_path("window_empty.trc");
   std::remove(path.c_str());
   power::trace_store_descriptor desc;
   desc.samples = 40;
@@ -175,7 +176,7 @@ TEST(WindowedPasses, RepumpingAccumulatesAcrossArchiveShards) {
   campaign_config config = small_config(40);
   const std::string shard_a = archive_small_campaign(config, "shard_a");
   config.first_index = 40;
-  const std::string shard_b = "/tmp/usca_window_shard_b.trc";
+  const std::string shard_b = tests::scratch_path("window_shard_b.trc");
   std::remove(shard_b.c_str());
   archive_options store;
   store.chunk_traces = 64;
@@ -230,7 +231,7 @@ TEST(WindowedPasses, StoreSinkRefusesSecondPump) {
   const campaign_config config = small_config(10);
   const std::string src_path = archive_small_campaign(config, "resink_src");
   const power::trace_store_reader reader(src_path);
-  const std::string out_path = "/tmp/usca_window_resink_out.trc";
+  const std::string out_path = tests::scratch_path("window_resink_out.trc");
   std::remove(out_path.c_str());
   store_sink sink(out_path, power::trace_store_descriptor{});
   {

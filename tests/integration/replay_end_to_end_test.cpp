@@ -15,6 +15,7 @@
 #include "crypto/aes128.h"
 #include "power/trace_store_reader.h"
 #include "util/bitops.h"
+#include "../scratch_path.h"
 
 namespace usca {
 namespace {
@@ -47,7 +48,7 @@ std::string file_bytes(const std::string& path) {
 }
 
 TEST(ReplayEndToEnd, ArchivedCpaIsBitIdenticalToLive) {
-  const std::string path = "/tmp/usca_replay_e2e.trc";
+  const std::string path = tests::scratch_path("replay_e2e.trc");
   std::remove(path.c_str());
   const core::campaign_config config = demo_config();
 
@@ -87,8 +88,8 @@ TEST(ReplayEndToEnd, ArchivedCpaIsBitIdenticalToLive) {
 }
 
 TEST(ReplayEndToEnd, ResumedAesArchiveIsByteIdentical) {
-  const std::string full_path = "/tmp/usca_replay_e2e_full.trc";
-  const std::string part_path = "/tmp/usca_replay_e2e_part.trc";
+  const std::string full_path = tests::scratch_path("replay_e2e_full.trc");
+  const std::string part_path = tests::scratch_path("replay_e2e_part.trc");
   std::remove(full_path.c_str());
   std::remove(part_path.c_str());
 

@@ -17,6 +17,7 @@
 #include "power/trace_io.h"
 #include "power/trace_store_reader.h"
 #include "util/error.h"
+#include "../scratch_path.h"
 
 namespace usca {
 namespace {
@@ -54,7 +55,7 @@ double sample_of(std::size_t record, std::size_t s,
 std::string build_store(const char* name, power::trace_scalar scalar =
                                               power::trace_scalar::f64) {
   const std::string path =
-      std::string("/tmp/usca_salvage_test_") + name + ".trc";
+      tests::scratch_path(std::string("salvage_test_") + name + ".trc");
   std::remove(path.c_str());
   power::trace_store_writer writer =
       power::trace_store_writer::create(path, test_descriptor(scalar));

@@ -41,6 +41,7 @@
 #include "util/crc32.h"
 #include "util/error.h"
 #include "util/rng.h"
+#include "../scratch_path.h"
 
 namespace usca {
 namespace {
@@ -76,8 +77,8 @@ using bytes = std::vector<unsigned char>;
 using record_bits = std::vector<std::uint64_t>;
 
 std::string store_path(const store_shape& shape) {
-  return std::string("/tmp/usca_trace_store_salvage_fuzz_") + shape.name +
-         ".trc";
+  return tests::scratch_path(std::string("trace_store_salvage_fuzz_") +
+                             shape.name + ".trc");
 }
 
 bytes read_file(const std::string& path) {

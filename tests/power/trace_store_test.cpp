@@ -16,6 +16,7 @@
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/telemetry.h"
+#include "../scratch_path.h"
 
 namespace usca::power {
 namespace {
@@ -41,7 +42,7 @@ record record_at(std::size_t i, std::size_t n_labels,
 }
 
 std::string temp_path(const char* name) {
-  return std::string("/tmp/usca_trace_store_test_") + name + ".trc";
+  return tests::scratch_path(std::string("trace_store_test_") + name + ".trc");
 }
 
 trace_store_descriptor small_desc() {
