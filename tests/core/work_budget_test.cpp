@@ -27,6 +27,10 @@
 // constants: however the noise is drawn, it must consume the same
 // streams.
 //
+// The batched cores' lane memory has one too: a window-bounded AES
+// campaign makes no lane access outside the data window
+// (`sim.batch.outside_window_accesses` stays 0).
+//
 // Restoring the fresh lane state between traces has a budget as well:
 // `sim.lane.bytes_restored` (memory bytes reset() zeroed) and
 // `sim.lane.cache_sets_restored` (cache sets it cleared).  Each reset
@@ -47,6 +51,8 @@
 #include "crypto/aes128.h"
 #include "crypto/aes_codegen.h"
 #include "mem/memory.h"
+#include "sim/backend.h"
+#include "sim/micro_arch_config.h"
 #include "sim/pipeline.h"
 #include "util/rng.h"
 #include "util/telemetry.h"
@@ -226,6 +232,27 @@ TEST(LaneRestoreBudget, BatchedIsPinned) {
             golden_restored_icache_sets +
                 32 * golden_restored_dcache_sets_per_lane);
   EXPECT_LT(work.bytes / lane_resets, mem::memory::page_size);
+}
+
+// The batched cores serve the AES campaign's loads and stores from the
+// rows of its data window (sim/lane_memory.h): no lane access of a
+// window-bounded campaign falls back to the per-lane page map, on either
+// core.  A window that missed the stack block or a table would move this.
+TEST(LaneMemoryBudget, WindowBoundedCampaignsStayInsideTheDataWindow) {
+  static const telem::counter outside{"sim.batch.outside_window_accesses",
+                                      "accesses", "sim"};
+  for (const sim::backend_kind kind :
+       {sim::backend_kind::inorder, sim::backend_kind::ooo}) {
+    SCOPED_TRACE(sim::backend_kind_name(kind));
+    campaign_config config = budget_config(32);
+    config.backend = kind;
+    config.uarch = kind == sim::backend_kind::ooo ? sim::cortex_a7_ooo()
+                                                  : sim::cortex_a7();
+    trace_campaign campaign(config, kKey);
+    cpa_sink cpa(0);
+    EXPECT_EQ(counter_delta(outside, [&] { campaign.run(cpa); }), 0u);
+    EXPECT_EQ(cpa.cpa().traces(), budget_traces);
+  }
 }
 
 struct noise_work {

@@ -17,6 +17,8 @@
 // through memory(l) must reach run(), and what run() stores must read
 // back through memory(l), on full batches and partial groups
 // (limit_active_lanes), with every lane bit-identical to a per-trace run.
+// Their program also loads and stores past the data image, which the
+// `sim.batch.outside_window_accesses` counter must show.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -36,6 +38,7 @@
 #include "sim/micro_arch_config.h"
 #include "util/error.h"
 #include "util/rng.h"
+#include "util/telemetry.h"
 
 namespace usca::sim {
 namespace {
@@ -366,6 +369,9 @@ void expect_same_bytes(const mem::memory& got, const mem::memory& want,
 
 class LaneMemoryRun : public ::testing::TestWithParam<backend_kind> {};
 
+const telem::counter outside_window_accesses{
+    "sim.batch.outside_window_accesses", "accesses", "sim"};
+
 // Setup writes through memory(l), run() loads and stores inside and past
 // the data image, and memory(l) reads back what a per-trace core leaves;
 // lanes outside a partial group keep exactly what setup wrote.
@@ -400,8 +406,12 @@ TEST_P(LaneMemoryRun, RoundTripsThroughMemoryOnFullAndPartialGroups) {
       setup[l].apply(batch->state(l), batch->memory(l));
     }
     batch->warm_caches();
+    const std::uint64_t outside_before = outside_window_accesses.value();
     batch->run();
     ASSERT_FALSE(batch->any_lane_diverged());
+    // Seven of the program's accesses per lane lie past the data image;
+    // the per-lane page map serves them, and the counter shows it.
+    EXPECT_EQ(outside_window_accesses.value() - outside_before, 7 * active);
 
     for (std::size_t l = 0; l < lanes; ++l) {
       SCOPED_TRACE(l);
