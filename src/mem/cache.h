@@ -9,9 +9,10 @@
 // mem::memory; the cache holds tags only.
 //
 // Line size and set count are powers of two, so an address splits into
-// set and tag by shifts (cache_geometry).  A bitmap of the sets that allocated a line since
-// the last reset() lets reset() clear only those: restoring the fresh
-// state between two simulated traces costs the sets the trace touched.
+// set and tag by shifts (cache_geometry).  A bitmap of the sets that
+// allocated a line since the last reset() lets reset() clear only those:
+// restoring the fresh state between two simulated traces costs the sets
+// the trace touched.
 #ifndef USCA_MEM_CACHE_H
 #define USCA_MEM_CACHE_H
 

@@ -8,13 +8,16 @@
 //     stream (pc, I-cache), the issue-stage selection (operand/unit
 //     scoreboard, pairability), the cycle/issue counters and mark stream;
 //   * per-lane data, laid out lane-major — architectural registers (the
-//     base's register rows, regs_[r][lane]) and flags (lane masks), data
-//     memory and D-cache, every leakage-relevant state register (RF
-//     ports, operand buses, ALU latches, WB buses, MDR, align buffer) and
-//     the activity stream or fused clean-power column.  The rows meet
-//     state(lane) only at the run boundary (batch_sim.h); issue() drives
-//     ports and buses with register rows directly and computes operand 2
-//     and the ALU result with one lane kernel call each (lane_alu.h).
+//     base's register rows, regs_[r][lane]) and flags (lane masks), the
+//     data window's word rows and the D-cache (the base's lane_memory),
+//     every leakage-relevant state register (RF ports, operand buses, ALU
+//     latches, WB buses, MDR, align buffer) and the activity stream or
+//     fused clean-power column.  The rows meet state(lane) and
+//     memory(lane) only at the run boundary (batch_sim.h); issue() drives
+//     ports and buses with register rows directly, computes operand 2 and
+//     the ALU result with one lane kernel call each (lane_alu.h), and
+//     makes one D-cache probe and one load or store call per memory op
+//     (lane_memory.h).
 //
 // Divergence checkpoints (lanes ejected on disagreement with the leader):
 // condition outcomes of predicated instructions, indirect-branch (bx)

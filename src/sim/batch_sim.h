@@ -39,6 +39,16 @@
 // included, stores them back.  Outside run(), state(lane) is the lane's
 // state, as setup code and callers see it.
 //
+// Data memory and D-cache.  Memory works the same way (sim/lane_memory.h):
+// during run() every lane's data window — the program's data image — is
+// word rows, and the D-cache lane-major tags, stamps and valid masks, so
+// a probe, a load (value and MDR word) or a store is one call over the
+// active lanes.  An access outside the window goes to that lane's
+// mem::memory, which stays authoritative there (and is counted,
+// `sim.batch.outside_window_accesses`).  The rows meet memory(lane) at
+// the same run boundary as the registers, so outside run() memory(lane)
+// is the lane's memory, as setup code and callers see it.
+//
 // Emission runs through two lane kernels of the base class, one call per
 // per-trace emission point.  By default they append each lane's activity
 // events (activity()); with fuse_synthesis() they instead add each
@@ -129,10 +139,11 @@ void note_batch_run(std::size_t lanes_active,
                     std::uint64_t active_lane_cycles);
 
 /// N-lane counterpart of sim::backend.  This base holds what every batch
-/// engine shares: the program, the per-lane architectural state (register
-/// rows and flag masks during a run, memory, D-cache) and the shared
-/// I-cache, the lane masks, the marks and the emission state (activity
-/// streams or fused tile).  Per-lane data is exposed by lane index.
+/// engine shares: the program, the per-lane architectural state (during a
+/// run: register rows and flag masks, data-window rows and the lane-major
+/// D-cache; memory() and state() outside it) and the shared I-cache, the
+/// lane masks, the marks and the emission state (activity streams or
+/// fused tile).  Per-lane data is exposed by lane index.
 class batch_backend {
 public:
   virtual ~batch_backend() = default;
@@ -143,7 +154,8 @@ public:
   /// limit is preserved and re-applied).
   virtual void reset() = 0;
 
-  /// Warms the shared I-cache and every lane's D-cache.
+  /// Warms the shared I-cache and every lane's D-cache (one lane warmed
+  /// and broadcast when the lanes' D-caches are alike, as after reset()).
   void warm_caches();
 
   /// Runs every active lane to the halt, or to the cutoff mark when it
@@ -289,7 +301,8 @@ protected:
   }
 
   /// Entry of run(): loads every lane's registers and flags from state()
-  /// into the rows, then agrees on the entry point — per-lane setup code
+  /// and the active lanes' data windows from memory() into the rows, then
+  /// agrees on the entry point — per-lane setup code
   /// may have steered a lane's pc or halted flag away from the batch;
   /// such lanes cannot share the control stream and are ejected before
   /// the first cycle.  Returns the leader's state, which the shared
@@ -316,7 +329,8 @@ protected:
   }
 
   /// The part of reset() this base holds: every lane's registers, memory
-  /// (reloaded with the data image) and D-cache, the I-cache, and the
+  /// (the blocks the last run wrote zeroed, the data image reloaded) and
+  /// D-cache (the sets the lanes filled cleared), the I-cache, and the
   /// per-run emission state — activity streams, touched tile rows, marks,
   /// the recording flag and the lane masks.
   void reset_lanes();

@@ -46,8 +46,7 @@ lane_memory::lane_memory(std::uint32_t data_base, std::size_t data_bytes,
     : lanes_(lanes), memory_(lanes), base_(data_base & ~3U),
       words_(data_bytes == 0 ? 0 : (data_base % 4 + data_bytes + 3) / 4),
       rows_(words_ * lanes), stored_low_(words_), spans_(words_ * lanes),
-      dcache_(dcache),
-      geometry_(dcache) {
+      dcache_(dcache), geometry_(dcache) {
   const std::size_t lines = geometry_.sets * geometry_.ways;
   tag_.resize(lines * lanes_);
   last_use_.resize(lines * lanes_);
@@ -57,7 +56,7 @@ lane_memory::lane_memory(std::uint32_t data_base, std::size_t data_bytes,
 
 void lane_memory::enter(std::size_t n) noexcept {
   for (std::size_t l = 0; l < n; ++l) {
-    std::uint32_t* span = &spans_[l * words_];
+    std::uint32_t* span = spans_.data() + l * words_;
     memory_[l].read(base_, reinterpret_cast<std::uint8_t*>(span), 4 * words_);
     for (std::size_t w = 0; w < words_; ++w) {
       span[w] = le_word(span[w]);
@@ -80,10 +79,10 @@ void lane_memory::leave(std::size_t n) {
       }
     }
     for (std::size_t l = 0; l < n; ++l) {
-      memory_[l].load(
-          base_ + static_cast<std::uint32_t>(4 * stored_low_),
-          reinterpret_cast<const std::uint8_t*>(&spans_[l * words_ + stored_low_]),
-          4 * (stored_high_ - stored_low_));
+      const std::uint32_t* span = spans_.data() + l * words_ + stored_low_;
+      memory_[l].load(base_ + static_cast<std::uint32_t>(4 * stored_low_),
+                      reinterpret_cast<const std::uint8_t*>(span),
+                      4 * (stored_high_ - stored_low_));
     }
   }
   stored_low_ = words_;

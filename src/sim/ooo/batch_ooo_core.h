@@ -16,10 +16,12 @@
 // align-buffer words — all laid out lane-major next to the shared
 // structures that index them (rob_value_[slot * lanes + lane], ...).
 // Registers are the base's rows (regs_[r][lane]) and flags its lane
-// masks, exchanged with state(lane) only at the run boundary
-// (batch_sim.h); rename executes each µop architecturally over those
-// rows with one lane kernel call (lane_alu.h), a failed condition's lanes
-// keeping the old destination.
+// masks, memory its data-window rows and lane-major D-cache
+// (lane_memory.h), all exchanged with state(lane) and memory(lane) only at
+// the run boundary (batch_sim.h); rename executes each µop
+// architecturally over those rows with one lane kernel call (lane_alu.h)
+// or one load or store call, a failed condition's lanes keeping the old
+// destination.
 //
 // Divergence checkpoints (lanes ejected on disagreement, batch_sim.h):
 // condition outcomes of branches (cond != al), indirect-branch (bx)

@@ -63,7 +63,8 @@ core::archive_options small_chunks() {
 }
 
 std::string temp_path(const char* name) {
-  return tests::scratch_path(std::string("trace_archive_test_") + name + ".trc");
+  return tests::scratch_path(std::string("trace_archive_test_") + name +
+                             ".trc");
 }
 
 std::string file_bytes(const std::string& path) {

@@ -90,9 +90,9 @@ struct stream_case {
   std::size_t lanes;
 };
 
-mem::cache_config small_dcache() {
+mem::cache_config small_dcache(std::size_t sets = 4) {
   mem::cache_config c;
-  c.size_bytes = 512; // 4 sets x 2 ways of 64 B: evictions and LRU
+  c.size_bytes = sets * 128; // 2 ways of 64 B: evictions and LRU
   c.line_bytes = 64;
   c.ways = 2;
   c.miss_penalty = 7;
@@ -150,9 +150,9 @@ std::uint64_t draw_mask(util::xoshiro256& rng, std::size_t n) {
 
 /// Every byte of both memories around the window, and the words each
 /// lane wrote elsewhere.
-void expect_same_memory(subject& s, reference_lanes& ref, std::size_t lanes,
-                        const window& w,
-                        const std::vector<std::vector<std::uint32_t>>& written) {
+void expect_same_memory(
+    subject& s, reference_lanes& ref, std::size_t lanes, const window& w,
+    const std::vector<std::vector<std::uint32_t>>& written) {
   for (std::size_t l = 0; l < lanes; ++l) {
     SCOPED_TRACE(l);
     for (std::uint32_t a = w.base - 80;
@@ -297,6 +297,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         stream_case{"aes_like_8", {0x10000, 480}, mem::cache_config{}, 8},
         stream_case{"small_cache_32", {0x10000, 480}, small_dcache(), 32},
+        // One way per set for the window, one for what evicts it, so a
+        // later warm-up finds the lanes' caches unlike.
+        stream_case{"half_window_cache_16", {0x10000, 480}, small_dcache(8),
+                    16},
         stream_case{"page_straddle_7", {0x10ff4, 52}, small_dcache(), 7},
         stream_case{"odd_size_64", {0x20000, 45}, mem::cache_config{}, 64},
         stream_case{"one_lane", {0x10000, 64}, small_dcache(), 1}),
