@@ -27,6 +27,10 @@
 // constants: however the noise is drawn, it must consume the same
 // streams.
 //
+// The in-order issue stage has one too: the round-1 window's dual-issue
+// pairs (end mark minus begin mark) and the instructions issued up to its
+// end mark, pinned on the per-trace and the batched core alike.
+//
 // The batched cores' lane memory has one too: a window-bounded AES
 // campaign makes no lane access outside the data window
 // (`sim.batch.outside_window_accesses` stays 0).
@@ -43,8 +47,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/analysis_sinks.h"
 #include "core/campaign.h"
@@ -52,6 +58,7 @@
 #include "crypto/aes_codegen.h"
 #include "mem/memory.h"
 #include "sim/backend.h"
+#include "sim/batch_sim.h"
 #include "sim/micro_arch_config.h"
 #include "sim/pipeline.h"
 #include "util/rng.h"
@@ -70,6 +77,11 @@ constexpr std::uint64_t golden_window_candidates = 13910;
 /// pipeline, the warm-up of the data image included.
 constexpr std::uint64_t golden_window_dcache_hits = 194;
 constexpr std::uint64_t golden_window_dcache_misses = 8;
+/// The issue stage's fill of the round-1 window: dual-issue pairs between
+/// its begin and end marks, and instructions issued from reset to its end
+/// mark (the window-bounded run's whole issue count).
+constexpr std::uint64_t golden_window_dual_pairs = 24;
+constexpr std::uint64_t golden_window_instructions_issued = 421;
 
 /// Memory one lane's reset() zeroes: the data image's eight 64-byte
 /// blocks.  The AES writes only inside its image, so a traced lane and a
@@ -184,6 +196,69 @@ TEST(InorderWorkBudget, WindowBoundedDcacheAccessesArePinned) {
           << "trace " << trace;
     }
   }
+}
+
+/// Dual-issue pairs between the round-1 window's marks.
+std::uint64_t window_dual_pairs(const std::vector<sim::mark_stamp>& marks) {
+  std::uint64_t begin = 0;
+  std::uint64_t end = 0;
+  for (const sim::mark_stamp& m : marks) {
+    if (m.id == crypto::mark_encrypt_begin) {
+      begin = m.dual_pairs;
+    } else if (m.id == crypto::mark_round1_end) {
+      end = m.dual_pairs;
+    }
+  }
+  EXPECT_GT(end, begin);
+  return end - begin;
+}
+
+// The cycle budgets pin when the window ends; these pin how the issue
+// stage fills it — pairs and instructions — on the per-trace and the
+// batched in-order core, each against constants rather than against the
+// other, so a change to the shared issue control that kept the cycle
+// count (or moved both cores alike) still shows.
+TEST(InorderWorkBudget, WindowIssueIsPinnedPerTrace) {
+  const crypto::aes_program_layout layout = crypto::generate_aes128_program();
+  const crypto::aes_round_keys keys = crypto::expand_key(kKey);
+  util::xoshiro256 rng(0x1557e);
+  sim::pipeline pipe(sim::program_image(layout.prog), sim::cortex_a7());
+  pipe.set_activity_cutoff_mark(crypto::mark_round1_end, true);
+  for (int trace = 0; trace < 3; ++trace) {
+    crypto::aes_block pt;
+    for (auto& b : pt) {
+      b = rng.next_u8();
+    }
+    pipe.reset();
+    crypto::install_aes_inputs(pipe.memory(), layout, keys, pt);
+    pipe.warm_caches();
+    pipe.run();
+    EXPECT_EQ(window_dual_pairs(pipe.marks()), golden_window_dual_pairs);
+    EXPECT_EQ(pipe.instructions_issued(), golden_window_instructions_issued);
+  }
+}
+
+TEST(InorderWorkBudget, WindowIssueIsPinnedBatched) {
+  const crypto::aes_program_layout layout = crypto::generate_aes128_program();
+  const crypto::aes_round_keys keys = crypto::expand_key(kKey);
+  util::xoshiro256 rng(0x1557e);
+  constexpr std::size_t lanes = 8;
+  const std::unique_ptr<sim::batch_backend> batch = sim::make_batch_backend(
+      sim::backend_kind::inorder, sim::program_image(layout.prog),
+      sim::cortex_a7(), lanes);
+  batch->set_activity_cutoff_mark(crypto::mark_round1_end, true);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    crypto::aes_block pt;
+    for (auto& b : pt) {
+      b = rng.next_u8();
+    }
+    crypto::install_aes_inputs(batch->memory(l), layout, keys, pt);
+  }
+  batch->warm_caches();
+  batch->run();
+  EXPECT_FALSE(batch->any_lane_diverged());
+  EXPECT_EQ(window_dual_pairs(batch->marks()), golden_window_dual_pairs);
+  EXPECT_EQ(batch->instructions_issued(), golden_window_instructions_issued);
 }
 
 struct restore_work {

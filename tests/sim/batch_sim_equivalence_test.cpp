@@ -13,6 +13,7 @@
 #include <memory>
 #include <vector>
 
+#include "asmx/program.h"
 #include "crypto/aes128.h"
 #include "crypto/aes_codegen.h"
 #include "random_program.h"
@@ -199,21 +200,53 @@ TEST_P(BatchSimFuzz, SurvivingLanesMatchPerTraceOnRandomPrograms) {
   }
 }
 
-// The OoO configs are ooo_equivalence_fuzz_test's: the paper-facing
-// default, a tiny machine (4-entry ROB, scalar rename/retire/CDB, 2 RS
-// entries) that reaches every structural stall and wraps the age ring at
-// minimal occupancy, and a wide one at the 64-entry sizing cap with
-// 4-wide rename/retire/CDB — full-ring occupancy and multi-lane CDB
-// arbitration in the shared control.
+// The in-order configs are config_sweep_test's — the ablation points
+// bench_ablation_microarch characterizes on the batched core — plus
+// nops that dual-issue.  The OoO configs are ooo_equivalence_fuzz_test's:
+// the paper-facing default, a tiny machine (4-entry ROB, scalar
+// rename/retire/CDB, 2 RS entries) that reaches every structural stall
+// and wraps the age ring at minimal occupancy, and a wide one at the
+// 64-entry sizing cap with 4-wide rename/retire/CDB — full-ring occupancy
+// and multi-lane CDB arbitration in the shared control.
+std::vector<fuzz_case> fuzz_cases() {
+  std::vector<fuzz_case> out = {
+      {"inorder", backend_kind::inorder, cortex_a7()},
+      {"inorder_scalar", backend_kind::inorder, cortex_a7_scalar()}};
+  const auto inorder = [&out](const char* name, auto&& edit) {
+    micro_arch_config c = cortex_a7();
+    edit(c);
+    out.push_back({name, backend_kind::inorder, c});
+  };
+  inorder("inorder_structural_policy",
+          [](micro_arch_config& c) { c.policy = issue_policy::structural; });
+  inorder("inorder_unpipelined_units", [](micro_arch_config& c) {
+    c.lsu_pipelined = false;
+    c.mul_pipelined = false;
+  });
+  inorder("inorder_mispredicting", [](micro_arch_config& c) {
+    c.perfect_branch_prediction = false;
+    c.branch_mispredict_penalty = 7;
+  });
+  inorder("inorder_leakage_features_off", [](micro_arch_config& c) {
+    c.nop_drives_zero_operands = false;
+    c.nop_zeroes_wb_bus = false;
+    c.alu_latch_holds_on_idle = false;
+    c.has_align_buffer = false;
+  });
+  inorder("inorder_unaligned_pairing",
+          [](micro_arch_config& c) { c.pair_aligned_fetch_only = false; });
+  inorder("inorder_nop_dual_issues",
+          [](micro_arch_config& c) { c.nop_dual_issues = true; });
+  out.push_back({"ooo", backend_kind::ooo, cortex_a7_ooo()});
+  out.push_back({"ooo_tiny", backend_kind::ooo,
+                 cortex_a7_ooo(ooo_config{4, 1, 1, 2, 24, 1, 1})});
+  out.push_back({"ooo_wide", backend_kind::ooo,
+                 cortex_a7_ooo(ooo_config{64, 4, 4, 32, 128, 4, 8})});
+  return out;
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    Backends, BatchSimFuzz,
-    ::testing::Values(
-        fuzz_case{"inorder", backend_kind::inorder, cortex_a7()},
-        fuzz_case{"ooo", backend_kind::ooo, cortex_a7_ooo()},
-        fuzz_case{"ooo_tiny", backend_kind::ooo,
-                  cortex_a7_ooo(ooo_config{4, 1, 1, 2, 24, 1, 1})},
-        fuzz_case{"ooo_wide", backend_kind::ooo,
-                  cortex_a7_ooo(ooo_config{64, 4, 4, 32, 128, 4, 8})}),
+    Backends, BatchSimFuzz, ::testing::ValuesIn(fuzz_cases()),
     [](const ::testing::TestParamInfo<fuzz_case>& info) {
       return info.param.name;
     });
@@ -392,6 +425,111 @@ TEST(BatchSimPartialGroup, LimitedLanesMatchAndKeepLimitAcrossReset) {
     EXPECT_EQ(batch->activity(l), core->activity());
   }
 }
+
+// PipelineTiming's CPI micro-benchmarks (pipeline_timing_test.cpp), run
+// on the batched in-order core at 1 and 8 lanes: the same program as its
+// measure_cpi, so the same mark cycles, dual-issue pairs and issue count
+// as the per-trace core.  Lanes hold different values in the unit's data
+// registers; none of them steers the schedule.
+struct cpi_case {
+  const char* name;
+  std::vector<isa::instruction> unit;
+  micro_arch_config config = cortex_a7();
+};
+
+std::vector<cpi_case> cpi_cases() {
+  namespace mk = isa::ins;
+  micro_arch_config lsu_serial = cortex_a7();
+  lsu_serial.lsu_pipelined = false;
+  micro_arch_config mul_serial = cortex_a7();
+  mul_serial.mul_pipelined = false;
+  return {
+      {"mov_pair", {mk::mov(reg::r1, reg::r2), mk::mov(reg::r3, reg::r4)}},
+      {"nop", {mk::nop()}},
+      {"mul", {mk::mul(reg::r1, reg::r2, reg::r3)}},
+      {"ldr", {mk::ldr(reg::r1, reg::r8)}},
+      {"str", {mk::str(reg::r1, reg::r8)}},
+      {"raw", {mk::mov(reg::r1, reg::r2), mk::mov(reg::r3, reg::r1)}},
+      {"alu_alu",
+       {mk::add(reg::r1, reg::r2, reg::r3), mk::add(reg::r4, reg::r5, reg::r6)}},
+      {"alu_imm",
+       {mk::add(reg::r1, reg::r2, reg::r3), mk::add_imm(reg::r4, reg::r5, 9)}},
+      {"branch_mov", {mk::b(0), mk::mov(reg::r1, reg::r2)}},
+      {"shift_pair",
+       {mk::lsl(reg::r1, reg::r2, 3), mk::lsr(reg::r4, reg::r5, 2)}},
+      {"scalar_mov_pair",
+       {mk::mov(reg::r1, reg::r2), mk::mov(reg::r3, reg::r4)},
+       cortex_a7_scalar()},
+      {"ldr_unpipelined_lsu", {mk::ldr(reg::r1, reg::r8)}, lsu_serial},
+      {"mul_unpipelined", {mk::mul(reg::r1, reg::r2, reg::r3)}, mul_serial},
+      {"ldr_independent",
+       {mk::ldr(reg::r1, reg::r8), mk::add(reg::r4, reg::r5, reg::r6)}},
+      {"ldr_use",
+       {mk::ldr(reg::r1, reg::r8), mk::add(reg::r4, reg::r1, reg::r6)}},
+  };
+}
+
+/// measure_cpi's program: the unit repeated between marks 1 and 2.
+asmx::program cpi_program(const std::vector<isa::instruction>& unit) {
+  asmx::program_builder b;
+  const std::uint32_t addr_b = b.data_word(0);
+  const std::uint32_t addr_a = b.data_word(addr_b);
+  b.load_constant(reg::r8, addr_a);
+  b.load_constant(reg::r9, addr_b);
+  b.pad_nops(20);
+  b.emit(isa::ins::mark(1));
+  while (b.size() % 2 != 0) {
+    b.pad_nops(1);
+  }
+  b.repeat(unit, 100);
+  b.emit(isa::ins::mark(2));
+  b.pad_nops(20);
+  return b.build();
+}
+
+class BatchPipelineTiming : public ::testing::TestWithParam<cpi_case> {};
+
+TEST_P(BatchPipelineTiming, MarksAndPairsMatchPerTrace) {
+  const cpi_case& param = GetParam();
+  const program_image image(cpi_program(param.unit));
+  const std::unique_ptr<backend> core =
+      make_backend(backend_kind::inorder, image, param.config);
+  core->set_record_activity(false);
+  core->warm_caches();
+  core->run();
+  ASSERT_EQ(core->marks().size(), 2u);
+
+  util::xoshiro256 rng(0xc91);
+  for (const std::size_t lanes : {std::size_t{1}, std::size_t{8}}) {
+    SCOPED_TRACE(lanes);
+    const std::unique_ptr<batch_backend> batch = make_batch_backend(
+        backend_kind::inorder, image, param.config, lanes);
+    batch->set_record_activity(false);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      for (const reg r : {reg::r1, reg::r2, reg::r3, reg::r4, reg::r5,
+                          reg::r6}) {
+        batch->state(l).set_reg(r, rng.next_u32());
+      }
+    }
+    batch->warm_caches();
+    batch->run();
+    EXPECT_FALSE(batch->any_lane_diverged());
+    ASSERT_EQ(batch->marks().size(), core->marks().size());
+    for (std::size_t m = 0; m < core->marks().size(); ++m) {
+      EXPECT_EQ(batch->marks()[m].id, core->marks()[m].id);
+      EXPECT_EQ(batch->marks()[m].cycle, core->marks()[m].cycle);
+      EXPECT_EQ(batch->marks()[m].dual_pairs, core->marks()[m].dual_pairs);
+    }
+    EXPECT_EQ(batch->cycles(), core->cycles());
+    EXPECT_EQ(batch->instructions_issued(), core->instructions_issued());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MeasureCpi, BatchPipelineTiming, ::testing::ValuesIn(cpi_cases()),
+    [](const ::testing::TestParamInfo<cpi_case>& info) {
+      return info.param.name;
+    });
 
 } // namespace
 } // namespace usca::sim
