@@ -1,18 +1,18 @@
-// Lane-batched twin of pipeline.cpp.  Every emission point and every
-// shared-control update below corresponds 1:1 to a statement in
-// sim::pipeline — same order, same cycle stamps — with per-trace scalar
-// data replaced by lane rows: register rows of the file, and scratch rows
-// the lane kernels (lane_alu.h) fill.  When editing, keep the
-// two files side by side: the per-lane activity stream of a surviving
-// lane must stay bit-identical to a per-trace run (ctest -L sim_batch).
+// Lane-batched datapath of the in-order core, the twin of pipeline.cpp's.
+// The control both cores run is sim::inorder_control, written once; this
+// file holds what differs.  Every emission point below corresponds 1:1
+// to one in pipeline::issue — same order, same cycle stamps — with
+// per-trace scalar data replaced by lane rows (register rows of the
+// file, and scratch rows the lane kernels of lane_alu.h fill), plus the
+// agreement checkpoints that hand the control one value for all lanes.
+// When editing an emission point, keep the two issue() bodies side by
+// side: the per-lane activity stream of a surviving lane must stay
+// bit-identical to a per-trace run (ctest -L sim_batch).
 #include "sim/batch_pipeline.h"
 
 #include <algorithm>
 #include <bit>
 
-#include "sim/pipeline.h"
-#include "util/bitops.h"
-#include "util/error.h"
 #include "util/telemetry.h"
 
 namespace usca::sim {
@@ -29,29 +29,18 @@ using isa::writes_flags;
 batch_pipeline::batch_pipeline(program_image image, micro_arch_config config,
                                std::size_t lanes)
     : batch_backend(std::move(image), config.icache, config.dcache, lanes),
-      config_(config),
+      ctl_(image_, config),
       rf_port_state_(3 * lanes_, 0),
       is_ex_bus_state_(3 * lanes_, 0),
       alu_latch_state_(4 * lanes_, 0),
       ex_wb_latch_state_(2 * lanes_, 0),
       wb_bus_state_(2 * lanes_, 0),
       mdr_state_(lanes_, 0),
-      align_buffer_state_(lanes_, 0) {
-  derive_pairability();
-}
-
-void batch_pipeline::derive_pairability() {
-  const std::vector<instruction>& code = prog_->code;
-  pairable_next_.resize(code.size());
-  for (std::size_t i = 0; i < code.size(); ++i) {
-    pairable_next_[i] =
-        i + 1 < code.size() &&
-        statically_pairable(config_, code[i], code[i + 1]);
-  }
-}
+      align_buffer_state_(lanes_, 0) {}
 
 void batch_pipeline::reset() {
   reset_lanes();
+  ctl_.reset();
   std::fill(rf_port_state_.begin(), rf_port_state_.end(), 0U);
   std::fill(is_ex_bus_state_.begin(), is_ex_bus_state_.end(), 0U);
   std::fill(alu_latch_state_.begin(), alu_latch_state_.end(), 0U);
@@ -59,44 +48,24 @@ void batch_pipeline::reset() {
   std::fill(wb_bus_state_.begin(), wb_bus_state_.end(), 0U);
   std::fill(mdr_state_.begin(), mdr_state_.end(), 0U);
   std::fill(align_buffer_state_.begin(), align_buffer_state_.end(), 0U);
-  pc_ = 0;
-  halted_ = false;
-  reg_ready_.fill(0);
-  flags_ready_ = 0;
-  lsu_free_ = 0;
-  mul_free_ = 0;
-  fetch_ready_ = 0;
-  cycle_ = 0;
-  issued_ = 0;
-  dual_pairs_ = 0;
-  active_lane_cycles_ = 0;
-  rf_ports_used_this_cycle_ = 0;
 }
 
 void batch_pipeline::run(std::uint64_t max_cycles) {
-  const cpu_state& lead = enter_run();
-  pc_ = lead.pc;
-  halted_ = lead.halted;
-
-  const std::uint64_t start_cycle = cycle_;
-  const std::uint64_t limit = cycle_ + max_cycles;
-  try {
-    while (!halted_) {
-      if (cycle_ >= limit) {
-        throw util::simulation_error(
-            "batch pipeline exceeded the cycle budget");
-      }
-      step_cycle();
-    }
-  } catch (...) {
-    store_lanes();
-    throw;
-  }
-  leave_run(pc_, halted_);
+  const std::uint64_t start_cycle = ctl_.cycle;
+  run_lanes(ctl_.pc, ctl_.halted, [this, max_cycles] {
+    ctl_.run(max_cycles, "batch pipeline exceeded the cycle budget", [this] {
+      active_lane_cycles_ +=
+          static_cast<std::uint64_t>(std::popcount(active_mask_));
+      ctl_.step(
+          icache_,
+          [this](const mark_stamp& stamp) { return commit_mark(stamp); },
+          [this](const instruction& ins, int slot) {
+            return issue(ins, slot);
+          });
+    });
+  });
   static const telem::counter cycles{"sim.inorder.cycles", "cycles", "sim"};
-  cycles.add(cycle_ - start_cycle);
-  note_batch_run(active_limit_, active_lane_cycles_);
-  active_lane_cycles_ = 0;
+  cycles.add(ctl_.cycle - start_cycle);
 }
 
 // ---------------------------------------------------------------------------
@@ -104,20 +73,20 @@ void batch_pipeline::run(std::uint64_t max_cycles) {
 // ---------------------------------------------------------------------------
 
 void batch_pipeline::drive_rf_port(const std::uint32_t* values) {
-  const int port = rf_ports_used_this_cycle_++;
+  const int port = ctl_.rf_ports_used++;
   if (port >= 3) {
     return; // defensive: pairing rules keep this within 3 ports
   }
   drive_lanes(component::rf_read_port, static_cast<std::uint8_t>(port),
               &rf_port_state_[static_cast<std::size_t>(port) * lanes_],
-              values, cycle_, active_mask_);
+              values, ctl_.cycle, active_mask_);
 }
 
 void batch_pipeline::drive_is_ex_bus(std::uint8_t bus,
                                      const std::uint32_t* values) {
   drive_lanes(component::is_ex_bus, bus,
               &is_ex_bus_state_[static_cast<std::size_t>(bus) * lanes_],
-              values, cycle_ + 1, active_mask_);
+              values, ctl_.cycle + 1, active_mask_);
 }
 
 void batch_pipeline::write_back(int slot, const std::uint32_t* values,
@@ -133,90 +102,37 @@ void batch_pipeline::write_back(int slot, const std::uint32_t* values,
 void batch_pipeline::retire_write(reg r, const std::uint32_t* values,
                                   std::uint64_t ready_at) noexcept {
   write_reg(r, values, active_mask_);
-  reg_ready_[isa::index_of(r)] = ready_at;
-}
-
-// ---------------------------------------------------------------------------
-// Issue legality (shared control, identical to pipeline.cpp)
-// ---------------------------------------------------------------------------
-
-bool batch_pipeline::operands_ready(std::size_t index) const noexcept {
-  const instruction_static& st = image_.statics(index);
-  std::uint32_t sources = st.src_mask;
-  while (sources != 0) {
-    const unsigned r = static_cast<unsigned>(std::countr_zero(sources));
-    if (reg_ready_[r] > cycle_) {
-      return false;
-    }
-    sources &= sources - 1;
-  }
-  if (st.reads_flags && flags_ready_ > cycle_) {
-    return false;
-  }
-  return true;
-}
-
-bool batch_pipeline::unit_available(std::size_t index) const noexcept {
-  const instruction_static& st = image_.statics(index);
-  if (st.is_memory && lsu_free_ > cycle_) {
-    return false;
-  }
-  if (st.uses_multiplier && mul_free_ > cycle_) {
-    return false;
-  }
-  return true;
+  ctl_.reg_ready_at(r, ready_at);
 }
 
 // ---------------------------------------------------------------------------
 // Issue + execute (pipeline::issue, lane-batched)
 // ---------------------------------------------------------------------------
 
-batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
-                                                    int slot) {
-  issue_outcome outcome;
-  outcome.issued = true;
-  ++issued_;
-
-  std::size_t next_pc = pc_ + 1;
-
-  // Simulator pseudo-ops: control never consults the condition here.
-  if (ins.op == opcode::mark) {
-    // Same safe cut as pipeline::issue, for every lane at once.
-    if (commit_mark(mark_stamp{ins.imm16, cycle_, dual_pairs_})) {
-      halted_ = true;
-    }
-    outcome.serialize = true;
-    pc_ = next_pc;
-    return outcome;
-  }
-  if (ins.op == opcode::halt) {
-    halted_ = true;
-    outcome.serialize = true;
-    return outcome;
-  }
+std::size_t batch_pipeline::issue(const instruction& ins, int slot) {
+  const std::size_t next_pc = ctl_.pc + 1;
 
   if (isa::is_nop(ins)) {
     static constexpr lane_row zeros{};
-    if (config_.nop_drives_zero_operands) {
+    if (config().nop_drives_zero_operands) {
       drive_is_ex_bus(0, zeros.data());
       drive_is_ex_bus(1, zeros.data());
     }
-    if (config_.nop_zeroes_wb_bus) {
+    if (config().nop_zeroes_wb_bus) {
       for (std::uint8_t bus = 0; bus < 2; ++bus) {
         drive_lanes(component::wb_bus, bus,
                     &wb_bus_state_[static_cast<std::size_t>(bus) * lanes_],
-                    zeros.data(), cycle_ + 3, active_mask_);
+                    zeros.data(), ctl_.cycle + 3, active_mask_);
       }
     }
-    if (!config_.alu_latch_holds_on_idle) {
+    if (!config().alu_latch_holds_on_idle) {
       for (std::uint8_t latch = 0; latch < 4; ++latch) {
         drive_lanes(component::alu_in_latch, latch,
                     &alu_latch_state_[static_cast<std::size_t>(latch) * lanes_],
-                    zeros.data(), cycle_ + 1, active_mask_);
+                    zeros.data(), ctl_.cycle + 1, active_mask_);
       }
     }
-    pc_ = next_pc;
-    return outcome;
+    return next_pc;
   }
 
   // Condition handling: branches, memory ops and multiplies consult the
@@ -231,40 +147,25 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
     if (ins.op == opcode::bx) {
       const std::uint32_t* target = reg_row(ins.op2.rm);
       drive_rf_port(target);
-      if (exec) {
-        // Second checkpoint: the indirect target IS the control stream.
-        agree(target);
-        const auto index = prog_->index_of_address(target[leader()]);
-        if (!index) {
-          halted_ = true; // return past the outermost frame
-          outcome.serialize = true;
-          return outcome;
-        }
-        next_pc = *index;
+      if (!exec) {
+        return next_pc;
       }
-    } else if (exec) {
-      const auto target = static_cast<std::size_t>(
-          static_cast<std::int64_t>(pc_) + 1 + ins.branch_offset);
-      if (ins.op == opcode::bl) {
-        lane_row link;
-        link.fill(prog_->address_of(pc_ + 1));
-        retire_write(reg::lr, link.data(), cycle_ + 1);
-      }
-      next_pc = target;
+      // Second checkpoint: the indirect target IS the control stream.
+      agree(target);
+      // A return past the outermost frame halts.
+      return prog_->index_of_address(target[leader()])
+          .value_or(inorder_control::stop);
     }
-    if (next_pc != pc_ + 1) {
-      outcome.redirect = true;
-      if (!config_.perfect_branch_prediction) {
-        fetch_ready_ =
-            cycle_ + 1 +
-            static_cast<std::uint64_t>(config_.branch_mispredict_penalty);
-      }
+    if (!exec) {
+      return next_pc;
     }
-    pc_ = next_pc;
-    if (pc_ >= prog_->code.size()) {
-      halted_ = true;
+    if (ins.op == opcode::bl) {
+      lane_row link;
+      link.fill(prog_->address_of(next_pc));
+      retire_write(reg::lr, link.data(), ctl_.cycle + 1);
     }
-    return outcome;
+    return static_cast<std::size_t>(static_cast<std::int64_t>(next_pc) +
+                                    ins.branch_offset);
   }
 
   // --- memory -------------------------------------------------------------
@@ -275,8 +176,7 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
       drive_rf_port(reg_row(ins.mem.offset_reg));
     }
     if (!exec) {
-      pc_ = next_pc;
-      return outcome;
+      return next_pc;
     }
 
     // Third checkpoint: each lane probes its own D-cache at its own
@@ -284,17 +184,10 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
     lane_row address;
     address_lanes(ins.mem, regs_, active_mask_, address.data());
     const std::uint64_t missed = data_.probe(address.data(), active_mask_);
-    const int penalty =
+    const std::uint64_t mem_cycle = ctl_.cycle + 2;
+    const std::uint64_t result_ready = ctl_.issue_memory(
         data_.miss_penalty() != 0 && agree_bit(missed) ? data_.miss_penalty()
-                                                       : 0;
-    const std::uint64_t mem_cycle = cycle_ + 2;
-    const std::uint64_t result_ready =
-        cycle_ + static_cast<std::uint64_t>(config_.lsu_latency + penalty);
-    if (!config_.lsu_pipelined) {
-      lsu_free_ = result_ready;
-    } else if (penalty > 0) {
-      lsu_free_ = cycle_ + static_cast<std::uint64_t>(penalty);
-    }
+                                                       : 0);
 
     lane_row word;
     const int width = isa::access_width(ins);
@@ -305,7 +198,7 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
       retire_write(ins.rd, value.data(), result_ready);
       drive_lanes(component::mdr, 0, mdr_state_.data(), word.data(),
                   mem_cycle, active_mask_);
-      if (isa::is_subword(ins) && config_.has_align_buffer) {
+      if (isa::is_subword(ins) && config().has_align_buffer) {
         drive_lanes(component::align_buffer, 0, align_buffer_state_.data(),
                     value.data(), mem_cycle + 1, active_mask_);
       }
@@ -317,7 +210,7 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
       data_.store(address.data(), data, width, active_mask_, word.data());
       drive_lanes(component::mdr, 0, mdr_state_.data(), word.data(),
                   mem_cycle, active_mask_);
-      if (isa::is_subword(ins) && config_.has_align_buffer) {
+      if (isa::is_subword(ins) && config().has_align_buffer) {
         lane_row sub;
         const std::uint32_t keep = ins.op == opcode::strb ? 0xffU : 0xffffU;
         for (const std::size_t l : lanes_in(active_mask_)) {
@@ -328,10 +221,9 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
       }
       // Store data traverses the EX->WB path on its way to the store
       // buffer even though no register is written.
-      write_back(slot, data, cycle_ + 3, active_mask_);
+      write_back(slot, data, ctl_.cycle + 3, active_mask_);
     }
-    pc_ = next_pc;
-    return outcome;
+    return next_pc;
   }
 
   // --- multiply -------------------------------------------------------
@@ -349,26 +241,21 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
     if (exec) {
       lane_row result;
       dp_lanes(ins, regs_, nullptr, 0, active_mask_, result.data(), flags_);
-      const std::uint64_t ready =
-          cycle_ + static_cast<std::uint64_t>(config_.mul_latency);
-      if (!config_.mul_pipelined) {
-        mul_free_ = ready;
-      }
+      const std::uint64_t ready = ctl_.issue_multiply();
       // The multiplier lives on ALU0.
       drive_lanes(component::alu_in_latch, 0, alu_latch_state_.data(), a,
-                  cycle_ + 1, active_mask_);
+                  ctl_.cycle + 1, active_mask_);
       drive_lanes(component::alu_in_latch, 1, &alu_latch_state_[lanes_], b,
-                  cycle_ + 1, active_mask_);
+                  ctl_.cycle + 1, active_mask_);
       weigh_lanes(component::alu_out, 0, result.data(), ready - 1,
                   active_mask_);
       retire_write(ins.rd, result.data(), ready);
       write_back(slot, result.data(), ready, active_mask_);
       if (ins.set_flags) {
-        flags_ready_ = ready;
+        ctl_.flags_ready_at(ready);
       }
     }
-    pc_ = next_pc;
-    return outcome;
+    return next_pc;
   }
 
   // --- data processing --------------------------------------------------
@@ -417,30 +304,28 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
 
   // Per-lane predication for plain DP ops, agreement for the rest.  A
   // latency-1 DP op that writes a register and no flags has exactly one
-  // schedule effect on the per-trace pipeline: reg_ready_[rd] = cycle_+1,
-  // observable only by a same-cycle dual-issue partner reading or writing
-  // rd — which statically_pairable forbids (RAW/WAW).  Its condition
-  // outcome is therefore lane-local data (the AES xtime `eorne`!), not
-  // control: the batch gates the lane's emissions and register write and
-  // never ejects.  Shifted ops (latency > 1: the scoreboard write IS
-  // observable next cycle), flag writers (flags_ready_), and conditional
-  // movw/movt stay on the agreement path.
+  // schedule effect on the per-trace pipeline: the scoreboard marks rd
+  // ready at cycle + 1, observable only by a same-cycle dual-issue partner
+  // reading or writing rd — which statically_pairable forbids (RAW/WAW).
+  // Its condition outcome is therefore lane-local data (the AES xtime
+  // `eorne`!), not control: the batch gates the lane's emissions and
+  // register write and never ejects.  Shifted ops (latency > 1: the
+  // scoreboard write IS observable next cycle), flag writers (the flags'
+  // scoreboard), and conditional movw/movt stay on the agreement path.
   std::uint64_t exec_mask = active_mask_;
   if (ins.cond != isa::condition::al) {
     const bool relaxed = !used_shifter && !writes_flags(ins) && !wide_move;
     if (relaxed) {
       exec_mask = passing_lanes(ins.cond);
     } else if (!agreed_exec(ins)) {
-      pc_ = next_pc;
-      return outcome;
+      return next_pc;
     } else {
       exec_mask = active_mask_; // agreement may have shrunk the batch
     }
   }
   if (exec_mask == 0) {
     // No lane executes: every per-trace twin takes the early return.
-    pc_ = next_pc;
-    return outcome;
+    return next_pc;
   }
 
   int alu_index;
@@ -451,8 +336,8 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
   }
   std::uint64_t result_latency = 1;
   if (used_shifter) {
-    result_latency += static_cast<std::uint64_t>(config_.shift_extra_latency);
-    weigh_lanes(component::shift_buffer, 0, op2_value.data(), cycle_ + 2,
+    result_latency += static_cast<std::uint64_t>(config().shift_extra_latency);
+    weigh_lanes(component::shift_buffer, 0, op2_value.data(), ctl_.cycle + 2,
                 active_mask_);
   }
 
@@ -462,13 +347,12 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
   if (wide_move) {
     drive_lanes(component::alu_in_latch,
                 static_cast<std::uint8_t>(latch + 1), latch_state + lanes_,
-                op2_value.data(), cycle_ + 1, active_mask_);
-    retire_write(ins.rd, op2_value.data(), cycle_ + result_latency);
+                op2_value.data(), ctl_.cycle + 1, active_mask_);
+    retire_write(ins.rd, op2_value.data(), ctl_.cycle + result_latency);
     weigh_lanes(component::alu_out, static_cast<std::uint8_t>(alu_index),
-                op2_value.data(), cycle_ + 2, active_mask_);
-    write_back(slot, op2_value.data(), cycle_ + 3, active_mask_);
-    pc_ = next_pc;
-    return outcome;
+                op2_value.data(), ctl_.cycle + 2, active_mask_);
+    write_back(slot, op2_value.data(), ctl_.cycle + 3, active_mask_);
+    return next_pc;
   }
 
   // Every datapath effect below is gated per lane by exec_mask — a
@@ -483,98 +367,25 @@ batch_pipeline::issue_outcome batch_pipeline::issue(const instruction& ins,
   // ALU input latches: operand position 0 = rn, position 1 = (shifted) op2.
   if (has_rn) {
     drive_lanes(component::alu_in_latch, latch, latch_state, rn_value,
-                cycle_ + 1, emit_mask);
+                ctl_.cycle + 1, emit_mask);
   }
   drive_lanes(component::alu_in_latch, static_cast<std::uint8_t>(latch + 1),
-              latch_state + lanes_, op2_value.data(), cycle_ + 1, emit_mask);
+              latch_state + lanes_, op2_value.data(), ctl_.cycle + 1,
+              emit_mask);
   weigh_lanes(component::alu_out, static_cast<std::uint8_t>(alu_index),
-              result.data(), cycle_ + 2, emit_mask);
+              result.data(), ctl_.cycle + 2, emit_mask);
 
   if (!isa::is_compare(ins)) {
     // The scoreboard write is shared (unobservable when lanes disagree —
     // see above); the register value and WB-path events are per lane.
-    reg_ready_[isa::index_of(ins.rd)] = cycle_ + result_latency;
+    ctl_.reg_ready_at(ins.rd, ctl_.cycle + result_latency);
     write_reg(ins.rd, result.data(), emit_mask);
-    write_back(slot, result.data(), cycle_ + 3, emit_mask);
+    write_back(slot, result.data(), ctl_.cycle + 3, emit_mask);
   }
   if (writes_flags(ins)) {
-    flags_ready_ = cycle_ + result_latency;
+    ctl_.flags_ready_at(ctl_.cycle + result_latency);
   }
-  pc_ = next_pc;
-  return outcome;
-}
-
-// ---------------------------------------------------------------------------
-// Cycle loop (pipeline::step_cycle, shared control)
-// ---------------------------------------------------------------------------
-
-bool batch_pipeline::step_cycle() {
-  if (halted_) {
-    return false;
-  }
-  active_lane_cycles_ +=
-      static_cast<std::uint64_t>(std::popcount(active_mask_));
-  rf_ports_used_this_cycle_ = 0;
-
-  const auto try_select = [&](std::size_t index) -> const instruction* {
-    if (index >= prog_->code.size()) {
-      return nullptr;
-    }
-    if (cycle_ < fetch_ready_) {
-      return nullptr;
-    }
-    if (!operands_ready(index) || !unit_available(index)) {
-      return nullptr;
-    }
-    const int penalty = icache_.access(prog_->address_of(index));
-    if (penalty > 0) {
-      fetch_ready_ = cycle_ + static_cast<std::uint64_t>(penalty);
-      return nullptr;
-    }
-    return &prog_->code[index];
-  };
-
-  if (pc_ >= prog_->code.size()) {
-    halted_ = true;
-    return false;
-  }
-
-  const instruction* first = try_select(pc_);
-  if (first == nullptr) {
-    ++cycle_;
-    return !halted_;
-  }
-
-  const instruction& older = *first;
-  const std::size_t older_index = pc_;
-  const issue_outcome first_outcome = issue(older, 0);
-
-  if (first_outcome.issued && !first_outcome.serialize && !halted_ &&
-      config_.issue_width >= 2) {
-    bool partner_visible =
-        !first_outcome.redirect || config_.perfect_branch_prediction;
-    if (config_.pair_aligned_fetch_only &&
-        (older_index % 2 != 0 || first_outcome.redirect)) {
-      partner_visible = false;
-    }
-    const std::size_t younger_index = pc_;
-    if (partner_visible && younger_index < prog_->code.size()) {
-      const bool pairable =
-          younger_index == older_index + 1
-              ? pairable_next_[older_index] != 0
-              : statically_pairable(config_, older,
-                                    prog_->code[younger_index]);
-      if (pairable) {
-        const instruction* second = try_select(younger_index);
-        if (second != nullptr) {
-          issue(*second, 1);
-          ++dual_pairs_;
-        }
-      }
-    }
-  }
-  ++cycle_;
-  return !halted_;
+  return next_pc;
 }
 
 } // namespace usca::sim

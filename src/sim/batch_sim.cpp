@@ -309,6 +309,7 @@ void batch_backend::reset_lanes() {
   record_activity_ = record_default_;
   active_mask_ = mask_for_limit();
   diverged_mask_ = 0;
+  active_lane_cycles_ = 0;
 }
 
 template <bool Distance>

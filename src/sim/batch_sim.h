@@ -300,22 +300,27 @@ protected:
     copy_lanes(values, mask, regs_[isa::index_of(r)].data());
   }
 
-  /// Entry of run(): loads every lane's registers and flags from state()
-  /// and the active lanes' data windows from memory() into the rows, then
-  /// agrees on the entry point — per-lane setup code
-  /// may have steered a lane's pc or halted flag away from the batch;
-  /// such lanes cannot share the control stream and are ejected before
-  /// the first cycle.  Returns the leader's state, which the shared
-  /// control starts from.
-  const cpu_state& enter_run() noexcept;
-  /// Normal exit of run(): store_lanes(), then hands the shared pc and
-  /// halted flag to every surviving lane.
-  void leave_run(std::size_t pc, bool halted);
-  /// Hands the rows back to every lane: registers and flags to state(),
-  /// data windows to memory().  run() calls it on every exit, a throw
-  /// included, so state() and memory() always read what the lanes
-  /// executed.
-  void store_lanes();
+  /// The frame of every engine's run(): starts the shared control's `pc`
+  /// and `halted` from the leader's state (enter_run), runs `cycles` —
+  /// the engine's cycle-budget loop — then hands the final pc and halted
+  /// flag to every surviving lane (leave_run) and flushes the run's
+  /// occupancy (note_batch_run).  Every exit, a throw such as the cycle
+  /// budget's included, stores the rows back (store_lanes).
+  template <typename Cycles>
+  void run_lanes(std::size_t& pc, bool& halted, Cycles&& cycles) {
+    const cpu_state& lead = enter_run();
+    pc = lead.pc;
+    halted = lead.halted;
+    try {
+      cycles();
+    } catch (...) {
+      store_lanes();
+      throw;
+    }
+    leave_run(pc, halted);
+    note_batch_run(active_limit_, active_lane_cycles_);
+    active_lane_cycles_ = 0;
+  }
 
   /// Records a committed mark and applies the cutoff; true when the
   /// batch run must end here (see backend::commit_mark).
@@ -353,6 +358,9 @@ protected:
   std::size_t lanes_;
   std::size_t active_limit_;
   std::uint64_t active_mask_ = 0;
+  /// Active lanes summed over the current run's cycles; the engine's
+  /// cycle loop adds to it, run_lanes flushes it.
+  std::uint64_t active_lane_cycles_ = 0;
   std::uint64_t diverged_mask_ = 0;
   std::vector<activity_trace> activity_;
   std::vector<mark_stamp> marks_;
@@ -377,6 +385,23 @@ protected:
   mem::cache icache_; ///< shared: the fetch stream is lane-invariant
 
 private:
+  /// Entry of run_lanes(): loads every lane's registers and flags from
+  /// state() and the active lanes' data windows from memory() into the
+  /// rows, then agrees on the entry point — per-lane setup code may have
+  /// steered a lane's pc or halted flag away from the batch; such lanes
+  /// cannot share the control stream and are ejected before the first
+  /// cycle.  Returns the leader's state, which the shared control starts
+  /// from.
+  const cpu_state& enter_run() noexcept;
+  /// Normal exit of run_lanes(): store_lanes(), then hands the shared pc
+  /// and halted flag to every surviving lane.
+  void leave_run(std::size_t pc, bool halted);
+  /// Hands the rows back to every lane: registers and flags to state(),
+  /// data windows to memory().  Called on every exit of a run, a throw
+  /// included, so state() and memory() always read what the lanes
+  /// executed.
+  void store_lanes();
+
   /// The one body behind drive_lanes (Distance) and weigh_lanes.
   template <bool Distance>
   void emit_lanes(component comp, std::uint8_t port, std::uint32_t* state,

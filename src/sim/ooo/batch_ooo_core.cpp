@@ -81,7 +81,6 @@ void batch_ooo_core::reset_structures() {
   pc_ = 0;
   halted_ = false;
   renamed_ = 0;
-  active_lane_cycles_ = 0;
 }
 
 void batch_ooo_core::reset() {
@@ -90,14 +89,10 @@ void batch_ooo_core::reset() {
 }
 
 void batch_ooo_core::run(std::uint64_t max_cycles) {
-  const cpu_state& lead = enter_run();
-  pc_ = lead.pc;
-  halted_ = lead.halted;
-
   const std::uint64_t start_cycle = ctl_.cycle;
   const std::uint64_t start_skipped = ctl_.idle_skipped;
-  const std::uint64_t limit = ctl_.cycle + max_cycles;
-  try {
+  run_lanes(pc_, halted_, [this, max_cycles] {
+    const std::uint64_t limit = ctl_.cycle + max_cycles;
     while (!halted_) {
       if (ctl_.cycle >= limit) {
         throw util::simulation_error(
@@ -105,18 +100,12 @@ void batch_ooo_core::run(std::uint64_t max_cycles) {
       }
       step_cycle();
     }
-  } catch (...) {
-    store_lanes();
-    throw;
-  }
-  leave_run(pc_, halted_);
+  });
   static const telem::counter cycles{"sim.ooo.cycles", "cycles", "sim"};
   static const telem::counter skipped{"sim.ooo.idle_skipped", "cycles",
                                       "sim"};
   cycles.add(ctl_.cycle - start_cycle);
   skipped.add(ctl_.idle_skipped - start_skipped);
-  note_batch_run(active_limit_, active_lane_cycles_);
-  active_lane_cycles_ = 0;
 }
 
 // ---------------------------------------------------------------------------

@@ -135,7 +135,6 @@ private:
   bool halted_ = false;
 
   std::uint64_t renamed_ = 0;
-  std::uint64_t active_lane_cycles_ = 0;
 };
 
 } // namespace usca::sim

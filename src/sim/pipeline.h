@@ -15,31 +15,31 @@
 // 100k-trace experiments of the paper while preserving cycle-accurate
 // issue behaviour — the property both the CPI exploration and the leakage
 // characterization depend on.
+//
+// Control and datapath.  The issue stage — fetch and its I-cache gating,
+// the scoreboard, the dual-issue select, marks, halts and branch
+// redirects, the cycle loop — is sim::inorder_control
+// (sim/inorder_control.h), the one control this core shares with the
+// batched sim::batch_pipeline.  This class is the scalar datapath it
+// drives: architectural state and values, the leakage-relevant state
+// registers and their emission, data memory and both caches.
 #ifndef USCA_SIM_PIPELINE_H
 #define USCA_SIM_PIPELINE_H
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "asmx/program.h"
 #include "mem/cache.h"
 #include "mem/memory.h"
 #include "sim/backend.h"
 #include "sim/cpu_state.h"
+#include "sim/inorder_control.h"
 #include "sim/micro_arch_config.h"
 #include "sim/program_image.h"
 #include "sim/uarch_activity.h"
 
 namespace usca::sim {
-
-/// Dual-issue legality of an (older, younger) pair under `config`,
-/// ignoring dynamic operand readiness.  Shared by the per-trace pipeline
-/// and the batched SoA engine (sim/batch_pipeline.h) so the pairing rules
-/// cannot diverge between the two implementations.
-bool statically_pairable(const micro_arch_config& config,
-                         const isa::instruction& older,
-                         const isa::instruction& younger) noexcept;
 
 class pipeline final : public backend {
 public:
@@ -81,18 +81,20 @@ public:
   cpu_state& state() noexcept override { return state_; }
   const cpu_state& state() const noexcept override { return state_; }
   /// The simulated program (shared, immutable).
-  const asmx::program& program() const noexcept override { return *prog_; }
+  const asmx::program& program() const noexcept override {
+    return ctl_.program();
+  }
   mem::memory& memory() noexcept override { return memory_; }
   const mem::memory& memory() const noexcept override { return memory_; }
-  const micro_arch_config& config() const noexcept { return config_; }
+  const micro_arch_config& config() const noexcept { return ctl_.config(); }
 
-  std::uint64_t cycles() const noexcept override { return cycle_; }
+  std::uint64_t cycles() const noexcept override { return ctl_.cycle; }
   /// Instructions issued, nops and condition-failed instructions included.
   std::uint64_t instructions_issued() const noexcept override {
-    return issued_;
+    return ctl_.issued;
   }
   /// Number of cycles in which two instructions were issued together.
-  std::uint64_t dual_issue_pairs() const noexcept { return dual_pairs_; }
+  std::uint64_t dual_issue_pairs() const noexcept { return ctl_.dual_pairs; }
 
   /// Backend-wide stamp type (kept as a nested alias for existing users).
   using mark_stamp = sim::mark_stamp;
@@ -107,16 +109,9 @@ public:
                            const isa::instruction& younger) const noexcept;
 
 private:
-  struct issue_outcome {
-    bool issued = false;
-    bool redirect = false; ///< taken branch to a non-fall-through target
-    bool serialize = false; ///< mark/halt: nothing may pair or follow
-  };
-
-  bool operands_ready(std::size_t index) const noexcept;
-  bool unit_available(std::size_t index) const noexcept;
-  issue_outcome issue(const isa::instruction& ins, int slot);
-  void derive_pairability();
+  /// Executes one issued instruction (inorder_control's execute
+  /// callable); returns the next pc.
+  std::size_t issue(const isa::instruction& ins, int slot);
 
   void drive_rf_port(std::uint32_t value);
   void drive_is_ex_bus(std::uint8_t lane, std::uint32_t value);
@@ -128,24 +123,11 @@ private:
   void retire_write(isa::reg r, std::uint32_t value,
                     std::uint64_t ready_at) noexcept;
 
-  program_image image_;
-  const asmx::program* prog_ = nullptr; ///< = &image_.prog()
-  /// pairable_next_[i]: statically_pairable(code[i], code[i+1]) — the only
-  /// pairing the aligned fetch stream presents for non-redirecting code,
-  /// cached so the issue stage does not re-derive it every cycle.
-  std::vector<std::uint8_t> pairable_next_;
-  micro_arch_config config_;
+  inorder_control ctl_;
   mem::memory memory_;
   mem::cache icache_;
   mem::cache dcache_;
   cpu_state state_;
-
-  // Scoreboard.
-  std::array<std::uint64_t, isa::num_registers> reg_ready_{};
-  std::uint64_t flags_ready_ = 0;
-  std::uint64_t lsu_free_ = 0;
-  std::uint64_t mul_free_ = 0;
-  std::uint64_t fetch_ready_ = 0;
 
   // Micro-architectural state registers (leakage sources).
   std::array<std::uint32_t, 3> rf_port_state_{};
@@ -155,11 +137,6 @@ private:
   std::array<std::uint32_t, 2> wb_bus_state_{};
   std::uint32_t mdr_state_ = 0;
   std::uint32_t align_buffer_state_ = 0;
-
-  std::uint64_t cycle_ = 0;
-  std::uint64_t issued_ = 0;
-  std::uint64_t dual_pairs_ = 0;
-  int rf_ports_used_this_cycle_ = 0;
 };
 
 } // namespace usca::sim
