@@ -106,13 +106,19 @@ trace_store_writer::resume(const std::string& path,
   if (report != nullptr) {
     *report = store_resume_report{};
   }
+  // The quarantine holds what the last successful resume cut: a resume
+  // that cuts nothing removes the one an earlier repair left.
+  const std::string qpath = path + ".quarantine";
   trace_store_writer writer(path, desc);
   writer.fd_ = ::open(path.c_str(), O_RDWR);
   if (writer.fd_ < 0) {
-    return create(path, desc); // missing file: fresh store
+    trace_store_writer fresh = create(path, desc); // missing file
+    ::unlink(qpath.c_str());
+    return fresh;
   }
+  bool cut = false;
   try {
-    writer.resume_existing(report);
+    cut = writer.resume_existing(report);
   } catch (...) {
     // Release the descriptor without going through close(): a rejected
     // file (foreign configuration, not a store at all) must be left
@@ -122,16 +128,19 @@ trace_store_writer::resume(const std::string& path,
     writer.fd_ = -1;
     throw;
   }
+  if (!cut) {
+    ::unlink(qpath.c_str());
+  }
   return writer;
 }
 
-void trace_store_writer::resume_existing(store_resume_report* report) {
+bool trace_store_writer::resume_existing(store_resume_report* report) {
   struct stat st {};
   if (::fstat(fd_, &st) != 0) {
     throw util::analysis_error("cannot stat '" + path_ + "'");
   }
   if (st.st_size == 0) {
-    return; // empty file: behaves like create()
+    return false; // empty file: behaves like create()
   }
 
   const auto refuse_foreign = [this](const trace_store_descriptor& file) {
@@ -154,6 +163,7 @@ void trace_store_writer::resume_existing(store_resume_report* report) {
 
   std::uint64_t keep = file_header_bytes; // file bytes that stay on disk
   std::uint64_t records = 0;              // records in kept chunks
+  bool cut = false;                       // a torn tail was quarantined
   {
     const trace_store_reader reader(path_, store_open_mode::salvage);
     refuse_foreign(reader.descriptor()); // the header as mapped
@@ -183,7 +193,8 @@ void trace_store_writer::resume_existing(store_resume_report* report) {
     // the store itself is repaired to the reader's invariant.
     const std::span<const unsigned char> bytes = reader.file_bytes();
     const std::span<const unsigned char> tail = bytes.subspan(keep);
-    if (!tail.empty()) {
+    cut = !tail.empty();
+    if (cut) {
       const std::string qpath = path_ + ".quarantine";
       const int qfd =
           ::open(qpath.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
@@ -230,6 +241,7 @@ void trace_store_writer::resume_existing(store_resume_report* report) {
                                "' to its last intact chunk");
   }
   written_ = records;
+  return cut;
 }
 
 void trace_store_writer::write_header() {

@@ -86,7 +86,9 @@ public:
   /// resume() keeps the reader's
   /// leading chunks whose indices continue from 0, through the first
   /// short chunk, and cuts everything after them as torn tail, preserved
-  /// in `<path>.quarantine` (overwritten per resume).  A kept short chunk
+  /// in `<path>.quarantine`: after a successful resume that file holds
+  /// exactly what this resume cut, and it is removed when nothing was
+  /// cut (a missing or empty store included).  A kept short chunk
   /// is re-buffered as pending records, so appending after a kill
   /// reproduces an uninterrupted file byte for byte, and resuming an
   /// already-complete store re-simulates nothing.  next_index() is
@@ -123,9 +125,9 @@ private:
   trace_store_writer(std::string path, const trace_store_descriptor& desc);
 
   /// The resume() body once the file is open: validate through the
-  /// reader, quarantine the tail, re-buffer, truncate.  Throws without
-  /// touching the file's bytes.
-  void resume_existing(store_resume_report* report);
+  /// reader, quarantine the tail, re-buffer, truncate; true when a tail
+  /// was cut.  Throws without touching the file's bytes.
+  bool resume_existing(store_resume_report* report);
   void write_header();
   void flush_chunk();
 

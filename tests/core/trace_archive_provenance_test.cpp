@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -174,12 +175,26 @@ TEST(ArchiveProvenance, TornTailIsQuarantinedAndReSimulated) {
   EXPECT_EQ(resumed.total, config.traces);
   EXPECT_EQ(file_bytes(torn_path), full);
 
-  // Re-archiving the repaired store cuts nothing.
+  // A resume that refuses the store (another campaign's seed) touches
+  // neither it nor the quarantine.
+  power::trace_store_descriptor foreign =
+      power::trace_store_reader::read_header(torn_path);
+  foreign.seed ^= 1;
+  EXPECT_THROW(power::trace_store_writer::resume(torn_path, foreign),
+               util::analysis_error);
+  EXPECT_EQ(file_bytes(torn_path), full);
+  EXPECT_EQ(file_bytes(quarantine), full.substr(chunk2, cut - chunk2));
+
+  // Re-archiving the repaired store cuts nothing, so the quarantine of
+  // the earlier repair goes: the file only ever holds the last resume's
+  // cut.
   const core::archive_result clean = core::archive_acquisition(
       image, config, random_registers(), torn_path, small_chunks());
   EXPECT_EQ(clean.quarantined_bytes, 0u);
+  EXPECT_EQ(clean.quarantine_path, "");
   EXPECT_EQ(clean.simulated, 0u);
   EXPECT_EQ(file_bytes(torn_path), full);
+  EXPECT_FALSE(std::filesystem::exists(quarantine));
 
   std::remove(full_path.c_str());
   std::remove(torn_path.c_str());
