@@ -188,6 +188,18 @@ std::vector<const power::noise_kernels*> noise_sets() {
   return sets;
 }
 
+// The identity tests cover the sets this host runs.  Where the AVX-512
+// set is missing, this test is reported skipped under its name, so the
+// coverage gap shows instead of vanishing from the loops.
+TEST(NoiseKernels, Avx512SetIsCovered) {
+  const power::noise_kernels* set = power::avx512_noise_kernels();
+  if (set == nullptr) {
+    GTEST_SKIP() << "no AVX-512 noise set on this host or build: its "
+                    "bit-identity checks did not run";
+  }
+  EXPECT_EQ(noise_sets().back(), set);
+}
+
 TEST(NoiseKernels, EverySetEqualsTheScalarLoopBitwise) {
   power::synthesis_config config;
   for (const double sigma : {2.0, 0.37}) {
@@ -308,6 +320,16 @@ std::vector<const sim::emit_kernels*> emit_sets() {
     }
   }
   return sets;
+}
+
+// As for noise: a missing AVX-512 emission set is reported skipped.
+TEST(EmitKernels, Avx512SetIsCovered) {
+  const sim::emit_kernels* set = sim::avx512_emit_kernels();
+  if (set == nullptr) {
+    GTEST_SKIP() << "no AVX-512 emission set on this host or build: its "
+                    "bit-identity checks did not run";
+  }
+  EXPECT_EQ(emit_sets().back(), set);
 }
 
 TEST(EmitKernels, WidestSetIsDispatched) {
