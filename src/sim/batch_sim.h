@@ -59,7 +59,10 @@
 // AVX2 or AVX-512, bit-identical), for both engines alike.
 //
 // Implementations: sim::batch_pipeline (in-order; batch_pipeline.h) and
-// sim::batch_ooo_core (OoO fast scheduler; ooo/batch_ooo_core.h).  The
+// sim::batch_ooo_core (OoO fast scheduler; ooo/batch_ooo_core.h).  Each is
+// a lane-major datapath around the control it shares with its per-trace
+// core — sim::inorder_control with sim::pipeline, sim::ooo_control with
+// sim::ooo_core — and both run inside batch_backend::run_lanes.  The
 // acquisition engine produces through this interface behind the
 // `sim_batch_lanes` field of core::acquisition_config (default on; 0
 // selects the per-trace path).
