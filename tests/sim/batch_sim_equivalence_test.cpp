@@ -8,6 +8,7 @@
 // survive and every non-ejected lane must still match per-trace exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -390,6 +391,126 @@ TEST(BatchSimLaneView, SimulationEntryPointsThrow) {
   EXPECT_THROW(view.step_cycle(), util::simulation_error);
   EXPECT_THROW(view.warm_caches(), util::simulation_error);
 }
+
+// The recording contract every core shares (sim/backend.h), pinned on the
+// per-trace and the batched core of each kind: recording turned off
+// stays off across reset(); a cutoff mark without `end_run` stops
+// recording when the mark commits, yet the run still goes to halt; and
+// clearing the cutoff restores whole-run recording.
+struct recorded_run {
+  std::vector<activity_trace> activity; ///< per lane
+  std::vector<mark_stamp> marks;
+  std::uint64_t cycles = 0;
+  bool halted = true; ///< every lane
+};
+
+std::size_t lanes_of(const backend&) { return 1; }
+std::size_t lanes_of(const batch_backend& batch) { return batch.lanes(); }
+mem::memory& memory_of(backend& core, std::size_t) { return core.memory(); }
+mem::memory& memory_of(batch_backend& batch, std::size_t lane) {
+  return batch.memory(lane);
+}
+const activity_trace& activity_of(const backend& core, std::size_t) {
+  return core.activity();
+}
+const activity_trace& activity_of(const batch_backend& batch,
+                                  std::size_t lane) {
+  return batch.activity(lane);
+}
+const cpu_state& state_of(const backend& core, std::size_t) {
+  return core.state();
+}
+const cpu_state& state_of(const batch_backend& batch, std::size_t lane) {
+  return batch.state(lane);
+}
+
+/// reset(), then one AES encryption per lane (lane l's plaintext starts
+/// with byte l), warmed and run with the core's current recording mode.
+template <typename Core>
+recorded_run reset_and_run(Core& core,
+                           const crypto::aes_program_layout& layout) {
+  const crypto::aes_round_keys round_keys = crypto::expand_key(
+      {0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15,
+       0x88, 0x09, 0xcf, 0x4f, 0x3c});
+  core.reset();
+  for (std::size_t l = 0; l < lanes_of(core); ++l) {
+    crypto::aes_block plaintext{};
+    plaintext[0] = static_cast<std::uint8_t>(l);
+    crypto::install_aes_inputs(memory_of(core, l), layout, round_keys,
+                               plaintext);
+  }
+  core.warm_caches();
+  core.run();
+  recorded_run out;
+  out.marks = core.marks();
+  out.cycles = core.cycles();
+  for (std::size_t l = 0; l < lanes_of(core); ++l) {
+    out.activity.push_back(activity_of(core, l));
+    out.halted = out.halted && state_of(core, l).halted;
+  }
+  return out;
+}
+
+template <typename Core>
+void expect_recording_contract(Core& core,
+                               const crypto::aes_program_layout& layout) {
+  const recorded_run whole = reset_and_run(core, layout);
+  ASSERT_TRUE(whole.halted);
+
+  core.set_record_activity(false);
+  const recorded_run silent = reset_and_run(core, layout);
+  EXPECT_EQ(silent.cycles, whole.cycles);
+  EXPECT_EQ(silent.marks.size(), whole.marks.size());
+  for (const activity_trace& lane : silent.activity) {
+    EXPECT_TRUE(lane.empty()) << "recording off must survive reset()";
+  }
+  core.set_record_activity(true);
+  EXPECT_EQ(reset_and_run(core, layout).activity, whole.activity);
+
+  core.set_activity_cutoff_mark(crypto::mark_round1_end);
+  const recorded_run cut = reset_and_run(core, layout);
+  EXPECT_TRUE(cut.halted) << "a cutoff without end_run runs to halt";
+  EXPECT_EQ(cut.cycles, whole.cycles);
+  ASSERT_EQ(cut.marks.size(), whole.marks.size());
+  EXPECT_EQ(cut.marks.back().cycle, whole.marks.back().cycle);
+  for (std::size_t l = 0; l < whole.activity.size(); ++l) {
+    SCOPED_TRACE(l);
+    const activity_trace& prefix = cut.activity[l];
+    EXPECT_FALSE(prefix.empty());
+    ASSERT_LT(prefix.size(), whole.activity[l].size());
+    EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(),
+                           whole.activity[l].begin()));
+  }
+
+  core.clear_activity_cutoff_mark();
+  EXPECT_EQ(reset_and_run(core, layout).activity, whole.activity);
+}
+
+class RecordingContract : public ::testing::TestWithParam<backend_kind> {};
+
+TEST_P(RecordingContract, HoldsOnPerTraceAndBatchedCores) {
+  const backend_kind kind = GetParam();
+  const crypto::aes_program_layout layout =
+      crypto::generate_aes128_program();
+  const program_image image(layout.prog);
+  {
+    SCOPED_TRACE("per-trace");
+    const std::unique_ptr<backend> core =
+        make_backend(kind, image, config_for(kind));
+    expect_recording_contract(*core, layout);
+  }
+  {
+    SCOPED_TRACE("batched");
+    const std::unique_ptr<batch_backend> batch =
+        make_batch_backend(kind, image, config_for(kind), 3);
+    expect_recording_contract(*batch, layout);
+    EXPECT_FALSE(batch->any_lane_diverged());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, RecordingContract,
+                         ::testing::Values(backend_kind::inorder,
+                                           backend_kind::ooo));
 
 TEST(BatchSimPartialGroup, LimitedLanesMatchAndKeepLimitAcrossReset) {
   const crypto::aes_program_layout layout =
