@@ -4,7 +4,6 @@
 
 #include "sim/ooo/ooo_core.h"
 #include "sim/pipeline.h"
-#include "util/bitops.h"
 #include "util/telemetry.h"
 
 namespace usca::sim {
@@ -29,11 +28,18 @@ std::optional<backend_kind> parse_backend_kind(std::string_view text) noexcept {
   return std::nullopt;
 }
 
-void note_lane_restore(std::size_t bytes, std::size_t cache_sets) {
+void restore_data_images(const asmx::program& prog,
+                         std::span<mem::memory> memories,
+                         std::size_t cache_sets) {
   static const telem::counter restored_bytes{"sim.lane.bytes_restored",
                                              "bytes", "sim"};
   static const telem::counter restored_sets{"sim.lane.cache_sets_restored",
                                             "sets", "sim"};
+  std::size_t bytes = 0;
+  for (mem::memory& m : memories) {
+    bytes += m.reset();
+    m.load(prog.data_base, prog.data);
+  }
   restored_bytes.add(bytes);
   restored_sets.add(cache_sets);
 }

@@ -251,13 +251,6 @@ batch_backend::batch_backend(program_image image,
   }
 }
 
-void batch_backend::warm_caches() {
-  icache_.warm(prog_->code_base, prog_->code.size() * 4 + 4);
-  if (!prog_->data.empty()) {
-    data_.warm(prog_->data_base, prog_->data.size());
-  }
-}
-
 const cpu_state& batch_backend::enter_run() noexcept {
   std::array<std::uint64_t, max_batch_lanes> entry;
   for (std::size_t l = 0; l < lanes_; ++l) {
@@ -293,20 +286,15 @@ void batch_backend::leave_run(std::size_t pc, bool halted) {
 }
 
 void batch_backend::reset_lanes() {
-  std::size_t bytes = 0;
-  const std::size_t sets = icache_.reset() + data_.reset_cache();
-  for (std::size_t l = 0; l < lanes_; ++l) {
-    mem::memory& m = data_.memory(l);
-    bytes += m.reset();
-    m.load(prog_->data_base, prog_->data);
-    state_[l] = cpu_state{};
-    activity_[l].clear();
+  restore_data_images(*prog_, data_.memories(),
+                      icache_.reset() + data_.reset_cache());
+  std::fill(state_.begin(), state_.end(), cpu_state{});
+  for (activity_trace& t : activity_) {
+    t.clear();
   }
-  note_lane_restore(bytes, sets);
   std::fill_n(tile_.begin(), touched_rows_ * lanes_, baseline_);
   touched_rows_ = 0;
-  marks_.clear();
-  record_activity_ = record_default_;
+  restart_recording();
   active_mask_ = mask_for_limit();
   diverged_mask_ = 0;
   active_lane_cycles_ = 0;
@@ -317,7 +305,7 @@ void batch_backend::emit_lanes(component comp, std::uint8_t port,
                                std::uint32_t* state,
                                const std::uint32_t* values,
                                std::uint64_t at_cycle, std::uint64_t mask) {
-  if (!record_activity_) {
+  if (!recording()) {
     if constexpr (Distance) {
       for (const std::size_t l : lanes_in(mask)) {
         state[l] = values[l];
@@ -374,12 +362,16 @@ void batch_backend::weigh_lanes(component comp, std::uint8_t port,
 }
 
 void note_batch_run(std::size_t lanes_active,
-                    std::uint64_t active_lane_cycles) {
+                    std::uint64_t active_lane_cycles,
+                    std::size_t ejected_lanes) {
   static const telem::histogram lanes{"sim.batch.lanes", "lanes", "sim"};
   static const telem::counter lane_cycles{"sim.batch.active_lane_cycles",
                                           "lane-cycles", "sim"};
+  static const telem::counter ejected{"sim.batch.ejected_lanes", "lanes",
+                                      "sim"};
   lanes.record(static_cast<std::uint64_t>(lanes_active));
   lane_cycles.add(active_lane_cycles);
+  ejected.add(ejected_lanes);
 }
 
 std::unique_ptr<batch_backend> make_batch_backend(
@@ -405,9 +397,7 @@ namespace {
 } // namespace
 
 void batch_lane_view::reset() { lane_view_misuse("reset()"); }
-void batch_lane_view::rebind(program_image) { lane_view_misuse("rebind()"); }
 void batch_lane_view::warm_caches() { lane_view_misuse("warm_caches()"); }
 void batch_lane_view::run(std::uint64_t) { lane_view_misuse("run()"); }
-bool batch_lane_view::step_cycle() { lane_view_misuse("step_cycle()"); }
 
 } // namespace usca::sim

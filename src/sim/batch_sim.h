@@ -63,9 +63,11 @@
 // a lane-major datapath around the control it shares with its per-trace
 // core — sim::inorder_control with sim::pipeline, sim::ooo_control with
 // sim::ooo_core — and both run inside batch_backend::run_lanes.  The
-// acquisition engine produces through this interface behind the
-// `sim_batch_lanes` field of core::acquisition_config (default on; 0
-// selects the per-trace path).
+// recording contract (marks, cutoff mark, recording mode), the warm-up
+// and the reset's memory restore are sim/backend.h's, shared with the
+// per-trace cores.  The acquisition engine produces through this
+// interface behind the `sim_batch_lanes` field of
+// core::acquisition_config (default on; 0 selects the per-trace path).
 #ifndef USCA_SIM_BATCH_SIM_H
 #define USCA_SIM_BATCH_SIM_H
 
@@ -135,19 +137,22 @@ const emit_kernels* avx512_emit_kernels() noexcept;
 /// once at first use; every batch engine emits through it.
 const emit_kernels& active_emit_kernels();
 
-/// Flushes one batch run's occupancy to telemetry: the `sim.batch.lanes`
-/// histogram and the `sim.batch.active_lane_cycles` counter.  Called once
-/// per run() by the batch engines — never from the cycle loop.
+/// Flushes one completed batch run's occupancy to telemetry: the
+/// `sim.batch.lanes` histogram and the `sim.batch.active_lane_cycles` and
+/// `sim.batch.ejected_lanes` counters.  Called once per run() by the
+/// batch engines — never from the cycle loop.
 void note_batch_run(std::size_t lanes_active,
-                    std::uint64_t active_lane_cycles);
+                    std::uint64_t active_lane_cycles,
+                    std::size_t ejected_lanes);
 
 /// N-lane counterpart of sim::backend.  This base holds what every batch
 /// engine shares: the program, the per-lane architectural state (during a
 /// run: register rows and flag masks, data-window rows and the lane-major
 /// D-cache; memory() and state() outside it) and the shared I-cache, the
-/// lane masks, the marks and the emission state (activity streams or
-/// fused tile).  Per-lane data is exposed by lane index.
-class batch_backend {
+/// lane masks and the emission state (activity streams or fused tile);
+/// the marks and the recording mode are the recording_contract's.
+/// Per-lane data is exposed by lane index.
+class batch_backend : public recording_contract {
 public:
   virtual ~batch_backend() = default;
 
@@ -159,7 +164,7 @@ public:
 
   /// Warms the shared I-cache and every lane's D-cache (one lane warmed
   /// and broadcast when the lanes' D-caches are alike, as after reset()).
-  void warm_caches();
+  void warm_caches() { warm_program(*prog_, icache_, data_); }
 
   /// Runs every active lane to the halt, or to the cutoff mark when it
   /// was armed with `end_run` (see set_activity_cutoff_mark); throws past
@@ -203,29 +208,8 @@ public:
   }
   bool any_lane_diverged() const noexcept { return diverged_mask_ != 0; }
 
-  const std::vector<mark_stamp>& marks() const noexcept { return marks_; }
   const activity_trace& activity(std::size_t lane) const noexcept {
     return activity_[lane];
-  }
-
-  void set_record_activity(bool record) noexcept {
-    record_default_ = record;
-    record_activity_ = record;
-  }
-  /// Batched counterpart of backend::set_activity_cutoff_mark: recording
-  /// stops for every lane when the mark first commits, and with `end_run`
-  /// the whole batch halts there.  A lane whose timing would diverge only
-  /// after the mark then completes instead of being ejected — its window
-  /// activity is already recorded and identical to its per-trace run's.
-  void set_activity_cutoff_mark(std::uint16_t id,
-                                bool end_run = false) noexcept {
-    cutoff_mark_ = id;
-    has_cutoff_mark_ = true;
-    end_run_at_cutoff_ = end_run;
-  }
-  void clear_activity_cutoff_mark() noexcept {
-    has_cutoff_mark_ = false;
-    end_run_at_cutoff_ = false;
   }
 
   /// Fused synthesis for the runs that follow: recorded emissions add
@@ -321,19 +305,9 @@ protected:
       throw;
     }
     leave_run(pc, halted);
-    note_batch_run(active_limit_, active_lane_cycles_);
+    note_batch_run(active_limit_, active_lane_cycles_,
+                   static_cast<std::size_t>(std::popcount(diverged_mask_)));
     active_lane_cycles_ = 0;
-  }
-
-  /// Records a committed mark and applies the cutoff; true when the
-  /// batch run must end here (see backend::commit_mark).
-  bool commit_mark(const mark_stamp& stamp) {
-    marks_.push_back(stamp);
-    if (!has_cutoff_mark_ || stamp.id != cutoff_mark_) {
-      return false;
-    }
-    record_activity_ = false;
-    return end_run_at_cutoff_;
   }
 
   /// The part of reset() this base holds: every lane's registers, memory
@@ -366,12 +340,6 @@ protected:
   std::uint64_t active_lane_cycles_ = 0;
   std::uint64_t diverged_mask_ = 0;
   std::vector<activity_trace> activity_;
-  std::vector<mark_stamp> marks_;
-  std::uint16_t cutoff_mark_ = 0;
-  bool has_cutoff_mark_ = false;
-  bool end_run_at_cutoff_ = false;
-  bool record_activity_ = true;
-  bool record_default_ = true;
 
   program_image image_;
   const asmx::program* prog_ = nullptr;
@@ -430,8 +398,8 @@ std::unique_ptr<batch_backend> make_batch_backend(
 /// Presents one lane of a batch as a sim::backend so per-trace setup code
 /// (acquisition's setup_fn writes registers/memory through backend&) runs
 /// unchanged against a batch lane.  Only state access forwards; the
-/// simulation-driving entry points (run, step_cycle, reset, rebind,
-/// warm_caches) throw — the batch is driven as a whole.
+/// simulation-driving entry points (run, reset, warm_caches) throw — the
+/// batch is driven as a whole.
 class batch_lane_view final : public backend {
 public:
   batch_lane_view(batch_backend& batch, std::size_t lane) noexcept
@@ -455,10 +423,8 @@ public:
   }
 
   [[noreturn]] void reset() override;
-  [[noreturn]] void rebind(program_image image) override;
   [[noreturn]] void warm_caches() override;
   [[noreturn]] void run(std::uint64_t max_cycles = 50'000'000) override;
-  [[noreturn]] bool step_cycle() override;
 
 private:
   batch_backend* batch_;

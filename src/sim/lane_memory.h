@@ -32,6 +32,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "mem/cache.h"
@@ -50,6 +51,8 @@ public:
   const mem::memory& memory(std::size_t lane) const noexcept {
     return memory_[lane];
   }
+  /// Every lane's memory, lane order.
+  std::span<mem::memory> memories() noexcept { return memory_; }
 
   /// Run entry: lanes 0..n-1's windows into the rows.
   void enter(std::size_t n) noexcept;

@@ -84,15 +84,13 @@ void ooo_core::reset_structures() {
   renamed_ = 0;
   mispredicts_ = 0;
   wrong_path_renamed_ = 0;
-  record_activity_ = record_default_;
-  marks_.clear();
+  restart_recording();
   activity_.clear();
 }
 
 void ooo_core::reset() {
-  const std::size_t bytes = memory_.reset();
-  memory_.load(prog_->data_base, prog_->data);
-  note_lane_restore(bytes, icache_.reset() + dcache_.reset());
+  restore_data_images(*prog_, {&memory_, 1},
+                      icache_.reset() + dcache_.reset());
   state_ = cpu_state{};
   reset_structures();
 }
@@ -101,13 +99,6 @@ void ooo_core::rebind(program_image image) {
   image_ = std::move(image);
   prog_ = &image_.prog();
   reset();
-}
-
-void ooo_core::warm_caches() {
-  icache_.warm(prog_->code_base, prog_->code.size() * 4 + 4);
-  if (!prog_->data.empty()) {
-    dcache_.warm(prog_->data_base, prog_->data.size());
-  }
 }
 
 void ooo_core::run(std::uint64_t max_cycles) {

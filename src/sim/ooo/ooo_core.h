@@ -90,10 +90,9 @@ public:
   backend_kind kind() const noexcept override { return backend_kind::ooo; }
 
   void reset() override;
-  void rebind(program_image image) override;
-  void warm_caches() override;
+  void rebind(program_image image);
+  void warm_caches() override { warm_program(*prog_, icache_, dcache_); }
   void run(std::uint64_t max_cycles = 50'000'000) override;
-  bool step_cycle() override;
 
   cpu_state& state() noexcept override { return state_; }
   const cpu_state& state() const noexcept override { return state_; }
@@ -127,8 +126,6 @@ public:
     return ctl_.multi_rename_cycles;
   }
 
-  using mark_stamp = sim::mark_stamp;
-
   const mem::cache& icache() const noexcept { return icache_; }
   const mem::cache& dcache() const noexcept { return dcache_; }
 
@@ -158,6 +155,12 @@ private:
   };
 
   void reset_structures();
+
+  /// Advances at least one cycle; returns false once halted.  Provably
+  /// idle cycles (in which the core would do no observable work) are
+  /// skipped, so cycles() can grow by more than one per call; the
+  /// recorded activity, marks and architectural state are unaffected.
+  bool step_cycle();
 
   // Pipeline stages (called youngest-last each cycle so that an
   // instruction renamed in cycle c issues no earlier than c+1).

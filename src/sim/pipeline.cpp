@@ -26,9 +26,8 @@ pipeline::pipeline(program_image image, micro_arch_config config)
 }
 
 void pipeline::reset() {
-  const std::size_t bytes = memory_.reset();
-  memory_.load(program().data_base, program().data);
-  note_lane_restore(bytes, icache_.reset() + dcache_.reset());
+  restore_data_images(program(), {&memory_, 1},
+                      icache_.reset() + dcache_.reset());
   state_ = cpu_state{};
   ctl_.reset();
   rf_port_state_.fill(0);
@@ -38,21 +37,13 @@ void pipeline::reset() {
   wb_bus_state_.fill(0);
   mdr_state_ = 0;
   align_buffer_state_ = 0;
-  record_activity_ = record_default_;
-  marks_.clear();
+  restart_recording();
   activity_.clear();
 }
 
 void pipeline::rebind(program_image image) {
   ctl_.bind(std::move(image));
   reset();
-}
-
-void pipeline::warm_caches() {
-  icache_.warm(program().code_base, program().code.size() * 4 + 4);
-  if (!program().data.empty()) {
-    dcache_.warm(program().data_base, program().data.size());
-  }
 }
 
 void pipeline::run(std::uint64_t max_cycles) {

@@ -66,17 +66,15 @@ public:
   /// Swaps in a different program (re-deriving the pairability cache) and
   /// resets.  Lets the CPI explorer reuse one pipeline across its dozens
   /// of micro-benchmarks.
-  void rebind(program_image image) override;
+  void rebind(program_image image);
 
-  /// Touches every instruction line and the whole data image so that the
-  /// measured region runs entirely from L1 — the paper's warm-up loops.
-  void warm_caches() override;
+  void warm_caches() override { warm_program(program(), icache_, dcache_); }
 
   /// Runs until halt (or the cycle budget is exhausted, which throws).
   void run(std::uint64_t max_cycles = 50'000'000) override;
 
   /// Advances one cycle; returns false once halted.
-  bool step_cycle() override;
+  bool step_cycle();
 
   cpu_state& state() noexcept override { return state_; }
   const cpu_state& state() const noexcept override { return state_; }
@@ -95,9 +93,6 @@ public:
   }
   /// Number of cycles in which two instructions were issued together.
   std::uint64_t dual_issue_pairs() const noexcept { return ctl_.dual_pairs; }
-
-  /// Backend-wide stamp type (kept as a nested alias for existing users).
-  using mark_stamp = sim::mark_stamp;
 
   const mem::cache& icache() const noexcept { return icache_; }
   const mem::cache& dcache() const noexcept { return dcache_; }

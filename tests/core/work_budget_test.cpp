@@ -35,6 +35,11 @@
 // campaign makes no lane access outside the data window
 // (`sim.batch.outside_window_accesses` stays 0).
 //
+// So do the batch runs' ejections (`sim.batch.ejected_lanes`): none on
+// the window-bounded constant-time AES, and a fixed count on a fixed
+// campaign over the branchy AES, whose key-dependent xtime branches eject
+// lanes before its window's end mark.
+//
 // Restoring the fresh lane state between traces has a budget as well:
 // `sim.lane.bytes_restored` (memory bytes reset() zeroed) and
 // `sim.lane.cache_sets_restored` (cache sets it cleared).  Each reset
@@ -52,6 +57,7 @@
 #include <tuple>
 #include <vector>
 
+#include "core/acquisition.h"
 #include "core/analysis_sinks.h"
 #include "core/campaign.h"
 #include "crypto/aes128.h"
@@ -94,6 +100,11 @@ constexpr std::uint64_t golden_restored_icache_sets = 183;
 constexpr std::uint64_t golden_restored_dcache_sets_per_lane = 8;
 
 constexpr std::size_t budget_traces = 40;
+
+/// Lanes the branchy-AES campaign below ejects over its 40 traces: every
+/// lane but each group's leader, 31 of the 32-lane group and 7 of the
+/// final 8.
+constexpr std::uint64_t golden_branchy_ejected_lanes = 38;
 
 const crypto::aes_key kKey = {0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae,
                               0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88,
@@ -328,6 +339,66 @@ TEST(LaneMemoryBudget, WindowBoundedCampaignsStayInsideTheDataWindow) {
     EXPECT_EQ(counter_delta(outside, [&] { campaign.run(cpa); }), 0u);
     EXPECT_EQ(cpa.cpa().traces(), budget_traces);
   }
+}
+
+const telem::counter& ejected_lanes() {
+  static const telem::counter ejected{"sim.batch.ejected_lanes", "lanes",
+                                      "sim"};
+  return ejected;
+}
+
+TEST(EjectionBudget, WindowBoundedAesCampaignsEjectNoLane) {
+  for (const sim::backend_kind kind :
+       {sim::backend_kind::inorder, sim::backend_kind::ooo}) {
+    SCOPED_TRACE(sim::backend_kind_name(kind));
+    campaign_config config = budget_config(32);
+    config.backend = kind;
+    config.uarch = kind == sim::backend_kind::ooo ? sim::cortex_a7_ooo()
+                                                  : sim::cortex_a7();
+    trace_campaign campaign(config, kKey);
+    cpa_sink cpa(0);
+    EXPECT_EQ(counter_delta(ejected_lanes(), [&] { campaign.run(cpa); }),
+              0u);
+    EXPECT_EQ(cpa.cpa().traces(), budget_traces);
+  }
+}
+
+// The branchy AES, 32 lanes, window from round 1's AddRoundKey to round
+// 2's ShiftRows (after the first data-dependent branches), streamed
+// window-bounded.
+TEST(EjectionBudget, BranchyAesCampaignIsPinned) {
+  const auto layout = std::make_shared<const crypto::aes_program_layout>(
+      crypto::generate_aes128_branchy_program());
+  acquisition_config config;
+  config.traces = budget_traces;
+  config.threads = 1;
+  config.seed = 0xb0d6e7;
+  config.sim_batch_lanes = 32;
+  config.window = {
+      crypto::aes_round_phase_mark(1, crypto::aes_round_phase::add_round_key),
+      crypto::aes_round_phase_mark(2, crypto::aes_round_phase::shift_rows)};
+  acquisition_campaign campaign(sim::program_image(layout->prog), config);
+  campaign.set_setup([layout, round_keys = crypto::expand_key(kKey)](
+                         std::size_t, util::xoshiro256& rng,
+                         sim::backend& core, std::vector<double>& labels) {
+    crypto::aes_block pt;
+    for (auto& b : pt) {
+      b = rng.next_u8();
+    }
+    crypto::install_aes_inputs(core.memory(), *layout, round_keys, pt);
+    labels.assign(pt.begin(), pt.end());
+  });
+  acquisition_source source(campaign);
+  std::size_t rows = 0;
+  EXPECT_EQ(counter_delta(ejected_lanes(),
+                          [&] {
+                            source.for_each_batch(
+                                8, [&](const trace_batch_view& batch) {
+                                  rows += batch.count;
+                                });
+                          }),
+            golden_branchy_ejected_lanes);
+  EXPECT_EQ(rows, budget_traces);
 }
 
 struct noise_work {

@@ -388,7 +388,6 @@ TEST(BatchSimLaneView, SimulationEntryPointsThrow) {
   EXPECT_EQ(view.kind(), backend_kind::inorder);
   EXPECT_THROW(view.run(), util::simulation_error);
   EXPECT_THROW(view.reset(), util::simulation_error);
-  EXPECT_THROW(view.step_cycle(), util::simulation_error);
   EXPECT_THROW(view.warm_caches(), util::simulation_error);
 }
 

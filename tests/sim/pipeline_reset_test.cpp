@@ -22,7 +22,7 @@ struct run_observation {
   std::uint64_t cycles = 0;
   std::uint64_t issued = 0;
   std::uint64_t dual_pairs = 0;
-  std::vector<sim::pipeline::mark_stamp> marks;
+  std::vector<sim::mark_stamp> marks;
   sim::activity_trace activity;
   crypto::aes_block ciphertext{};
   power::trace clean_power;
